@@ -99,6 +99,12 @@ def _parse_degrees(text: str) -> tuple[int, ...]:
     return degrees
 
 
+def _parse_points(count: int) -> int:
+    if count < 1:
+        raise BiforgeError(f"--points must be at least 1, got {count}")
+    return count
+
+
 def _parse_mu(text: str | None) -> Fraction | None:
     if text is None:
         return None
@@ -161,7 +167,7 @@ def cmd_construct(config: RunConfig) -> int:
     config.out.mkdir(parents=True, exist_ok=True)
     coeffs_path = config.out / "coeffs.json"
     quad_path = config.out / "quadruple.json"
-    coeffs_path.write_text(family.proper_member.to_json() + "\n")
+    coeffs_path.write_text(family.proper_member.to_json(fam.spec, family.mu) + "\n")
     quad_path.write_text(fam.to_json() + "\n")
     print(f"wrote {coeffs_path} and {quad_path}")
     print(
@@ -171,13 +177,41 @@ def cmd_construct(config: RunConfig) -> int:
     return 0
 
 
-def cmd_verify(config: RunConfig, coeffs_file: Path, quadruple_file: Path, out_file: Path | None) -> int:
+def _read_inputs(coeffs_file: Path, quadruple_file: Path) -> tuple[CoeffTable, QuadrupleFamily]:
+    """Parse verify's inputs; reject a table recorded for another group, n or mu.
+
+    Tables without that record (older files, hand-written ones) are taken
+    as they are.
+    """
     try:
-        table = CoeffTable.from_json(coeffs_file.read_text())
+        text = coeffs_file.read_text()
+        table = CoeffTable.from_json(text)
+        meta = json.loads(text)
         fam = QuadrupleFamily.from_json(quadruple_file.read_text())
     except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
         raise BiforgeError(f"cannot parse inputs: {exc}") from exc
+    expected = {"group": fam.spec.code, "n": fam.spec.n, "mu": Fraction(fam.spec.mu)}
+    recorded = {key: meta[key] for key in expected if key in meta}
+    if "mu" in recorded:
+        recorded["mu"] = Fraction(recorded["mu"])
+    wrong = [f"{key}={recorded[key]} (quadruple: {expected[key]})"
+             for key in recorded if recorded[key] != expected[key]]
+    if wrong:
+        raise BiforgeError(f"coefficient table does not match the quadruple: {', '.join(wrong)}")
+    return table, fam
 
+
+def cmd_verify(
+    coeffs_file: Path,
+    quadruple_file: Path,
+    out_file: Path | None,
+    *,
+    points: int,
+    tol: float,
+    seed: int,
+    as_json: bool,
+) -> int:
+    table, fam = _read_inputs(coeffs_file, quadruple_file)
     spec = fam.spec
     ctx = OperatorContext.for_spec(spec)
     m = len(table.degrees)
@@ -189,25 +223,23 @@ def cmd_verify(config: RunConfig, coeffs_file: Path, quadruple_file: Path, out_f
     phi = build_expression(table, pairs)
     proper = table.get((0,) * m) != 0
 
-    points = sample_domain_points(
-        [phi, *(tf for _, tf in pairs)], spec, config.points, config.seed
-    )
+    points = sample_domain_points([phi, *(tf for _, tf in pairs)], spec, points, seed)
     checks = quadruple_checks(fam, ctx, points)
     checks += closed_form_tension_checks(fam, ctx, points)
     checks += candidate_checks(
-        phi, ctx, points, proper=proper, tol_tau=config.tol / 10.0, tol_tau2=config.tol
+        phi, ctx, points, proper=proper, tol_tau=tol / 10.0, tol_tau2=tol
     )
     report = assemble_report(
         subject=f"{'biharmonic' if proper else 'harmonic'} candidate, degrees {table.degrees}",
         spec=spec,
         points=points,
-        seed=config.seed,
+        seed=seed,
         checks=checks,
     )
     if out_file is not None:
         out_file.parent.mkdir(parents=True, exist_ok=True)
         out_file.write_text(report.to_json() + "\n")
-    if config.as_json:
+    if as_json:
         print(report.to_json())
     else:
         print("\n".join(report.summary_lines()))
@@ -364,12 +396,17 @@ def cmd_morphism(config: RunConfig, kind: str, k: int, out_file: Path | None) ->
 # argument parsing
 
 
-def _add_common(parser: argparse.ArgumentParser, need_group: bool = True):
+def _add_common(
+    parser: argparse.ArgumentParser,
+    need_group: bool = True,
+    tol: float = 1e-7,
+    tol_help: str = "bitension tolerance; the tension check uses tol/10",
+):
     if need_group:
         parser.add_argument("--group", choices=["su", "so", "sp"], required=True)
         parser.add_argument("--n", type=int, required=True)
-    parser.add_argument("--points", type=int, default=20)
-    parser.add_argument("--tol", type=float, default=1e-7)
+    parser.add_argument("--points", type=int, default=20, help="sample points, at least 1")
+    parser.add_argument("--tol", type=float, default=tol, help=tol_help)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--json", action="store_true", dest="as_json")
 
@@ -396,12 +433,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--json", action="store_true", dest="as_json")
 
     p_mor = sub.add_parser("morphism", help="build and verify harmonic morphisms")
-    _add_common(p_mor)
+    _add_common(p_mor, tol=1e-8, tol_help="tolerance on the tension and conformality residuals")
     p_mor.add_argument("--kind", choices=["orthogonal", "rational"], default="orthogonal")
     p_mor.add_argument("--k", type=int, default=1)
     p_mor.add_argument("--choice", type=int, choices=[9, 10, 11], default=None)
     p_mor.add_argument("--out", type=Path, default=None)
-    p_mor.add_argument("--tol-morphism", type=float, default=1e-8)
     return parser
 
 
@@ -425,15 +461,15 @@ def main(argv=None) -> int:
             )
             return cmd_construct(config)
         if args.command == "verify":
-            config = RunConfig(
-                group="su",
-                n=2,
-                points=args.points,
+            return cmd_verify(
+                args.coeffs,
+                args.quadruple,
+                args.out,
+                points=_parse_points(args.points),
                 tol=args.tol,
                 seed=args.seed,
                 as_json=args.as_json,
             )
-            return cmd_verify(config, args.coeffs, args.quadruple, args.out)
         if args.command == "reproduce":
             return cmd_reproduce(args.as_json)
         if args.command == "morphism":
@@ -441,8 +477,8 @@ def main(argv=None) -> int:
                 group=args.group,
                 n=args.n,
                 sp_choice=args.choice,
-                points=args.points,
-                tol=args.tol_morphism,
+                points=_parse_points(args.points),
+                tol=args.tol,
                 seed=args.seed,
                 as_json=args.as_json,
             )

@@ -23,9 +23,15 @@ solve the harmonic system; the solution space gains one dimension,
 freely parametrized by c at the zero index (the proper direction) plus
 the unit indices (the harmonic directions).
 
-All systems are solved with exact Fraction arithmetic; tables are exact,
-and the numerical operators only enter when a table is assembled into an
-evaluable expression.
+Both systems are lower-triangular in sigma: each equation at k involves
+c_k and coefficients of smaller total degree only, with diagonal
+-2*mu*(sigma^2 - sigma) for the harmonic system and
+-4*mu^2*(sigma^2 - sigma)^2 for the composed biharmonic one.  The diagonal
+is nonzero for sigma >= 2, so one forward substitution in sigma order
+solves for everything but the sigma <= 1 coordinates, and every row is
+then checked exactly.  Tables are exact Fractions; the numerical
+operators only enter when a table is assembled into an evaluable
+expression.
 """
 
 from __future__ import annotations
@@ -71,6 +77,11 @@ __all__ = [
     "column_ratio_family",
     "rational_morphism",
 ]
+
+
+# Layout version of coeffs.json files that record group, n and mu.  Files
+# without a "schema" key hold only degrees and coeffs and still load.
+TABLE_SCHEMA = 1
 
 
 def _frac(x) -> Fraction:
@@ -153,16 +164,24 @@ class CoeffTable:
         d = self.degrees[0]
         return tuple(self.get((k,)) for k in range(d + 1))
 
-    def to_json(self) -> str:
+    def to_json(self, spec: GroupSpec | None = None, mu=None) -> str:
+        """Serialize the table; given the group and mu it was solved for,
+        also record them and the schema version."""
         entries = [
             {"k": list(k), "num": str(v.numerator), "den": str(v.denominator)}
             for k, v in self.items()
         ]
-        return json.dumps({"degrees": list(self.degrees), "coeffs": entries}, indent=2, sort_keys=True)
+        doc = {"degrees": list(self.degrees), "coeffs": entries}
+        if spec is not None:
+            doc.update(schema=TABLE_SCHEMA, group=spec.code, n=spec.n, mu=str(_frac(mu)))
+        return json.dumps(doc, indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "CoeffTable":
+        """Parse a table; group, n and mu, if recorded, are left to the caller."""
         doc = json.loads(text)
+        if doc.get("schema", TABLE_SCHEMA) != TABLE_SCHEMA:
+            raise ValueError(f"unsupported coefficient table schema {doc['schema']!r}")
         coeffs = {
             tuple(entry["k"]): Fraction(int(entry["num"]), int(entry["den"]))
             for entry in doc["coeffs"]
@@ -313,93 +332,30 @@ def is_biharmonic_table(table: CoeffTable, mu) -> bool:
 # exact solving
 
 
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Fraction; returns (rref, pivot columns)."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
+def _graded_solve(rows: dict, pinned: dict) -> dict:
+    """Solve a homogeneous system that is lower-triangular in sigma = sum(k).
 
-
-def _solve_with_free_values(
-    rows: list[dict],
-    columns: list,
-    free_columns: list,
-    free_values: list[Fraction],
-) -> dict:
-    """Solve the homogeneous system with designated coordinates pinned.
-
-    ``rows`` are sparse equations over ``columns``; the coordinates in
-    ``free_columns`` are fixed to ``free_values`` and everything else must
-    be uniquely determined, otherwise InconsistentSystem is raised.
+    ``rows`` maps each box index to its sparse equation; every equation
+    at index k involves k itself and indices of smaller total degree.
+    Pinned indices take their given values and every other index is
+    solved from its own row in (sigma, index) order, so only the diagonal
+    of that row may divide.  Every row, pinned ones included, is then
+    checked exactly.
     """
-    free_set = set(free_columns)
-    unknowns = [c for c in columns if c not in free_set]
-    unknown_pos = {c: i for i, c in enumerate(unknowns)}
-    fixed = dict(zip(free_columns, free_values))
-
-    dense = []
-    for row in rows:
-        line = [Fraction(0)] * (len(unknowns) + 1)
-        for col, coeff in row.items():
-            if col in free_set:
-                line[-1] -= coeff * fixed[col]
-            else:
-                line[unknown_pos[col]] += coeff
-        if any(x != 0 for x in line):
-            dense.append(line)
-
-    if not unknowns:
-        if any(line[-1] != 0 for line in dense):
-            raise InconsistentSystem("pinned coordinates contradict the system")
-        return dict(fixed)
-
-    rref, pivots = _rref(dense)
-    ncols = len(unknowns)
-    for line in rref:
-        if all(line[c] == 0 for c in range(ncols)) and line[-1] != 0:
-            raise InconsistentSystem("system is inconsistent with the pinned coordinates")
-    if len(pivots) < ncols or ncols in pivots:
-        raise InconsistentSystem(
-            "designated free coordinates do not determine the remaining ones"
-        )
-    solution = dict(fixed)
-    for line, c in zip(rref, pivots):
-        solution[unknowns[c]] = line[-1]
+    solution = dict(pinned)
+    for idx in sorted(rows, key=lambda k: (sum(k), k)):
+        if idx in pinned:
+            continue
+        row = rows[idx]
+        diag = row.get(idx, 0)
+        if diag == 0:
+            raise InconsistentSystem(f"zero diagonal at unpinned index {idx}")
+        rest = sum((c * solution[k] for k, c in row.items() if k != idx), Fraction(0))
+        solution[idx] = -rest / diag
+    for idx, row in rows.items():
+        if sum((c * solution[k] for k, c in row.items()), Fraction(0)) != 0:
+            raise InconsistentSystem(f"pinned values leave a residual at index {idx}")
     return solution
-
-
-def _nullity(rows: list[dict], columns: list) -> int:
-    dense = []
-    pos = {c: i for i, c in enumerate(columns)}
-    for row in rows:
-        line = [Fraction(0)] * len(columns)
-        for col, coeff in row.items():
-            line[pos[col]] += coeff
-        if any(x != 0 for x in line):
-            dense.append(line)
-    if not dense:
-        return len(columns)
-    _, pivots = _rref(dense)
-    return len(columns) - len(pivots)
 
 
 def _unit_indices(m: int) -> list[tuple[int, ...]]:
@@ -417,25 +373,20 @@ def harmonic_family(degrees, mu) -> SolutionFamily:
     """All harmonic coefficient tables on the degree box.
 
     Returns m basis tables, one per free unit multi-index; basis table i
-    has coefficient 1 at e_i and 0 at the other unit indices.
+    has coefficient 1 at e_i and 0 at the other unit indices.  The
+    sigma = 1 rows read -d_j * sum(d) * c_0 = 0, so c_0 is pinned to 0.
     """
     degrees = _validate_degrees(degrees)
     mu = _frac(mu)
     if mu == 0:
         raise ZeroVector("mu must be nonzero")
     m = len(degrees)
-    columns = list(box_indices(degrees))
-    rows = [_harmonic_row(degrees, mu, idx) for idx in columns]
-    if _nullity(rows, columns) != m:
-        raise InconsistentSystem(
-            f"harmonic solution space has unexpected dimension (expected {m})"
-        )
-    units = _unit_indices(m)
+    rows = {idx: _harmonic_row(degrees, mu, idx) for idx in box_indices(degrees)}
+    zero, units = (0,) * m, _unit_indices(m)
     tables = []
     for i in range(m):
-        values = [Fraction(1) if j == i else Fraction(0) for j in range(m)]
-        solution = _solve_with_free_values(rows, columns, units, values)
-        tables.append(CoeffTable(degrees, solution))
+        pinned = {zero: Fraction(0), **{u: Fraction(int(j == i)) for j, u in enumerate(units)}}
+        tables.append(CoeffTable(degrees, _graded_solve(rows, pinned)))
     return SolutionFamily(FamilyKind.HARMONIC, degrees, mu, tuple(tables))
 
 
@@ -443,8 +394,9 @@ def biharmonic_family(degrees, mu) -> SolutionFamily:
     """All biharmonic tables: the harmonic family plus one proper direction.
 
     The proper member is normalized to coefficient 1 at the zero index
-    and 0 at the unit indices; it is returned first.  The computed
-    solution space dimension is asserted to be m + 1.
+    and 0 at the unit indices; it is returned first.  The rows of the
+    composed system (harmonic rows applied to ``tension_table``) at
+    sigma <= 1 vanish identically, so the m + 1 indices there are free.
     """
     degrees = _validate_degrees(degrees)
     mu = _frac(mu)
@@ -458,22 +410,15 @@ def biharmonic_family(degrees, mu) -> SolutionFamily:
         row: dict = {}
         for mid, coeff in outer.items():
             for col, inner in tilde_rows[mid].items():
-                key = col
-                row[key] = row.get(key, Fraction(0)) + coeff * inner
+                row[col] = row.get(col, Fraction(0)) + coeff * inner
         return row
 
-    rows = [compose(_harmonic_row(degrees, mu, idx)) for idx in columns]
-    if _nullity(rows, columns) != m + 1:
-        raise InconsistentSystem(
-            f"biharmonic solution space has unexpected dimension (expected {m + 1})"
-        )
-    zero = (0,) * m
-    free = [zero, *_unit_indices(m)]
+    rows = {idx: compose(_harmonic_row(degrees, mu, idx)) for idx in columns}
+    free = [(0,) * m, *_unit_indices(m)]
     tables = []
     for i in range(m + 1):
-        values = [Fraction(1) if j == i else Fraction(0) for j in range(m + 1)]
-        solution = _solve_with_free_values(rows, columns, free, values)
-        tables.append(CoeffTable(degrees, solution))
+        pinned = {idx: Fraction(int(j == i)) for j, idx in enumerate(free)}
+        tables.append(CoeffTable(degrees, _graded_solve(rows, pinned)))
     proper = tables[0]
     if tension_table(proper, mu).is_zero():
         raise InconsistentSystem("proper direction came out harmonic")

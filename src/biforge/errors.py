@@ -33,6 +33,10 @@ class DomainError(BiforgeError, ArithmeticError):
     """Evaluation point lies outside the domain (a denominator vanishes)."""
 
 
+class SamplingExhausted(BiforgeError, RuntimeError):
+    """The domain sampler used up its draws before accepting enough points."""
+
+
 class InconsistentSystem(BiforgeError, ArithmeticError):
     """Exact elimination found a contradiction or an unexpected solution
     space; raised defensively, should not occur for valid inputs."""

@@ -16,7 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from .algebra import leading_value
 from .construct import CoeffTable, build_expression, tension_table
-from .errors import DomainError
+from .errors import DomainError, SamplingExhausted
 from .forms import QuadrupleFamily, RationalExpr
 from .groups import GroupPoint, GroupSpec, sample_point
 from .operators import OperatorContext, conformality, relative_residual, tension, tension2
@@ -66,7 +66,10 @@ def sample_domain_points(
     limit = 200 * count + 500
     while len(points) < count:
         if offset >= limit:
-            raise RuntimeError("could not sample enough points inside the domain")
+            raise SamplingExhausted(
+                f"could not sample {count} points inside the domain: "
+                f"{len(points)} accepted after {offset} draws"
+            )
         p = sample_point(spec, seed + offset)
         offset += 1
         cache: dict = {}

@@ -186,3 +186,64 @@ def test_threads_env_keeps_reports_identical(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("FORGE_THREADS", "4")
     assert run(argv + ["--out", str(threaded)]) == 0
     assert serial.read_bytes() == threaded.read_bytes()
+
+
+def test_morphism_reads_tol(capsys):
+    argv = ["morphism", "--group", "su", "--n", "4", "--kind", "orthogonal", "--points", "5"]
+    assert run(argv) == 0
+    assert run(argv + ["--tol", "1e-300"]) == 1
+
+
+def test_morphism_rejects_zero_points(capsys):
+    code = run(["morphism", "--group", "su", "--n", "4", "--points", "0"])
+    assert code == 2
+    assert "--points must be at least 1" in capsys.readouterr().err
+
+
+def test_verify_rejects_zero_points(tmp_path, capsys):
+    out = _construct(tmp_path)
+    code = run(["verify", "--coeffs", str(out / "coeffs.json"), "--quadruple",
+                str(out / "quadruple.json"), "--points", "0"])
+    assert code == 2
+    assert "--points must be at least 1" in capsys.readouterr().err
+
+
+def test_morphism_exhausted_sampler_exits_2(capsys):
+    # this rational family's den_scale rejects almost every draw on seed 214
+    code = run(["morphism", "--group", "su", "--n", "5", "--kind", "rational", "--k", "2",
+                "--points", "5", "--seed", "214"])
+    assert code == 2
+    assert "accepted after 1500 draws" in capsys.readouterr().err
+
+
+def test_construct_records_family_in_table(tmp_path):
+    out = _construct(tmp_path, ["--mu=-1/2"])
+    doc = json.loads((out / "coeffs.json").read_text())
+    assert (doc["schema"], doc["group"], doc["n"], doc["mu"]) == (1, "su", 3, "-1/2")
+    assert CoeffTable.from_json((out / "coeffs.json").read_text()).single_degree() == (1, 0, -3)
+
+
+def test_verify_rejects_table_of_another_mu(tmp_path, capsys):
+    out = _construct(tmp_path, ["--mu=-1/2"])
+    code = run(["verify", "--coeffs", str(out / "coeffs.json"), "--quadruple",
+                str(out / "quadruple.json"), "--points", "4"])
+    assert code == 2
+    assert "mu=-1/2 (quadruple: -1)" in capsys.readouterr().err
+    other = tmp_path / "su4"
+    assert run(["construct", "--group", "su", "--n", "4", "--out", str(other)]) == 0
+    code = run(["verify", "--coeffs", str(out / "coeffs.json"), "--quadruple",
+                str(other / "quadruple.json"), "--points", "4"])
+    assert code == 2
+    assert "n=3 (quadruple: 4)" in capsys.readouterr().err
+
+
+def test_verify_legacy_table_without_metadata(tmp_path, capsys):
+    out = _construct(tmp_path)
+    doc = json.loads((out / "coeffs.json").read_text())
+    legacy = tmp_path / "legacy.json"
+    legacy.write_text(json.dumps({"degrees": doc["degrees"], "coeffs": doc["coeffs"]}))
+    argv = ["--quadruple", str(out / "quadruple.json"), "--points", "4", "--seed", "5"]
+    current, old = tmp_path / "current.json", tmp_path / "old.json"
+    assert run(["verify", "--coeffs", str(out / "coeffs.json"), "--out", str(current), *argv]) == 0
+    assert run(["verify", "--coeffs", str(legacy), "--out", str(old), *argv]) == 0
+    assert current.read_bytes() == old.read_bytes()

@@ -5,12 +5,14 @@ difference equations and double-checked against the displayed examples;
 they are frozen here and everything is compared in exact arithmetic.
 """
 
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from biforge.construct import (
+    TABLE_SCHEMA,
     CoeffTable,
     FamilyKind,
     biharmonic_coefficients,
@@ -26,8 +28,9 @@ from biforge.construct import (
     rational_morphism,
     tension_power_family,
     tension_table,
+    _graded_solve,
 )
-from biforge.errors import DegenerateQuotient, DimensionMismatch, ZeroVector
+from biforge.errors import DegenerateQuotient, DimensionMismatch, InconsistentSystem, ZeroVector
 from biforge.forms import Const, make_quadruple
 from biforge.groups import GroupSpec
 from biforge.operators import conformality, relative_residual, tension
@@ -168,6 +171,38 @@ def test_two_variable_harmonic_family_degree_21():
         assert 6 * t.get((2, 1)) == 5 * (t.get((0, 1)) + t.get((1, 0)))
 
 
+@pytest.mark.parametrize("mu", [-1, Fraction(-1, 2)], ids=str)
+@pytest.mark.parametrize("degrees", [(4, 4), (6, 6), (3, 3, 3), (2, 2, 2, 2), (3, 1, 2)], ids=str)
+def test_graded_solver_families_exact_and_normalised(degrees, mu):
+    m = len(degrees)
+    zero = (0,) * m
+    units = [tuple(int(j == i) for j in range(m)) for i in range(m)]
+    harm = harmonic_family(degrees, mu)
+    assert harm.dimension == m
+    for i, table in enumerate(harm.tables):
+        assert is_harmonic_table(table, mu)
+        assert [table.get(k) for k in (zero, *units)] == [0, *(int(j == i) for j in range(m))]
+    bih = biharmonic_family(degrees, mu)
+    assert bih.dimension == m + 1
+    for i, table in enumerate(bih.tables):
+        assert is_biharmonic_table(table, mu)
+        assert [table.get(k) for k in (zero, *units)] == [int(j == i) for j in range(m + 1)]
+    # same pinned values, so uniqueness makes them the harmonic basis
+    assert bih.harmonic_members == harm.tables
+    assert not tension_table(bih.proper_member, mu).is_zero()
+
+
+def test_graded_solver_rejects_inconsistent_systems():
+    # the row at (1,) reads c_1 - c_0 = 0, contradicting the pinned values
+    rows = {(0,): {}, (1,): {(1,): Fraction(1), (0,): Fraction(-1)}}
+    assert _graded_solve(rows, {(0,): Fraction(2)}) == {(0,): 2, (1,): 2}
+    with pytest.raises(InconsistentSystem):
+        _graded_solve(rows, {(0,): Fraction(1), (1,): Fraction(0)})
+    # an unpinned index whose own row has no diagonal cannot be solved
+    with pytest.raises(InconsistentSystem):
+        _graded_solve({(0,): {}, (1,): {(0,): Fraction(1)}}, {(0,): Fraction(0)})
+
+
 def test_tension_table_of_harmonic_is_zero():
     for degrees in ((3,), (1, 1), (2, 1)):
         family = harmonic_family(degrees, -1)
@@ -193,6 +228,13 @@ def test_coeff_table_json_round_trip():
     table = biharmonic_family((2, 1), Fraction(-1, 2)).proper_member
     clone = CoeffTable.from_json(table.to_json())
     assert clone == table
+    text = table.to_json(GroupSpec.quaternionic_unitary(3), Fraction(-1, 2))
+    doc = json.loads(text)
+    assert (doc["schema"], doc["group"], doc["n"], doc["mu"]) == (TABLE_SCHEMA, "sp", 3, "-1/2")
+    assert CoeffTable.from_json(text) == table
+    doc["schema"] = TABLE_SCHEMA + 1
+    with pytest.raises(ValueError, match="schema"):
+        CoeffTable.from_json(json.dumps(doc))
 
 
 def test_build_expression_validation_and_zero():
