@@ -15,7 +15,7 @@ coordinate products, which is what every later construction exploits.
 
 import numpy as np
 
-from biforge import GroupSpec, basis, sample_point, translate_jet
+from biforge import GroupSpec, basis, sample_point, translate
 from biforge.forms import FormExpr, LinearForm
 from biforge.operators import OperatorContext, conformality, tension
 
@@ -32,7 +32,7 @@ print("\nsampled U(3) point, unitarity residual:",
       np.max(np.abs(point.matrix @ point.matrix.conj().T - np.eye(3))))
 
 elem = next(e for e in basis(spec) if e.label == "iD1")
-jet = translate_jet(point, elem).entry(0, 0)
+jet = translate(point.matrix, elem.matrix).entry(0, 0)
 print(f"2-jet of entry (0,0) along {elem.label}: "
       f"value={jet.a0:.4f}, d/ds={jet.a1:.4f}, d2/ds2={2 * jet.a2:.4f}")
 

@@ -8,7 +8,7 @@ combinations harmonic or proper biharmonic, and independently verifies
 every construction by jet differentiation along one-parameter subgroups.
 """
 
-from .algebra import Jet2, JetMatrix, Rational, jet_add, jet_div, jet_mul, jet_pow
+from .algebra import Jet2, JetMatrix, translate
 from .construct import (
     CoeffTable,
     FamilyKind,
@@ -47,10 +47,9 @@ from .forms import (
     isotropic,
     make_quadruple,
     quotient,
-    tau_closed_form,
 )
-from .groups import GroupKind, GroupPoint, GroupSpec, LieBasisElement, basis, sample_point, translate_jet
-from .operators import OperatorContext, conformality, eigen_check, tension, tension2
+from .groups import GroupKind, GroupPoint, GroupSpec, LieBasisElement, basis, sample_point
+from .operators import OperatorContext, conformality, tension, tension2
 from .report import CheckResult, VerificationReport
 
 __version__ = "0.1.0"

@@ -28,25 +28,16 @@ jet type.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 
 from .errors import DegenerateJetDivision, ShapeError
 
-#: Exact rational scalar used by the coefficient solvers.
-Rational = Fraction
-
 __all__ = [
-    "Rational",
     "Jet2",
     "JetMatrix",
-    "jet_add",
-    "jet_mul",
-    "jet_div",
-    "jet_pow",
     "jet_reciprocal",
     "leading_value",
+    "translate",
 ]
 
 
@@ -63,11 +54,6 @@ class Jet2:
     @staticmethod
     def constant(value) -> "Jet2":
         return Jet2(value, 0, 0)
-
-    @staticmethod
-    def variable(value, slope=1) -> "Jet2":
-        """Jet of the coordinate s at base point ``value``."""
-        return Jet2(value, slope, 0)
 
     def as_tuple(self):
         return (self.a0, self.a1, self.a2)
@@ -174,22 +160,6 @@ def _reciprocal_scalar(x):
     return 1 / x
 
 
-def jet_add(x: Jet2, y: Jet2) -> Jet2:
-    return x + y
-
-
-def jet_mul(x: Jet2, y: Jet2) -> Jet2:
-    return x * y
-
-
-def jet_div(x: Jet2, y: Jet2) -> Jet2:
-    return x / y
-
-
-def jet_pow(x: Jet2, k: int) -> Jet2:
-    return x**k
-
-
 class JetMatrix:
     """Matrix-valued 2-jet: three coefficient matrices sharing one shape.
 
@@ -219,18 +189,19 @@ class JetMatrix:
             return Jet2(self.a0.entry(i, j), self.a1.entry(i, j), self.a2.entry(i, j))
         return Jet2(self.a0[i, j], self.a1[i, j], self.a2[i, j])
 
-    def right_mul(self, m: np.ndarray) -> "JetMatrix":
+    def __matmul__(self, m: np.ndarray) -> "JetMatrix":
         """Multiply every coefficient matrix by ``m`` on the right."""
-        if isinstance(self.a0, JetMatrix):
-            return JetMatrix(self.a0.right_mul(m), self.a1.right_mul(m), self.a2.right_mul(m))
         return JetMatrix(self.a0 @ m, self.a1 @ m, self.a2 @ m)
 
-    def translate(self, direction: np.ndarray, half_square: np.ndarray | None = None) -> "JetMatrix":
-        """Jet of ``M(I + s*Z + s**2*Z**2/2)`` in the new outermost parameter s."""
-        if half_square is None:
-            half_square = 0.5 * (direction @ direction)
-        if self.shape[1] != direction.shape[0]:
-            raise ShapeError(
-                f"cannot translate {self.shape} jet matrix along {direction.shape} direction"
-            )
-        return JetMatrix(self, self.right_mul(direction), self.right_mul(half_square))
+
+def translate(base, direction: np.ndarray, half_square: np.ndarray | None = None) -> JetMatrix:
+    """2-jet of ``base * exp(s*Z)``: ``base + s*(base Z) + s**2*(base Z**2/2)``.
+
+    ``base`` is a matrix or a JetMatrix; for a JetMatrix the new parameter
+    s becomes the outermost jet layer, giving a nested two-parameter jet.
+    """
+    if half_square is None:
+        half_square = 0.5 * (direction @ direction)
+    if base.shape[1] != direction.shape[0]:
+        raise ShapeError(f"cannot translate a {base.shape} base along a {direction.shape} direction")
+    return JetMatrix(base, base @ direction, base @ half_square)

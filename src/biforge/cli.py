@@ -20,7 +20,7 @@ Random vectors are drawn from a seeded complex Gaussian; for SO(n) the
 row vectors are built as u + i*v with |u| = |v|, u orthogonal to v (and
 the two rows mutually orthogonal), so the isotropy conditions hold
 exactly up to rounding.  Same configuration and seed give byte-identical
-output files.  FORGE_THREADS caps per-point parallelism.
+output files.
 """
 
 from __future__ import annotations
@@ -396,15 +396,16 @@ def cmd_morphism(config: RunConfig, kind: str, k: int, out_file: Path | None) ->
 # argument parsing
 
 
-def _add_common(
+def _add_group(parser: argparse.ArgumentParser):
+    parser.add_argument("--group", choices=["su", "so", "sp"], required=True)
+    parser.add_argument("--n", type=int, required=True)
+
+
+def _add_checks(
     parser: argparse.ArgumentParser,
-    need_group: bool = True,
     tol: float = 1e-7,
     tol_help: str = "bitension tolerance; the tension check uses tol/10",
 ):
-    if need_group:
-        parser.add_argument("--group", choices=["su", "so", "sp"], required=True)
-        parser.add_argument("--n", type=int, required=True)
     parser.add_argument("--points", type=int, default=20, help="sample points, at least 1")
     parser.add_argument("--tol", type=float, default=tol, help=tol_help)
     parser.add_argument("--seed", type=int, default=1)
@@ -416,7 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_con = sub.add_parser("construct", help="build and write a biharmonic family")
-    _add_common(p_con)
+    _add_group(p_con)
+    p_con.add_argument("--seed", type=int, default=1)
     p_con.add_argument("--degrees", default="1")
     p_con.add_argument("--choice", type=int, choices=[9, 10, 11], default=None)
     p_con.add_argument("--beta", type=int, default=0)
@@ -427,13 +429,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--coeffs", type=Path, required=True)
     p_ver.add_argument("--quadruple", type=Path, required=True)
     p_ver.add_argument("--out", type=Path, default=None)
-    _add_common(p_ver, need_group=False)
+    _add_checks(p_ver)
 
     p_rep = sub.add_parser("reproduce", help="regenerate and compare exact fixtures")
     p_rep.add_argument("--json", action="store_true", dest="as_json")
 
     p_mor = sub.add_parser("morphism", help="build and verify harmonic morphisms")
-    _add_common(p_mor, tol=1e-8, tol_help="tolerance on the tension and conformality residuals")
+    _add_group(p_mor)
+    _add_checks(p_mor, tol=1e-8, tol_help="tolerance on the tension and conformality residuals")
     p_mor.add_argument("--kind", choices=["orthogonal", "rational"], default="orthogonal")
     p_mor.add_argument("--k", type=int, default=1)
     p_mor.add_argument("--choice", type=int, choices=[9, 10, 11], default=None)
@@ -453,11 +456,8 @@ def main(argv=None) -> int:
                 mu=_parse_mu(args.mu),
                 sp_choice=args.choice,
                 beta=args.beta,
-                points=args.points,
-                tol=args.tol,
                 seed=args.seed,
                 out=args.out,
-                as_json=args.as_json,
             )
             return cmd_construct(config)
         if args.command == "verify":

@@ -49,11 +49,9 @@ __all__ = [
     "Product",
     "Power",
     "Quotient",
-    "const",
     "QuadrupleFamily",
     "make_quadruple",
     "quotient",
-    "tau_closed_form",
     "columns_pairwise_dependent",
     "isotropic",
     "bilinear",
@@ -80,16 +78,6 @@ class LinearForm:
                 f"coefficient array must have shape {expected}, got {self.coeffs.shape}"
             )
         object.__setattr__(self, "coeffs", np.ascontiguousarray(self.coeffs, dtype=complex))
-
-    @property
-    def coeff_z(self) -> np.ndarray:
-        return self.coeffs[:, : self.spec.n]
-
-    @property
-    def coeff_w(self) -> np.ndarray | None:
-        if self.spec.kind is GroupKind.QUATERNIONIC_UNITARY:
-            return self.coeffs[:, self.spec.n :]
-        return None
 
     @classmethod
     def coordinate(cls, spec: GroupSpec, row: int, col: int) -> "LinearForm":
@@ -218,10 +206,6 @@ def _as_expr(x) -> RationalExpr:
     if isinstance(x, LinearForm):
         return FormExpr(x)
     return Const(complex(x))
-
-
-def const(value) -> "Const":
-    return Const(complex(value))
 
 
 class Const(RationalExpr):
@@ -680,11 +664,6 @@ def make_quadruple(
         sp_choice=choice,
         so_mode=so_mode,
     )
-
-
-def tau_closed_form(fam: QuadrupleFamily, i: int) -> RationalExpr:
-    """Symbolic tension of member i: 2*mu*(P_i*Q - R*S_i)/Q**2."""
-    return fam.member_tension(i)
 
 
 # ---------------------------------------------------------------------------

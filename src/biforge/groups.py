@@ -7,8 +7,7 @@ matrix-coefficient functions, and the conformality constant mu of the
 quadruple product rules.
 
 The module provides the orthonormal Lie-algebra bases (in a fixed,
-documented order), deterministic point sampling, and the second-order
-truncation of ``p * exp(s*Z)`` used for jet differentiation.
+documented order) and deterministic point sampling.
 
 Basis ordering
 --------------
@@ -25,7 +24,8 @@ Basis ordering
 
 Every basis element Z satisfies [Z, Z*] = 0, so the Levi-Civita
 correction term of the tension field vanishes; this is asserted, not
-assumed, when an operator context is built.
+assumed, when an operator context is built, and a basis violating it is
+refused.
 
 Sampling is deterministic in the seed and satisfies the group-membership
 invariants, but makes no Haar-exactness claim: verification is pointwise
@@ -39,7 +39,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import JetMatrix
 from .errors import ShapeError
 
 __all__ = [
@@ -49,7 +48,6 @@ __all__ = [
     "GroupPoint",
     "basis",
     "sample_point",
-    "translate_jet",
 ]
 
 _SQRT2 = float(np.sqrt(2.0))
@@ -308,24 +306,3 @@ def sample_point(spec: GroupSpec, seed: int) -> GroupPoint:
     else:
         m = _sample_quaternionic(spec.n, rng)
     return GroupPoint(m)
-
-
-def translate_jet(point, element: LieBasisElement, half_square: np.ndarray | None = None) -> JetMatrix:
-    """2-jet of ``p * exp(s*Z)``: entries ``p + s*(pZ) + s**2*(p Z^2/2)``.
-
-    ``point`` may be a GroupPoint, a plain matrix, or a JetMatrix (in
-    which case the new parameter becomes the outermost jet layer and the
-    result represents a two-parameter expansion).
-    """
-    z = element.matrix
-    if half_square is None:
-        half_square = element.half_square()
-    if isinstance(point, GroupPoint):
-        point = point.matrix
-    if isinstance(point, JetMatrix):
-        return point.translate(z, half_square)
-    if point.shape[1] != z.shape[0]:
-        raise ShapeError(
-            f"point of shape {point.shape} cannot move along a {z.shape} direction"
-        )
-    return JetMatrix(point, point @ z, point @ half_square)

@@ -2,16 +2,13 @@
 
 On a compact matrix group with the left-invariant Re-trace metric,
 
-    tau(h)(p)      = sum_Z  d^2/ds^2 h(p exp(sZ)) |_0  -  (grad correction),
+    tau(h)(p)      = sum_Z  d^2/ds^2 h(p exp(sZ)) |_0,
     kappa(h, g)(p) = sum_Z  [d/ds h(p exp(sZ))] [d/ds g(p exp(sZ))] |_0,
 
-the sums running over an orthonormal Lie-algebra basis.  The correction
-term is the derivative along the projected bracket [Z, Z*]; for the
-bases in :mod:`biforge.groups` it vanishes identically, which is
-asserted (to 1e-12) when a context is built rather than assumed.  If a
-caller supplies a basis with nonvanishing brackets, ``tension``
-subtracts the first-order term along the projection; ``tension2`` then
-refuses to run (only the standard bases are supported there).
+the sums running over an orthonormal Lie-algebra basis.  The tension
+formula has no first-order term because every basis element Z is a
+normal matrix, [Z, Z*] = 0; this is asserted (to 1e-12) when a context
+is built rather than assumed, and a basis that violates it is refused.
 
 ``tension2`` computes tau(tau(h)) by moving the base point along W with
 an outer jet and evaluating h on inner jets along every Z, i.e. it
@@ -26,17 +23,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Jet2, JetMatrix
+from .algebra import Jet2, translate
+from .errors import ShapeError
 from .forms import RationalExpr
-from .groups import GroupPoint, GroupSpec, LieBasisElement, basis
-from .report import CheckResult, VerificationReport
+from .groups import GroupPoint, GroupSpec, basis
 
 __all__ = [
     "OperatorContext",
     "tension",
     "conformality",
     "tension2",
-    "eigen_check",
     "relative_residual",
 ]
 
@@ -48,38 +44,17 @@ class OperatorContext:
     """A group plus its cached basis data, shared across evaluations."""
 
     spec: GroupSpec
-    elements: list[LieBasisElement]
     mats: list[np.ndarray]
     half_squares: list[np.ndarray]
-    corrections: list[np.ndarray | None]
 
     @classmethod
-    def for_spec(cls, spec: GroupSpec, elements: list[LieBasisElement] | None = None) -> "OperatorContext":
-        if elements is None:
-            elements = basis(spec)
-        mats = [e.matrix for e in elements]
-        half_squares = [e.half_square() for e in elements]
-        corrections = [_bracket_projection(z, mats) for z in mats]
-        return cls(spec, elements, mats, half_squares, corrections)
-
-    @property
-    def has_corrections(self) -> bool:
-        return any(c is not None for c in self.corrections)
-
-
-def _bracket_projection(z: np.ndarray, mats: list[np.ndarray]) -> np.ndarray | None:
-    """Orthogonal projection of [Z, Z*] onto the spanned algebra, or None
-    when it vanishes (the standard bases are made of normal matrices)."""
-    bracket = z @ z.conj().T - z.conj().T @ z
-    if np.max(np.abs(bracket)) <= _BRACKET_TOL:
-        return None
-    proj = np.zeros_like(z)
-    for m in mats:
-        coeff = np.real(np.trace(bracket @ m.conj().T))
-        proj = proj + coeff * m
-    if np.max(np.abs(proj)) <= _BRACKET_TOL:
-        return None
-    return proj
+    def for_spec(cls, spec: GroupSpec) -> "OperatorContext":
+        elements = basis(spec)
+        for e in elements:
+            z = e.matrix
+            if np.max(np.abs(z @ z.conj().T - z.conj().T @ z)) > _BRACKET_TOL:
+                raise ShapeError(f"basis element {e.label} is not normal: [Z, Z*] != 0")
+        return cls(spec, [e.matrix for e in elements], [e.half_square() for e in elements])
 
 
 def _as_matrix(point) -> np.ndarray:
@@ -99,12 +74,8 @@ def tension(h: RationalExpr, point, ctx: OperatorContext) -> complex:
     """tau(h) at the point: basis sum of second jet coefficients (times 2)."""
     base = _as_matrix(point)
     total = 0j
-    for z, zh, corr in zip(ctx.mats, ctx.half_squares, ctx.corrections):
-        jet = h.evaluate(JetMatrix(base, base @ z, base @ zh))
-        total += 2 * _a2(jet)
-        if corr is not None:
-            first = h.evaluate(JetMatrix(base, base @ corr, np.zeros_like(base)))
-            total -= _a1(first)
+    for z, zh in zip(ctx.mats, ctx.half_squares):
+        total += 2 * _a2(h.evaluate(translate(base, z, zh)))
     return total
 
 
@@ -117,7 +88,7 @@ def conformality(h1: RationalExpr, h2: RationalExpr, point, ctx: OperatorContext
     base = _as_matrix(point)
     total = 0j
     for z, zh in zip(ctx.mats, ctx.half_squares):
-        jm = JetMatrix(base, base @ z, base @ zh)
+        jm = translate(base, z, zh)
         cache: dict = {}
         total += _a1(h1.evaluate(jm, cache)) * _a1(h2.evaluate(jm, cache))
     return total
@@ -130,16 +101,12 @@ def tension2(h: RationalExpr, point, ctx: OperatorContext) -> complex:
     combined coefficient 4 * a2.a2 is the mixed fourth-order term, so the
     result equals sum_W d^2/dt^2 [tau(h)(p exp(tW))] |_0.
     """
-    if ctx.has_corrections:
-        raise NotImplementedError(
-            "tension2 supports only bases whose bracket correction vanishes"
-        )
     base = _as_matrix(point)
     total = 0j
     for w, wh in zip(ctx.mats, ctx.half_squares):
-        outer = JetMatrix(base, base @ w, base @ wh)
+        outer = translate(base, w, wh)
         for z, zh in zip(ctx.mats, ctx.half_squares):
-            jet = h.evaluate(outer.translate(z, zh))
+            jet = h.evaluate(translate(outer, z, zh))
             total += 4 * _a2(_a2(jet))
     return total
 
@@ -147,29 +114,3 @@ def tension2(h: RationalExpr, point, ctx: OperatorContext) -> complex:
 def relative_residual(actual: complex, expected: complex) -> float:
     """|actual - expected| / max(1, |expected|)."""
     return abs(actual - expected) / max(1.0, abs(expected))
-
-
-def eigen_check(
-    h: RationalExpr,
-    eigenvalue: float,
-    points,
-    ctx: OperatorContext,
-    tolerance: float = 1e-9,
-    subject: str = "eigenfunction",
-    seed: int = 0,
-) -> VerificationReport:
-    """Check tau(h) = eigenvalue * h at every point, max-residual verdict."""
-    worst = 0.0
-    count = 0
-    for point in points:
-        value = h.evaluate(_as_matrix(point))
-        worst = max(worst, relative_residual(tension(h, point, ctx), eigenvalue * value))
-        count += 1
-    check = CheckResult.upper(f"tension = {eigenvalue} * value", worst, tolerance)
-    return VerificationReport(
-        subject=subject,
-        group=ctx.spec.describe(),
-        points=count,
-        seed=seed,
-        checks=(check,),
-    )

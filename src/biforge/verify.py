@@ -4,15 +4,11 @@ Every check is a max-residual over deterministically sampled points.
 Points are drawn by incrementing the seed until every denominator in the
 expressions under test is bounded away from zero (relative to its
 coefficient scale), so residuals are measured inside the domain and away
-from poles.  Per-point evaluations may run in a thread pool capped by
-the FORGE_THREADS environment variable; results are combined in point
-order, so reports are deterministic either way.
+from poles.  Points are evaluated serially in sampling order, so reports
+are deterministic.
 """
 
 from __future__ import annotations
-
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 from .algebra import leading_value
 from .construct import CoeffTable, build_expression, tension_table
@@ -24,7 +20,6 @@ from .report import CheckResult, VerificationReport
 
 __all__ = [
     "sample_domain_points",
-    "point_map",
     "quadruple_checks",
     "closed_form_tension_checks",
     "candidate_checks",
@@ -35,15 +30,6 @@ __all__ = [
 ]
 
 DEFAULT_DOMAIN_MARGIN = 0.02
-
-
-def point_map(fn, points):
-    """Map fn over points, optionally in FORGE_THREADS threads, in order."""
-    workers = int(os.environ.get("FORGE_THREADS", "1") or "1")
-    if workers > 1 and len(points) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, points))
-    return [fn(p) for p in points]
 
 
 def sample_domain_points(
@@ -116,7 +102,7 @@ def quadruple_checks(
 
     checks = [
         CheckResult.upper(
-            "eigenfunctions", _merge(point_map(eigen_residual, points)), tol_eigen
+            "eigenfunctions", _merge(map(eigen_residual, points)), tol_eigen
         )
     ]
 
@@ -153,7 +139,7 @@ def quadruple_checks(
             return worst
 
         checks.append(
-            CheckResult.upper(name, _merge(point_map(kappa_residual, points)), tol_kappa)
+            CheckResult.upper(name, _merge(map(kappa_residual, points)), tol_kappa)
         )
     return checks
 
@@ -176,7 +162,7 @@ def closed_form_tension_checks(
 
     return [
         CheckResult.upper(
-            "closed-form tension", _merge(point_map(residual, points)), tol
+            "closed-form tension", _merge(map(residual, points)), tol
         )
     ]
 
@@ -202,7 +188,7 @@ def candidate_checks(
             return abs(tension(phi, point, ctx)) / max(1.0, abs(value))
 
         return [
-            CheckResult.upper("tension", _merge(point_map(tau_residual, points)), tol_tau)
+            CheckResult.upper("tension", _merge(map(tau_residual, points)), tol_tau)
         ]
 
     def both(point):
@@ -212,7 +198,7 @@ def candidate_checks(
         scale = max(1.0, abs(value), abs(tau))
         return abs(tau_two) / scale, abs(tau) / max(1.0, abs(value))
 
-    results = point_map(both, points)
+    results = [both(p) for p in points]
     return [
         CheckResult.upper("bitension", _merge([r[0] for r in results]), tol_tau2),
         CheckResult.lower("tension nonvanishing", _merge([r[1] for r in results]), min_tau),
@@ -249,7 +235,7 @@ def oracle_equivalence_check(
         return abs(direct - via_expansion) / scale
 
     return CheckResult.upper(
-        "bitension route equivalence", _merge(point_map(residual, points)), tol
+        "bitension route equivalence", _merge(map(residual, points)), tol
     )
 
 
@@ -284,8 +270,8 @@ def eigenfamily_checks(
         return worst
 
     return [
-        CheckResult.upper("eigenfamily tension", _merge(point_map(tau_residual, points)), tol),
-        CheckResult.upper("eigenfamily kappa", _merge(point_map(kappa_residual, points)), tol),
+        CheckResult.upper("eigenfamily tension", _merge(map(tau_residual, points)), tol),
+        CheckResult.upper("eigenfamily kappa", _merge(map(kappa_residual, points)), tol),
     ]
 
 
@@ -303,7 +289,7 @@ def morphism_checks(
         kap = abs(conformality(expr, expr, point, ctx)) / max(1.0, abs(value) ** 2)
         return tau, kap
 
-    results = point_map(residuals, points)
+    results = [residuals(p) for p in points]
     return [
         CheckResult.upper("tension", _merge([r[0] for r in results]), tol),
         CheckResult.upper("horizontal conformality", _merge([r[1] for r in results]), tol),

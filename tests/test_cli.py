@@ -3,6 +3,8 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from biforge.cli import REFERENCE_FIXTURES, main
 from biforge.construct import CoeffTable
 
@@ -176,16 +178,13 @@ def test_morphism_orthogonal_wrong_group(capsys):
     assert "unitary" in capsys.readouterr().err
 
 
-def test_threads_env_keeps_reports_identical(tmp_path, monkeypatch, capsys):
-    out = _construct(tmp_path)
-    argv = ["verify", "--coeffs", str(out / "coeffs.json"), "--quadruple",
-            str(out / "quadruple.json"), "--points", "6", "--seed", "9"]
-    serial = tmp_path / "serial.json"
-    threaded = tmp_path / "threaded.json"
-    assert run(argv + ["--out", str(serial)]) == 0
-    monkeypatch.setenv("FORGE_THREADS", "4")
-    assert run(argv + ["--out", str(threaded)]) == 0
-    assert serial.read_bytes() == threaded.read_bytes()
+def test_construct_rejects_check_flags(tmp_path, capsys):
+    # construct runs no numerical check, so it has no --points, --tol or --json
+    with pytest.raises(SystemExit) as exc:
+        run(["construct", "--group", "su", "--n", "3", "--tol", "1e-300", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+    assert not (tmp_path / "coeffs.json").exists()
 
 
 def test_morphism_reads_tol(capsys):

@@ -22,7 +22,6 @@ from biforge.forms import (
     isotropic,
     make_quadruple,
     quotient,
-    tau_closed_form,
 )
 from biforge.groups import GroupSpec, sample_point
 from biforge.operators import conformality, relative_residual, tension
@@ -200,11 +199,11 @@ def test_quotient_matches_direct_entry_division(points_for):
         assert abs(f.evaluate(m) - m[0, 0] / m[1, 0]) <= 1e-12
 
 
-def test_tau_closed_form_harmonic_column(ctx_for, points_for):
+def test_member_tension_harmonic_column(ctx_for, points_for):
     # the member sharing the denominator column has identically zero tension
     fam = fam_u3()
     harmonic_index = fam.proper.index(False)
-    tau = tau_closed_form(fam, harmonic_index)
+    tau = fam.member_tension(harmonic_index)
     ctx = ctx_for(U3)
     for point in points_for(U3, 8, 700):
         assert abs(tau.evaluate(point.matrix)) <= 1e-12
@@ -220,13 +219,13 @@ def test_tau_closed_form_harmonic_column(ctx_for, points_for):
     ],
     ids=["u3", "sp2", "so4"],
 )
-def test_tau_closed_form_matches_operator(ctx_for, fam_builder):
+def test_member_tension_matches_operator(ctx_for, fam_builder):
     fam = fam_builder()
     ctx = ctx_for(fam.spec)
     exprs = [fam.member_quotient(i) for i in range(fam.n_members)]
     points = sample_domain_points(exprs, fam.spec, 8, 800)
     for i in range(fam.n_members):
-        tau_sym = tau_closed_form(fam, i)
+        tau_sym = fam.member_tension(i)
         for point in points:
             expected = tau_sym.evaluate(point.matrix)
             actual = tension(fam.member_quotient(i), point, ctx)

@@ -3,14 +3,9 @@
 import numpy as np
 import pytest
 
+from biforge.algebra import translate
 from biforge.errors import ShapeError
-from biforge.groups import (
-    GroupPoint,
-    GroupSpec,
-    basis,
-    sample_point,
-    translate_jet,
-)
+from biforge.groups import GroupSpec, basis, sample_point
 
 ALL_SPECS = [
     GroupSpec.unitary(2),
@@ -103,38 +98,47 @@ def test_sampled_points_are_group_elements(spec):
             assert np.max(np.abs(m[n:, :] - lower)) <= 1e-12
 
 
-def test_translate_jet_diagonal_rotation():
+def test_translate_diagonal_rotation():
     # at the identity along i*D_1, entry (0,0) follows exp(i s)
     spec = GroupSpec.unitary(3)
     elem = next(e for e in basis(spec) if e.label == "iD1")
-    jm = translate_jet(GroupPoint(np.eye(3, dtype=complex)), elem)
+    jm = translate(np.eye(3, dtype=complex), elem.matrix)
     jet = jm.entry(0, 0)
     assert jet.a0 == 1
     assert abs(jet.a1 - 1j) <= 1e-15
     assert abs(jet.a2 - (-0.5)) <= 1e-15
 
 
-def test_translate_jet_first_order_is_pz():
+def test_translate_first_order_is_pz():
     spec = GroupSpec.quaternionic_unitary(2)
     p = sample_point(spec, 9)
     for elem in basis(spec):
-        jm = translate_jet(p, elem)
+        jm = translate(p.matrix, elem.matrix, elem.half_square())
         assert np.array_equal(jm.a1, p.matrix @ elem.matrix)
         assert np.array_equal(jm.a0, p.matrix)
+        assert np.array_equal(jm.a2, p.matrix @ elem.half_square())
+        # a jet base gains a new outermost layer, each coefficient moved along Z
+        nested = translate(jm, elem.matrix)
+        assert nested.a0 is jm
+        assert np.array_equal(nested.a1.a1, jm.a1 @ elem.matrix)
+        assert np.array_equal(nested.a2.a0, p.matrix @ elem.half_square())
 
 
-def test_translate_jet_orthogonal_generator():
+def test_translate_orthogonal_generator():
     spec = GroupSpec.special_orthogonal(4)
     elem = next(e for e in basis(spec) if e.label == "Y12")
-    jm = translate_jet(GroupPoint(np.eye(4, dtype=complex)), elem)
+    jm = translate(np.eye(4, dtype=complex), elem.matrix)
     jet = jm.entry(0, 1)
     assert jet.a0 == 0
     assert abs(jet.a1 - 1 / np.sqrt(2)) <= 1e-15
     assert abs(jet.a2) <= 1e-15
 
 
-def test_translate_jet_shape_mismatch():
+def test_translate_shape_mismatch():
     spec = GroupSpec.unitary(3)
     elem = basis(spec)[0]
     with pytest.raises(ShapeError):
-        translate_jet(np.eye(4, dtype=complex), elem)
+        translate(np.eye(4, dtype=complex), elem.matrix)
+    jm = translate(np.eye(4, dtype=complex), np.eye(4, dtype=complex))
+    with pytest.raises(ShapeError):
+        translate(jm, elem.matrix)

@@ -10,17 +10,17 @@ import numpy as np
 import pytest
 
 from biforge.construct import biharmonic_coefficients, build_expression, column_ratio_family
+from biforge.errors import ShapeError
 from biforge.forms import Const, FormExpr, LinearForm, Power, Product, Quotient, Sum
-from biforge.groups import GroupPoint, GroupSpec, LieBasisElement, sample_point
+from biforge.groups import GroupSpec, LieBasisElement, basis, sample_point
 from biforge.operators import (
     OperatorContext,
     conformality,
-    eigen_check,
     relative_residual,
     tension,
     tension2,
 )
-from biforge.verify import sample_domain_points
+from biforge.verify import eigenfamily_checks, sample_domain_points
 from biforge.forms import make_quadruple
 
 U2 = GroupSpec.unitary(2)
@@ -134,14 +134,18 @@ def test_tension_of_constant_and_kappa_with_constant(ctx_for):
 
 
 def test_eigen_check_pass_and_fail(ctx_for, points_for):
+    def eigen_tension(h, eigenvalue, points, ctx):
+        checks = eigenfamily_checks([h], eigenvalue, 0.0, ctx, points)
+        return next(c for c in checks if c.name == "eigenfamily tension")
+
     z11 = FormExpr(LinearForm.coordinate(U3, 0, 0))
     ctx = ctx_for(U3)
     points = points_for(U3, 10, 2500)
-    assert eigen_check(z11, -3.0, points, ctx).verdict
-    assert not eigen_check(z11, -2.0, points, ctx).verdict
+    assert eigen_tension(z11, -3.0, points, ctx).passed
+    assert not eigen_tension(z11, -2.0, points, ctx).passed
     w12 = FormExpr(LinearForm.coordinate(SP2, 0, 3))
     ctx_sp = ctx_for(SP2)
-    assert eigen_check(w12, -2.5, points_for(SP2, 10, 2600), ctx_sp).verdict
+    assert eigen_tension(w12, -2.5, points_for(SP2, 10, 2600), ctx_sp).passed
 
 
 def test_tension2_squares_the_eigenvalue(ctx_for, points_for):
@@ -181,10 +185,9 @@ def test_tension2_proper_biharmonic_member(ctx_for):
     assert saw_tension >= 1e-3
 
 
-def test_bracket_correction_path():
-    # a basis of non-normal elements spanning a genuine subalgebra of
-    # gl(2, C): the correction is nonzero and the product rule still holds,
-    # because it holds for any second-order operator plus first-order terms
+def test_bracket_correction_path(monkeypatch):
+    # non-normal elements of sl(2): their [Z, Z*] would add a first-order
+    # correction to the tension, so the context refuses them
     e12 = np.array([[0, 1], [0, 0]], dtype=complex)
     e21 = np.array([[0, 0], [1, 0]], dtype=complex)
     h = np.diag([1, -1]).astype(complex) / np.sqrt(2)
@@ -193,23 +196,13 @@ def test_bracket_correction_path():
         LieBasisElement(e21, "n-"),
         LieBasisElement(h, "h"),
     ]
-    ctx = OperatorContext.for_spec(U2, elements)
-    assert ctx.has_corrections
-    rng = np.random.default_rng(31)
-    f = FormExpr(random_form(U2, rng))
-    g = FormExpr(random_form(U2, rng))
-    point = GroupPoint(sample_point(U2, 3000).matrix)
-    lhs = tension(Product((f, g)), point, ctx)
-    rhs = (
-        tension(f, point, ctx) * g.evaluate(point.matrix)
-        + 2 * conformality(f, g, point, ctx)
-        + f.evaluate(point.matrix) * tension(g, point, ctx)
-    )
-    assert relative_residual(lhs, rhs) <= 1e-10
-    with pytest.raises(NotImplementedError):
-        tension2(f, point, ctx)
+    monkeypatch.setattr("biforge.operators.basis", lambda spec: elements)
+    with pytest.raises(ShapeError, match="n\\+"):
+        OperatorContext.for_spec(U2)
 
 
-def test_standard_bases_have_no_corrections(ctx_for):
+def test_standard_bases_have_no_corrections():
+    # every standard basis passes the context's [Z, Z*] = 0 check
     for spec in (U3, SO4, SP2):
-        assert not ctx_for(spec).has_corrections
+        ctx = OperatorContext.for_spec(spec)
+        assert len(ctx.mats) == len(ctx.half_squares) == len(basis(spec))
