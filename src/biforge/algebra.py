@@ -35,6 +35,7 @@ from .errors import DegenerateJetDivision, ShapeError
 __all__ = [
     "Jet2",
     "JetMatrix",
+    "Stacked",
     "jet_reciprocal",
     "leading_value",
     "translate",
@@ -161,10 +162,11 @@ def _reciprocal_scalar(x):
 
 
 class JetMatrix:
-    """Matrix-valued 2-jet: three coefficient matrices sharing one shape.
+    """Matrix-valued 2-jet: three coefficient layers sharing one shape.
 
-    ``a0``, ``a1``, ``a2`` are either complex ndarrays or further
-    JetMatrix layers (for nested jets).  Entry extraction produces the
+    ``a0``, ``a1``, ``a2`` are complex ndarrays, :class:`Stacked` products
+    (for a jet along a stack of directions) or further JetMatrix layers
+    (for nested jets).  Entry extraction of an unstacked jet produces the
     corresponding scalar :class:`Jet2`; linear algebra stays vectorized
     on the coefficient matrices, which is what makes jet evaluation of
     linear forms cheap.
@@ -189,9 +191,28 @@ class JetMatrix:
             return Jet2(self.a0.entry(i, j), self.a1.entry(i, j), self.a2.entry(i, j))
         return Jet2(self.a0[i, j], self.a1[i, j], self.a2[i, j])
 
-    def __matmul__(self, m: np.ndarray) -> "JetMatrix":
-        """Multiply every coefficient matrix by ``m`` on the right."""
-        return JetMatrix(self.a0 @ m, self.a1 @ m, self.a2 @ m)
+
+class Stacked:
+    """The stack of products ``left @ stack[b]``, kept unmultiplied.
+
+    ``left`` is an (N, N) matrix and ``stack`` has shape (|B|, N, N).  A
+    linear form f satisfies f(X Z_b) = <X^T C, Z_b> for its coefficients
+    C, so it contracts this pair directly (see ``LinearForm.evaluate``)
+    and the (|B|, N, N) products are never formed.
+    """
+
+    __slots__ = ("left", "stack")
+
+    def __init__(self, left: np.ndarray, stack: np.ndarray):
+        self.left = left
+        self.stack = stack
+
+
+def _times(x, m: np.ndarray):
+    """``x @ m`` layer by layer; a stacked ``m`` stays a :class:`Stacked` pair."""
+    if isinstance(x, JetMatrix):
+        return JetMatrix(_times(x.a0, m), _times(x.a1, m), _times(x.a2, m))
+    return Stacked(x, m) if m.ndim == 3 else x @ m
 
 
 def translate(base, direction: np.ndarray, half_square: np.ndarray | None = None) -> JetMatrix:
@@ -199,9 +220,13 @@ def translate(base, direction: np.ndarray, half_square: np.ndarray | None = None
 
     ``base`` is a matrix or a JetMatrix; for a JetMatrix the new parameter
     s becomes the outermost jet layer, giving a nested two-parameter jet.
+    ``direction`` (and ``half_square``) may be a stack of shape
+    (|B|, N, N): the s-layers are then :class:`Stacked` products, and a
+    form evaluated on the jet has (|B|,) arrays as its s-coefficients, one
+    entry per direction.
     """
     if half_square is None:
         half_square = 0.5 * (direction @ direction)
-    if base.shape[1] != direction.shape[0]:
+    if base.shape[1] != direction.shape[-2]:
         raise ShapeError(f"cannot translate a {base.shape} base along a {direction.shape} direction")
-    return JetMatrix(base, base @ direction, base @ half_square)
+    return JetMatrix(base, _times(base, direction), _times(base, half_square))

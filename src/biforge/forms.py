@@ -9,9 +9,10 @@ the z-block is the top-left n-by-n corner and the w-block the top-right.
 
 :class:`RationalExpr` trees combine forms and complex constants through
 sums, products, integer powers and quotients.  One tree evaluates over
-any scalar tower (plain complex, jets, nested jets) with identical
-traversal; quotient nodes guard their denominator and raise DomainError
-near its zero set.
+any scalar tower (plain complex, jets, nested jets, and jets along a
+stack of directions, whose coefficients are (|B|,) arrays) with
+identical traversal; quotient nodes guard their denominator and raise
+DomainError near its zero set.
 
 A :class:`QuadrupleFamily` packages the eigenfunction quadruples
 (numerators P_i, common denominator Q, and the exchange forms R, S_i)
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import Jet2, JetMatrix, leading_value
+from .algebra import Jet2, JetMatrix, Stacked, leading_value
 from .errors import (
     DimensionMismatch,
     DomainError,
@@ -107,7 +108,12 @@ class LinearForm:
         return self.coeff_scale() <= rel_tol
 
     def evaluate(self, point):
-        """Sum of coefficients times matrix entries; jets recurse layerwise."""
+        """Sum of coefficients times matrix entries; jets recurse layerwise.
+
+        A :class:`Stacked` layer X Z_b is contracted as <X[:n]^T C, Z_b>,
+        one value per stacked direction, so its coefficient is an array
+        of shape (|B|,).
+        """
         if isinstance(point, GroupPoint):
             point = point.matrix
         if isinstance(point, JetMatrix):
@@ -116,8 +122,12 @@ class LinearForm:
                 self.evaluate(point.a1),
                 self.evaluate(point.a2),
             )
-        n = self.spec.n
-        block = point[:n, : self.spec.coeff_columns]
+        n, cols = self.spec.n, self.spec.coeff_columns
+        if isinstance(point, Stacked):
+            weights = point.left[:n].T @ self.coeffs
+            stack = point.stack[:, :, :cols]
+            return stack.reshape(len(stack), -1) @ weights.ravel()
+        block = point[:n, :cols]
         return complex(np.dot(self.coeffs.ravel(), np.ascontiguousarray(block).ravel()))
 
     def __repr__(self):
@@ -133,21 +143,56 @@ _MISSING = object()
 class RationalExpr:
     """Evaluable expression tree over linear forms and complex constants."""
 
-    __slots__ = ()
+    __slots__ = ("_reads",)
 
     def evaluate(self, point, cache: dict | None = None):
+        """The tree's value at a matrix, GroupPoint or (nested) JetMatrix.
+
+        A walk keeps a node's value only while another parent can still
+        read it: a node with more than one parent stays cached until its
+        last read, every other value is dropped once used.  The root's
+        value is left in ``cache``, so evaluations at the same point that
+        share a cache reuse each other's roots.
+        """
         if cache is None:
             cache = {}
-        return self._eval(point, cache)
-
-    def _eval(self, point, cache):
         value = cache.get(id(self), _MISSING)
         if value is _MISSING:
-            value = self._compute(point, cache)
-            cache[id(self)] = value
+            value = cache[id(self)] = self._compute(point, (cache, dict(self._shared_reads())))
         return value
 
-    def _compute(self, point, cache):
+    def _shared_reads(self) -> dict:
+        """Parent count of every node below the root with more than one parent."""
+        try:
+            return self._reads
+        except AttributeError:
+            pass
+        parents: dict = {}
+        stack = [self]
+        while stack:
+            for child in stack.pop()._children():
+                if id(child) not in parents:
+                    parents[id(child)] = 0
+                    stack.append(child)
+                parents[id(child)] += 1
+        self._reads = {key: count for key, count in parents.items() if count > 1}
+        return self._reads
+
+    def _eval(self, point, walk):
+        cache, reads = walk
+        key = id(self)
+        value = cache.get(key, _MISSING)
+        if value is _MISSING:
+            value = self._compute(point, walk)
+            if key in reads:
+                cache[key] = value
+        if key in reads:
+            reads[key] -= 1
+            if not reads[key]:
+                del reads[key], cache[key]
+        return value
+
+    def _compute(self, point, walk):
         raise NotImplementedError
 
     def coeff_scale(self) -> float:
@@ -214,7 +259,7 @@ class Const(RationalExpr):
     def __init__(self, value):
         self.value = complex(value)
 
-    def _compute(self, point, cache):
+    def _compute(self, point, walk):
         return self.value
 
     def coeff_scale(self):
@@ -230,7 +275,7 @@ class FormExpr(RationalExpr):
     def __init__(self, form: LinearForm):
         self.form = form
 
-    def _compute(self, point, cache):
+    def _compute(self, point, walk):
         return self.form.evaluate(point)
 
     def coeff_scale(self):
@@ -246,10 +291,10 @@ class Sum(RationalExpr):
     def __init__(self, terms):
         self.terms = tuple(_as_expr(t) for t in terms)
 
-    def _compute(self, point, cache):
-        total = self.terms[0]._eval(point, cache)
+    def _compute(self, point, walk):
+        total = self.terms[0]._eval(point, walk)
         for term in self.terms[1:]:
-            total = total + term._eval(point, cache)
+            total = total + term._eval(point, walk)
         return total
 
     def coeff_scale(self):
@@ -265,10 +310,10 @@ class Product(RationalExpr):
     def __init__(self, factors):
         self.factors = tuple(_as_expr(f) for f in factors)
 
-    def _compute(self, point, cache):
-        total = self.factors[0]._eval(point, cache)
+    def _compute(self, point, walk):
+        total = self.factors[0]._eval(point, walk)
         for factor in self.factors[1:]:
-            total = total * factor._eval(point, cache)
+            total = total * factor._eval(point, walk)
         return total
 
     def coeff_scale(self):
@@ -290,10 +335,10 @@ class Power(RationalExpr):
         self.base = _as_expr(base)
         self.exponent = int(exponent)
 
-    def _compute(self, point, cache):
+    def _compute(self, point, walk):
         if self.exponent == 0:
             return 1.0 + 0.0j
-        value = self.base._eval(point, cache)
+        value = self.base._eval(point, walk)
         out = value
         for _ in range(self.exponent - 1):
             out = out * value
@@ -317,15 +362,15 @@ class Quotient(RationalExpr):
         self.rel_tol = rel_tol
         self.den_scale = max(self.denominator.coeff_scale(), 1e-300)
 
-    def _compute(self, point, cache):
-        den = self.denominator._eval(point, cache)
+    def _compute(self, point, walk):
+        den = self.denominator._eval(point, walk)
         if abs(leading_value(den)) < self.rel_tol * self.den_scale:
             raise DomainError("evaluation point lies on (or too near) a denominator zero")
-        num = self.numerator._eval(point, cache)
+        num = self.numerator._eval(point, walk)
         return num / den
 
     def coeff_scale(self):
-        return self.numerator.coeff_scale()
+        return self.numerator.coeff_scale() / self.den_scale
 
     def _children(self):
         return (self.numerator, self.denominator)

@@ -135,9 +135,6 @@ class LieBasisElement:
     matrix: np.ndarray
     label: str
 
-    def half_square(self) -> np.ndarray:
-        return 0.5 * (self.matrix @ self.matrix)
-
 
 @dataclass(frozen=True)
 class GroupPoint:

@@ -10,11 +10,15 @@ formula has no first-order term because every basis element Z is a
 normal matrix, [Z, Z*] = 0; this is asserted (to 1e-12) when a context
 is built rather than assumed, and a basis that violates it is refused.
 
-``tension2`` computes tau(tau(h)) by moving the base point along W with
-an outer jet and evaluating h on inner jets along every Z, i.e. it
-evaluates h over nested 2-jets for all ordered basis pairs (W, Z) at
-O(|B|^2) expression evaluations.  Derivatives are read off with the
-half-second-derivative convention: a jet's ``a2`` is h''/2.
+Every operator evaluates h on jets along the whole basis at once: the
+basis is held as one (|B|, N, N) stack, jet coefficients along it are
+(|B|,) arrays, and the basis sum is a vector sum.  ``tension`` and
+``conformality`` walk the expression tree once per point.  ``tension2``
+computes tau(tau(h)) by moving the base point along W with an outer jet
+and evaluating h on inner jets along the stacked Z, i.e. one walk over
+nested basis-batched 2-jets per outer direction W, |B| walks in all.
+Derivatives are read off with the half-second-derivative convention: a
+jet's ``a2`` is h''/2.
 """
 
 from __future__ import annotations
@@ -41,11 +45,15 @@ _BRACKET_TOL = 1e-12
 
 @dataclass(eq=False)
 class OperatorContext:
-    """A group plus its cached basis data, shared across evaluations."""
+    """A group plus its stacked basis, shared across evaluations.
+
+    ``stack[b]`` is the basis element Z_b and ``half_stack[b]`` is
+    Z_b**2/2, both of shape (|B|, N, N).
+    """
 
     spec: GroupSpec
-    mats: list[np.ndarray]
-    half_squares: list[np.ndarray]
+    stack: np.ndarray
+    half_stack: np.ndarray
 
     @classmethod
     def for_spec(cls, spec: GroupSpec) -> "OperatorContext":
@@ -54,7 +62,11 @@ class OperatorContext:
             z = e.matrix
             if np.max(np.abs(z @ z.conj().T - z.conj().T @ z)) > _BRACKET_TOL:
                 raise ShapeError(f"basis element {e.label} is not normal: [Z, Z*] != 0")
-        return cls(spec, [e.matrix for e in elements], [e.half_square() for e in elements])
+        stack = np.array([e.matrix for e in elements])
+        del elements
+        half_stack = np.matmul(stack, stack)
+        half_stack *= 0.5
+        return cls(spec, stack, half_stack)
 
 
 def _as_matrix(point) -> np.ndarray:
@@ -72,43 +84,37 @@ def _a2(value):
 
 def tension(h: RationalExpr, point, ctx: OperatorContext) -> complex:
     """tau(h) at the point: basis sum of second jet coefficients (times 2)."""
-    base = _as_matrix(point)
-    total = 0j
-    for z, zh in zip(ctx.mats, ctx.half_squares):
-        total += 2 * _a2(h.evaluate(translate(base, z, zh)))
-    return total
+    jet = h.evaluate(translate(_as_matrix(point), ctx.stack, ctx.half_stack))
+    return complex(2 * np.sum(_a2(jet)))
 
 
 def conformality(h1: RationalExpr, h2: RationalExpr, point, ctx: OperatorContext) -> complex:
     """kappa(h1, h2) at the point: basis sum of first-derivative products.
 
-    Symmetric in (h1, h2) to machine precision because each summand is a
-    plain commutative product evaluated in a fixed basis order.
+    Exactly symmetric in (h1, h2): each summand is the symmetrized
+    product (d1 d2 + d2 d1) / 2, because numpy's vectorized complex
+    multiply is not bit-symmetric in its operands.
     """
-    base = _as_matrix(point)
-    total = 0j
-    for z, zh in zip(ctx.mats, ctx.half_squares):
-        jm = translate(base, z, zh)
-        cache: dict = {}
-        total += _a1(h1.evaluate(jm, cache)) * _a1(h2.evaluate(jm, cache))
-    return total
+    jm = translate(_as_matrix(point), ctx.stack, ctx.half_stack)
+    cache: dict = {}
+    d1 = _a1(h1.evaluate(jm, cache))
+    d2 = _a1(h2.evaluate(jm, cache))
+    return complex(np.sum((d1 * d2 + d2 * d1) / 2))
 
 
 def tension2(h: RationalExpr, point, ctx: OperatorContext) -> complex:
-    """tau(tau(h)) via nested jets over all ordered basis pairs (W, Z).
+    """tau(tau(h)) via nested jets: outer direction W, inner Z stacked.
 
-    The outer jet moves the point along W, the inner along Z; the
-    combined coefficient 4 * a2.a2 is the mixed fourth-order term, so the
-    result equals sum_W d^2/dt^2 [tau(h)(p exp(tW))] |_0.
+    The outer jet moves the point along W, the inner along every Z at
+    once; the combined coefficient 4 * a2.a2 is the mixed fourth-order
+    term, so the result equals sum_W d^2/dt^2 [tau(h)(p exp(tW))] |_0.
     """
     base = _as_matrix(point)
     total = 0j
-    for w, wh in zip(ctx.mats, ctx.half_squares):
-        outer = translate(base, w, wh)
-        for z, zh in zip(ctx.mats, ctx.half_squares):
-            jet = h.evaluate(translate(outer, z, zh))
-            total += 4 * _a2(_a2(jet))
-    return total
+    for w, wh in zip(ctx.stack, ctx.half_stack):
+        jet = h.evaluate(translate(translate(base, w, wh), ctx.stack, ctx.half_stack))
+        total += 4 * np.sum(_a2(_a2(jet)))
+    return complex(total)
 
 
 def relative_residual(actual: complex, expected: complex) -> float:

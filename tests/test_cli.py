@@ -1,12 +1,15 @@
 """End-to-end command-line behaviour, one test per exit-code path."""
 
 import json
+import math
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 from biforge.cli import REFERENCE_FIXTURES, main
 from biforge.construct import CoeffTable
+from biforge.verify import sample_domain_points
 
 
 def run(argv):
@@ -207,12 +210,32 @@ def test_verify_rejects_zero_points(tmp_path, capsys):
     assert "--points must be at least 1" in capsys.readouterr().err
 
 
-def test_morphism_exhausted_sampler_exits_2(capsys):
-    # this rational family's den_scale rejects almost every draw on seed 214
+def test_morphism_exhausted_sampler_exits_2(monkeypatch, capsys):
+    # a domain margin that no finite denominator meets rejects every draw
+    monkeypatch.setattr(
+        "biforge.cli.sample_domain_points", partial(sample_domain_points, margin=math.inf)
+    )
     code = run(["morphism", "--group", "su", "--n", "5", "--kind", "rational", "--k", "2",
                 "--points", "5", "--seed", "214"])
     assert code == 2
-    assert "accepted after 1500 draws" in capsys.readouterr().err
+    assert "0 accepted after 1500 draws" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--group", "su", "--n", "5", "--seed", "214"],
+     ["--group", "sp", "--n", "3", "--choice", "10", "--seed", "108"]],
+    ids=["su5-seed214", "sp3-choice10-seed108"],
+)
+def test_morphism_rational_nested_denominator_samples(tmp_path, argv):
+    # the morphism's denominator (tau f)^k is itself a quotient; its
+    # den_scale must follow the quotient's values for the sampler to
+    # find points
+    report = tmp_path / "rational.json"
+    code = run(["morphism", *argv, "--kind", "rational", "--k", "2", "--points", "5",
+                "--out", str(report)])
+    assert code == 0
+    assert json.loads(report.read_text())["verdict"] is True
 
 
 def test_construct_records_family_in_table(tmp_path):

@@ -113,15 +113,16 @@ def test_translate_first_order_is_pz():
     spec = GroupSpec.quaternionic_unitary(2)
     p = sample_point(spec, 9)
     for elem in basis(spec):
-        jm = translate(p.matrix, elem.matrix, elem.half_square())
+        half_square = 0.5 * (elem.matrix @ elem.matrix)
+        jm = translate(p.matrix, elem.matrix, half_square)
         assert np.array_equal(jm.a1, p.matrix @ elem.matrix)
         assert np.array_equal(jm.a0, p.matrix)
-        assert np.array_equal(jm.a2, p.matrix @ elem.half_square())
+        assert np.array_equal(jm.a2, p.matrix @ half_square)
         # a jet base gains a new outermost layer, each coefficient moved along Z
         nested = translate(jm, elem.matrix)
         assert nested.a0 is jm
         assert np.array_equal(nested.a1.a1, jm.a1 @ elem.matrix)
-        assert np.array_equal(nested.a2.a0, p.matrix @ elem.half_square())
+        assert np.array_equal(nested.a2.a0, p.matrix @ half_square)
 
 
 def test_translate_orthogonal_generator():
@@ -142,3 +143,5 @@ def test_translate_shape_mismatch():
     jm = translate(np.eye(4, dtype=complex), np.eye(4, dtype=complex))
     with pytest.raises(ShapeError):
         translate(jm, elem.matrix)
+    with pytest.raises(ShapeError):
+        translate(np.eye(4, dtype=complex), np.stack([elem.matrix, elem.matrix]))

@@ -6,9 +6,13 @@ exercised on random expressions over general (not rank-one) linear
 forms, on all three groups.
 """
 
+import tracemalloc
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from biforge.algebra import translate
 from biforge.construct import biharmonic_coefficients, build_expression, column_ratio_family
 from biforge.errors import ShapeError
 from biforge.forms import Const, FormExpr, LinearForm, Power, Product, Quotient, Sum
@@ -205,4 +209,87 @@ def test_standard_bases_have_no_corrections():
     # every standard basis passes the context's [Z, Z*] = 0 check
     for spec in (U3, SO4, SP2):
         ctx = OperatorContext.for_spec(spec)
-        assert len(ctx.mats) == len(ctx.half_squares) == len(basis(spec))
+        elements = basis(spec)
+        n = spec.ambient_dim
+        assert ctx.stack.shape == ctx.half_stack.shape == (len(elements), n, n)
+        for z, zh, e in zip(ctx.stack, ctx.half_stack, elements):
+            assert np.array_equal(z, e.matrix)
+            assert np.allclose(zh, 0.5 * (e.matrix @ e.matrix), rtol=0, atol=1e-15)
+
+
+def _member_and_candidate(spec, sp_choice=None):
+    # a quadruple family from seeded vectors (isotropic rows on SO(n)), its
+    # first proper member f = P/Q and the degree-2 proper biharmonic
+    # candidate built from it
+    rng = np.random.default_rng(31)
+    n = spec.n
+    if spec.code == "so":
+        u1, v1, u2, v2 = np.linalg.qr(rng.normal(size=(n, 4)))[0].T
+        p, q = u1 + 1j * v1, u2 + 1j * v2
+    else:
+        p, q = (rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(2))
+    a, b = (rng.uniform(0.5, 1.5, size=n) * np.exp(2j * np.pi * rng.uniform(size=n)) for _ in range(2))
+    fam = make_quadruple(spec, p, q, a, b, sp_choice=sp_choice)
+    i = fam.proper_indices[0]
+    pairs = [(fam.member_quotient(i), fam.member_tension(i))]
+    table = biharmonic_coefficients(2, Fraction(spec.mu), 4, 0)
+    return pairs[0][0], pairs[0][1], build_expression(table, pairs)
+
+
+def _assert_sum_matches(batched, summands):
+    # relative to the sum of |summands|: a biharmonic tension2 is a sum of
+    # large terms that cancel
+    assert abs(batched - sum(summands)) <= 1e-12 * max(1.0, sum(abs(t) for t in summands))
+
+
+@pytest.mark.parametrize(
+    "spec, sp_choice",
+    [(U3, None), (GroupSpec.unitary(6), None), (GroupSpec.special_orthogonal(8), None),
+     (GroupSpec.quaternionic_unitary(4), 10)],
+    ids=["su3", "su6", "so8", "sp4-choice10"],
+)
+def test_batched_operators_match_per_element_reference(ctx_for, spec, sp_choice):
+    # the operators take every basis direction at once; the reference here
+    # translates along one element at a time and sums in a Python loop
+    ctx = ctx_for(spec)
+    f, tau_f, phi = _member_and_candidate(spec, sp_choice)
+    directions = list(zip(ctx.stack, ctx.half_stack))
+    points = sample_domain_points([phi, tau_f], spec, 2, 3100)
+    for point in points:
+        base = point.matrix
+        for h in (f, phi):
+            _assert_sum_matches(
+                tension(h, point, ctx),
+                [2 * h.evaluate(translate(base, z, zh)).a2 for z, zh in directions],
+            )
+        kappa = []
+        for z, zh in directions:
+            jm = translate(base, z, zh)
+            kappa.append(f.evaluate(jm).a1 * tau_f.evaluate(jm).a1)
+        _assert_sum_matches(conformality(f, tau_f, point, ctx), kappa)
+    base = points[0].matrix
+    _assert_sum_matches(
+        tension2(phi, points[0], ctx),
+        [4 * phi.evaluate(translate(translate(base, w, wh), z, zh)).a2.a2
+         for w, wh in directions for z, zh in directions],
+    )
+
+
+@pytest.mark.parametrize(
+    "spec", [GroupSpec.quaternionic_unitary(4), GroupSpec.unitary(8)], ids=["sp4", "su8"]
+)
+def test_context_build_peak_stays_near_what_it_keeps(spec):
+    # the context keeps two (|B|, N, N) stacks; building them must not hold
+    # the element matrices, a list of half squares and both stacks at once
+    OperatorContext.for_spec(spec)  # one-time allocations outside the measurement
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        ctx = OperatorContext.for_spec(spec)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 1.25 * (ctx.stack.nbytes + ctx.half_stack.nbytes)
