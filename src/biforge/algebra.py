@@ -1,11 +1,15 @@
-"""Scalar tower: exact rationals and degree-2 truncated Taylor jets.
+"""Scalar tower: exact rationals, degree-2 Taylor jets, packed Laplacian jets.
 
-Two scalar families are used throughout the package:
+Three scalar families are used throughout the package:
 
 * exact rationals (:class:`fractions.Fraction`), the coefficient type of
   every linear-system solve in :mod:`biforge.construct`;
-* degree-2 truncated Taylor jets (:class:`Jet2`), the differentiation
-  primitive behind the Laplace-Beltrami and conformality operators.
+* degree-2 truncated Taylor jets (:class:`Jet2`), the generic
+  differentiation primitive: one direction at a time, over any
+  coefficient ring, nestable;
+* packed Laplacian jets (:class:`PackedJet`), what the operators of
+  :mod:`biforge.operators` evaluate: every sampled point and every
+  basis direction in one array per tree node.
 
 A ``Jet2`` stores ``(a0, a1, a2)`` with the convention
 
@@ -13,20 +17,50 @@ A ``Jet2`` stores ``(a0, a1, a2)`` with the convention
 
 so ``a2`` carries *half* of the second derivative; extraction sites that
 need h''(0) must read ``2*a2``.  This convention keeps multiplication a
-plain coefficient convolution.
-
-Coefficients are generic: complex numbers, ``Fraction``, or further jets
-all work through the same arithmetic.  Nesting a jet-over-jets (outer
-parameter t, inner parameter s) represents a two-parameter expansion
+plain coefficient convolution.  Coefficients are generic: complex
+numbers, ``Fraction``, or further jets.  Nesting a jet-over-jets (outer
+parameter t, inner parameter s) represents the two-parameter expansion
 
     h(s, t) = sum_{i,j<=2} c_ij s**i t**j + ...,
 
-whose top coefficient delivers the mixed fourth-order derivative needed
-for the bitension field.  There is deliberately no bespoke fourth-order
-jet type.
+whose top coefficient is the mixed fourth-order derivative of the
+bitension field.
+
+Packed layout
+-------------
+A ``PackedJet`` holds one ndarray ``c`` of shape (P, K, |B| + 2) for a
+function h moved along every basis direction Z_b of the Lie algebra:
+
+* axis 0 runs over the P points;
+* axis 1 over the orders of an outer parameter t, with the same
+  half-derivative convention (K = 1 without an outer direction, K = 3
+  for the bitension);
+* the last axis holds the value, the |B| first coefficients a1_b of the
+  jets of s -> h(p exp(sZ_b)), and the sum over b of their second
+  coefficients a2_b.
+
+The sum of the a2_b is all the Laplacian needs, and the layout is closed
+under the ring operations ("Forward Laplacian", Li et al. 2023):
+
+    sum_b (fg)_2b = f0 sum_b g2b + g0 sum_b f2b + sum_b f1b g1b,
+    sum_b (1/f)_2b = (sum_b f1b**2) / f0**3 - (sum_b f2b) / f0**2,
+
+where every product is a truncated t-series product (univariate Taylor
+propagation, Griewank, Utke and Walther, Math. Comp. 2000).  The
+t-convolutions are batched matmuls by lower-triangular Toeplitz
+matrices, and the sum over b of f1b g1b is one Gram product.  No
+``np.linalg`` is used, so object arrays of ``Fraction`` work too.
+
+A :class:`PackedPoint` is the matrix jet a walk starts from: the layers
+(P, K, N, N) of the points moved along t, and the extended stack
+E = [I, Z_1, ..., Z_|B|, H] with H = sum_b Z_b**2 / 2.  A linear form
+f gives the packed jet f(X E_e) at each layer X, because
+p exp(sZ_b) = p + s p Z_b + s**2 p Z_b**2 / 2 + O(s**3).
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,7 +69,8 @@ from .errors import DegenerateJetDivision, ShapeError
 __all__ = [
     "Jet2",
     "JetMatrix",
-    "Stacked",
+    "PackedJet",
+    "PackedPoint",
     "jet_reciprocal",
     "leading_value",
     "translate",
@@ -141,14 +176,22 @@ class Jet2:
 
 
 def leading_value(x):
-    """Innermost ``a0`` of a (possibly nested) jet; identity on scalars."""
+    """Value part: innermost ``a0`` of a (nested) Jet2, the (P,) point values
+    of a PackedJet, and the identity on scalars and arrays."""
+    if isinstance(x, PackedJet):
+        return x.c[..., 0, 0]
     while isinstance(x, Jet2):
         x = x.a0
     return x
 
 
-def jet_reciprocal(y: Jet2) -> Jet2:
-    """Multiplicative inverse modulo s**3; requires a nonzero leading value."""
+def jet_reciprocal(y):
+    """Multiplicative inverse modulo s**3 (and t**K for a PackedJet).
+
+    Requires a nonzero value part, at every point of a PackedJet.
+    """
+    if isinstance(y, PackedJet):
+        return _packed_reciprocal(y)
     r0 = _reciprocal_scalar(y.a0)
     return Jet2(r0, -(y.a1 * r0) * r0, ((y.a1 * y.a1) * r0 - y.a2) * (r0 * r0))
 
@@ -164,12 +207,12 @@ def _reciprocal_scalar(x):
 class JetMatrix:
     """Matrix-valued 2-jet: three coefficient layers sharing one shape.
 
-    ``a0``, ``a1``, ``a2`` are complex ndarrays, :class:`Stacked` products
-    (for a jet along a stack of directions) or further JetMatrix layers
-    (for nested jets).  Entry extraction of an unstacked jet produces the
+    ``a0``, ``a1``, ``a2`` are complex ndarrays or further JetMatrix
+    layers (for nested jets).  Entry extraction produces the
     corresponding scalar :class:`Jet2`; linear algebra stays vectorized
     on the coefficient matrices, which is what makes jet evaluation of
-    linear forms cheap.
+    linear forms cheap.  This is the one-direction reference path; the
+    operators evaluate :class:`PackedPoint` instead.
     """
 
     __slots__ = ("a0", "a1", "a2")
@@ -192,27 +235,11 @@ class JetMatrix:
         return Jet2(self.a0[i, j], self.a1[i, j], self.a2[i, j])
 
 
-class Stacked:
-    """The stack of products ``left @ stack[b]``, kept unmultiplied.
-
-    ``left`` is an (N, N) matrix and ``stack`` has shape (|B|, N, N).  A
-    linear form f satisfies f(X Z_b) = <X^T C, Z_b> for its coefficients
-    C, so it contracts this pair directly (see ``LinearForm.evaluate``)
-    and the (|B|, N, N) products are never formed.
-    """
-
-    __slots__ = ("left", "stack")
-
-    def __init__(self, left: np.ndarray, stack: np.ndarray):
-        self.left = left
-        self.stack = stack
-
-
 def _times(x, m: np.ndarray):
-    """``x @ m`` layer by layer; a stacked ``m`` stays a :class:`Stacked` pair."""
+    """``x @ m`` layer by layer."""
     if isinstance(x, JetMatrix):
         return JetMatrix(_times(x.a0, m), _times(x.a1, m), _times(x.a2, m))
-    return Stacked(x, m) if m.ndim == 3 else x @ m
+    return x @ m
 
 
 def translate(base, direction: np.ndarray, half_square: np.ndarray | None = None) -> JetMatrix:
@@ -220,13 +247,124 @@ def translate(base, direction: np.ndarray, half_square: np.ndarray | None = None
 
     ``base`` is a matrix or a JetMatrix; for a JetMatrix the new parameter
     s becomes the outermost jet layer, giving a nested two-parameter jet.
-    ``direction`` (and ``half_square``) may be a stack of shape
-    (|B|, N, N): the s-layers are then :class:`Stacked` products, and a
-    form evaluated on the jet has (|B|,) arrays as its s-coefficients, one
-    entry per direction.
+    ``direction`` is one (N, N) matrix Z.
     """
+    if direction.ndim != 2 or base.shape[1] != direction.shape[0]:
+        raise ShapeError(f"cannot translate a {base.shape} base along a {direction.shape} direction")
     if half_square is None:
         half_square = 0.5 * (direction @ direction)
-    if base.shape[1] != direction.shape[-2]:
-        raise ShapeError(f"cannot translate a {base.shape} base along a {direction.shape} direction")
     return JetMatrix(base, _times(base, direction), _times(base, half_square))
+
+
+# ---------------------------------------------------------------------------
+# packed Laplacian jets
+
+
+class PackedJet:
+    """Point-batched Laplacian jet ``c`` of shape (P, K, |B| + 2).
+
+    See the module docstring for the layout.  A scalar summand adds to
+    the value at t**0 and a scalar factor scales every coefficient;
+    products and quotients of two packed jets follow the collapsed
+    product and reciprocal rules.
+    """
+
+    __slots__ = ("c",)
+
+    def __init__(self, c: np.ndarray):
+        self.c = c
+
+    def __add__(self, other):
+        if isinstance(other, PackedJet):
+            return PackedJet(self.c + other.c)
+        c = self.c.copy()
+        c[:, 0, 0] += other
+        return PackedJet(c)
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        if not isinstance(other, PackedJet):
+            return PackedJet(self.c * other)
+        f, g = self.c, other.c
+        out = _toeplitz(f[..., 0]) @ g
+        out[..., 1:] += _toeplitz(g[..., 0]) @ f[..., 1:]
+        out[..., -1] += _antidiagonal_sums(f[..., 1:-1] @ g[..., 1:-1].swapaxes(-1, -2))
+        return PackedJet(out)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, PackedJet):
+            return self * jet_reciprocal(other)
+        return PackedJet(self.c / other)
+
+    def __rtruediv__(self, other):
+        return jet_reciprocal(self) * other
+
+
+class PackedPoint:
+    """The matrix jet a packed walk starts from.
+
+    ``layers`` (P, K, N, N) are the t-coefficients of the P points moved
+    along an outer direction (K = 1 when there is none); ``extended`` is
+    the stack E = [I, Z_1, ..., Z_|B|, H] of shape (|B| + 2, N, N).
+    """
+
+    __slots__ = ("layers", "extended")
+
+    def __init__(self, layers: np.ndarray, extended: np.ndarray):
+        self.layers = layers
+        self.extended = extended
+
+
+@lru_cache(maxsize=None)
+def _series_indices(k: int):
+    """Lower-triangle indices of a K x K Toeplitz matrix, and the 0/1 matrix
+    that sums a flattened K x K array along its anti-diagonals i + j < K."""
+    rows, cols = np.tril_indices(k)
+    order = np.add.outer(np.arange(k), np.arange(k)).reshape(-1)
+    antidiagonals = (order[:, None] == np.arange(k)).astype(int)
+    return rows, cols, rows - cols, antidiagonals
+
+
+def _toeplitz(s: np.ndarray) -> np.ndarray:
+    """(..., K) t-series -> (..., K, K) matrices T with T @ g = s * g mod t**K."""
+    k = s.shape[-1]
+    if k == 1:
+        return s[..., None]
+    rows, cols, lags, _ = _series_indices(k)
+    t = np.zeros(s.shape + (k,), dtype=s.dtype)
+    t[..., rows, cols] = s[..., lags]
+    return t
+
+
+def _antidiagonal_sums(g: np.ndarray) -> np.ndarray:
+    """(..., K, K) -> (..., K): entry k sums g[..., i, j] over i + j = k."""
+    k = g.shape[-1]
+    return g.reshape(g.shape[:-2] + (k * k,)) @ _series_indices(k)[3]
+
+
+def _series_reciprocal(s: np.ndarray) -> np.ndarray:
+    """Inverse of the t-series s modulo t**K: (1/s0, -s1/s0**2, (s1**2 - s0 s2)/s0**3, ...)."""
+    r = np.empty_like(s)
+    r[..., 0] = 1 / s[..., 0]
+    for k in range(1, s.shape[-1]):
+        r[..., k] = -(s[..., 1 : k + 1] * r[..., k - 1 :: -1]).sum(axis=-1) * r[..., 0]
+    return r
+
+
+def _packed_reciprocal(y: PackedJet) -> PackedJet:
+    c = y.c
+    if np.any(c[..., 0, 0] == 0):
+        raise DegenerateJetDivision("jet division by a jet with zero value part")
+    r0 = _series_reciprocal(c[..., 0])
+    t = _toeplitz(r0)
+    t2 = t @ t
+    out = np.empty_like(c)
+    out[..., 0] = r0
+    out[..., 1:] = -(t2 @ c[..., 1:])
+    x1 = c[..., 1:-1]
+    square_sum = _antidiagonal_sums(x1 @ x1.swapaxes(-1, -2))
+    out[..., -1] += (t2 @ t @ square_sum[..., None])[..., 0]
+    return PackedJet(out)

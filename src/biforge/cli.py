@@ -105,6 +105,12 @@ def _parse_points(count: int) -> int:
     return count
 
 
+def _parse_seed(seed: int) -> int:
+    if seed < 0:
+        raise BiforgeError(f"--seed must be non-negative, got {seed}")
+    return seed
+
+
 def _parse_mu(text: str | None) -> Fraction | None:
     if text is None:
         return None
@@ -355,7 +361,13 @@ def cmd_reproduce(as_json: bool) -> int:
     return 0
 
 
-def cmd_morphism(config: RunConfig, kind: str, k: int, out_file: Path | None) -> int:
+def cmd_morphism(config: RunConfig, kind: str, k: int | None, out_file: Path | None) -> int:
+    if kind == "orthogonal":
+        for flag, value in (("--choice", config.sp_choice), ("--k", k)):
+            if value is not None:
+                raise BiforgeError(f"{flag} applies only to --kind rational")
+    elif k is None:
+        k = 1
     spec = config.spec()
     ctx = OperatorContext.for_spec(spec)
     rng = np.random.default_rng(config.seed)
@@ -438,8 +450,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_group(p_mor)
     _add_checks(p_mor, tol=1e-8, tol_help="tolerance on the tension and conformality residuals")
     p_mor.add_argument("--kind", choices=["orthogonal", "rational"], default="orthogonal")
-    p_mor.add_argument("--k", type=int, default=1)
-    p_mor.add_argument("--choice", type=int, choices=[9, 10, 11], default=None)
+    p_mor.add_argument("--k", type=int, default=None, help="tension power, --kind rational only (default 1)")
+    p_mor.add_argument(
+        "--choice", type=int, choices=[9, 10, 11], default=None, help="sp blocks, --kind rational only"
+    )
     p_mor.add_argument("--out", type=Path, default=None)
     return parser
 
@@ -456,7 +470,7 @@ def main(argv=None) -> int:
                 mu=_parse_mu(args.mu),
                 sp_choice=args.choice,
                 beta=args.beta,
-                seed=args.seed,
+                seed=_parse_seed(args.seed),
                 out=args.out,
             )
             return cmd_construct(config)
@@ -467,7 +481,7 @@ def main(argv=None) -> int:
                 args.out,
                 points=_parse_points(args.points),
                 tol=args.tol,
-                seed=args.seed,
+                seed=_parse_seed(args.seed),
                 as_json=args.as_json,
             )
         if args.command == "reproduce":
@@ -479,7 +493,7 @@ def main(argv=None) -> int:
                 sp_choice=args.choice,
                 points=_parse_points(args.points),
                 tol=args.tol,
-                seed=args.seed,
+                seed=_parse_seed(args.seed),
                 as_json=args.as_json,
             )
             return cmd_morphism(config, args.kind, args.k, args.out)

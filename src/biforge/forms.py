@@ -8,11 +8,13 @@ last n columns the w-block, matching the ambient 2n-by-2n layout where
 the z-block is the top-left n-by-n corner and the w-block the top-right.
 
 :class:`RationalExpr` trees combine forms and complex constants through
-sums, products, integer powers and quotients.  One tree evaluates over
-any scalar tower (plain complex, jets, nested jets, and jets along a
-stack of directions, whose coefficients are (|B|,) arrays) with
-identical traversal; quotient nodes guard their denominator and raise
-DomainError near its zero set.
+sums, products, integer powers and quotients.  One tree evaluates with
+identical traversal over any scalar tower: a matrix gives a complex, a
+(P, N, N) stack of matrices a (P,) array, a JetMatrix (nested) Jet2
+scalars, and a :class:`~biforge.algebra.PackedPoint` one packed
+Laplacian jet per node for all P points at once.  Quotient nodes guard
+their denominator and raise DomainError when it comes near zero at any
+of the points.
 
 A :class:`QuadrupleFamily` packages the eigenfunction quadruples
 (numerators P_i, common denominator Q, and the exchange forms R, S_i)
@@ -32,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import Jet2, JetMatrix, Stacked, leading_value
+from .algebra import Jet2, JetMatrix, PackedJet, PackedPoint, leading_value
 from .errors import (
     DimensionMismatch,
     DomainError,
@@ -108,11 +110,13 @@ class LinearForm:
         return self.coeff_scale() <= rel_tol
 
     def evaluate(self, point):
-        """Sum of coefficients times matrix entries; jets recurse layerwise.
+        """Sum of coefficients times matrix entries.
 
-        A :class:`Stacked` layer X Z_b is contracted as <X[:n]^T C, Z_b>,
-        one value per stacked direction, so its coefficient is an array
-        of shape (|B|,).
+        A matrix gives a complex and a (P, N, N) stack a (P,) array; a
+        JetMatrix recurses layerwise into a Jet2.  A PackedPoint with
+        layers X and extended stack E gives the PackedJet of
+        f(X E_e) = <X[:n]^T C, E_e>: two matmuls, W = X[:n]^T C for every
+        layer, then every W against every E_e.
         """
         if isinstance(point, GroupPoint):
             point = point.matrix
@@ -123,12 +127,15 @@ class LinearForm:
                 self.evaluate(point.a2),
             )
         n, cols = self.spec.n, self.spec.coeff_columns
-        if isinstance(point, Stacked):
-            weights = point.left[:n].T @ self.coeffs
-            stack = point.stack[:, :, :cols]
-            return stack.reshape(len(stack), -1) @ weights.ravel()
-        block = point[:n, :cols]
-        return complex(np.dot(self.coeffs.ravel(), np.ascontiguousarray(block).ravel()))
+        if isinstance(point, PackedPoint):
+            layers, extended = point.layers, point.extended[..., :cols]
+            weights = layers[..., :n, :].swapaxes(-1, -2) @ self.coeffs
+            values = weights.reshape(-1, extended[0].size) @ extended.reshape(len(extended), -1).T
+            return PackedJet(values.reshape(layers.shape[:2] + (len(extended),)))
+        block = np.ascontiguousarray(point[..., :n, :cols])
+        if block.ndim == 2:
+            return complex(np.dot(self.coeffs.ravel(), block.ravel()))
+        return block.reshape(len(block), -1) @ self.coeffs.ravel()
 
     def __repr__(self):
         return f"LinearForm({self.spec.code}({self.spec.n}), nnz={int(np.count_nonzero(self.coeffs))})"
@@ -146,7 +153,8 @@ class RationalExpr:
     __slots__ = ("_reads",)
 
     def evaluate(self, point, cache: dict | None = None):
-        """The tree's value at a matrix, GroupPoint or (nested) JetMatrix.
+        """The tree's value at a matrix, GroupPoint, stack of matrices,
+        (nested) JetMatrix or PackedPoint.
 
         A walk keeps a node's value only while another parent can still
         read it: a node with more than one parent stays cached until its
@@ -364,7 +372,7 @@ class Quotient(RationalExpr):
 
     def _compute(self, point, walk):
         den = self.denominator._eval(point, walk)
-        if abs(leading_value(den)) < self.rel_tol * self.den_scale:
+        if np.any(np.abs(leading_value(den)) < self.rel_tol * self.den_scale):
             raise DomainError("evaluation point lies on (or too near) a denominator zero")
         num = self.numerator._eval(point, walk)
         return num / den

@@ -47,6 +47,7 @@ __all__ = [
     "LieBasisElement",
     "GroupPoint",
     "basis",
+    "iter_basis",
     "sample_point",
 ]
 
@@ -103,6 +104,16 @@ class GroupSpec:
         if self.kind is GroupKind.QUATERNIONIC_UNITARY:
             return 2 * self.n
         return self.n
+
+    @property
+    def dimension(self) -> int:
+        """Dimension of the Lie algebra, the size of its basis."""
+        n = self.n
+        if self.kind is GroupKind.UNITARY:
+            return n * n
+        if self.kind is GroupKind.SPECIAL_ORTHOGONAL:
+            return n * (n - 1) // 2
+        return n * (2 * n + 1)
 
     @property
     def coeff_columns(self) -> int:
@@ -163,67 +174,63 @@ def _diag_unit(n: int, r: int) -> np.ndarray:
     return m
 
 
-def _unitary_basis(n: int) -> list[LieBasisElement]:
-    out = []
+def _unitary_basis(n: int):
     for r in range(n):
         for s in range(r + 1, n):
-            out.append(LieBasisElement(_skew(n, r, s), f"Y{r + 1}{s + 1}"))
+            yield LieBasisElement(_skew(n, r, s), f"Y{r + 1}{s + 1}")
     for r in range(n):
         for s in range(r + 1, n):
-            out.append(LieBasisElement(1j * _symmetric(n, r, s), f"iX{r + 1}{s + 1}"))
+            yield LieBasisElement(1j * _symmetric(n, r, s), f"iX{r + 1}{s + 1}")
     for r in range(n):
-        out.append(LieBasisElement(1j * _diag_unit(n, r), f"iD{r + 1}"))
-    return out
+        yield LieBasisElement(1j * _diag_unit(n, r), f"iD{r + 1}")
 
 
-def _orthogonal_basis(n: int) -> list[LieBasisElement]:
-    return [
-        LieBasisElement(_skew(n, r, s), f"Y{r + 1}{s + 1}")
-        for r in range(n)
-        for s in range(r + 1, n)
-    ]
+def _orthogonal_basis(n: int):
+    for r in range(n):
+        for s in range(r + 1, n):
+            yield LieBasisElement(_skew(n, r, s), f"Y{r + 1}{s + 1}")
 
 
 def _sp_block(top_left, top_right, bottom_left, bottom_right) -> np.ndarray:
     return np.block([[top_left, top_right], [bottom_left, bottom_right]]) / _SQRT2
 
 
-def _quaternionic_basis(n: int) -> list[LieBasisElement]:
+def _quaternionic_basis(n: int):
     zero = np.zeros((n, n), dtype=complex)
-    out = []
     for r in range(n):
         for s in range(r + 1, n):
             y = _skew(n, r, s)
             x = _symmetric(n, r, s)
-            out.append(LieBasisElement(_sp_block(y, zero, zero, y), f"dY{r + 1}{s + 1}"))
-            out.append(
-                LieBasisElement(_sp_block(1j * x, zero, zero, -1j * x), f"dX{r + 1}{s + 1}")
-            )
+            yield LieBasisElement(_sp_block(y, zero, zero, y), f"dY{r + 1}{s + 1}")
+            yield LieBasisElement(_sp_block(1j * x, zero, zero, -1j * x), f"dX{r + 1}{s + 1}")
     for r in range(n):
         for s in range(r + 1, n):
             x = _symmetric(n, r, s)
-            out.append(LieBasisElement(_sp_block(zero, x, -x, zero), f"oX{r + 1}{s + 1}"))
-            out.append(
-                LieBasisElement(_sp_block(zero, 1j * x, 1j * x, zero), f"oiX{r + 1}{s + 1}")
-            )
+            yield LieBasisElement(_sp_block(zero, x, -x, zero), f"oX{r + 1}{s + 1}")
+            yield LieBasisElement(_sp_block(zero, 1j * x, 1j * x, zero), f"oiX{r + 1}{s + 1}")
     for r in range(n):
         d = _diag_unit(n, r)
-        out.append(LieBasisElement(_sp_block(zero, d, -d, zero), f"oD{r + 1}"))
-        out.append(LieBasisElement(_sp_block(zero, 1j * d, 1j * d, zero), f"oiD{r + 1}"))
-        out.append(LieBasisElement(_sp_block(1j * d, zero, zero, -1j * d), f"dD{r + 1}"))
-    return out
+        yield LieBasisElement(_sp_block(zero, d, -d, zero), f"oD{r + 1}")
+        yield LieBasisElement(_sp_block(zero, 1j * d, 1j * d, zero), f"oiD{r + 1}")
+        yield LieBasisElement(_sp_block(1j * d, zero, zero, -1j * d), f"dD{r + 1}")
 
 
-def basis(spec: GroupSpec) -> list[LieBasisElement]:
-    """Orthonormal Lie-algebra basis in the documented deterministic order.
-
-    Cardinality: n**2 for u(n), n(n-1)/2 for so(n), n(2n+1) for sp(n).
-    """
+def iter_basis(spec: GroupSpec):
+    """The elements of :func:`basis` in the same order, built one at a time."""
     if spec.kind is GroupKind.UNITARY:
         return _unitary_basis(spec.n)
     if spec.kind is GroupKind.SPECIAL_ORTHOGONAL:
         return _orthogonal_basis(spec.n)
     return _quaternionic_basis(spec.n)
+
+
+def basis(spec: GroupSpec) -> list[LieBasisElement]:
+    """Orthonormal Lie-algebra basis in the documented deterministic order.
+
+    Cardinality: ``spec.dimension``, i.e. n**2 for u(n), n(n-1)/2 for
+    so(n), n(2n+1) for sp(n).
+    """
+    return list(iter_basis(spec))
 
 
 def _sample_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

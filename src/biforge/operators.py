@@ -10,15 +10,18 @@ formula has no first-order term because every basis element Z is a
 normal matrix, [Z, Z*] = 0; this is asserted (to 1e-12) when a context
 is built rather than assumed, and a basis that violates it is refused.
 
-Every operator evaluates h on jets along the whole basis at once: the
-basis is held as one (|B|, N, N) stack, jet coefficients along it are
-(|B|,) arrays, and the basis sum is a vector sum.  ``tension`` and
-``conformality`` walk the expression tree once per point.  ``tension2``
-computes tau(tau(h)) by moving the base point along W with an outer jet
-and evaluating h on inner jets along the stacked Z, i.e. one walk over
-nested basis-batched 2-jets per outer direction W, |B| walks in all.
-Derivatives are read off with the half-second-derivative convention: a
-jet's ``a2`` is h''/2.
+Every operator evaluates h on packed Laplacian jets (see
+:mod:`biforge.algebra`): all points and all basis directions in one
+array per tree node, holding each point's value, its first derivatives
+along every Z_b and the basis sum of its second derivatives.
+``tension`` and ``conformality`` walk the expression tree once, whatever
+the number of points.  ``tension2`` computes tau(tau(h)) by moving the
+points along each outer direction W with a t-series of three orders and
+reading the t**2 coefficient of the basis sum: |B| walks in all.
+Derivatives are read off with the half-second-derivative convention.
+
+A point is a GroupPoint or an (N, N) matrix, and gives a complex; a
+sequence of points or a (P, N, N) stack gives a (P,) array.
 """
 
 from __future__ import annotations
@@ -27,10 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Jet2, translate
+from .algebra import PackedJet, PackedPoint
 from .errors import ShapeError
 from .forms import RationalExpr
-from .groups import GroupPoint, GroupSpec, basis
+from .groups import GroupPoint, GroupSpec, iter_basis
 
 __all__ = [
     "OperatorContext",
@@ -45,78 +48,92 @@ _BRACKET_TOL = 1e-12
 
 @dataclass(eq=False)
 class OperatorContext:
-    """A group plus its stacked basis, shared across evaluations.
+    """A group plus its extended basis stack, shared across evaluations.
 
-    ``stack[b]`` is the basis element Z_b and ``half_stack[b]`` is
-    Z_b**2/2, both of shape (|B|, N, N).
+    ``extended`` has shape (|B| + 2, N, N): the identity, the basis
+    elements Z_1 ... Z_|B|, and H = sum_b Z_b**2 / 2, computed from the
+    basis itself.
     """
 
     spec: GroupSpec
-    stack: np.ndarray
-    half_stack: np.ndarray
+    extended: np.ndarray
 
     @classmethod
     def for_spec(cls, spec: GroupSpec) -> "OperatorContext":
-        elements = basis(spec)
-        for e in elements:
+        n = spec.ambient_dim
+        extended = np.zeros((spec.dimension + 2, n, n), dtype=complex)
+        extended[0] = np.eye(n)
+        half_sum = extended[-1]
+        for b, e in enumerate(iter_basis(spec), 1):
             z = e.matrix
             if np.max(np.abs(z @ z.conj().T - z.conj().T @ z)) > _BRACKET_TOL:
                 raise ShapeError(f"basis element {e.label} is not normal: [Z, Z*] != 0")
-        stack = np.array([e.matrix for e in elements])
-        del elements
-        half_stack = np.matmul(stack, stack)
-        half_stack *= 0.5
-        return cls(spec, stack, half_stack)
+            extended[b] = z
+            half_sum += z @ z
+        half_sum *= 0.5
+        return cls(spec, extended)
 
 
-def _as_matrix(point) -> np.ndarray:
-    return point.matrix if isinstance(point, GroupPoint) else point
+def _batch(point) -> tuple[np.ndarray, bool]:
+    """The points as a (P, N, N) stack, and whether one point was given."""
+    if isinstance(point, GroupPoint):
+        return point.matrix[None], True
+    if isinstance(point, np.ndarray):
+        return (point[None], True) if point.ndim == 2 else (point, False)
+    return np.array([p.matrix if isinstance(p, GroupPoint) else p for p in point]), False
 
 
-def _a1(value):
-    """First jet coefficient; constant expressions evaluate to bare scalars."""
-    return value.a1 if isinstance(value, Jet2) else 0j
+def _coefficients(value, walk: PackedPoint) -> np.ndarray:
+    """The packed coefficients of a walk's result; a constant has only a value."""
+    if isinstance(value, PackedJet):
+        return value.c
+    c = np.zeros(walk.layers.shape[:2] + (len(walk.extended),), dtype=complex)
+    c[:, 0, 0] = value
+    return c
 
 
-def _a2(value):
-    return value.a2 if isinstance(value, Jet2) else 0j
+def _result(values: np.ndarray, single: bool):
+    return complex(values[0]) if single else values
 
 
-def tension(h: RationalExpr, point, ctx: OperatorContext) -> complex:
-    """tau(h) at the point: basis sum of second jet coefficients (times 2)."""
-    jet = h.evaluate(translate(_as_matrix(point), ctx.stack, ctx.half_stack))
-    return complex(2 * np.sum(_a2(jet)))
+def tension(h: RationalExpr, point, ctx: OperatorContext):
+    """tau(h) at the points: twice the basis sum of second jet coefficients."""
+    stack, single = _batch(point)
+    walk = PackedPoint(stack[:, None], ctx.extended)
+    return _result(2 * _coefficients(h.evaluate(walk), walk)[:, 0, -1], single)
 
 
-def conformality(h1: RationalExpr, h2: RationalExpr, point, ctx: OperatorContext) -> complex:
-    """kappa(h1, h2) at the point: basis sum of first-derivative products.
+def conformality(h1: RationalExpr, h2: RationalExpr, point, ctx: OperatorContext):
+    """kappa(h1, h2) at the points: basis sum of first-derivative products.
 
     Exactly symmetric in (h1, h2): each summand is the symmetrized
     product (d1 d2 + d2 d1) / 2, because numpy's vectorized complex
     multiply is not bit-symmetric in its operands.
     """
-    jm = translate(_as_matrix(point), ctx.stack, ctx.half_stack)
+    stack, single = _batch(point)
+    walk = PackedPoint(stack[:, None], ctx.extended)
     cache: dict = {}
-    d1 = _a1(h1.evaluate(jm, cache))
-    d2 = _a1(h2.evaluate(jm, cache))
-    return complex(np.sum((d1 * d2 + d2 * d1) / 2))
+    d1 = _coefficients(h1.evaluate(walk, cache), walk)[:, 0, 1:-1]
+    d2 = _coefficients(h2.evaluate(walk, cache), walk)[:, 0, 1:-1]
+    return _result(np.sum((d1 * d2 + d2 * d1) / 2, axis=-1), single)
 
 
-def tension2(h: RationalExpr, point, ctx: OperatorContext) -> complex:
-    """tau(tau(h)) via nested jets: outer direction W, inner Z stacked.
+def tension2(h: RationalExpr, point, ctx: OperatorContext):
+    """tau(tau(h)) via an outer t-series along each W over the packed Z jets.
 
-    The outer jet moves the point along W, the inner along every Z at
-    once; the combined coefficient 4 * a2.a2 is the mixed fourth-order
-    term, so the result equals sum_W d^2/dt^2 [tau(h)(p exp(tW))] |_0.
+    The layers [p, pW, pW**2/2] move the points along W; the t**2
+    coefficient of the basis sum of second coefficients, times 4, is
+    d^2/dt^2 [tau(h)(p exp(tW))] |_0, and the sum over W is tau(tau(h)).
     """
-    base = _as_matrix(point)
-    total = 0j
-    for w, wh in zip(ctx.stack, ctx.half_stack):
-        jet = h.evaluate(translate(translate(base, w, wh), ctx.stack, ctx.half_stack))
-        total += 4 * np.sum(_a2(_a2(jet)))
-    return complex(total)
+    stack, single = _batch(point)
+    total = np.zeros(len(stack), dtype=complex)
+    for w in ctx.extended[1:-1]:
+        moved = stack @ w
+        walk = PackedPoint(np.stack([stack, moved, 0.5 * (moved @ w)], axis=1), ctx.extended)
+        total += 4 * _coefficients(h.evaluate(walk), walk)[:, 2, -1]
+    return _result(total, single)
 
 
-def relative_residual(actual: complex, expected: complex) -> float:
-    """|actual - expected| / max(1, |expected|)."""
-    return abs(actual - expected) / max(1.0, abs(expected))
+def relative_residual(actual, expected):
+    """|actual - expected| / max(1, |expected|), entrywise for arrays."""
+    return np.abs(actual - expected) / np.maximum(1.0, np.abs(expected))

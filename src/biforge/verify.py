@@ -4,11 +4,14 @@ Every check is a max-residual over deterministically sampled points.
 Points are drawn by incrementing the seed until every denominator in the
 expressions under test is bounded away from zero (relative to its
 coefficient scale), so residuals are measured inside the domain and away
-from poles.  Points are evaluated serially in sampling order, so reports
-are deterministic.
+from poles.  Each check evaluates all its points as one batch, a (P, N, N)
+stack in sampling order, and reduces per-point residual arrays to their
+maximum, so reports are deterministic.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .algebra import leading_value
 from .construct import CoeffTable, build_expression, tension_table
@@ -72,8 +75,13 @@ def sample_domain_points(
     return points
 
 
-def _merge(results):
-    return max(results, default=0.0)
+def _stack(points) -> np.ndarray:
+    return np.array([p.matrix for p in points])
+
+
+def _worst(residuals) -> float:
+    """Largest entry over an iterable of per-point residual arrays."""
+    return max(np.max(r) for r in residuals)
 
 
 def quadruple_checks(
@@ -88,23 +96,14 @@ def quadruple_checks(
     spec = fam.spec
     forms = fam.all_forms()
     exprs = {id(f): fam._expr(f) for f in forms}
+    m = _stack(points)
+    values = {id(f): f.evaluate(m) for f in forms}
 
-    def eigen_residual(point):
-        worst = 0.0
-        base = point.matrix
-        for f in forms:
-            value = f.evaluate(base)
-            worst = max(
-                worst,
-                relative_residual(tension(exprs[id(f)], point, ctx), spec.eigenvalue * value),
-            )
-        return worst
-
-    checks = [
-        CheckResult.upper(
-            "eigenfunctions", _merge(map(eigen_residual, points)), tol_eigen
-        )
-    ]
+    eigen = _worst(
+        relative_residual(tension(exprs[id(f)], m, ctx), spec.eigenvalue * values[id(f)])
+        for f in forms
+    )
+    checks = [CheckResult.upper("eigenfunctions", eigen, tol_eigen)]
 
     p_list = list(fam.numerators)
     s_list = list(fam.exchange_numerators)
@@ -129,18 +128,14 @@ def quadruple_checks(
     }
 
     for name, triples in relations.items():
-        def kappa_residual(point, triples=triples):
-            worst = 0.0
-            base = point.matrix
-            for left, right, (fa, fb) in triples:
-                actual = conformality(exprs[id(left)], exprs[id(right)], point, ctx)
-                expected = mu_const * fa.evaluate(base) * fb.evaluate(base)
-                worst = max(worst, relative_residual(actual, expected))
-            return worst
-
-        checks.append(
-            CheckResult.upper(name, _merge(map(kappa_residual, points)), tol_kappa)
+        worst = _worst(
+            relative_residual(
+                conformality(exprs[id(left)], exprs[id(right)], m, ctx),
+                mu_const * values[id(fa)] * values[id(fb)],
+            )
+            for left, right, (fa, fb) in triples
         )
+        checks.append(CheckResult.upper(name, worst, tol_kappa))
     return checks
 
 
@@ -151,20 +146,14 @@ def closed_form_tension_checks(
     tol: float = 1e-9,
 ) -> list[CheckResult]:
     """Closed-form member tension against the jet-computed operator."""
-
-    def residual(point):
-        worst = 0.0
-        for i in range(fam.n_members):
-            expected = fam.member_tension(i).evaluate(point.matrix)
-            actual = tension(fam.member_quotient(i), point, ctx)
-            worst = max(worst, relative_residual(actual, expected))
-        return worst
-
-    return [
-        CheckResult.upper(
-            "closed-form tension", _merge(map(residual, points)), tol
+    m = _stack(points)
+    worst = _worst(
+        relative_residual(
+            tension(fam.member_quotient(i), m, ctx), fam.member_tension(i).evaluate(m)
         )
-    ]
+        for i in range(fam.n_members)
+    )
+    return [CheckResult.upper("closed-form tension", worst, tol)]
 
 
 def candidate_checks(
@@ -182,26 +171,17 @@ def candidate_checks(
     the properness witness is max over points of |tau phi| / max(1, |phi|)
     and must reach ``min_tau``.
     """
+    m = _stack(points)
+    value = np.abs(phi.evaluate(m))
+    tau = np.abs(tension(phi, m, ctx))
+    tau_ratio = tau / np.maximum(1.0, value)
     if not proper:
-        def tau_residual(point):
-            value = phi.evaluate(point.matrix)
-            return abs(tension(phi, point, ctx)) / max(1.0, abs(value))
-
-        return [
-            CheckResult.upper("tension", _merge(map(tau_residual, points)), tol_tau)
-        ]
-
-    def both(point):
-        value = phi.evaluate(point.matrix)
-        tau = tension(phi, point, ctx)
-        tau_two = tension2(phi, point, ctx)
-        scale = max(1.0, abs(value), abs(tau))
-        return abs(tau_two) / scale, abs(tau) / max(1.0, abs(value))
-
-    results = [both(p) for p in points]
+        return [CheckResult.upper("tension", np.max(tau_ratio), tol_tau)]
+    tau_two = np.abs(tension2(phi, m, ctx))
+    scale = np.maximum(np.maximum(1.0, value), tau)
     return [
-        CheckResult.upper("bitension", _merge([r[0] for r in results]), tol_tau2),
-        CheckResult.lower("tension nonvanishing", _merge([r[1] for r in results]), min_tau),
+        CheckResult.upper("bitension", np.max(tau_two / scale), tol_tau2),
+        CheckResult.lower("tension nonvanishing", np.max(tau_ratio), min_tau),
     ]
 
 
@@ -214,7 +194,7 @@ def oracle_equivalence_check(
     points,
     tol: float = 1e-8,
 ) -> CheckResult:
-    """Nested-jet bitension against the symbolic route.
+    """Jet bitension (``tension2``) against the symbolic route.
 
     The symbolic route expands tau(phi) coefficientwise through the
     product rules (an exact rational computation) and applies the jet
@@ -224,18 +204,14 @@ def oracle_equivalence_check(
     actually being differentiated), as in the other residual checks.
     """
     tau_sym = build_expression(tension_table(table, mu), pairs)
-
-    def residual(point):
-        m = point.matrix
-        direct = tension2(phi, point, ctx)
-        via_expansion = tension(tau_sym, point, ctx)
-        scale = max(
-            1.0, abs(phi.evaluate(m)), abs(tau_sym.evaluate(m)), abs(via_expansion)
-        )
-        return abs(direct - via_expansion) / scale
-
+    m = _stack(points)
+    direct = tension2(phi, m, ctx)
+    via_expansion = tension(tau_sym, m, ctx)
+    scale = np.maximum.reduce(
+        [np.ones(len(m)), np.abs(phi.evaluate(m)), np.abs(tau_sym.evaluate(m)), np.abs(via_expansion)]
+    )
     return CheckResult.upper(
-        "bitension route equivalence", _merge(map(residual, points)), tol
+        "bitension route equivalence", np.max(np.abs(direct - via_expansion) / scale), tol
     )
 
 
@@ -248,30 +224,23 @@ def eigenfamily_checks(
     tol: float = 1e-9,
 ) -> list[CheckResult]:
     """Definition of an eigenfamily: common eigenvalue and kappa constant."""
-
-    def tau_residual(point):
-        worst = 0.0
-        for phi in members:
-            value = phi.evaluate(point.matrix)
-            worst = max(
-                worst, relative_residual(tension(phi, point, ctx), eigenvalue * value)
-            )
-        return worst
-
-    def kappa_residual(point):
-        worst = 0.0
-        cache: dict = {}
-        values = [phi.evaluate(point.matrix, cache) for phi in members]
-        for i, phi in enumerate(members):
-            for j in range(i, len(members)):
-                actual = conformality(phi, members[j], point, ctx)
-                expected = kappa_constant * values[i] * values[j]
-                worst = max(worst, relative_residual(actual, expected))
-        return worst
-
+    m = _stack(points)
+    cache: dict = {}
+    values = [phi.evaluate(m, cache) for phi in members]
+    tau = _worst(
+        relative_residual(tension(phi, m, ctx), eigenvalue * value)
+        for phi, value in zip(members, values)
+    )
+    kappa = _worst(
+        relative_residual(
+            conformality(members[i], members[j], m, ctx), kappa_constant * values[i] * values[j]
+        )
+        for i in range(len(members))
+        for j in range(i, len(members))
+    )
     return [
-        CheckResult.upper("eigenfamily tension", _merge(map(tau_residual, points)), tol),
-        CheckResult.upper("eigenfamily kappa", _merge(map(kappa_residual, points)), tol),
+        CheckResult.upper("eigenfamily tension", tau, tol),
+        CheckResult.upper("eigenfamily kappa", kappa, tol),
     ]
 
 
@@ -282,17 +251,13 @@ def morphism_checks(
     tol: float = 1e-8,
 ) -> list[CheckResult]:
     """Harmonic morphism conditions: tension and kappa(f, f) both vanish."""
-
-    def residuals(point):
-        value = expr.evaluate(point.matrix)
-        tau = abs(tension(expr, point, ctx)) / max(1.0, abs(value))
-        kap = abs(conformality(expr, expr, point, ctx)) / max(1.0, abs(value) ** 2)
-        return tau, kap
-
-    results = [residuals(p) for p in points]
+    m = _stack(points)
+    value = np.abs(expr.evaluate(m))
+    tau = np.abs(tension(expr, m, ctx)) / np.maximum(1.0, value)
+    kap = np.abs(conformality(expr, expr, m, ctx)) / np.maximum(1.0, value**2)
     return [
-        CheckResult.upper("tension", _merge([r[0] for r in results]), tol),
-        CheckResult.upper("horizontal conformality", _merge([r[1] for r in results]), tol),
+        CheckResult.upper("tension", np.max(tau), tol),
+        CheckResult.upper("horizontal conformality", np.max(kap), tol),
     ]
 
 

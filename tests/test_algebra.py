@@ -4,6 +4,8 @@ Ring laws are exact over Fraction coefficients; over complex floats the
 same identities hold to rounding.  Derivatives are checked against
 central finite differences, and the nested-jet mixed coefficient against
 an exact bivariate polynomial expansion written out independently here.
+Packed Laplacian jets are checked exactly against nested Jet2 over
+Fraction, one basis direction at a time.
 """
 
 from fractions import Fraction
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biforge.algebra import Jet2, leading_value
+from biforge.algebra import Jet2, PackedJet, jet_reciprocal, leading_value
 from biforge.errors import DegenerateJetDivision
 
 fractions_st = st.fractions(
@@ -205,3 +207,66 @@ def test_mul_jet_by_nested_scalar_zero():
     prod = outer * outer
     assert prod.a0 == inner * inner
     assert leading_value(prod.a1) == 0 and leading_value(prod.a2) == 0
+
+
+def _random_packed(rng, points, orders, directions, nonzero_value=False):
+    """A packed jet over Fraction, plus the per-direction second coefficients
+    whose sum it stores (the split over directions is arbitrary)."""
+    def fractions(shape):
+        nums = rng.integers(-9, 10, size=shape)
+        dens = rng.integers(1, 6, size=shape)
+        return np.vectorize(Fraction, otypes=[object])(nums, dens)
+
+    value = fractions((points, orders))
+    if nonzero_value:
+        value[:, 0] = np.where(value[:, 0] == 0, Fraction(1, 3), value[:, 0])
+    firsts = fractions((points, orders, directions))
+    seconds = fractions((points, orders, directions))
+    c = np.empty((points, orders, directions + 2), dtype=object)
+    c[..., 0] = value
+    c[..., 1:-1] = firsts
+    c[..., -1] = seconds.sum(axis=-1)
+    return PackedJet(c), seconds
+
+
+def _direction_jet(c, seconds, point, b):
+    """Nested Jet2 of one point along direction b: outer t, inner s."""
+    layers = [Jet2(c[point, k, 0], c[point, k, 1 + b], seconds[point, k, b]) for k in range(c.shape[1])]
+    return layers[0] if len(layers) == 1 else Jet2(*layers)
+
+
+def _assert_packs(packed, per_direction):
+    # per_direction[point][b] is the nested Jet2 of the result along b
+    c = packed.c
+    for point, jets in enumerate(per_direction):
+        for k in range(c.shape[1]):
+            layers = [jet if c.shape[1] == 1 else jet.as_tuple()[k] for jet in jets]
+            assert all(layer.a0 == c[point, k, 0] for layer in layers)
+            assert [layer.a1 for layer in layers] == list(c[point, k, 1:-1])
+            assert sum(layer.a2 for layer in layers) == c[point, k, -1]
+
+
+@pytest.mark.parametrize("orders", [1, 3])
+def test_packed_product_and_reciprocal_exact_over_fractions(orders):
+    rng = np.random.default_rng(41 + orders)
+    points, directions = 2, 3
+    f, f2 = _random_packed(rng, points, orders, directions)
+    g, g2 = _random_packed(rng, points, orders, directions, nonzero_value=True)
+    assert f.c.dtype == object
+
+    def nested(c, seconds):
+        return [[_direction_jet(c, seconds, p, b) for b in range(directions)] for p in range(points)]
+
+    fs, gs = nested(f.c, f2), nested(g.c, g2)
+    _assert_packs(f * g, [[x * y for x, y in zip(*pair)] for pair in zip(fs, gs)])
+    _assert_packs(jet_reciprocal(g), [[1 / y for y in row] for row in gs])
+    _assert_packs(f / g, [[x / y for x, y in zip(*pair)] for pair in zip(fs, gs)])
+    _assert_packs(3 + f * Fraction(1, 2), [[3 + x * Fraction(1, 2) for x in row] for row in fs])
+    assert list(leading_value(g)) == [row[0].a0 if orders == 1 else row[0].a0.a0 for row in gs]
+
+
+def test_packed_reciprocal_of_zero_value_raises():
+    c = np.zeros((2, 3, 4), dtype=complex)
+    c[:, 0, 0] = [1.0, 0.0]
+    with pytest.raises(DegenerateJetDivision):
+        jet_reciprocal(PackedJet(c))

@@ -269,3 +269,100 @@ def test_verify_legacy_table_without_metadata(tmp_path, capsys):
     assert run(["verify", "--coeffs", str(out / "coeffs.json"), "--out", str(current), *argv]) == 0
     assert run(["verify", "--coeffs", str(legacy), "--out", str(old), *argv]) == 0
     assert current.read_bytes() == old.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [(["--n", "4", "--choice", "10"], "--choice"), (["--n", "3", "--k", "0"], "--k")],
+    ids=["choice", "k"],
+)
+def test_morphism_orthogonal_rejects_rational_flags(capsys, argv, flag):
+    # the orthogonal column-ratio family has no sp blocks and no tension power
+    code = run(["morphism", "--group", "su", *argv, "--kind", "orthogonal", "--points", "2"])
+    assert code == 2
+    assert f"{flag} applies only to --kind rational" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["construct", "verify", "morphism"])
+def test_negative_seed_exits_2(tmp_path, capsys, command):
+    out = _construct(tmp_path)
+    argv = {
+        "construct": ["construct", "--group", "su", "--n", "3", "--out", str(tmp_path / "c")],
+        "verify": ["verify", "--coeffs", str(out / "coeffs.json"), "--quadruple",
+                   str(out / "quadruple.json"), "--points", "2"],
+        "morphism": ["morphism", "--group", "su", "--n", "3", "--points", "2"],
+    }[command]
+    capsys.readouterr()
+    assert run(argv + ["--seed", "-1"]) == 2
+    assert "--seed must be non-negative" in capsys.readouterr().err
+
+
+# max_residual and pass flag of every check of `verify --points 4 --seed 1`,
+# recorded from the per-point, nested-jet evaluation these reports were
+# first computed with (tables from `construct --seed 1`)
+RECORDED_VERIFY = {
+    ("su", "4", "2,1", ()): [
+        ("eigenfunctions", 5.978733960281817e-16, True),
+        ("kappa(P,P)", 5.372878868666446e-16, True),
+        ("kappa(S,S)", 4.361617379168838e-16, True),
+        ("kappa(Q,Q)", 1.2412670766236366e-16, True),
+        ("kappa(R,R)", 2.8449993880212295e-16, True),
+        ("kappa(Q,R)", 1.2412670766236366e-16, True),
+        ("kappa(Q,S)", 2.2887833992611187e-16, True),
+        ("kappa(P,R)", 5.509099128080788e-16, True),
+        ("kappa(P_i,S_j)=mu*P_j*S_i", 3.7342469857289437e-16, True),
+        ("kappa(P,Q)=mu*R*S", 3.608224830031759e-16, True),
+        ("kappa(R,S)=mu*P*Q", 2.3714374201337736e-16, True),
+        ("closed-form tension", 2.3777041896360456e-15, True),
+        ("bitension", 8.46215743800909e-13, True),
+        ("tension nonvanishing", 2.665105609186977, True),
+    ],
+    ("so", "8", "2", ()): [
+        ("eigenfunctions", 3.888397739473523e-16, True),
+        ("kappa(P,P)", 8.491131902401724e-16, True),
+        ("kappa(S,S)", 1.894711961311747e-15, True),
+        ("kappa(Q,Q)", 5.869828507297948e-16, True),
+        ("kappa(R,R)", 2.423651445728339e-16, True),
+        ("kappa(Q,R)", 4.0980616289968964e-16, True),
+        ("kappa(Q,S)", 4.736779903279368e-16, True),
+        ("kappa(P,R)", 4.4169752474564197e-16, True),
+        ("kappa(P_i,S_j)=mu*P_j*S_i", 1.1500994243130258e-15, True),
+        ("kappa(P,Q)=mu*R*S", 4.775249788392736e-16, True),
+        ("kappa(R,S)=mu*P*Q", 5.005631686059007e-16, True),
+        ("closed-form tension", 6.021199221552133e-14, True),
+        ("bitension", 2.757703964651369e-12, True),
+        ("tension nonvanishing", 2.0768922649597563, True),
+    ],
+    ("sp", "4", "2", ("--choice", "10")): [
+        ("eigenfunctions", 5.185305529748344e-16, True),
+        ("kappa(P,P)", 3.3422138886441676e-16, True),
+        ("kappa(S,S)", 1.7554167342883506e-16, True),
+        ("kappa(Q,Q)", 3.469446951953614e-17, True),
+        ("kappa(R,R)", 1.2412670766236366e-16, True),
+        ("kappa(Q,R)", 5.0515910130503314e-17, True),
+        ("kappa(Q,S)", 1.0007415106216802e-16, True),
+        ("kappa(P,R)", 2.220446049250313e-16, True),
+        ("kappa(P_i,S_j)=mu*P_j*S_i", 2.387624894196368e-16, True),
+        ("kappa(P,Q)=mu*R*S", 1.944128986425528e-16, True),
+        ("kappa(R,S)=mu*P*Q", 1.9540102647498285e-16, True),
+        ("closed-form tension", 2.819753390353182e-15, True),
+        ("bitension", 8.993981802974026e-13, True),
+        ("tension nonvanishing", 1.128335048238095, True),
+    ],
+}
+
+
+@pytest.mark.parametrize("table", list(RECORDED_VERIFY), ids=["su4-2,1", "so8-2", "sp4-choice10-2"])
+def test_verify_answers_match_recorded(tmp_path, capsys, table):
+    group, n, degrees, extra = table
+    out = tmp_path / "table"
+    assert run(["construct", "--group", group, "--n", n, "--degrees", degrees, "--seed", "1",
+                "--out", str(out), *extra]) == 0
+    capsys.readouterr()
+    assert run(["verify", "--coeffs", str(out / "coeffs.json"), "--quadruple",
+                str(out / "quadruple.json"), "--points", "4", "--seed", "1", "--json"]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [c["name"] for c in checks] == [name for name, _, _ in RECORDED_VERIFY[table]]
+    for check, (name, residual, passed) in zip(checks, RECORDED_VERIFY[table]):
+        assert check["pass"] is passed, name
+        assert abs(check["max_residual"] - residual) <= 1e-3 * check["tolerance"], name

@@ -14,7 +14,7 @@ import pytest
 
 from biforge.algebra import translate
 from biforge.construct import biharmonic_coefficients, build_expression, column_ratio_family
-from biforge.errors import ShapeError
+from biforge.errors import DomainError, ShapeError
 from biforge.forms import Const, FormExpr, LinearForm, Power, Product, Quotient, Sum
 from biforge.groups import GroupSpec, LieBasisElement, basis, sample_point
 from biforge.operators import (
@@ -200,21 +200,25 @@ def test_bracket_correction_path(monkeypatch):
         LieBasisElement(e21, "n-"),
         LieBasisElement(h, "h"),
     ]
-    monkeypatch.setattr("biforge.operators.basis", lambda spec: elements)
+    monkeypatch.setattr("biforge.operators.iter_basis", lambda spec: iter(elements))
     with pytest.raises(ShapeError, match="n\\+"):
         OperatorContext.for_spec(U2)
 
 
 def test_standard_bases_have_no_corrections():
-    # every standard basis passes the context's [Z, Z*] = 0 check
+    # every standard basis passes the context's [Z, Z*] = 0 check; the
+    # context keeps E = [I, Z_1 .. Z_|B|, H] with H = sum_b Z_b^2 / 2
     for spec in (U3, SO4, SP2):
         ctx = OperatorContext.for_spec(spec)
         elements = basis(spec)
         n = spec.ambient_dim
-        assert ctx.stack.shape == ctx.half_stack.shape == (len(elements), n, n)
-        for z, zh, e in zip(ctx.stack, ctx.half_stack, elements):
+        assert spec.dimension == len(elements)
+        assert ctx.extended.shape == (len(elements) + 2, n, n)
+        assert np.array_equal(ctx.extended[0], np.eye(n))
+        for z, e in zip(ctx.extended[1:-1], elements):
             assert np.array_equal(z, e.matrix)
-            assert np.allclose(zh, 0.5 * (e.matrix @ e.matrix), rtol=0, atol=1e-15)
+        half_sum = sum(0.5 * (e.matrix @ e.matrix) for e in elements)
+        assert np.allclose(ctx.extended[-1], half_sum, rtol=0, atol=1e-15)
 
 
 def _member_and_candidate(spec, sp_choice=None):
@@ -249,38 +253,88 @@ def _assert_sum_matches(batched, summands):
     ids=["su3", "su6", "so8", "sp4-choice10"],
 )
 def test_batched_operators_match_per_element_reference(ctx_for, spec, sp_choice):
-    # the operators take every basis direction at once; the reference here
-    # translates along one element at a time and sums in a Python loop
+    # the operators take every point and every basis direction at once; the
+    # reference translates one point along one element at a time with Jet2
+    # and sums in a Python loop
     ctx = ctx_for(spec)
     f, tau_f, phi = _member_and_candidate(spec, sp_choice)
-    directions = list(zip(ctx.stack, ctx.half_stack))
-    points = sample_domain_points([phi, tau_f], spec, 2, 3100)
-    for point in points:
-        base = point.matrix
+    directions = [(e.matrix, 0.5 * (e.matrix @ e.matrix)) for e in basis(spec)]
+    points = sample_domain_points([phi, tau_f], spec, 3, 3100)
+    stack = np.array([p.matrix for p in points])
+    taus = {id(h): tension(h, stack, ctx) for h in (f, phi)}
+    kappas = conformality(f, tau_f, stack, ctx)
+    bitensions = tension2(phi, stack, ctx)
+    for h in (f, phi):
+        assert taus[id(h)].shape == (3,)
+    assert kappas.shape == bitensions.shape == (3,)
+    for k, base in enumerate(stack):
         for h in (f, phi):
             _assert_sum_matches(
-                tension(h, point, ctx),
-                [2 * h.evaluate(translate(base, z, zh)).a2 for z, zh in directions],
+                taus[id(h)][k], [2 * h.evaluate(translate(base, z, zh)).a2 for z, zh in directions]
             )
         kappa = []
         for z, zh in directions:
             jm = translate(base, z, zh)
             kappa.append(f.evaluate(jm).a1 * tau_f.evaluate(jm).a1)
-        _assert_sum_matches(conformality(f, tau_f, point, ctx), kappa)
-    base = points[0].matrix
+        _assert_sum_matches(kappas[k], kappa)
+    base = stack[0]
     _assert_sum_matches(
-        tension2(phi, points[0], ctx),
+        bitensions[0],
         [4 * phi.evaluate(translate(translate(base, w, wh), z, zh)).a2.a2
          for w, wh in directions for z, zh in directions],
     )
+
+
+def test_single_point_and_stack_contract(ctx_for):
+    # a matrix or a GroupPoint gives a complex; a stack or a list of points
+    # gives one entry per point, equal to the single calls
+    spec = GroupSpec.special_orthogonal(8)
+    ctx = ctx_for(spec)
+    f, tau_f, phi = _member_and_candidate(spec)
+    points = sample_domain_points([phi, tau_f], spec, 3, 3200)
+    stack = np.array([p.matrix for p in points])
+    operators = [
+        lambda x: tension(phi, x, ctx),
+        lambda x: conformality(f, tau_f, x, ctx),
+        lambda x: tension2(phi, x, ctx),
+    ]
+    for op in operators:
+        batched = op(stack)
+        assert batched.shape == (3,)
+        assert np.array_equal(op(points), batched)
+        for k, point in enumerate(points):
+            single = op(point)
+            assert type(single) is complex
+            assert op(point.matrix) == single
+            assert abs(single - batched[k]) <= 1e-14 * max(1.0, abs(single))
+
+
+def test_batch_with_one_point_on_the_denominator_zero_raises(ctx_for):
+    # one matrix of the batch lies on Q = 0: the whole walk is refused
+    ctx = ctx_for(U3)
+    q_form = LinearForm.coordinate(U3, 0, 0)
+    f = Quotient(FormExpr(LinearForm.coordinate(U3, 1, 1)), FormExpr(q_form))
+    good = [sample_point(U3, 3300 + i).matrix for i in range(2)]
+    on_zero = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
+    assert q_form.evaluate(on_zero) == 0
+    stack = np.array([good[0], on_zero, good[1]])
+    for op in (
+        lambda x: f.evaluate(x),
+        lambda x: tension(f, x, ctx),
+        lambda x: conformality(f, f, x, ctx),
+        lambda x: tension2(f, x, ctx),
+    ):
+        op(np.array(good))
+        with pytest.raises(DomainError):
+            op(stack)
 
 
 @pytest.mark.parametrize(
     "spec", [GroupSpec.quaternionic_unitary(4), GroupSpec.unitary(8)], ids=["sp4", "su8"]
 )
 def test_context_build_peak_stays_near_what_it_keeps(spec):
-    # the context keeps two (|B|, N, N) stacks; building them must not hold
-    # the element matrices, a list of half squares and both stacks at once
+    # the context keeps one (|B| + 2, N, N) stack; building it must not hold
+    # the element list and the stack at once
     OperatorContext.for_spec(spec)  # one-time allocations outside the measurement
     tracing = tracemalloc.is_tracing()
     tracemalloc.start()
@@ -292,4 +346,4 @@ def test_context_build_peak_stays_near_what_it_keeps(spec):
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert peak <= 1.25 * (ctx.stack.nbytes + ctx.half_stack.nbytes)
+    assert peak <= 1.25 * ctx.extended.nbytes
