@@ -114,7 +114,13 @@ def _parse_seed(seed: int) -> int:
 def _parse_mu(text: str | None) -> Fraction | None:
     if text is None:
         return None
-    return Fraction(text)
+    try:
+        mu = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        mu = 0
+    if mu == 0:
+        raise BiforgeError(f"--mu must be a nonzero fraction, got {text!r}")
+    return mu
 
 
 def _orthonormal_rows(rng: np.random.Generator, n: int, count: int) -> list[np.ndarray]:
@@ -194,12 +200,12 @@ def _read_inputs(coeffs_file: Path, quadruple_file: Path) -> tuple[CoeffTable, Q
         table = CoeffTable.from_json(text)
         meta = json.loads(text)
         fam = QuadrupleFamily.from_json(quadruple_file.read_text())
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+        expected = {"group": fam.spec.code, "n": fam.spec.n, "mu": Fraction(fam.spec.mu)}
+        recorded = {key: meta[key] for key in expected if key in meta}
+        if "mu" in recorded:
+            recorded["mu"] = Fraction(recorded["mu"])
+    except (OSError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise BiforgeError(f"cannot parse inputs: {exc}") from exc
-    expected = {"group": fam.spec.code, "n": fam.spec.n, "mu": Fraction(fam.spec.mu)}
-    recorded = {key: meta[key] for key in expected if key in meta}
-    if "mu" in recorded:
-        recorded["mu"] = Fraction(recorded["mu"])
     wrong = [f"{key}={recorded[key]} (quadruple: {expected[key]})"
              for key in recorded if recorded[key] != expected[key]]
     if wrong:

@@ -11,11 +11,12 @@ monomial stays inside the box, with coefficients given by the product
 rules; collecting terms turns "F is harmonic" into the homogeneous
 linear system
 
-    -2*mu*c_k*(sigma^2 - sigma) =
-        sum_j c_{k - e_j} * (d_j + 1 - k_j) * (sum_i (d_i + k_i) - 1),
+    2*mu*c_k*(sigma^2 - sigma)
+        + sum_j c_{k - e_j} * (d_j + 1 - k_j) * (sum_i (d_i + k_i) - 1) = 0,
 
-with sigma = sum_i k_i.  Its solution space has dimension m, freely
-parametrized by the coefficients at the unit multi-indices.
+with sigma = sum_i k_i: the coefficient of tau(F) at k.  Its solution
+space has dimension m, freely parametrized by the coefficients at the
+unit multi-indices.
 
 Biharmonicity is handled by rewriting tau(F) in the same monomial basis
 (the ``tension_table`` map below) and demanding that *its* coefficients
@@ -23,22 +24,28 @@ solve the harmonic system; the solution space gains one dimension,
 freely parametrized by c at the zero index (the proper direction) plus
 the unit indices (the harmonic directions).
 
-Both systems are lower-triangular in sigma: each equation at k involves
-c_k and coefficients of smaller total degree only, with diagonal
--2*mu*(sigma^2 - sigma) for the harmonic system and
--4*mu^2*(sigma^2 - sigma)^2 for the composed biharmonic one.  The diagonal
-is nonzero for sigma >= 2, so one forward substitution in sigma order
-solves for everything but the sigma <= 1 coordinates, and every row is
-then checked exactly.  Tables are exact Fractions; the numerical
-operators only enter when a table is assembled into an evaluable
-expression.
+Writing mu = a/b in lowest terms, every row is kept multiplied by b, so
+its coefficients are Python ints (the composed biharmonic rows by b^2);
+a homogeneous equation keeps its solutions under that scaling.  Both
+systems are lower-triangular in sigma: each equation at k involves c_k
+and coefficients of smaller total degree only, with diagonal
+2*a*(sigma^2 - sigma) for the harmonic system and 4*a^2*(sigma^2 - sigma)^2
+for the composed biharmonic one.  The diagonal is nonzero for sigma >= 2,
+so one forward substitution in sigma order solves for everything but the
+sigma <= 1 coordinates.  Each unknown is an integer sum over the common
+denominator of the values its row reads, normalised by one Fraction, and
+every row is then checked with integer sums only.  Tables are exact
+Fractions; the numerical operators only enter when a table is assembled
+into an evaluable expression.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -91,10 +98,6 @@ def _frac(x) -> Fraction:
 def box_indices(degrees: tuple[int, ...]):
     """Lexicographic multi-indices 0 <= k_i <= d_i."""
     return itertools.product(*(range(d + 1) for d in degrees))
-
-
-def _dec(idx: tuple[int, ...], j: int) -> tuple[int, ...]:
-    return idx[:j] + (idx[j] - 1,) + idx[j + 1 :]
 
 
 class CoeffTable:
@@ -178,15 +181,25 @@ class CoeffTable:
 
     @classmethod
     def from_json(cls, text: str) -> "CoeffTable":
-        """Parse a table; group, n and mu, if recorded, are left to the caller."""
+        """Parse a table; group, n and mu, if recorded, are left to the caller.
+
+        Degrees must be positive and each index must lie in the box once,
+        over a nonzero denominator; otherwise ValueError names the entry.
+        """
         doc = json.loads(text)
         if doc.get("schema", TABLE_SCHEMA) != TABLE_SCHEMA:
             raise ValueError(f"unsupported coefficient table schema {doc['schema']!r}")
-        coeffs = {
-            tuple(entry["k"]): Fraction(int(entry["num"]), int(entry["den"]))
-            for entry in doc["coeffs"]
-        }
-        return cls(tuple(doc["degrees"]), coeffs)
+        degrees = _validate_degrees(doc["degrees"])
+        coeffs = {}
+        for entry in doc["coeffs"]:
+            idx, den = tuple(int(k) for k in entry["k"]), int(entry["den"])
+            if len(idx) != len(degrees) or not all(0 <= k <= d for k, d in zip(idx, degrees)):
+                raise ValueError(f"coefficient entry {entry} lies outside the degree box {degrees}")
+            if idx in coeffs or den == 0:
+                problem = "repeats index" if idx in coeffs else "has denominator 0"
+                raise ValueError(f"coefficient entry {entry} {problem}")
+            coeffs[idx] = Fraction(int(entry["num"]), den)
+        return cls(degrees, coeffs)
 
     def __repr__(self):
         return f"CoeffTable(degrees={self.degrees}, nnz={len(self.coeffs)})"
@@ -236,67 +249,32 @@ class SolutionFamily:
 # the defining linear systems
 
 
-def _harmonic_row(degrees, mu: Fraction, idx) -> dict:
-    """Coefficients (by table index) of the harmonic equation at idx."""
-    m = len(degrees)
-    sigma = sum(idx)
-    row: dict = {}
-    lhs = -2 * mu * Fraction(sigma * sigma - sigma)
-    if lhs != 0:
-        row[idx] = lhs
-    total = sum(degrees) + sigma - 1
-    for j in range(m):
-        if idx[j] >= 1:
-            coeff = Fraction((degrees[j] + 1 - idx[j]) * total)
-            if coeff != 0:
-                prev = _dec(idx, j)
-                row[prev] = row.get(prev, Fraction(0)) - coeff
-    return row
+def _tension_row(degrees, mu: Fraction, idx) -> dict:
+    """The tension coefficient at idx as an integer linear map of the table,
+    scaled by the denominator b of mu = a/b:
 
-
-def harmonic_residuals(table: CoeffTable, mu) -> dict:
-    """Exact residual of the harmonic system at every box index."""
-    mu = _frac(mu)
-    out = {}
-    for idx in box_indices(table.degrees):
-        row = _harmonic_row(table.degrees, mu, idx)
-        out[idx] = sum((coeff * table.get(k) for k, coeff in row.items()), Fraction(0))
-    return out
-
-
-def is_harmonic_table(table: CoeffTable, mu) -> bool:
-    return all(v == 0 for v in harmonic_residuals(table, mu).values())
-
-
-def _tilde_row(degrees, mu: Fraction, idx) -> dict:
-    """The tension coefficient at idx as a linear map of the input table.
-
-    Realizes: 2*mu*c_k*(sum_j k_j(k_j-1) + 2*sum_{i<j} k_i k_j)
-              + sum_j c_{k-e_j} (d_j^2 - (k_j-1)^2)
-              + sum_{i<j} c_{k-e_i} (d_i+1-k_i)(d_j+k_j)
-              + sum_{i<j} c_{k-e_j} (d_j+1-k_j)(d_i+k_i).
+        2*a*(sigma^2 - sigma)*c_k
+            + b * sum_j (d_j + 1 - k_j) * (sum_i (d_i + k_i) - 1) * c_{k - e_j}.
     """
-    m = len(degrees)
-    row: dict = {}
-
-    def bump(key, value):
-        if value != 0:
-            row[key] = row.get(key, Fraction(0)) + value
-
-    pair_sum = sum(k * (k - 1) for k in idx) + 2 * sum(
-        idx[i] * idx[j] for i in range(m) for j in range(i + 1, m)
-    )
-    bump(idx, 2 * mu * Fraction(pair_sum))
-    for j in range(m):
-        if idx[j] >= 1:
-            bump(_dec(idx, j), Fraction(degrees[j] ** 2 - (idx[j] - 1) ** 2))
-    for i in range(m):
-        for j in range(i + 1, m):
-            if idx[i] >= 1:
-                bump(_dec(idx, i), Fraction((degrees[i] + 1 - idx[i]) * (degrees[j] + idx[j])))
-            if idx[j] >= 1:
-                bump(_dec(idx, j), Fraction((degrees[j] + 1 - idx[j]) * (degrees[i] + idx[i])))
+    sigma = sum(idx)
+    row = {idx: 2 * mu.numerator * (sigma * sigma - sigma)} if sigma > 1 else {}
+    total = mu.denominator * (sum(degrees) + sigma - 1)
+    for j, k in enumerate(idx):
+        if k >= 1:
+            row[idx[:j] + (k - 1,) + idx[j + 1 :]] = (degrees[j] + 1 - k) * total
     return row
+
+
+def _dot(row: dict, values: dict):
+    """sum_k row[k] * values[k], with indices missing from values read as 0."""
+    return sum(c * values.get(k, 0) for k, c in row.items())
+
+
+def _over_common_denominator(values: dict) -> tuple[dict, int]:
+    """Integer numerators of rational values over their least common denominator."""
+    # reduce, not lcm(*...): a star call would build one argument tuple per unknown
+    den = functools.reduce(math.lcm, (v.denominator for v in values.values()), 1)
+    return {k: v.numerator * (den // v.denominator) for k, v in values.items()}, den
 
 
 def tension_table(table: CoeffTable, mu) -> CoeffTable:
@@ -309,19 +287,29 @@ def tension_table(table: CoeffTable, mu) -> CoeffTable:
     """
     mu = _frac(mu)
     degrees = table.degrees
+    values, den = _over_common_denominator(table.coeffs)
+    den *= mu.denominator
     out = {}
     for idx in itertools.product(*(range(d + 2) for d in degrees)):
-        row = _tilde_row(degrees, mu, idx)
-        value = sum((coeff * table.get(k) for k, coeff in row.items()), Fraction(0))
-        if any(idx[i] > degrees[i] for i in range(len(degrees))):
-            if value != 0:
-                raise InconsistentSystem(
-                    f"tension coefficient at boundary index {idx} is {value}, expected 0"
-                )
-            continue
+        value = _dot(_tension_row(degrees, mu, idx), values)
         if value != 0:
-            out[idx] = value
+            if any(k > d for k, d in zip(idx, degrees)):
+                raise InconsistentSystem(
+                    f"tension coefficient at boundary index {idx} is {Fraction(value, den)}, expected 0"
+                )
+            out[idx] = Fraction(value, den)
     return CoeffTable(degrees, out)
+
+
+def harmonic_residuals(table: CoeffTable, mu) -> dict:
+    """Exact residual of the harmonic system at every box index, signed as
+    minus the tension coefficient there."""
+    image = tension_table(table, mu)
+    return {idx: -image.get(idx) for idx in box_indices(table.degrees)}
+
+
+def is_harmonic_table(table: CoeffTable, mu) -> bool:
+    return tension_table(table, mu).is_zero()
 
 
 def is_biharmonic_table(table: CoeffTable, mu) -> bool:
@@ -335,12 +323,15 @@ def is_biharmonic_table(table: CoeffTable, mu) -> bool:
 def _graded_solve(rows: dict, pinned: dict) -> dict:
     """Solve a homogeneous system that is lower-triangular in sigma = sum(k).
 
-    ``rows`` maps each box index to its sparse equation; every equation
-    at index k involves k itself and indices of smaller total degree.
-    Pinned indices take their given values and every other index is
-    solved from its own row in (sigma, index) order, so only the diagonal
-    of that row may divide.  Every row, pinned ones included, is then
-    checked exactly.
+    ``rows`` maps each box index to its sparse equation, with integer
+    coefficients (rational ones work too); every equation at index k
+    involves k itself and indices of smaller total degree.  Pinned
+    indices take their given values and every other index is solved from
+    its own row in (sigma, index) order: the values the row reads are put
+    over their least common denominator L, and their integer sum is
+    divided by L times the diagonal in one Fraction, the only
+    normalisation per unknown.  Every row, pinned ones included, is then
+    checked by integer sums over the solution's common denominator.
     """
     solution = dict(pinned)
     for idx in sorted(rows, key=lambda k: (sum(k), k)):
@@ -350,10 +341,11 @@ def _graded_solve(rows: dict, pinned: dict) -> dict:
         diag = row.get(idx, 0)
         if diag == 0:
             raise InconsistentSystem(f"zero diagonal at unpinned index {idx}")
-        rest = sum((c * solution[k] for k, c in row.items() if k != idx), Fraction(0))
-        solution[idx] = -rest / diag
+        values, den = _over_common_denominator({k: solution[k] for k in row if k != idx})
+        solution[idx] = Fraction(-_dot(row, values), den * diag)
+    values, _ = _over_common_denominator(solution)
     for idx, row in rows.items():
-        if sum((c * solution[k] for k, c in row.items()), Fraction(0)) != 0:
+        if _dot(row, values) != 0:
             raise InconsistentSystem(f"pinned values leave a residual at index {idx}")
     return solution
 
@@ -365,7 +357,7 @@ def _unit_indices(m: int) -> list[tuple[int, ...]]:
 def _validate_degrees(degrees) -> tuple[int, ...]:
     degrees = tuple(int(d) for d in degrees)
     if not degrees or any(d < 1 for d in degrees):
-        raise DimensionMismatch("degrees must be a nonempty tuple of positive integers")
+        raise DimensionMismatch(f"degrees must be positive integers, got {list(degrees)}")
     return degrees
 
 
@@ -374,14 +366,14 @@ def harmonic_family(degrees, mu) -> SolutionFamily:
 
     Returns m basis tables, one per free unit multi-index; basis table i
     has coefficient 1 at e_i and 0 at the other unit indices.  The
-    sigma = 1 rows read -d_j * sum(d) * c_0 = 0, so c_0 is pinned to 0.
+    sigma = 1 rows read d_j * sum(d) * c_0 = 0, so c_0 is pinned to 0.
     """
     degrees = _validate_degrees(degrees)
     mu = _frac(mu)
     if mu == 0:
         raise ZeroVector("mu must be nonzero")
     m = len(degrees)
-    rows = {idx: _harmonic_row(degrees, mu, idx) for idx in box_indices(degrees)}
+    rows = {idx: _tension_row(degrees, mu, idx) for idx in box_indices(degrees)}
     zero, units = (0,) * m, _unit_indices(m)
     tables = []
     for i in range(m):
@@ -404,16 +396,16 @@ def biharmonic_family(degrees, mu) -> SolutionFamily:
         raise ZeroVector("mu must be nonzero")
     m = len(degrees)
     columns = list(box_indices(degrees))
-    tilde_rows = {idx: _tilde_row(degrees, mu, idx) for idx in columns}
+    tension_rows = {idx: _tension_row(degrees, mu, idx) for idx in columns}
 
     def compose(outer: dict) -> dict:
         row: dict = {}
         for mid, coeff in outer.items():
-            for col, inner in tilde_rows[mid].items():
-                row[col] = row.get(col, Fraction(0)) + coeff * inner
+            for col, inner in tension_rows[mid].items():
+                row[col] = row.get(col, 0) + coeff * inner
         return row
 
-    rows = {idx: compose(_harmonic_row(degrees, mu, idx)) for idx in columns}
+    rows = {idx: compose(tension_rows[idx]) for idx in columns}
     free = [(0,) * m, *_unit_indices(m)]
     tables = []
     for i in range(m + 1):

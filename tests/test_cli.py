@@ -80,6 +80,42 @@ def test_construct_bad_degrees(tmp_path, capsys):
     assert "degrees" in capsys.readouterr().err
 
 
+def test_construct_rejects_mu_with_zero_denominator(tmp_path, capsys):
+    for mu in ("1/0", "0", "x"):
+        code = run(["construct", "--group", "su", "--n", "3", f"--mu={mu}", "--out", str(tmp_path)])
+        assert code == 2
+        assert "--mu must be a nonzero fraction" in capsys.readouterr().err
+    assert not (tmp_path / "coeffs.json").exists()
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: doc["coeffs"][0].update(den="0"), "denominator 0"),
+        (lambda doc: doc["coeffs"][0].update(k=[7]), "outside the degree box"),
+        (lambda doc: doc["coeffs"][0].update(k=[-1]), "outside the degree box"),
+        (lambda doc: doc.update(degrees=[0]), "positive integers"),
+        (lambda doc: doc["coeffs"].append(dict(doc["coeffs"][0], num="5")), "repeats index"),
+        (lambda doc: doc.update(degrees=2), "cannot parse inputs"),
+        (lambda doc: doc.update(mu="1/0"), "cannot parse inputs"),
+    ],
+    ids=["zero-den", "index-7", "index-minus-1", "degree-0", "duplicate-index", "degrees-not-list",
+         "mu-zero-den"],
+)
+def test_verify_rejects_malformed_table(tmp_path, capsys, edit, message):
+    out = tmp_path / "su4"
+    assert run(["construct", "--group", "su", "--n", "4", "--out", str(out)]) == 0
+    doc = json.loads((out / "coeffs.json").read_text())
+    edit(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = run(["verify", "--coeffs", str(bad), "--quadruple", str(out / "quadruple.json"),
+                "--points", "2"])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
 def _construct(tmp_path, extra=()):
     out = tmp_path / "artifacts"
     assert (

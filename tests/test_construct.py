@@ -5,6 +5,7 @@ difference equations and double-checked against the displayed examples;
 they are frozen here and everything is compared in exact arithmetic.
 """
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -29,6 +30,7 @@ from biforge.construct import (
     tension_power_family,
     tension_table,
     _graded_solve,
+    _tension_row,
 )
 from biforge.errors import DegenerateQuotient, DimensionMismatch, InconsistentSystem, ZeroVector
 from biforge.forms import Const, make_quadruple
@@ -201,6 +203,61 @@ def test_graded_solver_rejects_inconsistent_systems():
     # an unpinned index whose own row has no diagonal cannot be solved
     with pytest.raises(InconsistentSystem):
         _graded_solve({(0,): {}, (1,): {(0,): Fraction(1)}}, {(0,): Fraction(0)})
+
+
+# SHA-256 of the to_json() texts of every biharmonic then harmonic basis
+# table, joined by newlines, recorded from the solver that ran on rows of
+# Fractions; the integer-row solver must reproduce these tables exactly
+TABLE_DIGESTS = {
+    ((1,), "-1"): "22d99049dc7132a62ee57fda59498e31f30b944cf7ceff1cc87e9c144becf480",
+    ((1,), "-1/2"): "22d99049dc7132a62ee57fda59498e31f30b944cf7ceff1cc87e9c144becf480",
+    ((1,), "3/5"): "22d99049dc7132a62ee57fda59498e31f30b944cf7ceff1cc87e9c144becf480",
+    ((3,), "-1"): "9674305bd15b5cfa2aa933c2b5fa41a7b751eafbc68d69b4c6b808dd56b437ec",
+    ((3,), "-1/2"): "702d5586a2fe927292a3945d89b458a5558ac9263aab0d7541619ed88c3450a7",
+    ((3,), "3/5"): "75ec0da4458885685d69cece864269733b234b942f2b0764faff281bf9a41b98",
+    ((2, 1), "-1"): "6cb1dad129333393913888b782834bdeed8b86f8afaf6c0f054ee07a525fd873",
+    ((2, 1), "-1/2"): "b4c57527ba86d37b6e6a73c83dc631ec897fb058715fc8ce87ba7e4677ec7a1e",
+    ((2, 1), "3/5"): "154fd122c41a7432497d43a2a1d1a1230ddcfbb7f55ab1d41d94007deee0035f",
+    ((2, 2), "-1"): "df65b24c38c3e29ad9a4c095210445c0c66af0ecbf511ac053552234e8ca58ee",
+    ((2, 2), "-1/2"): "4288c1b378c1aff3eb4706cde1086d0b095822e3cbd6ad5897405d82095a9a90",
+    ((2, 2), "3/5"): "2d71dc72a85584d3eb783c85310f27fd6b42539c6e56fcb98e8172a1638b602d",
+    ((6, 6), "-1"): "0567aae8b971b5b6e16ae421d0fb794f5a98e3eb9f06e702010dbedece3eb74b",
+    ((6, 6), "-1/2"): "27c2fbeaf08e78536900cc5211e364675f1da6d1cd7868c230d216029b098e1a",
+    ((6, 6), "3/5"): "cd704826f70d322127b2ec08dc8aaad302807dc550acb59a69d3863778e59019",
+    ((3, 3, 3), "-1"): "8921948b650b0736b3180657872ca5701693e37dfb8481395bb689c243be4594",
+    ((3, 3, 3), "-1/2"): "8cbc9433ea4ebd95922bde2a198aecc88a1d8f46f5b62673381068d2826fcf96",
+    ((3, 3, 3), "3/5"): "ee8b225ad4c49ce55924dc05a5daf0bb8bd792783b99ecbebba31346f6571781",
+    ((2, 2, 2, 2), "-1"): "2c9eff178de079febe970c163f229922a3e776cb62a64de180c5559a8c841b26",
+    ((2, 2, 2, 2), "-1/2"): "4fa7e87609bf6e7bcd299f96fbcfb1fcb6679ce4879d60efed85e4106b175f53",
+    ((2, 2, 2, 2), "3/5"): "6eb49acf178a676c3181c3c2e83ab3a78a1a8f0c93f9c686141ceafdb6d25558",
+    ((1, 2, 3), "-1"): "b084cb623d3ef962b1d912f722597765c2e044470f9502666518737cf03a29d7",
+    ((1, 2, 3), "-1/2"): "f104b6e03a3d03d0aec9f8ccb3b5af5059baf47b8ab8f2f248cda2bb2ed3c3ae",
+    ((1, 2, 3), "3/5"): "d37b45639dc6f53c3cbb0879a396bdb300724679d29ff8c3bf7427cc5aec8119",
+}
+
+
+@pytest.mark.parametrize("degrees, mu", list(TABLE_DIGESTS), ids=str)
+def test_family_tables_match_recorded_digests(degrees, mu):
+    tables = biharmonic_family(degrees, Fraction(mu)).tables
+    tables += harmonic_family(degrees, Fraction(mu)).tables
+    text = "\n".join(t.to_json() for t in tables)
+    assert hashlib.sha256(text.encode()).hexdigest() == TABLE_DIGESTS[degrees, mu]
+
+
+@pytest.mark.parametrize("off", list(box_indices((2, 1))), ids=str)
+def test_graded_solver_checks_integer_rows_exactly(off):
+    # mu = -1/2 scales the integer rows by 2 while the solution has
+    # thirds; pinning the whole solution leaves only the row check, which
+    # must see a single entry off by one
+    mu = Fraction(-1, 2)
+    rows = {idx: _tension_row((2, 1), mu, idx) for idx in box_indices((2, 1))}
+    table = harmonic_family((2, 1), mu).tables[1]
+    assert any(v.denominator > 1 for _, v in table.items())
+    pinned = {idx: table.get(idx) for idx in rows}
+    assert _graded_solve(rows, pinned) == pinned
+    pinned[off] += 1
+    with pytest.raises(InconsistentSystem):
+        _graded_solve(rows, pinned)
 
 
 def test_tension_table_of_harmonic_is_zero():
