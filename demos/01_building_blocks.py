@@ -26,20 +26,18 @@ for spec in (GroupSpec.unitary(3), GroupSpec.special_orthogonal(4), GroupSpec.qu
 
 spec = GroupSpec.unitary(3)
 ctx = OperatorContext.for_spec(spec)
-point = sample_point(spec, seed=42)
+m = sample_point(spec, seed=42)
 
-print("\nsampled U(3) point, unitarity residual:",
-      np.max(np.abs(point.matrix @ point.matrix.conj().T - np.eye(3))))
+print("\nsampled U(3) point, unitarity residual:", np.max(np.abs(m @ m.conj().T - np.eye(3))))
 
 elem = next(e for e in basis(spec) if e.label == "iD1")
-jet = translate(point.matrix, elem.matrix).entry(0, 0)
+jet = translate(m, elem.matrix).entry(0, 0)
 print(f"2-jet of entry (0,0) along {elem.label}: "
       f"value={jet.a0:.4f}, d/ds={jet.a1:.4f}, d2/ds2={2 * jet.a2:.4f}")
 
 z11 = FormExpr(LinearForm.coordinate(spec, 0, 0))
 z22 = FormExpr(LinearForm.coordinate(spec, 1, 1))
-m = point.matrix
-print("\ntension(z11) =", tension(z11, point, ctx))
+print("\ntension(z11) =", tension(z11, m, ctx))
 print("-n * z11     =", spec.eigenvalue * m[0, 0])
-print("kappa(z11, z22) =", conformality(z11, z22, point, ctx))
+print("kappa(z11, z22) =", conformality(z11, z22, m, ctx))
 print("-z21 * z12      =", -m[1, 0] * m[0, 1])

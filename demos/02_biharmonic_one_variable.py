@@ -38,7 +38,7 @@ for d in (1, 2, 3, 4):
     points = sample_domain_points([phi, pairs[0][1]], spec, 5, seed=100 + d)
     worst_t2, witness = 0.0, 0.0
     for point in points:
-        value = abs(phi.evaluate(point.matrix))
+        value = abs(phi.evaluate(point))
         tau = tension(phi, point, ctx)
         witness = max(witness, abs(tau) / max(1.0, value))
         worst_t2 = max(

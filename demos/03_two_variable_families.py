@@ -45,7 +45,7 @@ for name, spec, build in configs:
     worst = 0.0
     witness = 0.0
     for point in points:
-        value = abs(phi.evaluate(point.matrix))
+        value = abs(phi.evaluate(point))
         tau = tension(phi, point, ctx)
         witness = max(witness, abs(tau) / max(1.0, value))
         worst = max(worst, abs(tension2(phi, point, ctx)) / max(1.0, value, abs(tau)))

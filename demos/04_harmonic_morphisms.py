@@ -41,7 +41,7 @@ for k in (1, 2, 3):
     lam, kap = eigenfamily_constants(spec.mu, k)
     members = tension_power_family(fam, k)
     point = sample_domain_points(members, spec, 1, seed=50 + k)[0]
-    v = [m.evaluate(point.matrix) for m in members]
+    v = [m.evaluate(point) for m in members]
     res = abs(conformality(members[0], members[1], point, ctx) - kap * v[0] * v[1])
     print(f"tension-power family k={k}: eigenvalue {lam}, kappa constant {kap}, "
           f"pair residual {res:.2e}")

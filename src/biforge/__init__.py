@@ -48,7 +48,7 @@ from .forms import (
     make_quadruple,
     quotient,
 )
-from .groups import GroupKind, GroupPoint, GroupSpec, LieBasisElement, basis, sample_point
+from .groups import GroupKind, GroupSpec, LieBasisElement, basis, sample_point
 from .operators import OperatorContext, conformality, tension, tension2
 from .report import CheckResult, VerificationReport
 

@@ -38,6 +38,7 @@ from .construct import (
     CoeffTable,
     biharmonic_coefficients,
     biharmonic_family,
+    box_indices,
     build_expression,
     column_ratio_family,
     eigenfamily_constants,
@@ -51,6 +52,7 @@ from .errors import BiforgeError
 from .forms import QuadrupleFamily, make_quadruple
 from .groups import GroupKind, GroupSpec
 from .operators import OperatorContext
+from .report import VerificationReport
 from .verify import (
     assemble_report,
     candidate_checks,
@@ -248,6 +250,11 @@ def cmd_verify(
         seed=seed,
         checks=checks,
     )
+    return _emit(report, out_file, as_json)
+
+
+def _emit(report: VerificationReport, out_file: Path | None, as_json: bool) -> int:
+    """Write the report to ``out_file``, print it, and return the exit code."""
     if out_file is not None:
         out_file.parent.mkdir(parents=True, exist_ok=True)
         out_file.write_text(report.to_json() + "\n")
@@ -297,8 +304,6 @@ REFERENCE_FIXTURES: dict = {
 
 
 def _table_vector(table: CoeffTable) -> list[Fraction]:
-    from .construct import box_indices
-
     return [table.get(idx) for idx in box_indices(table.degrees)]
 
 
@@ -337,8 +342,6 @@ def _check_fixture(name: str) -> bool:
 
 def _tension_matrix_11() -> tuple:
     columns = []
-    from .construct import box_indices
-
     index_list = list(box_indices((1, 1)))
     for idx in index_list:
         unit = CoeffTable((1, 1), {idx: 1})
@@ -400,14 +403,7 @@ def cmd_morphism(config: RunConfig, kind: str, k: int | None, out_file: Path | N
         checks += morphism_checks(morphism, ctx, points, tol=config.tol)
         subject = f"rational morphism from the k={k} tension-power family"
     report = assemble_report(subject, spec, points, config.seed, checks)
-    if out_file is not None:
-        out_file.parent.mkdir(parents=True, exist_ok=True)
-        out_file.write_text(report.to_json() + "\n")
-    if config.as_json:
-        print(report.to_json())
-    else:
-        print("\n".join(report.summary_lines()))
-    return 0 if report.verdict else 1
+    return _emit(report, out_file, config.as_json)
 
 
 # ---------------------------------------------------------------------------
@@ -492,25 +488,19 @@ def main(argv=None) -> int:
             )
         if args.command == "reproduce":
             return cmd_reproduce(args.as_json)
-        if args.command == "morphism":
-            config = RunConfig(
-                group=args.group,
-                n=args.n,
-                sp_choice=args.choice,
-                points=_parse_points(args.points),
-                tol=args.tol,
-                seed=_parse_seed(args.seed),
-                as_json=args.as_json,
-            )
-            return cmd_morphism(config, args.kind, args.k, args.out)
-        parser.error(f"unknown command {args.command}")
-    except BiforgeError as exc:
+        config = RunConfig(
+            group=args.group,
+            n=args.n,
+            sp_choice=args.choice,
+            points=_parse_points(args.points),
+            tol=args.tol,
+            seed=_parse_seed(args.seed),
+            as_json=args.as_json,
+        )
+        return cmd_morphism(config, args.kind, args.k, args.out)
+    except (BiforgeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return 2
 
 
 if __name__ == "__main__":

@@ -75,7 +75,6 @@ __all__ = [
     "harmonic_family",
     "biharmonic_family",
     "tension_table",
-    "harmonic_residuals",
     "is_harmonic_table",
     "is_biharmonic_table",
     "build_expression",
@@ -299,13 +298,6 @@ def tension_table(table: CoeffTable, mu) -> CoeffTable:
                 )
             out[idx] = Fraction(value, den)
     return CoeffTable(degrees, out)
-
-
-def harmonic_residuals(table: CoeffTable, mu) -> dict:
-    """Exact residual of the harmonic system at every box index, signed as
-    minus the tension coefficient there."""
-    image = tension_table(table, mu)
-    return {idx: -image.get(idx) for idx in box_indices(table.degrees)}
 
 
 def is_harmonic_table(table: CoeffTable, mu) -> bool:

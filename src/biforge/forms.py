@@ -2,7 +2,7 @@
 
 A :class:`LinearForm` is a first-order polynomial in the matrix
 coefficients of the standard representation.  Its coefficient array has
-shape (n, coeff_columns): on U(n)/SO(n) that is the whole n-by-n matrix;
+shape (n, ambient_dim): on U(n)/SO(n) that is the whole n-by-n matrix;
 on Sp(n) the first n columns weight the z-block coefficients and the
 last n columns the w-block, matching the ambient 2n-by-2n layout where
 the z-block is the top-left n-by-n corner and the w-block the top-right.
@@ -41,7 +41,7 @@ from .errors import (
     IsotropyViolation,
     ZeroVector,
 )
-from .groups import GroupKind, GroupPoint, GroupSpec
+from .groups import GroupKind, GroupSpec
 
 __all__ = [
     "LinearForm",
@@ -75,7 +75,7 @@ class LinearForm:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        expected = (self.spec.n, self.spec.coeff_columns)
+        expected = (self.spec.n, self.spec.ambient_dim)
         if self.coeffs.shape != expected:
             raise DimensionMismatch(
                 f"coefficient array must have shape {expected}, got {self.coeffs.shape}"
@@ -89,13 +89,13 @@ class LinearForm:
         On Sp(n), columns 0..n-1 address the z-block and n..2n-1 the
         w-block.
         """
-        c = np.zeros((spec.n, spec.coeff_columns), dtype=complex)
+        c = np.zeros((spec.n, spec.ambient_dim), dtype=complex)
         c[row, col] = 1.0
         return cls(spec, c)
 
     @classmethod
     def column(cls, spec: GroupSpec, rows: np.ndarray, col: int, weight: complex = 1.0) -> "LinearForm":
-        c = np.zeros((spec.n, spec.coeff_columns), dtype=complex)
+        c = np.zeros((spec.n, spec.ambient_dim), dtype=complex)
         c[:, col] = np.asarray(rows, dtype=complex) * weight
         return cls(spec, c)
 
@@ -118,15 +118,13 @@ class LinearForm:
         f(X E_e) = <X[:n]^T C, E_e>: two matmuls, W = X[:n]^T C for every
         layer, then every W against every E_e.
         """
-        if isinstance(point, GroupPoint):
-            point = point.matrix
         if isinstance(point, JetMatrix):
             return Jet2(
                 self.evaluate(point.a0),
                 self.evaluate(point.a1),
                 self.evaluate(point.a2),
             )
-        n, cols = self.spec.n, self.spec.coeff_columns
+        n, cols = self.spec.n, self.spec.ambient_dim
         if isinstance(point, PackedPoint):
             layers, extended = point.layers, point.extended[..., :cols]
             weights = layers[..., :n, :].swapaxes(-1, -2) @ self.coeffs
@@ -135,7 +133,7 @@ class LinearForm:
         block = np.ascontiguousarray(point[..., :n, :cols])
         if block.ndim == 2:
             return complex(np.dot(self.coeffs.ravel(), block.ravel()))
-        return block.reshape(len(block), -1) @ self.coeffs.ravel()
+        return block.reshape(len(block), self.coeffs.size) @ self.coeffs.ravel()
 
     def __repr__(self):
         return f"LinearForm({self.spec.code}({self.spec.n}), nnz={int(np.count_nonzero(self.coeffs))})"
@@ -153,8 +151,8 @@ class RationalExpr:
     __slots__ = ("_reads",)
 
     def evaluate(self, point, cache: dict | None = None):
-        """The tree's value at a matrix, GroupPoint, stack of matrices,
-        (nested) JetMatrix or PackedPoint.
+        """The tree's value at a matrix, a (P, N, N) stack of matrices, a
+        (nested) JetMatrix or a PackedPoint.
 
         A walk keeps a node's value only while another parent can still
         read it: a node with more than one parent stays cached until its
@@ -207,18 +205,20 @@ class RationalExpr:
         raise NotImplementedError
 
     def quotient_nodes(self):
-        """All Quotient nodes in the tree (for domain reporting)."""
+        """All Quotient nodes in the tree, children first: every quotient
+        inside a denominator comes before the quotient dividing by it."""
         seen = set()
-        stack = [self]
+        stack = [(self, False)]
         out = []
         while stack:
-            node = stack.pop()
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            if isinstance(node, Quotient):
-                out.append(node)
-            stack.extend(node._children())
+            node, done = stack.pop()
+            if done:
+                if isinstance(node, Quotient):
+                    out.append(node)
+            elif id(node) not in seen:
+                seen.add(id(node))
+                stack.append((node, True))
+                stack.extend((child, False) for child in node._children())
         return out
 
     def _children(self):
@@ -480,7 +480,6 @@ class QuadrupleFamily:
     denominator: LinearForm
     exchange_denominator: LinearForm
     proper: tuple[bool, ...]
-    member_columns: tuple[int, ...]
     row_p: np.ndarray
     row_q: np.ndarray
     col_a: np.ndarray
@@ -659,7 +658,6 @@ def make_quadruple(
             denominator=den,
             exchange_denominator=exch_den,
             proper=proper,
-            member_columns=(0,),
             row_p=p,
             row_q=q,
             col_a=a,
@@ -686,14 +684,12 @@ def make_quadruple(
     numerators = []
     exchange = []
     proper_flags = []
-    member_cols = []
     for j in range(n):
         if abs(a[j]) <= 1e-14 * scale_a:
             continue
         col = member_offset + j
         numerators.append(LinearForm.column(spec, p, col, a[j]))
         exchange.append(LinearForm.column(spec, q, col, a[j]))
-        member_cols.append(col)
         # cross-block members (choice 10) never share the denominator column,
         # so every column is proper there; same-block members lose column beta.
         proper_flags.append(independent and col != den_col)
@@ -708,7 +704,6 @@ def make_quadruple(
         denominator=den,
         exchange_denominator=exch_den,
         proper=tuple(proper_flags),
-        member_columns=tuple(member_cols),
         row_p=p,
         row_q=q,
         col_a=a,
@@ -744,10 +739,10 @@ def classify(m_p: np.ndarray, q, a, spec: GroupSpec, rel_tol: float = 1e-12) -> 
     """
     m_p = np.asarray(m_p, dtype=complex)
     q = _check_vector("q", q, spec.n)
-    a = _check_vector("a", a, spec.coeff_columns)
-    if m_p.shape != (spec.n, spec.coeff_columns):
+    a = _check_vector("a", a, spec.ambient_dim)
+    if m_p.shape != (spec.n, spec.ambient_dim):
         raise DimensionMismatch(
-            f"m_p must have shape ({spec.n}, {spec.coeff_columns}), got {m_p.shape}"
+            f"m_p must have shape ({spec.n}, {spec.ambient_dim}), got {m_p.shape}"
         )
     if np.max(np.abs(m_p)) == 0:
         raise ZeroVector("m_p must be nonzero")

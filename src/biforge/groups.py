@@ -45,7 +45,6 @@ __all__ = [
     "GroupKind",
     "GroupSpec",
     "LieBasisElement",
-    "GroupPoint",
     "basis",
     "iter_basis",
     "sample_point",
@@ -116,12 +115,6 @@ class GroupSpec:
         return n * (2 * n + 1)
 
     @property
-    def coeff_columns(self) -> int:
-        """Number of independent matrix-coefficient columns: n for U/SO
-        (the whole matrix), 2n for Sp (z-block columns then w-block)."""
-        return self.ambient_dim
-
-    @property
     def eigenvalue(self) -> float:
         """Laplace eigenvalue of the matrix-coefficient functions."""
         if self.kind is GroupKind.UNITARY:
@@ -145,13 +138,6 @@ class LieBasisElement:
 
     matrix: np.ndarray
     label: str
-
-
-@dataclass(frozen=True)
-class GroupPoint:
-    """A group element as an ambient_dim x ambient_dim complex matrix."""
-
-    matrix: np.ndarray
 
 
 def _symmetric(n: int, r: int, s: int) -> np.ndarray:
@@ -295,8 +281,8 @@ def _sample_quaternionic(n: int, rng: np.random.Generator) -> np.ndarray:
         return out
 
 
-def sample_point(spec: GroupSpec, seed: int) -> GroupPoint:
-    """Deterministic pseudo-random group element.
+def sample_point(spec: GroupSpec, seed: int) -> np.ndarray:
+    """Deterministic pseudo-random group element, an (N, N) complex matrix.
 
     Built by orthonormalizing a seeded Gaussian matrix (quaternionic
     Gram-Schmidt for Sp so the block pattern is exact); numerically
@@ -304,9 +290,7 @@ def sample_point(spec: GroupSpec, seed: int) -> GroupPoint:
     """
     rng = np.random.default_rng(seed)
     if spec.kind is GroupKind.UNITARY:
-        m = _sample_unitary(spec.n, rng)
-    elif spec.kind is GroupKind.SPECIAL_ORTHOGONAL:
-        m = _sample_special_orthogonal(spec.n, rng)
-    else:
-        m = _sample_quaternionic(spec.n, rng)
-    return GroupPoint(m)
+        return _sample_unitary(spec.n, rng)
+    if spec.kind is GroupKind.SPECIAL_ORTHOGONAL:
+        return _sample_special_orthogonal(spec.n, rng)
+    return _sample_quaternionic(spec.n, rng)

@@ -20,8 +20,8 @@ points along each outer direction W with a t-series of three orders and
 reading the t**2 coefficient of the basis sum: |B| walks in all.
 Derivatives are read off with the half-second-derivative convention.
 
-A point is a GroupPoint or an (N, N) matrix, and gives a complex; a
-sequence of points or a (P, N, N) stack gives a (P,) array.
+Points come as a (P, N, N) stack, as sampled, and give a (P,) array; a
+single (N, N) matrix is a batch of one and gives a complex.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 from .algebra import PackedJet, PackedPoint
 from .errors import ShapeError
 from .forms import RationalExpr
-from .groups import GroupPoint, GroupSpec, iter_basis
+from .groups import GroupSpec, iter_basis
 
 __all__ = [
     "OperatorContext",
@@ -75,12 +75,9 @@ class OperatorContext:
 
 
 def _batch(point) -> tuple[np.ndarray, bool]:
-    """The points as a (P, N, N) stack, and whether one point was given."""
-    if isinstance(point, GroupPoint):
-        return point.matrix[None], True
-    if isinstance(point, np.ndarray):
-        return (point[None], True) if point.ndim == 2 else (point, False)
-    return np.array([p.matrix if isinstance(p, GroupPoint) else p for p in point]), False
+    """The points as a (P, N, N) stack, and whether one matrix was given."""
+    stack = np.asarray(point)
+    return (stack[None], True) if stack.ndim == 2 else (stack, False)
 
 
 def _coefficients(value, walk: PackedPoint) -> np.ndarray:

@@ -1,23 +1,23 @@
 """Verification campaigns shared by the CLI and the test suite.
 
 Every check is a max-residual over deterministically sampled points.
-Points are drawn by incrementing the seed until every denominator in the
-expressions under test is bounded away from zero (relative to its
+Points are drawn by incrementing the seed and kept when every denominator
+in the expressions under test is bounded away from zero (relative to its
 coefficient scale), so residuals are measured inside the domain and away
-from poles.  Each check evaluates all its points as one batch, a (P, N, N)
-stack in sampling order, and reduces per-point residual arrays to their
-maximum, so reports are deterministic.
+from poles.  The sampler returns the kept points as one (P, N, N) stack
+in seed order; every check takes that stack, evaluates all its points as
+one batch and reduces per-point residual arrays to their maximum, so
+reports are deterministic.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .algebra import leading_value
 from .construct import CoeffTable, build_expression, tension_table
-from .errors import DomainError, SamplingExhausted
+from .errors import SamplingExhausted
 from .forms import QuadrupleFamily, RationalExpr
-from .groups import GroupPoint, GroupSpec, sample_point
+from .groups import GroupSpec, sample_point
 from .operators import OperatorContext, conformality, relative_residual, tension, tension2
 from .report import CheckResult, VerificationReport
 
@@ -41,16 +41,24 @@ def sample_domain_points(
     count: int,
     seed: int,
     margin: float = DEFAULT_DOMAIN_MARGIN,
-) -> list[GroupPoint]:
-    """Deterministic points where every denominator stays away from zero."""
-    nodes = []
-    seen = set()
+) -> np.ndarray:
+    """A (count, N, N) stack of deterministic points where every denominator
+    stays away from zero.
+
+    Seeds seed, seed + 1, ... are drawn in rounds of as many draws as
+    points are still missing, and a draw is kept when every denominator
+    reaches ``margin`` times its coefficient scale, so the kept seeds are
+    those of a one-at-a-time loop.  Each denominator is evaluated once
+    per round on the draws still kept, children first: a denominator is
+    only evaluated where every quotient inside it has cleared the margin,
+    far above the Quotient guard's ``rel_tol``.
+    """
+    guards = {}
     for expr in exprs:
         for node in expr.quotient_nodes():
-            if id(node) not in seen:
-                seen.add(id(node))
-                nodes.append(node)
-    points: list[GroupPoint] = []
+            guards.setdefault(id(node.denominator), (node.denominator, margin * node.den_scale))
+    n = spec.ambient_dim
+    points = np.empty((0, n, n), dtype=complex)
     offset = 0
     limit = 200 * count + 500
     while len(points) < count:
@@ -59,24 +67,13 @@ def sample_domain_points(
                 f"could not sample {count} points inside the domain: "
                 f"{len(points)} accepted after {offset} draws"
             )
-        p = sample_point(spec, seed + offset)
-        offset += 1
-        cache: dict = {}
-        try:
-            ok = all(
-                abs(leading_value(node.denominator.evaluate(p.matrix, cache)))
-                >= margin * node.den_scale
-                for node in nodes
-            )
-        except DomainError:
-            continue
-        if ok:
-            points.append(p)
+        draws = min(count - len(points), limit - offset)
+        kept = np.array([sample_point(spec, seed + offset + i) for i in range(draws)])
+        offset += draws
+        for den, bound in guards.values():
+            kept = kept[np.broadcast_to(np.abs(den.evaluate(kept)) >= bound, len(kept))]
+        points = np.concatenate([points, kept])
     return points
-
-
-def _stack(points) -> np.ndarray:
-    return np.array([p.matrix for p in points])
 
 
 def _worst(residuals) -> float:
@@ -96,11 +93,10 @@ def quadruple_checks(
     spec = fam.spec
     forms = fam.all_forms()
     exprs = {id(f): fam._expr(f) for f in forms}
-    m = _stack(points)
-    values = {id(f): f.evaluate(m) for f in forms}
+    values = {id(f): f.evaluate(points) for f in forms}
 
     eigen = _worst(
-        relative_residual(tension(exprs[id(f)], m, ctx), spec.eigenvalue * values[id(f)])
+        relative_residual(tension(exprs[id(f)], points, ctx), spec.eigenvalue * values[id(f)])
         for f in forms
     )
     checks = [CheckResult.upper("eigenfunctions", eigen, tol_eigen)]
@@ -130,7 +126,7 @@ def quadruple_checks(
     for name, triples in relations.items():
         worst = _worst(
             relative_residual(
-                conformality(exprs[id(left)], exprs[id(right)], m, ctx),
+                conformality(exprs[id(left)], exprs[id(right)], points, ctx),
                 mu_const * values[id(fa)] * values[id(fb)],
             )
             for left, right, (fa, fb) in triples
@@ -146,10 +142,9 @@ def closed_form_tension_checks(
     tol: float = 1e-9,
 ) -> list[CheckResult]:
     """Closed-form member tension against the jet-computed operator."""
-    m = _stack(points)
     worst = _worst(
         relative_residual(
-            tension(fam.member_quotient(i), m, ctx), fam.member_tension(i).evaluate(m)
+            tension(fam.member_quotient(i), points, ctx), fam.member_tension(i).evaluate(points)
         )
         for i in range(fam.n_members)
     )
@@ -171,13 +166,12 @@ def candidate_checks(
     the properness witness is max over points of |tau phi| / max(1, |phi|)
     and must reach ``min_tau``.
     """
-    m = _stack(points)
-    value = np.abs(phi.evaluate(m))
-    tau = np.abs(tension(phi, m, ctx))
+    value = np.abs(phi.evaluate(points))
+    tau = np.abs(tension(phi, points, ctx))
     tau_ratio = tau / np.maximum(1.0, value)
     if not proper:
         return [CheckResult.upper("tension", np.max(tau_ratio), tol_tau)]
-    tau_two = np.abs(tension2(phi, m, ctx))
+    tau_two = np.abs(tension2(phi, points, ctx))
     scale = np.maximum(np.maximum(1.0, value), tau)
     return [
         CheckResult.upper("bitension", np.max(tau_two / scale), tol_tau2),
@@ -204,12 +198,14 @@ def oracle_equivalence_check(
     actually being differentiated), as in the other residual checks.
     """
     tau_sym = build_expression(tension_table(table, mu), pairs)
-    m = _stack(points)
-    direct = tension2(phi, m, ctx)
-    via_expansion = tension(tau_sym, m, ctx)
-    scale = np.maximum.reduce(
-        [np.ones(len(m)), np.abs(phi.evaluate(m)), np.abs(tau_sym.evaluate(m)), np.abs(via_expansion)]
-    )
+    direct = tension2(phi, points, ctx)
+    via_expansion = tension(tau_sym, points, ctx)
+    scale = np.maximum.reduce([
+        np.ones(len(points)),
+        np.abs(phi.evaluate(points)),
+        np.abs(tau_sym.evaluate(points)),
+        np.abs(via_expansion),
+    ])
     return CheckResult.upper(
         "bitension route equivalence", np.max(np.abs(direct - via_expansion) / scale), tol
     )
@@ -224,16 +220,15 @@ def eigenfamily_checks(
     tol: float = 1e-9,
 ) -> list[CheckResult]:
     """Definition of an eigenfamily: common eigenvalue and kappa constant."""
-    m = _stack(points)
     cache: dict = {}
-    values = [phi.evaluate(m, cache) for phi in members]
+    values = [phi.evaluate(points, cache) for phi in members]
     tau = _worst(
-        relative_residual(tension(phi, m, ctx), eigenvalue * value)
+        relative_residual(tension(phi, points, ctx), eigenvalue * value)
         for phi, value in zip(members, values)
     )
     kappa = _worst(
         relative_residual(
-            conformality(members[i], members[j], m, ctx), kappa_constant * values[i] * values[j]
+            conformality(members[i], members[j], points, ctx), kappa_constant * values[i] * values[j]
         )
         for i in range(len(members))
         for j in range(i, len(members))
@@ -251,10 +246,9 @@ def morphism_checks(
     tol: float = 1e-8,
 ) -> list[CheckResult]:
     """Harmonic morphism conditions: tension and kappa(f, f) both vanish."""
-    m = _stack(points)
-    value = np.abs(expr.evaluate(m))
-    tau = np.abs(tension(expr, m, ctx)) / np.maximum(1.0, value)
-    kap = np.abs(conformality(expr, expr, m, ctx)) / np.maximum(1.0, value**2)
+    value = np.abs(expr.evaluate(points))
+    tau = np.abs(tension(expr, points, ctx)) / np.maximum(1.0, value)
+    kap = np.abs(conformality(expr, expr, points, ctx)) / np.maximum(1.0, value**2)
     return [
         CheckResult.upper("tension", np.max(tau), tol),
         CheckResult.upper("horizontal conformality", np.max(kap), tol),

@@ -23,7 +23,7 @@ def ctx_for():
 @pytest.fixture(scope="session")
 def points_for():
     def get(spec: GroupSpec, count: int, seed: int):
-        return [sample_point(spec, seed + i) for i in range(count)]
+        return np.array([sample_point(spec, seed + i) for i in range(count)])
 
     return get
 

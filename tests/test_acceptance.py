@@ -129,17 +129,16 @@ def test_criterion_2_multivariable_fixtures():
 
 def _coordinate_relation_residual(spec: GroupSpec, points, index_rng) -> float:
     ctx = ctx_of(spec)
-    n, cols = spec.n, spec.coeff_columns
+    n, cols = spec.n, spec.ambient_dim
     worst = 0.0
-    for point in points:
-        m = point.matrix
+    for m in points:
         j, k = index_rng.integers(0, n, size=2)
         a, b = index_rng.integers(0, cols, size=2)
         fj = FormExpr(LinearForm.coordinate(spec, j, a))
         fk = FormExpr(LinearForm.coordinate(spec, k, b))
         worst = max(
             worst,
-            relative_residual(tension(fj, point, ctx), spec.eigenvalue * m[j, a]),
+            relative_residual(tension(fj, m, ctx), spec.eigenvalue * m[j, a]),
         )
         # unitary: kappa(z_ja, z_kb) = -z_ka z_jb; quaternionic: -1/2 of the
         # same row swap; orthogonal: the same with an affine delta term
@@ -148,7 +147,7 @@ def _coordinate_relation_residual(spec: GroupSpec, points, index_rng) -> float:
             expected = spec.mu * (m[k, a] * m[j, b] - 1.0)
         worst = max(
             worst,
-            relative_residual(conformality(fj, fk, point, ctx), expected),
+            relative_residual(conformality(fj, fk, m, ctx), expected),
         )
     return worst
 
@@ -327,7 +326,7 @@ def test_criterion_6_harmonic_morphisms():
         points = sample_domain_points(family, spec, 20, seed)
         for point in points:
             for i, phi in enumerate(family):
-                value = phi.evaluate(point.matrix)
+                value = phi.evaluate(point)
                 worst = max(worst, abs(tension(phi, point, ctx)) / max(1.0, abs(value)))
                 for j in range(i, len(family)):
                     worst = max(
@@ -343,19 +342,18 @@ def test_criterion_6_harmonic_morphisms():
         lam, kap = eigenfamily_constants(spec.mu, k)
         assert (lam, kap) == (2 * spec.mu * k * (k - 1), 2 * spec.mu * k * k)
         points = sample_domain_points(members, spec, 20, 6200 + k)
-        for point in points:
-            m = point.matrix
+        for m in points:
             values = [e.evaluate(m) for e in members]
             for i, e in enumerate(members):
                 const_worst = max(
                     const_worst,
-                    relative_residual(tension(e, point, ctx), lam * values[i]),
+                    relative_residual(tension(e, m, ctx), lam * values[i]),
                 )
                 for j in range(i, len(members)):
                     const_worst = max(
                         const_worst,
                         relative_residual(
-                            conformality(e, members[j], point, ctx),
+                            conformality(e, members[j], m, ctx),
                             kap * values[i] * values[j],
                         ),
                     )
@@ -364,7 +362,7 @@ def test_criterion_6_harmonic_morphisms():
         morphism = rational_morphism(members, num, den)
         points = sample_domain_points([morphism], spec, 20, 6300)
         for point in points:
-            value = morphism.evaluate(point.matrix)
+            value = morphism.evaluate(point)
             worst = max(worst, abs(tension(morphism, point, ctx)) / max(1.0, abs(value)))
             worst = max(
                 worst,
@@ -398,7 +396,7 @@ def _triple(spec: GroupSpec, case: int, rng: np.random.Generator):
     On SO(n) the delta-term cancellations require q isotropic and every
     column of M_P bilinearly orthogonal to q; a keeps (a,a) != 0.
     """
-    n, cols = spec.n, spec.coeff_columns
+    n, cols = spec.n, spec.ambient_dim
     orthogonal = spec.kind is GroupKind.SPECIAL_ORTHOGONAL
 
     def cvec(size):
@@ -462,12 +460,12 @@ def test_criterion_7_classification_consistency():
             points = sample_domain_points([f], spec, 4, 7100 + 50 * spec_i + trial)
             taus = []
             for point in points:
-                value = f.evaluate(point.matrix)
+                value = f.evaluate(point)
                 taus.append(abs(tension(f, point, ctx)) / max(1.0, abs(value)))
             if got is Classification.ProperBiharmonic:
                 assert max(taus) > 1e-9, (spec.code, trial)
                 for point in points[:2]:
-                    value = f.evaluate(point.matrix)
+                    value = f.evaluate(point)
                     tau = tension(f, point, ctx)
                     scale = max(1.0, abs(value), abs(tau))
                     assert abs(tension2(f, point, ctx)) <= 1e-7 * scale, (spec.code, trial)

@@ -311,7 +311,7 @@ def test_build_expression_harmonic_member(ctx_for):
     ctx = ctx_for(U3)
     points = sample_domain_points([h3, pairs[0][1]], U3, 5, 3100)
     for point in points:
-        value = h3.evaluate(point.matrix)
+        value = h3.evaluate(point)
         assert abs(tension(h3, point, ctx)) <= 1e-8 * max(1.0, abs(value))
 
 
@@ -323,13 +323,12 @@ def test_eigenfamily_constants_and_members(ctx_for):
         assert len(members) == fam.n_proper
         assert eigenfamily_constants(U3.mu, k) == (lam, kap)
         points = sample_domain_points(members, U3, 5, 3200 + k)
-        for point in points:
-            m = point.matrix
+        for m in points:
             values = [e.evaluate(m) for e in members]
             for i, e in enumerate(members):
-                assert relative_residual(tension(e, point, ctx), lam * values[i]) <= 1e-9
+                assert relative_residual(tension(e, m, ctx), lam * values[i]) <= 1e-9
                 for j in range(i, len(members)):
-                    actual = conformality(e, members[j], point, ctx)
+                    actual = conformality(e, members[j], m, ctx)
                     assert relative_residual(actual, kap * values[i] * values[j]) <= 1e-9
 
 
@@ -339,10 +338,9 @@ def test_eigenfamily_sp_constant(ctx_for):
     ctx = ctx_for(SP2)
     points = sample_domain_points(members, SP2, 5, 3300)
     # mu = -1/2 gives kappa(phi, psi) = -phi psi
-    for point in points:
-        m = point.matrix
+    for m in points:
         values = [e.evaluate(m) for e in members]
-        actual = conformality(members[0], members[1], point, ctx)
+        actual = conformality(members[0], members[1], m, ctx)
         assert relative_residual(actual, -values[0] * values[1]) <= 1e-9
 
 
@@ -367,7 +365,7 @@ def test_orthogonal_family_single_member_and_composition(ctx_for):
     composed = phi**2  # holomorphic composition stays harmonic and conformal
     for point in points:
         assert abs(conformality(phi, phi, point, ctx)) <= 1e-9
-        value = composed.evaluate(point.matrix)
+        value = composed.evaluate(point)
         assert abs(tension(composed, point, ctx)) <= 1e-8 * max(1.0, abs(value))
         assert abs(conformality(composed, composed, point, ctx)) <= 1e-8 * max(
             1.0, abs(value) ** 2
@@ -385,7 +383,7 @@ def test_rational_morphism_from_eigenfamily(ctx_for):
         morphism = rational_morphism(members, num, den)
         points = sample_domain_points([morphism], U3, 5, 3600)
         for point in points:
-            value = morphism.evaluate(point.matrix)
+            value = morphism.evaluate(point)
             assert abs(tension(morphism, point, ctx)) <= 1e-8 * max(1.0, abs(value))
             assert abs(conformality(morphism, morphism, point, ctx)) <= 1e-8 * max(
                 1.0, abs(value) ** 2

@@ -48,13 +48,12 @@ def coord(spec, j, a):
 def test_unitary_coordinate_relations(ctx_for, points_for):
     ctx = ctx_for(U3)
     rng = np.random.default_rng(1)
-    for point in points_for(U3, 6, 100):
-        m = point.matrix
+    for m in points_for(U3, 6, 100):
         for _ in range(4):
             j, a, k, b = rng.integers(0, 3, size=4)
-            tau = tension(coord(U3, j, a), point, ctx)
+            tau = tension(coord(U3, j, a), m, ctx)
             assert abs(tau + 3 * m[j, a]) <= 1e-10
-            kap = conformality(coord(U3, j, a), coord(U3, k, b), point, ctx)
+            kap = conformality(coord(U3, j, a), coord(U3, k, b), m, ctx)
             assert abs(kap + m[k, a] * m[j, b]) <= 1e-10
 
 
@@ -62,28 +61,26 @@ def test_quaternionic_coordinate_relations(ctx_for, points_for):
     # all five displayed relations: two eigen equations and three products
     ctx = ctx_for(SP2)
     lam = SP2.eigenvalue
-    for point in points_for(SP2, 6, 200):
-        m = point.matrix
+    for m in points_for(SP2, 6, 200):
         z = lambda j, a: coord(SP2, j, a)
         w = lambda j, a: coord(SP2, j, 2 + a)
         zv = lambda j, a: m[j, a]
         wv = lambda j, a: m[j, 2 + a]
-        assert abs(tension(z(0, 1), point, ctx) - lam * zv(0, 1)) <= 1e-10
-        assert abs(tension(w(1, 0), point, ctx) - lam * wv(1, 0)) <= 1e-10
-        assert abs(conformality(z(0, 1), z(1, 0), point, ctx) + 0.5 * zv(1, 1) * zv(0, 0)) <= 1e-10
-        assert abs(conformality(w(0, 1), w(1, 0), point, ctx) + 0.5 * wv(1, 1) * wv(0, 0)) <= 1e-10
-        assert abs(conformality(z(0, 1), w(1, 0), point, ctx) + 0.5 * zv(1, 1) * wv(0, 0)) <= 1e-10
+        assert abs(tension(z(0, 1), m, ctx) - lam * zv(0, 1)) <= 1e-10
+        assert abs(tension(w(1, 0), m, ctx) - lam * wv(1, 0)) <= 1e-10
+        assert abs(conformality(z(0, 1), z(1, 0), m, ctx) + 0.5 * zv(1, 1) * zv(0, 0)) <= 1e-10
+        assert abs(conformality(w(0, 1), w(1, 0), m, ctx) + 0.5 * wv(1, 1) * wv(0, 0)) <= 1e-10
+        assert abs(conformality(z(0, 1), w(1, 0), m, ctx) + 0.5 * zv(1, 1) * wv(0, 0)) <= 1e-10
 
 
 def test_orthogonal_coordinate_relations(ctx_for, points_for):
     # the delta term makes kappa affine in the coordinate products
     ctx = ctx_for(SO5)
-    for point in points_for(SO5, 6, 300):
-        m = point.matrix
-        assert abs(tension(coord(SO5, 1, 2), point, ctx) + 2 * m[1, 2]) <= 1e-10
-        off = conformality(coord(SO5, 0, 1), coord(SO5, 2, 3), point, ctx)
+    for m in points_for(SO5, 6, 300):
+        assert abs(tension(coord(SO5, 1, 2), m, ctx) + 2 * m[1, 2]) <= 1e-10
+        off = conformality(coord(SO5, 0, 1), coord(SO5, 2, 3), m, ctx)
         assert abs(off + 0.5 * m[2, 1] * m[0, 3]) <= 1e-10
-        diag = conformality(coord(SO5, 0, 1), coord(SO5, 0, 1), point, ctx)
+        diag = conformality(coord(SO5, 0, 1), coord(SO5, 0, 1), m, ctx)
         assert abs(diag + 0.5 * (m[0, 1] ** 2 - 1)) <= 1e-10
 
 
@@ -100,7 +97,7 @@ def test_quadruple_u3_product_rules(ctx_for):
     assert fam.mu == -1
     assert fam.n_members == 3 and fam.n_proper == 2
     ctx = ctx_for(U3)
-    points = [sample_point(U3, 40 + i) for i in range(20)]
+    points = np.array([sample_point(U3, 40 + i) for i in range(20)])
     for check in quadruple_checks(fam, ctx, points):
         assert check.passed, f"{check.name}: {check.max_residual}"
 
@@ -111,7 +108,7 @@ def test_quadruple_sp2_product_rules(ctx_for, choice):
     assert fam.mu == -0.5
     assert fam.n_proper == (2 if choice == 10 else 1)
     ctx = ctx_for(SP2)
-    points = [sample_point(SP2, 50 + i) for i in range(12)]
+    points = np.array([sample_point(SP2, 50 + i) for i in range(12)])
     for check in quadruple_checks(fam, ctx, points):
         assert check.passed, f"choice {choice}, {check.name}: {check.max_residual}"
 
@@ -121,7 +118,7 @@ def test_quadruple_so4_isotropic_rows(ctx_for):
     assert fam.so_mode == "isotropic_rows"
     assert fam.n_proper == 3
     ctx = ctx_for(SO4)
-    points = [sample_point(SO4, 60 + i) for i in range(12)]
+    points = np.array([sample_point(SO4, 60 + i) for i in range(12)])
     for check in quadruple_checks(fam, ctx, points):
         assert check.passed, f"{check.name}: {check.max_residual}"
 
@@ -136,7 +133,7 @@ def test_quadruple_so4_isotropic_columns(ctx_for, rng):
     assert fam.so_mode == "isotropic_columns"
     assert fam.n_proper == 0
     ctx = ctx_for(SO4)
-    points = [sample_point(SO4, 70 + i) for i in range(10)]
+    points = np.array([sample_point(SO4, 70 + i) for i in range(10)])
     for check in quadruple_checks(fam, ctx, points):
         assert check.passed, f"{check.name}: {check.max_residual}"
     # with distinct isotropic columns the member is proper
@@ -181,7 +178,7 @@ def test_quotient_of_equal_forms_is_one(points_for):
     form = LinearForm.column(U3, [1, 2, 3], 1)
     expr = quotient(form, form)
     for point in points_for(U3, 5, 500):
-        assert abs(expr.evaluate(point.matrix) - 1) <= 1e-14
+        assert abs(expr.evaluate(point) - 1) <= 1e-14
 
 
 def test_quotient_domain_error():
@@ -194,8 +191,7 @@ def test_quotient_domain_error():
 
 def test_quotient_matches_direct_entry_division(points_for):
     f = quotient(LinearForm.coordinate(U2, 0, 0), LinearForm.coordinate(U2, 1, 0))
-    for point in points_for(U2, 5, 600):
-        m = point.matrix
+    for m in points_for(U2, 5, 600):
         assert abs(f.evaluate(m) - m[0, 0] / m[1, 0]) <= 1e-12
 
 
@@ -206,7 +202,7 @@ def test_member_tension_harmonic_column(ctx_for, points_for):
     tau = fam.member_tension(harmonic_index)
     ctx = ctx_for(U3)
     for point in points_for(U3, 8, 700):
-        assert abs(tau.evaluate(point.matrix)) <= 1e-12
+        assert abs(tau.evaluate(point)) <= 1e-12
         assert abs(tension(fam.member_quotient(harmonic_index), point, ctx)) <= 1e-10
 
 
@@ -227,7 +223,7 @@ def test_member_tension_matches_operator(ctx_for, fam_builder):
     for i in range(fam.n_members):
         tau_sym = fam.member_tension(i)
         for point in points:
-            expected = tau_sym.evaluate(point.matrix)
+            expected = tau_sym.evaluate(point)
             actual = tension(fam.member_quotient(i), point, ctx)
             assert relative_residual(actual, expected) <= 1e-9
 
@@ -252,12 +248,11 @@ def test_member_identities_unitary(ctx_for):
     f = fam.member_quotient(i)
     tf = fam.member_tension(i)
     points = sample_domain_points([f, tf], U3, 8, 900)
-    for point in points:
-        m = point.matrix
+    for m in points:
         fv, tv = f.evaluate(m), tf.evaluate(m)
-        assert relative_residual(conformality(f, f, point, ctx), fv * tv) <= 1e-9
-        assert relative_residual(conformality(f, tf, point, ctx), tv * tv) <= 1e-9
-        assert relative_residual(conformality(tf, tf, point, ctx), -2 * tv * tv) <= 1e-9
+        assert relative_residual(conformality(f, f, m, ctx), fv * tv) <= 1e-9
+        assert relative_residual(conformality(f, tf, m, ctx), tv * tv) <= 1e-9
+        assert relative_residual(conformality(tf, tf, m, ctx), -2 * tv * tv) <= 1e-9
 
 
 @pytest.mark.parametrize(
@@ -283,17 +278,16 @@ def test_power_identities_general_mu(ctx_for, fam_builder):
     m_exp, l_exp = 2, 3
     pow_ti, pow_tj = Power(ti, m_exp), Power(tj, l_exp)
     pow_fi, pow_fj = Power(fi, m_exp), Power(fj, l_exp)
-    for point in points:
-        mat = point.matrix
+    for mat in points:
         fiv, fjv = fi.evaluate(mat), fj.evaluate(mat)
         tiv, tjv = ti.evaluate(mat), tj.evaluate(mat)
-        actual = conformality(pow_ti, pow_tj, point, ctx)
+        actual = conformality(pow_ti, pow_tj, mat, ctx)
         expected = 2 * mu * m_exp * l_exp * tiv**m_exp * tjv**l_exp
         assert relative_residual(actual, expected) <= 1e-9
-        actual = conformality(pow_fi, pow_tj, point, ctx)
+        actual = conformality(pow_fi, pow_tj, mat, ctx)
         expected = m_exp * l_exp * fiv ** (m_exp - 1) * tiv * tjv**l_exp
         assert relative_residual(actual, expected) <= 1e-9
-        actual = 2 * conformality(pow_fi, pow_fj, point, ctx)
+        actual = 2 * conformality(pow_fi, pow_fj, mat, ctx)
         expected = (
             m_exp
             * l_exp
@@ -302,7 +296,7 @@ def test_power_identities_general_mu(ctx_for, fam_builder):
             * (fiv * tjv + tiv * fjv)
         )
         assert relative_residual(actual, expected) <= 1e-9
-        actual = tension(pow_ti, point, ctx)
+        actual = tension(pow_ti, mat, ctx)
         expected = 2 * mu * m_exp * (m_exp - 1) * tiv**m_exp
         assert relative_residual(actual, expected) <= 1e-9
 
@@ -316,7 +310,7 @@ def test_inverse_square_denominator_tension(ctx_for):
         ctx = ctx_for(spec)
         points = sample_domain_points([inv_sq], spec, 6, seed)
         for point in points:
-            value = inv_sq.evaluate(point.matrix)
+            value = inv_sq.evaluate(point)
             expected = 2 * (spec.n - 3) * value
             assert relative_residual(tension(inv_sq, point, ctx), expected) <= 1e-9
 

@@ -75,17 +75,17 @@ def test_size_constraints():
 
 
 def test_sampling_deterministic():
-    a = sample_point(GroupSpec.unitary(3), 42).matrix
-    b = sample_point(GroupSpec.unitary(3), 42).matrix
+    a = sample_point(GroupSpec.unitary(3), 42)
+    b = sample_point(GroupSpec.unitary(3), 42)
     assert np.array_equal(a, b)
-    c = sample_point(GroupSpec.unitary(3), 43).matrix
+    c = sample_point(GroupSpec.unitary(3), 43)
     assert not np.allclose(a, c)
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: f"{s.code}{s.n}")
 def test_sampled_points_are_group_elements(spec):
     for seed in range(5):
-        m = sample_point(spec, seed).matrix
+        m = sample_point(spec, seed)
         dim = spec.ambient_dim
         assert np.max(np.abs(m @ m.conj().T - np.eye(dim))) <= 1e-12
         if spec.code == "so":
@@ -114,15 +114,15 @@ def test_translate_first_order_is_pz():
     p = sample_point(spec, 9)
     for elem in basis(spec):
         half_square = 0.5 * (elem.matrix @ elem.matrix)
-        jm = translate(p.matrix, elem.matrix, half_square)
-        assert np.array_equal(jm.a1, p.matrix @ elem.matrix)
-        assert np.array_equal(jm.a0, p.matrix)
-        assert np.array_equal(jm.a2, p.matrix @ half_square)
+        jm = translate(p, elem.matrix, half_square)
+        assert np.array_equal(jm.a1, p @ elem.matrix)
+        assert np.array_equal(jm.a0, p)
+        assert np.array_equal(jm.a2, p @ half_square)
         # a jet base gains a new outermost layer, each coefficient moved along Z
         nested = translate(jm, elem.matrix)
         assert nested.a0 is jm
         assert np.array_equal(nested.a1.a1, jm.a1 @ elem.matrix)
-        assert np.array_equal(nested.a2.a0, p.matrix @ half_square)
+        assert np.array_equal(nested.a2.a0, p @ half_square)
 
 
 def test_translate_orthogonal_generator():

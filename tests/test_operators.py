@@ -34,7 +34,7 @@ SP2 = GroupSpec.quaternionic_unitary(2)
 
 
 def random_form(spec, rng):
-    shape = (spec.n, spec.coeff_columns)
+    shape = (spec.n, spec.ambient_dim)
     return LinearForm(spec, rng.normal(size=shape) + 1j * rng.normal(size=shape))
 
 
@@ -59,13 +59,12 @@ def test_product_rule(ctx_for, spec):
     for f in exprs[:3]:
         for h in exprs[2:]:
             fh = Product((f, h))
-            for point in points:
-                m = point.matrix
-                lhs = tension(fh, point, ctx)
+            for m in points:
+                lhs = tension(fh, m, ctx)
                 rhs = (
-                    tension(f, point, ctx) * h.evaluate(m)
-                    + 2 * conformality(f, h, point, ctx)
-                    + f.evaluate(m) * tension(h, point, ctx)
+                    tension(f, m, ctx) * h.evaluate(m)
+                    + 2 * conformality(f, h, m, ctx)
+                    + f.evaluate(m) * tension(h, m, ctx)
                 )
                 assert relative_residual(lhs, rhs) <= 1e-9
 
@@ -77,15 +76,14 @@ def test_conformality_four_term_expansion(ctx_for, spec):
     ctx = ctx_for(spec)
     f, ft, h, ht = (FormExpr(random_form(spec, rng)) for _ in range(4))
     points = [sample_point(spec, 2100 + i) for i in range(5)]
-    for point in points:
-        m = point.matrix
+    for m in points:
         fv, ftv, hv, htv = (e.evaluate(m) for e in (f, ft, h, ht))
-        lhs = conformality(Product((f, ft)), Product((h, ht)), point, ctx)
+        lhs = conformality(Product((f, ft)), Product((h, ht)), m, ctx)
         rhs = (
-            ftv * htv * conformality(f, h, point, ctx)
-            + ftv * hv * conformality(f, ht, point, ctx)
-            + fv * htv * conformality(ft, h, point, ctx)
-            + fv * hv * conformality(ft, ht, point, ctx)
+            ftv * htv * conformality(f, h, m, ctx)
+            + ftv * hv * conformality(f, ht, m, ctx)
+            + fv * htv * conformality(ft, h, m, ctx)
+            + fv * hv * conformality(ft, ht, m, ctx)
         )
         assert relative_residual(lhs, rhs) <= 1e-9
 
@@ -109,21 +107,20 @@ def test_quotient_formulas(ctx_for, spec):
     q_form = FormExpr(random_form(spec, rng))
     f = Quotient(p_form, q_form)
     points = sample_domain_points([f], spec, 6, 2300)
-    for point in points:
-        m = point.matrix
+    for m in points:
         pv, qv = p_form.evaluate(m), q_form.evaluate(m)
-        kpp = conformality(p_form, p_form, point, ctx)
-        kpq = conformality(p_form, q_form, point, ctx)
-        kqq = conformality(q_form, q_form, point, ctx)
-        lhs_kappa = qv**4 * conformality(f, f, point, ctx)
+        kpp = conformality(p_form, p_form, m, ctx)
+        kpq = conformality(p_form, q_form, m, ctx)
+        kqq = conformality(q_form, q_form, m, ctx)
+        lhs_kappa = qv**4 * conformality(f, f, m, ctx)
         rhs_kappa = qv**2 * kpp - 2 * pv * qv * kpq + pv**2 * kqq
         assert relative_residual(lhs_kappa, rhs_kappa) <= 1e-9
-        lhs_tau = qv**3 * tension(f, point, ctx)
+        lhs_tau = qv**3 * tension(f, m, ctx)
         rhs_tau = (
-            qv**2 * tension(p_form, point, ctx)
+            qv**2 * tension(p_form, m, ctx)
             - 2 * qv * kpq
             + 2 * pv * kqq
-            - pv * qv * tension(q_form, point, ctx)
+            - pv * qv * tension(q_form, m, ctx)
         )
         assert relative_residual(lhs_tau, rhs_tau) <= 1e-9
 
@@ -156,7 +153,7 @@ def test_tension2_squares_the_eigenvalue(ctx_for, points_for):
     z = FormExpr(LinearForm.coordinate(U3, 1, 2))
     ctx = ctx_for(U3)
     for point in points_for(U3, 5, 2700):
-        expected = 9 * z.form.evaluate(point.matrix)
+        expected = 9 * z.form.evaluate(point)
         assert relative_residual(tension2(z, point, ctx), expected) <= 1e-12
 
 
@@ -166,7 +163,7 @@ def test_tension2_of_harmonic_member_vanishes(ctx_for):
     points = sample_domain_points(family, U3, 5, 2800)
     for member in family:
         for point in points:
-            value = member.evaluate(point.matrix)
+            value = member.evaluate(point)
             assert abs(tension2(member, point, ctx)) <= 1e-8 * max(1.0, abs(value))
 
 
@@ -182,7 +179,7 @@ def test_tension2_proper_biharmonic_member(ctx_for):
     points = sample_domain_points([phi, pairs[0][1]], U3, 5, 2900)
     saw_tension = 0.0
     for point in points:
-        value = phi.evaluate(point.matrix)
+        value = phi.evaluate(point)
         tau = tension(phi, point, ctx)
         saw_tension = max(saw_tension, abs(tau) / max(1.0, abs(value)))
         assert abs(tension2(phi, point, ctx)) <= 1e-7 * max(1.0, abs(value), abs(tau))
@@ -259,8 +256,7 @@ def test_batched_operators_match_per_element_reference(ctx_for, spec, sp_choice)
     ctx = ctx_for(spec)
     f, tau_f, phi = _member_and_candidate(spec, sp_choice)
     directions = [(e.matrix, 0.5 * (e.matrix @ e.matrix)) for e in basis(spec)]
-    points = sample_domain_points([phi, tau_f], spec, 3, 3100)
-    stack = np.array([p.matrix for p in points])
+    stack = sample_domain_points([phi, tau_f], spec, 3, 3100)
     taus = {id(h): tension(h, stack, ctx) for h in (f, phi)}
     kappas = conformality(f, tau_f, stack, ctx)
     bitensions = tension2(phi, stack, ctx)
@@ -286,13 +282,12 @@ def test_batched_operators_match_per_element_reference(ctx_for, spec, sp_choice)
 
 
 def test_single_point_and_stack_contract(ctx_for):
-    # a matrix or a GroupPoint gives a complex; a stack or a list of points
-    # gives one entry per point, equal to the single calls
+    # a matrix gives a complex; a stack gives one entry per point, equal to
+    # the single calls
     spec = GroupSpec.special_orthogonal(8)
     ctx = ctx_for(spec)
     f, tau_f, phi = _member_and_candidate(spec)
-    points = sample_domain_points([phi, tau_f], spec, 3, 3200)
-    stack = np.array([p.matrix for p in points])
+    stack = sample_domain_points([phi, tau_f], spec, 3, 3200)
     operators = [
         lambda x: tension(phi, x, ctx),
         lambda x: conformality(f, tau_f, x, ctx),
@@ -301,11 +296,9 @@ def test_single_point_and_stack_contract(ctx_for):
     for op in operators:
         batched = op(stack)
         assert batched.shape == (3,)
-        assert np.array_equal(op(points), batched)
-        for k, point in enumerate(points):
+        for k, point in enumerate(stack):
             single = op(point)
             assert type(single) is complex
-            assert op(point.matrix) == single
             assert abs(single - batched[k]) <= 1e-14 * max(1.0, abs(single))
 
 
@@ -314,7 +307,7 @@ def test_batch_with_one_point_on_the_denominator_zero_raises(ctx_for):
     ctx = ctx_for(U3)
     q_form = LinearForm.coordinate(U3, 0, 0)
     f = Quotient(FormExpr(LinearForm.coordinate(U3, 1, 1)), FormExpr(q_form))
-    good = [sample_point(U3, 3300 + i).matrix for i in range(2)]
+    good = [sample_point(U3, 3300 + i) for i in range(2)]
     on_zero = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
     assert q_form.evaluate(on_zero) == 0
     stack = np.array([good[0], on_zero, good[1]])

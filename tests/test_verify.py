@@ -1,0 +1,118 @@
+"""The domain sampler: one (P, N, N) stack, the seeds a per-draw loop keeps."""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+import biforge.verify
+from biforge.construct import biharmonic_family, build_expression, rational_morphism, tension_power_family
+from biforge.errors import DomainError
+from biforge.forms import Const, FormExpr, LinearForm, Quotient, Sum, make_quadruple
+from biforge.groups import GroupSpec, sample_point
+from biforge.verify import DEFAULT_DOMAIN_MARGIN, sample_domain_points
+
+U3 = GroupSpec.unitary(3)
+
+
+def _family(spec, seed):
+    # seeded generating vectors, isotropic rows on SO(n)
+    rng = np.random.default_rng(seed)
+    n = spec.n
+    if spec.code == "so":
+        u1, v1, u2, v2 = np.linalg.qr(rng.normal(size=(n, 4)))[0].T
+        p, q = u1 + 1j * v1, u2 + 1j * v2
+    else:
+        p, q = (rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(2))
+    a, b = (rng.uniform(0.5, 1.5, size=n) * np.exp(2j * np.pi * rng.uniform(size=n)) for _ in range(2))
+    return make_quadruple(spec, p, q, a, b)
+
+
+def _so8_rational_morphism():
+    spec = GroupSpec.special_orthogonal(8)
+    family = tension_power_family(_family(spec, 41), 2)[:2]
+    morphism = rational_morphism(family, {(1, 0): 1.0}, {(0, 1): 1.0})
+    return [morphism, *family], spec
+
+
+def _su4_candidate_21():
+    spec = GroupSpec.unitary(4)
+    fam = _family(spec, 43)
+    pairs = [(fam.member_quotient(i), fam.member_tension(i)) for i in fam.proper_indices[:2]]
+    phi = build_expression(biharmonic_family((2, 1), Fraction(-1)).proper_member, pairs)
+    return [phi, *(tf for _, tf in pairs)], spec
+
+
+def _per_draw_reference(exprs, spec, count, seed):
+    """Each seed drawn alone and kept when every denominator clears the margin."""
+    nodes = [node for expr in exprs for node in expr.quotient_nodes()]
+    kept, draws = [], 0
+    while len(kept) < count:
+        m = sample_point(spec, seed + draws)
+        draws += 1
+        try:
+            ok = all(
+                abs(node.denominator.evaluate(m)) >= DEFAULT_DOMAIN_MARGIN * node.den_scale
+                for node in nodes
+            )
+        except DomainError:
+            ok = False
+        if ok:
+            kept.append(m)
+    return np.array(kept), draws
+
+
+@pytest.mark.parametrize(
+    "build, seed",
+    [(_so8_rational_morphism, 260), (_su4_candidate_21, 140)],
+    ids=["so8-rational-k2", "su4-candidate-21"],
+)
+def test_stack_matches_per_draw_reference(build, seed):
+    exprs, spec = build()
+    count = 8
+    expected, draws = _per_draw_reference(exprs, spec, count, seed)
+    assert draws > count  # some draws are rejected
+    points = sample_domain_points(exprs, spec, count, seed)
+    assert points.shape == (count, spec.ambient_dim, spec.ambient_dim)
+    assert np.array_equal(points, expected)
+
+
+def test_quotient_nodes_come_children_first():
+    exprs, _ = _so8_rational_morphism()
+    nodes = exprs[0].quotient_nodes()
+    order = {id(node): k for k, node in enumerate(nodes)}
+    nested = [node for node in nodes if node.denominator.quotient_nodes()]
+    assert nested  # the morphism divides by a quotient
+    for node in nested:
+        for inner in node.denominator.quotient_nodes():
+            assert order[id(inner)] < order[id(node)]
+
+
+def test_draw_on_an_inner_denominator_zero_is_rejected_alone(monkeypatch):
+    # the outer denominator 3 + z11/z00 reads the inner quotient, so a batch
+    # containing a point with z00 = 0 would raise there; the inner margin
+    # check must drop that one draw first and keep the rest of its round
+    inner = Quotient(FormExpr(LinearForm.coordinate(U3, 1, 1)), FormExpr(LinearForm.coordinate(U3, 0, 0)))
+    outer = Quotient(Const(1.0), Sum((Const(3.0), inner)))
+    on_zero = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
+    with pytest.raises(DomainError):
+        outer.evaluate(on_zero)
+    seed = 3300
+    drawn = []
+
+    def fake_sample_point(spec, s):
+        drawn.append(s)
+        return on_zero if s == seed + 2 else sample_point(spec, s)
+
+    monkeypatch.setattr(biforge.verify, "sample_point", fake_sample_point)
+    points = sample_domain_points([outer], U3, 4, seed)
+    assert drawn == [seed + k for k in range(5)]
+    assert np.array_equal(points, np.array([sample_point(U3, seed + k) for k in (0, 1, 3, 4)]))
+
+
+def test_constant_denominator_keeps_every_draw():
+    # x / 2 guards a denominator without matrix entries: its one value
+    # stands for every draw of the round
+    half = FormExpr(LinearForm.coordinate(U3, 0, 1)) / 2
+    points = sample_domain_points([half], U3, 3, 3400)
+    assert np.array_equal(points, np.array([sample_point(U3, 3400 + k) for k in range(3)]))
