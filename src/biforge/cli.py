@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -105,6 +106,12 @@ def _parse_points(count: int) -> int:
     if count < 1:
         raise BiforgeError(f"--points must be at least 1, got {count}")
     return count
+
+
+def _parse_tol(tol: float) -> float:
+    if not (math.isfinite(tol) and tol > 0):
+        raise BiforgeError(f"--tol must be a finite number above 0, got {tol}")
+    return tol
 
 
 def _parse_seed(seed: int) -> int:
@@ -482,7 +489,7 @@ def main(argv=None) -> int:
                 args.quadruple,
                 args.out,
                 points=_parse_points(args.points),
-                tol=args.tol,
+                tol=_parse_tol(args.tol),
                 seed=_parse_seed(args.seed),
                 as_json=args.as_json,
             )
@@ -493,7 +500,7 @@ def main(argv=None) -> int:
             n=args.n,
             sp_choice=args.choice,
             points=_parse_points(args.points),
-            tol=args.tol,
+            tol=_parse_tol(args.tol),
             seed=_parse_seed(args.seed),
             as_json=args.as_json,
         )

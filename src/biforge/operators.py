@@ -14,11 +14,15 @@ Every operator evaluates h on packed Laplacian jets (see
 :mod:`biforge.algebra`): all points and all basis directions in one
 array per tree node, holding each point's value, its first derivatives
 along every Z_b and the basis sum of its second derivatives.
-``tension`` and ``conformality`` walk the expression tree once, whatever
-the number of points.  ``tension2`` computes tau(tau(h)) by moving the
-points along each outer direction W with a t-series of three orders and
-reading the t**2 coefficient of the basis sum: |B| walks in all.
-Derivatives are read off with the half-second-derivative convention.
+``laplacian_jets`` walks a list of expressions once, with one shared
+cache, and returns all of that for every expression: the value is
+column 0, tau is twice the last column, and ``kappa_matrix`` gives
+kappa of every pair as one Gram product of the first-order columns.
+``tension`` and ``conformality`` read one or two expressions off it.
+``tension2`` computes tau(tau(h)) by moving the points along each outer
+direction W with a t-series of three orders and reading the t**2
+coefficient of the basis sum: |B| walks in all.  Derivatives are read
+off with the half-second-derivative convention.
 
 Points come as a (P, N, N) stack, as sampled, and give a (P,) array; a
 single (N, N) matrix is a batch of one and gives a complex.
@@ -37,6 +41,8 @@ from .groups import GroupSpec, iter_basis
 
 __all__ = [
     "OperatorContext",
+    "laplacian_jets",
+    "kappa_matrix",
     "tension",
     "conformality",
     "tension2",
@@ -89,30 +95,54 @@ def _coefficients(value, walk: PackedPoint) -> np.ndarray:
     return c
 
 
-def _result(values: np.ndarray, single: bool):
-    return complex(values[0]) if single else values
+def _result(values):
+    """A single point's 0-d result as a complex, a batch's (P,) array as it is."""
+    return complex(values) if np.ndim(values) == 0 else values
+
+
+def laplacian_jets(exprs, point, ctx: OperatorContext) -> np.ndarray:
+    """Packed coefficients of every expression at the points, from one walk.
+
+    Returns shape (len(exprs), P, |B| + 2): per point the value, the |B|
+    first derivatives along the basis and the basis sum of the second
+    coefficients.  The roots share one cache, so a root that is read
+    again, or that another root contains, is evaluated once.  A single
+    (N, N) matrix gives shape (len(exprs), |B| + 2).
+    """
+    stack, single = _batch(point)
+    walk = PackedPoint(stack[:, None], ctx.extended)
+    cache: dict = {}
+    jets = np.stack([_coefficients(h.evaluate(walk, cache), walk)[:, 0] for h in exprs])
+    return jets[:, 0] if single else jets
+
+
+def kappa_matrix(jets: np.ndarray) -> np.ndarray:
+    """kappa of every pair of the expressions behind ``jets``, shape (E, E, ...).
+
+    One Gram product of the first-order columns, sum_b d_ib d_jb over the
+    basis, made exactly symmetric as (G + G^T) / 2.  The transposed
+    operand is a copy: for ``d @ d.T`` of one buffer numpy runs a
+    symmetric rank-k update, whose fixed operand roles would make
+    kappa(h1, h2) and kappa(h2, h1) differ in the last bit (a complex
+    multiply is not bit-symmetric); a general product computes every
+    entry the same way.
+    """
+    d = np.moveaxis(jets[..., 1:-1], 0, -2)
+    gram = d @ np.ascontiguousarray(d.swapaxes(-1, -2))
+    return np.moveaxis((gram + gram.swapaxes(-1, -2)) / 2, (-2, -1), (0, 1))
 
 
 def tension(h: RationalExpr, point, ctx: OperatorContext):
     """tau(h) at the points: twice the basis sum of second jet coefficients."""
-    stack, single = _batch(point)
-    walk = PackedPoint(stack[:, None], ctx.extended)
-    return _result(2 * _coefficients(h.evaluate(walk), walk)[:, 0, -1], single)
+    return _result(2 * laplacian_jets([h], point, ctx)[0, ..., -1])
 
 
 def conformality(h1: RationalExpr, h2: RationalExpr, point, ctx: OperatorContext):
     """kappa(h1, h2) at the points: basis sum of first-derivative products.
 
-    Exactly symmetric in (h1, h2): each summand is the symmetrized
-    product (d1 d2 + d2 d1) / 2, because numpy's vectorized complex
-    multiply is not bit-symmetric in its operands.
+    Exactly symmetric in (h1, h2), as every entry of ``kappa_matrix``.
     """
-    stack, single = _batch(point)
-    walk = PackedPoint(stack[:, None], ctx.extended)
-    cache: dict = {}
-    d1 = _coefficients(h1.evaluate(walk, cache), walk)[:, 0, 1:-1]
-    d2 = _coefficients(h2.evaluate(walk, cache), walk)[:, 0, 1:-1]
-    return _result(np.sum((d1 * d2 + d2 * d1) / 2, axis=-1), single)
+    return _result(kappa_matrix(laplacian_jets([h1, h2], point, ctx))[0, 1])
 
 
 def tension2(h: RationalExpr, point, ctx: OperatorContext):
@@ -128,7 +158,7 @@ def tension2(h: RationalExpr, point, ctx: OperatorContext):
         moved = stack @ w
         walk = PackedPoint(np.stack([stack, moved, 0.5 * (moved @ w)], axis=1), ctx.extended)
         total += 4 * _coefficients(h.evaluate(walk), walk)[:, 2, -1]
-    return _result(total, single)
+    return _result(total[0] if single else total)
 
 
 def relative_residual(actual, expected):

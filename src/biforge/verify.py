@@ -5,9 +5,14 @@ Points are drawn by incrementing the seed and kept when every denominator
 in the expressions under test is bounded away from zero (relative to its
 coefficient scale), so residuals are measured inside the domain and away
 from poles.  The sampler returns the kept points as one (P, N, N) stack
-in seed order; every check takes that stack, evaluates all its points as
-one batch and reduces per-point residual arrays to their maximum, so
-reports are deterministic.
+in seed order; every check takes that stack and reduces per-point
+residual arrays to their maximum, so reports are deterministic.
+
+Each check walks every function it reads once, through
+``operators.laplacian_jets``, and reads values, tensions and kappa pairs
+(``operators.kappa_matrix``) off that walk.  The closed-form member
+tension is evaluated on the plain stack, so the jet side never reads the
+formula it checks.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from .construct import CoeffTable, build_expression, tension_table
 from .errors import SamplingExhausted
 from .forms import QuadrupleFamily, RationalExpr
 from .groups import GroupSpec, sample_point
-from .operators import OperatorContext, conformality, relative_residual, tension, tension2
+from .operators import OperatorContext, kappa_matrix, laplacian_jets, relative_residual, tension2
 from .report import CheckResult, VerificationReport
 
 __all__ = [
@@ -76,11 +81,6 @@ def sample_domain_points(
     return points
 
 
-def _worst(residuals) -> float:
-    """Largest entry over an iterable of per-point residual arrays."""
-    return max(np.max(r) for r in residuals)
-
-
 def quadruple_checks(
     fam: QuadrupleFamily,
     ctx: OperatorContext,
@@ -88,49 +88,38 @@ def quadruple_checks(
     tol_eigen: float = 1e-9,
     tol_kappa: float = 1e-9,
 ) -> list[CheckResult]:
-    """Eigenfunction residuals and the ten conformality product rules."""
-    mu_const = fam.mu
-    spec = fam.spec
-    forms = fam.all_forms()
-    exprs = {id(f): fam._expr(f) for f in forms}
-    values = {id(f): f.evaluate(points) for f in forms}
+    """Eigenfunction residuals and the ten conformality product rules.
 
-    eigen = _worst(
-        relative_residual(tension(exprs[id(f)], points, ctx), spec.eigenvalue * values[id(f)])
-        for f in forms
-    )
+    All forms are walked once; each rule is a set of index lookups into
+    their kappa matrix and their values.
+    """
+    jets = laplacian_jets([fam._expr(f) for f in fam.all_forms()], points, ctx)
+    values = jets[..., 0]
+    kappa = kappa_matrix(jets)
+    eigen = np.max(relative_residual(2 * jets[..., -1], fam.spec.eigenvalue * values))
     checks = [CheckResult.upper("eigenfunctions", eigen, tol_eigen)]
 
-    p_list = list(fam.numerators)
-    s_list = list(fam.exchange_numerators)
-    q = fam.denominator
-    r = fam.exchange_denominator
-    members = range(fam.n_members)
-
-    # (left, right, expected product in evaluated values)
+    # indices in all_forms() order: P_0 .. P_{m-1}, Q, R, S_0 .. S_{m-1}
+    m = fam.n_members
+    members = range(m)
+    q, r = m, m + 1
+    s = [m + 2 + i for i in members]
+    # (left, right, fa, fb): kappa(left, right) = mu * fa * fb
     relations = {
-        "kappa(P,P)": [(p_list[i], p_list[j], (p_list[i], p_list[j])) for i in members for j in members if i <= j],
-        "kappa(S,S)": [(s_list[i], s_list[j], (s_list[i], s_list[j])) for i in members for j in members if i <= j],
-        "kappa(Q,Q)": [(q, q, (q, q))],
-        "kappa(R,R)": [(r, r, (r, r))],
-        "kappa(Q,R)": [(q, r, (q, r))],
-        "kappa(Q,S)": [(q, s_list[j], (q, s_list[j])) for j in members],
-        "kappa(P,R)": [(p_list[j], r, (p_list[j], r)) for j in members],
-        "kappa(P_i,S_j)=mu*P_j*S_i": [
-            (p_list[i], s_list[j], (p_list[j], s_list[i])) for i in members for j in members
-        ],
-        "kappa(P,Q)=mu*R*S": [(p_list[j], q, (r, s_list[j])) for j in members],
-        "kappa(R,S)=mu*P*Q": [(r, s_list[j], (p_list[j], q)) for j in members],
+        "kappa(P,P)": [(i, j, i, j) for i in members for j in members if i <= j],
+        "kappa(S,S)": [(s[i], s[j], s[i], s[j]) for i in members for j in members if i <= j],
+        "kappa(Q,Q)": [(q, q, q, q)],
+        "kappa(R,R)": [(r, r, r, r)],
+        "kappa(Q,R)": [(q, r, q, r)],
+        "kappa(Q,S)": [(q, s[j], q, s[j]) for j in members],
+        "kappa(P,R)": [(j, r, j, r) for j in members],
+        "kappa(P_i,S_j)=mu*P_j*S_i": [(i, s[j], j, s[i]) for i in members for j in members],
+        "kappa(P,Q)=mu*R*S": [(j, q, r, s[j]) for j in members],
+        "kappa(R,S)=mu*P*Q": [(r, s[j], j, q) for j in members],
     }
-
-    for name, triples in relations.items():
-        worst = _worst(
-            relative_residual(
-                conformality(exprs[id(left)], exprs[id(right)], points, ctx),
-                mu_const * values[id(fa)] * values[id(fb)],
-            )
-            for left, right, (fa, fb) in triples
-        )
+    for name, rows in relations.items():
+        left, right, fa, fb = np.array(rows).T
+        worst = np.max(relative_residual(kappa[left, right], fam.mu * values[fa] * values[fb]))
         checks.append(CheckResult.upper(name, worst, tol_kappa))
     return checks
 
@@ -142,12 +131,10 @@ def closed_form_tension_checks(
     tol: float = 1e-9,
 ) -> list[CheckResult]:
     """Closed-form member tension against the jet-computed operator."""
-    worst = _worst(
-        relative_residual(
-            tension(fam.member_quotient(i), points, ctx), fam.member_tension(i).evaluate(points)
-        )
-        for i in range(fam.n_members)
-    )
+    members = range(fam.n_members)
+    jets = laplacian_jets([fam.member_quotient(i) for i in members], points, ctx)
+    closed = np.array([fam.member_tension(i).evaluate(points) for i in members])
+    worst = np.max(relative_residual(2 * jets[..., -1], closed))
     return [CheckResult.upper("closed-form tension", worst, tol)]
 
 
@@ -166,8 +153,9 @@ def candidate_checks(
     the properness witness is max over points of |tau phi| / max(1, |phi|)
     and must reach ``min_tau``.
     """
-    value = np.abs(phi.evaluate(points))
-    tau = np.abs(tension(phi, points, ctx))
+    jets = laplacian_jets([phi], points, ctx)[0]
+    value = np.abs(jets[:, 0])
+    tau = np.abs(2 * jets[:, -1])
     tau_ratio = tau / np.maximum(1.0, value)
     if not proper:
         return [CheckResult.upper("tension", np.max(tau_ratio), tol_tau)]
@@ -199,13 +187,9 @@ def oracle_equivalence_check(
     """
     tau_sym = build_expression(tension_table(table, mu), pairs)
     direct = tension2(phi, points, ctx)
-    via_expansion = tension(tau_sym, points, ctx)
-    scale = np.maximum.reduce([
-        np.ones(len(points)),
-        np.abs(phi.evaluate(points)),
-        np.abs(tau_sym.evaluate(points)),
-        np.abs(via_expansion),
-    ])
+    jets = laplacian_jets([phi, tau_sym], points, ctx)
+    via_expansion = 2 * jets[1, :, -1]
+    scale = np.maximum.reduce([np.ones(len(points)), *np.abs(jets[..., 0]), np.abs(via_expansion)])
     return CheckResult.upper(
         "bitension route equivalence", np.max(np.abs(direct - via_expansion) / scale), tol
     )
@@ -220,18 +204,12 @@ def eigenfamily_checks(
     tol: float = 1e-9,
 ) -> list[CheckResult]:
     """Definition of an eigenfamily: common eigenvalue and kappa constant."""
-    cache: dict = {}
-    values = [phi.evaluate(points, cache) for phi in members]
-    tau = _worst(
-        relative_residual(tension(phi, points, ctx), eigenvalue * value)
-        for phi, value in zip(members, values)
-    )
-    kappa = _worst(
-        relative_residual(
-            conformality(members[i], members[j], points, ctx), kappa_constant * values[i] * values[j]
-        )
-        for i in range(len(members))
-        for j in range(i, len(members))
+    jets = laplacian_jets(members, points, ctx)
+    values = jets[..., 0]
+    tau = np.max(relative_residual(2 * jets[..., -1], eigenvalue * values))
+    left, right = np.triu_indices(len(members))
+    kappa = np.max(
+        relative_residual(kappa_matrix(jets)[left, right], kappa_constant * values[left] * values[right])
     )
     return [
         CheckResult.upper("eigenfamily tension", tau, tol),
@@ -246,9 +224,10 @@ def morphism_checks(
     tol: float = 1e-8,
 ) -> list[CheckResult]:
     """Harmonic morphism conditions: tension and kappa(f, f) both vanish."""
-    value = np.abs(expr.evaluate(points))
-    tau = np.abs(tension(expr, points, ctx)) / np.maximum(1.0, value)
-    kap = np.abs(conformality(expr, expr, points, ctx)) / np.maximum(1.0, value**2)
+    jets = laplacian_jets([expr], points, ctx)
+    value = np.abs(jets[0, :, 0])
+    tau = np.abs(2 * jets[0, :, -1]) / np.maximum(1.0, value)
+    kap = np.abs(kappa_matrix(jets)[0, 0]) / np.maximum(1.0, value**2)
     return [
         CheckResult.upper("tension", np.max(tau), tol),
         CheckResult.upper("horizontal conformality", np.max(kap), tol),

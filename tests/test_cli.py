@@ -333,6 +333,21 @@ def test_negative_seed_exits_2(tmp_path, capsys, command):
     assert "--seed must be non-negative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("command", ["verify", "morphism"])
+def test_tol_must_be_finite_and_positive(tmp_path, capsys, command, tol):
+    # 0, -1 and nan would fail every check numerically, inf would pass them all
+    out = _construct(tmp_path)
+    argv = {
+        "verify": ["verify", "--coeffs", str(out / "coeffs.json"), "--quadruple",
+                   str(out / "quadruple.json"), "--points", "2"],
+        "morphism": ["morphism", "--group", "su", "--n", "3", "--points", "2"],
+    }[command]
+    capsys.readouterr()
+    assert run(argv + ["--tol", tol]) == 2
+    assert "--tol must be a finite number above 0" in capsys.readouterr().err
+
+
 # max_residual and pass flag of every check of `verify --points 4 --seed 1`,
 # recorded from the per-point, nested-jet evaluation these reports were
 # first computed with (tables from `construct --seed 1`)

@@ -7,6 +7,7 @@ forms, on all three groups.
 """
 
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -20,11 +21,13 @@ from biforge.groups import GroupSpec, LieBasisElement, basis, sample_point
 from biforge.operators import (
     OperatorContext,
     conformality,
+    kappa_matrix,
+    laplacian_jets,
     relative_residual,
     tension,
     tension2,
 )
-from biforge.verify import eigenfamily_checks, sample_domain_points
+from biforge.verify import eigenfamily_checks, quadruple_checks, sample_domain_points
 from biforge.forms import make_quadruple
 
 U2 = GroupSpec.unitary(2)
@@ -218,10 +221,8 @@ def test_standard_bases_have_no_corrections():
         assert np.allclose(ctx.extended[-1], half_sum, rtol=0, atol=1e-15)
 
 
-def _member_and_candidate(spec, sp_choice=None):
-    # a quadruple family from seeded vectors (isotropic rows on SO(n)), its
-    # first proper member f = P/Q and the degree-2 proper biharmonic
-    # candidate built from it
+def _quadruple(spec, sp_choice=None):
+    # a quadruple family from seeded vectors (isotropic rows on SO(n))
     rng = np.random.default_rng(31)
     n = spec.n
     if spec.code == "so":
@@ -230,7 +231,13 @@ def _member_and_candidate(spec, sp_choice=None):
     else:
         p, q = (rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(2))
     a, b = (rng.uniform(0.5, 1.5, size=n) * np.exp(2j * np.pi * rng.uniform(size=n)) for _ in range(2))
-    fam = make_quadruple(spec, p, q, a, b, sp_choice=sp_choice)
+    return make_quadruple(spec, p, q, a, b, sp_choice=sp_choice)
+
+
+def _member_and_candidate(spec, sp_choice=None):
+    # the first proper member f = P/Q of the quadruple family and the
+    # degree-2 proper biharmonic candidate built from it
+    fam = _quadruple(spec, sp_choice)
     i = fam.proper_indices[0]
     pairs = [(fam.member_quotient(i), fam.member_tension(i))]
     table = biharmonic_coefficients(2, Fraction(spec.mu), 4, 0)
@@ -340,3 +347,76 @@ def test_context_build_peak_stays_near_what_it_keeps(spec):
         if not tracing:
             tracemalloc.stop()
     assert peak <= 1.25 * ctx.extended.nbytes
+
+
+FAMILIES = [(U3, None), (GroupSpec.special_orthogonal(6), None), (SP2, 10)]
+FAMILY_IDS = ["su3", "so6", "sp2-choice10"]
+
+
+def _family_exprs(spec, sp_choice):
+    # every form of a quadruple family, its member quotients and 3 points
+    fam = _quadruple(spec, sp_choice)
+    quotients = [fam.member_quotient(i) for i in range(fam.n_members)]
+    exprs = [fam._expr(f) for f in fam.all_forms()] + quotients
+    return fam, exprs, sample_domain_points(quotients, spec, 3, 3500)
+
+
+@pytest.mark.parametrize("spec, sp_choice", FAMILIES, ids=FAMILY_IDS)
+def test_laplacian_jets_match_per_expression_operators(ctx_for, spec, sp_choice):
+    # one walk over every expression gives each one's value, tension and
+    # pairwise kappa; the references walk one expression, or one pair, at
+    # a time, and the Jet2 reference moves one point along one element
+    ctx = ctx_for(spec)
+    _, exprs, points = _family_exprs(spec, sp_choice)
+    jets = laplacian_jets(exprs, points, ctx)
+    assert jets.shape == (len(exprs), 3, spec.dimension + 2)
+    kappa = kappa_matrix(jets)
+    assert kappa.shape == (len(exprs), len(exprs), 3)
+    assert np.array_equal(kappa, kappa.swapaxes(0, 1))
+    for a, h in enumerate(exprs):
+        assert np.all(relative_residual(jets[a, :, 0], h.evaluate(points)) <= 1e-12)
+        assert np.all(relative_residual(2 * jets[a, :, -1], tension(h, points, ctx)) <= 1e-12)
+        for b, g in enumerate(exprs[a:], a):
+            assert np.all(relative_residual(kappa[a, b], conformality(h, g, points, ctx)) <= 1e-12)
+    directions = [(e.matrix, 0.5 * (e.matrix @ e.matrix)) for e in basis(spec)]
+    for k, base in enumerate(points):
+        moved = [[h.evaluate(translate(base, z, zh)) for z, zh in directions] for h in exprs]
+        for a, along in enumerate(moved):
+            _assert_sum_matches(2 * jets[a, k, -1], [2 * jet.a2 for jet in along])
+            for b in range(a, len(exprs)):
+                _assert_sum_matches(kappa[a, b, k], [x.a1 * y.a1 for x, y in zip(along, moved[b])])
+
+
+def test_constant_root_has_zero_derivative_columns(ctx_for):
+    ctx = ctx_for(U3)
+    _, exprs, points = _family_exprs(U3, None)
+    jets = laplacian_jets([Const(3.0 - 2.0j), exprs[0]], points, ctx)
+    assert np.all(jets[0, :, 0] == 3.0 - 2.0j)
+    assert not np.any(jets[0, :, 1:])
+    assert not np.any(kappa_matrix(jets)[0])
+
+
+def test_laplacian_jets_of_one_matrix_drop_the_point_axis(ctx_for):
+    spec = GroupSpec.special_orthogonal(6)
+    ctx = ctx_for(spec)
+    _, exprs, points = _family_exprs(spec, None)
+    batched = laplacian_jets(exprs, points, ctx)
+    for k, point in enumerate(points):
+        single = laplacian_jets(exprs, point, ctx)
+        assert single.shape == (len(exprs), spec.dimension + 2)
+        assert np.all(np.abs(single - batched[:, k]) <= 1e-14 * np.maximum(1.0, np.abs(single)))
+
+
+@pytest.mark.parametrize("spec, sp_choice", FAMILIES, ids=FAMILY_IDS)
+def test_quadruple_checks_evaluate_each_form_once(ctx_for, monkeypatch, spec, sp_choice):
+    fam, _, points = _family_exprs(spec, sp_choice)
+    calls = Counter()
+    evaluate = LinearForm.evaluate
+
+    def counted(self, point):
+        calls[id(self)] += 1
+        return evaluate(self, point)
+
+    monkeypatch.setattr(LinearForm, "evaluate", counted)
+    quadruple_checks(fam, ctx_for(spec), points)
+    assert calls == Counter(id(f) for f in fam.all_forms())

@@ -1,5 +1,7 @@
-"""The domain sampler: one (P, N, N) stack, the seeds a per-draw loop keeps."""
+"""The domain sampler: one (P, N, N) stack, the seeds a per-draw loop keeps;
+and the relation bookkeeping of the checks that read one packed walk."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -10,12 +12,13 @@ from biforge.construct import biharmonic_family, build_expression, rational_morp
 from biforge.errors import DomainError
 from biforge.forms import Const, FormExpr, LinearForm, Quotient, Sum, make_quadruple
 from biforge.groups import GroupSpec, sample_point
-from biforge.verify import DEFAULT_DOMAIN_MARGIN, sample_domain_points
+from biforge.operators import OperatorContext, conformality, relative_residual, tension
+from biforge.verify import DEFAULT_DOMAIN_MARGIN, eigenfamily_checks, quadruple_checks, sample_domain_points
 
 U3 = GroupSpec.unitary(3)
 
 
-def _family(spec, seed):
+def _family(spec, seed, sp_choice=None):
     # seeded generating vectors, isotropic rows on SO(n)
     rng = np.random.default_rng(seed)
     n = spec.n
@@ -25,7 +28,7 @@ def _family(spec, seed):
     else:
         p, q = (rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(2))
     a, b = (rng.uniform(0.5, 1.5, size=n) * np.exp(2j * np.pi * rng.uniform(size=n)) for _ in range(2))
-    return make_quadruple(spec, p, q, a, b)
+    return make_quadruple(spec, p, q, a, b, sp_choice=sp_choice)
 
 
 def _so8_rational_morphism():
@@ -116,3 +119,76 @@ def test_constant_denominator_keeps_every_draw():
     half = FormExpr(LinearForm.coordinate(U3, 0, 1)) / 2
     points = sample_domain_points([half], U3, 3, 3400)
     assert np.array_equal(points, np.array([sample_point(U3, 3400 + k) for k in range(3)]))
+
+
+def _reference_quadruple_residuals(fam, ctx, points):
+    """The ten product rules spelled out by name, one conformality call per pair."""
+    p, s = fam.numerators, fam.exchange_numerators
+    q, r = fam.denominator, fam.exchange_denominator
+    members = range(fam.n_members)
+    values = {id(f): f.evaluate(points) for f in fam.all_forms()}
+
+    def kappa(left, right, fa, fb):
+        actual = conformality(FormExpr(left), FormExpr(right), points, ctx)
+        return np.max(relative_residual(actual, fam.mu * values[id(fa)] * values[id(fb)]))
+
+    eigen = max(
+        np.max(relative_residual(tension(FormExpr(f), points, ctx), fam.spec.eigenvalue * values[id(f)]))
+        for f in fam.all_forms()
+    )
+    relations = {
+        "kappa(P,P)": [(p[i], p[j], p[i], p[j]) for i in members for j in members if i <= j],
+        "kappa(S,S)": [(s[i], s[j], s[i], s[j]) for i in members for j in members if i <= j],
+        "kappa(Q,Q)": [(q, q, q, q)],
+        "kappa(R,R)": [(r, r, r, r)],
+        "kappa(Q,R)": [(q, r, q, r)],
+        "kappa(Q,S)": [(q, s[j], q, s[j]) for j in members],
+        "kappa(P,R)": [(p[j], r, p[j], r) for j in members],
+        "kappa(P_i,S_j)=mu*P_j*S_i": [(p[i], s[j], p[j], s[i]) for i in members for j in members],
+        "kappa(P,Q)=mu*R*S": [(p[j], q, r, s[j]) for j in members],
+        "kappa(R,S)=mu*P*Q": [(r, s[j], p[j], q) for j in members],
+    }
+    return {"eigenfunctions": eigen} | {
+        name: max(kappa(*row) for row in rows) for name, rows in relations.items()
+    }
+
+
+def _reference_eigenfamily_residuals(members, eigenvalue, kappa_constant, ctx, points):
+    values = [h.evaluate(points) for h in members]
+    tau = max(
+        np.max(relative_residual(tension(h, points, ctx), eigenvalue * v)) for h, v in zip(members, values)
+    )
+    kappa = max(
+        np.max(relative_residual(
+            conformality(members[i], members[j], points, ctx), kappa_constant * values[i] * values[j]
+        ))
+        for i in range(len(members))
+        for j in range(i, len(members))
+    )
+    return {"eigenfamily tension": tau, "eigenfamily kappa": kappa}
+
+
+@pytest.mark.parametrize(
+    "spec, sp_choice",
+    [(U3, None), (GroupSpec.special_orthogonal(6), None), (GroupSpec.quaternionic_unitary(2), 10)],
+    ids=["su3", "so6", "sp2-choice10"],
+)
+@pytest.mark.parametrize("mu_factor", [1, 2], ids=["mu", "2mu"])
+def test_checks_match_per_pair_reference(spec, sp_choice, mu_factor):
+    # every residual read from the one-walk kappa matrix equals the named
+    # per-pair reference; with mu doubled every kappa relation fails, so a
+    # wrong index in the relation table cannot pass unnoticed
+    fam = _family(spec, 47, sp_choice)
+    fam = dataclasses.replace(fam, mu=mu_factor * fam.mu)
+    ctx = OperatorContext.for_spec(spec)
+    points = sample_domain_points([fam.member_quotient(i) for i in range(fam.n_members)], spec, 3, 3600)
+    members = [FormExpr(f) for f in fam.numerators]
+    checks = quadruple_checks(fam, ctx, points)
+    checks += eigenfamily_checks(members, spec.eigenvalue, fam.mu, ctx, points)
+    expected = _reference_quadruple_residuals(fam, ctx, points)
+    expected |= _reference_eigenfamily_residuals(members, spec.eigenvalue, fam.mu, ctx, points)
+    assert [c.name for c in checks] == list(expected)
+    for check in checks:
+        assert abs(check.max_residual - expected[check.name]) <= 1e-12 * max(1.0, expected[check.name])
+        is_kappa = "kappa" in check.name
+        assert check.passed == (mu_factor == 1 or not is_kappa), check.name
