@@ -29,7 +29,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -64,40 +63,15 @@ from .verify import (
     sample_domain_points,
 )
 
-__all__ = ["main", "RunConfig", "REFERENCE_FIXTURES"]
-
-
-@dataclass
-class RunConfig:
-    """Validated run parameters shared by the subcommands."""
-
-    group: str
-    n: int
-    degrees: tuple[int, ...] = (1,)
-    mu: Fraction | None = None
-    sp_choice: int | None = None
-    beta: int = 0
-    points: int = 20
-    tol: float = 1e-7
-    seed: int = 1
-    out: Path = field(default_factory=lambda: Path("out"))
-    as_json: bool = False
-
-    def spec(self) -> GroupSpec:
-        return GroupSpec.from_code(self.group, self.n)
-
-    def mu_value(self) -> Fraction:
-        if self.mu is not None:
-            return self.mu
-        return Fraction(self.spec().mu)
+__all__ = ["main", "REFERENCE_FIXTURES"]
 
 
 def _parse_degrees(text: str) -> tuple[int, ...]:
     try:
-        degrees = tuple(int(part) for part in text.split(",") if part.strip())
+        degrees = tuple(int(part) for part in text.split(","))
     except ValueError as exc:
-        raise BiforgeError(f"cannot parse degrees {text!r}") from exc
-    if not degrees or any(d < 1 for d in degrees):
+        raise BiforgeError(f"cannot parse --degrees {text!r}") from exc
+    if any(d < 1 for d in degrees):
         raise BiforgeError("degrees must be positive integers, e.g. --degrees 2,1")
     return degrees
 
@@ -164,11 +138,9 @@ def _seeded_vectors(spec: GroupSpec, rng: np.random.Generator):
             return p, q, a, b
 
 
-def _build_family(config: RunConfig) -> QuadrupleFamily:
-    spec = config.spec()
-    rng = np.random.default_rng(config.seed)
-    p, q, a, b = _seeded_vectors(spec, rng)
-    return make_quadruple(spec, p, q, a, b, beta=config.beta, sp_choice=config.sp_choice)
+def _build_family(spec: GroupSpec, seed: int, beta: int, choice: int | None) -> QuadrupleFamily:
+    p, q, a, b = _seeded_vectors(spec, np.random.default_rng(seed))
+    return make_quadruple(spec, p, q, a, b, beta=beta, sp_choice=choice)
 
 
 def _member_pairs(fam: QuadrupleFamily, m: int):
@@ -176,25 +148,26 @@ def _member_pairs(fam: QuadrupleFamily, m: int):
     return [(fam.member_quotient(i), fam.member_tension(i)) for i in indices]
 
 
-def cmd_construct(config: RunConfig) -> int:
-    fam = _build_family(config)
-    m = len(config.degrees)
+def cmd_construct(
+    group: str, n: int, degrees: tuple[int, ...], *,
+    mu: Fraction | None, seed: int, beta: int, choice: int | None, out: Path,
+) -> int:
+    spec = GroupSpec.from_code(group, n)
+    fam = _build_family(spec, seed, beta, choice)
+    m = len(degrees)
     if m > fam.n_proper:
         raise BiforgeError(
             f"need {m} proper members but the family has {fam.n_proper}; "
             "use a larger n or, on sp, --choice 10"
         )
-    family = biharmonic_family(config.degrees, config.mu_value())
-    config.out.mkdir(parents=True, exist_ok=True)
-    coeffs_path = config.out / "coeffs.json"
-    quad_path = config.out / "quadruple.json"
+    family = biharmonic_family(degrees, Fraction(spec.mu) if mu is None else mu)
+    out.mkdir(parents=True, exist_ok=True)
+    coeffs_path = out / "coeffs.json"
+    quad_path = out / "quadruple.json"
     coeffs_path.write_text(family.proper_member.to_json(fam.spec, family.mu) + "\n")
     quad_path.write_text(fam.to_json() + "\n")
     print(f"wrote {coeffs_path} and {quad_path}")
-    print(
-        f"group={config.group} n={config.n} degrees={config.degrees} "
-        f"proper members available: {fam.n_proper}"
-    )
+    print(f"group={group} n={n} degrees={degrees} proper members available: {fam.n_proper}")
     return 0
 
 
@@ -377,40 +350,43 @@ def cmd_reproduce(as_json: bool) -> int:
     return 0
 
 
-def cmd_morphism(config: RunConfig, kind: str, k: int | None, out_file: Path | None) -> int:
+def cmd_morphism(
+    group: str, n: int, kind: str, out_file: Path | None, *,
+    k: int | None, choice: int | None, points: int, tol: float, seed: int, as_json: bool,
+) -> int:
     if kind == "orthogonal":
-        for flag, value in (("--choice", config.sp_choice), ("--k", k)):
+        for flag, value in (("--choice", choice), ("--k", k)):
             if value is not None:
                 raise BiforgeError(f"{flag} applies only to --kind rational")
     elif k is None:
         k = 1
-    spec = config.spec()
+    spec = GroupSpec.from_code(group, n)
     ctx = OperatorContext.for_spec(spec)
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     checks = []
     if kind == "orthogonal":
         if spec.kind is not GroupKind.UNITARY:
             raise BiforgeError("orthogonal column-ratio families live on the unitary group")
         q = rng.normal(size=spec.n) + 1j * rng.normal(size=spec.n)
         family = column_ratio_family(q, spec, beta=0)
-        points = sample_domain_points(family, spec, config.points, config.seed)
+        points = sample_domain_points(family, spec, points, seed)
         # eigenvalue 0 and kappa constant 0 are exactly the morphism conditions
-        checks += eigenfamily_checks(family, 0.0, 0.0, ctx, points, tol=config.tol)
-        checks += morphism_checks(family[0], ctx, points, tol=config.tol)
+        checks += eigenfamily_checks(family, 0.0, 0.0, ctx, points, tol=tol)
+        checks += morphism_checks(family[0], ctx, points, tol=tol)
         subject = f"orthogonal column-ratio family, {len(family)} members"
     else:
-        fam = _build_family(config)
+        fam = _build_family(spec, seed, 0, choice)
         if fam.n_proper < 2:
             raise BiforgeError("need at least two proper members for a rational morphism")
         family = tension_power_family(fam, k)[:2]
         lam, kap = eigenfamily_constants(spec.mu, k)
         morphism = rational_morphism(family, {(1, 0): 1.0}, {(0, 1): 1.0})
-        points = sample_domain_points([morphism, *family], spec, config.points, config.seed)
+        points = sample_domain_points([morphism, *family], spec, points, seed)
         checks += eigenfamily_checks(family, lam, kap, ctx, points, tol=1e-9)
-        checks += morphism_checks(morphism, ctx, points, tol=config.tol)
+        checks += morphism_checks(morphism, ctx, points, tol=tol)
         subject = f"rational morphism from the k={k} tension-power family"
-    report = assemble_report(subject, spec, points, config.seed, checks)
-    return _emit(report, out_file, config.as_json)
+    report = assemble_report(subject, spec, points, seed, checks)
+    return _emit(report, out_file, as_json)
 
 
 # ---------------------------------------------------------------------------
@@ -472,17 +448,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "construct":
-            config = RunConfig(
-                group=args.group,
-                n=args.n,
-                degrees=_parse_degrees(args.degrees),
+            return cmd_construct(
+                args.group,
+                args.n,
+                _parse_degrees(args.degrees),
                 mu=_parse_mu(args.mu),
-                sp_choice=args.choice,
-                beta=args.beta,
                 seed=_parse_seed(args.seed),
+                beta=args.beta,
+                choice=args.choice,
                 out=args.out,
             )
-            return cmd_construct(config)
         if args.command == "verify":
             return cmd_verify(
                 args.coeffs,
@@ -495,16 +470,18 @@ def main(argv=None) -> int:
             )
         if args.command == "reproduce":
             return cmd_reproduce(args.as_json)
-        config = RunConfig(
-            group=args.group,
-            n=args.n,
-            sp_choice=args.choice,
+        return cmd_morphism(
+            args.group,
+            args.n,
+            args.kind,
+            args.out,
+            k=args.k,
+            choice=args.choice,
             points=_parse_points(args.points),
             tol=_parse_tol(args.tol),
             seed=_parse_seed(args.seed),
             as_json=args.as_json,
         )
-        return cmd_morphism(config, args.kind, args.k, args.out)
     except (BiforgeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

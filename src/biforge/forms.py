@@ -16,6 +16,11 @@ Laplacian jet per node for all P points at once.  Quotient nodes guard
 their denominator and raise DomainError when it comes near zero at any
 of the points.
 
+:func:`walk_order` lists a forest's nodes children first with their read
+counts; :func:`evaluate_all` walks the forest once on them, computing a
+node shared by several roots once.  ``RationalExpr.evaluate`` is its
+single-root case.
+
 A :class:`QuadrupleFamily` packages the eigenfunction quadruples
 (numerators P_i, common denominator Q, and the exchange forms R, S_i)
 whose conformality products close up with a constant mu:
@@ -46,6 +51,8 @@ from .groups import GroupKind, GroupSpec
 __all__ = [
     "LinearForm",
     "RationalExpr",
+    "walk_order",
+    "evaluate_all",
     "Const",
     "FormExpr",
     "Sum",
@@ -145,57 +152,71 @@ class LinearForm:
 _MISSING = object()
 
 
+def walk_order(roots) -> tuple[list, dict]:
+    """Every node under ``roots`` once, children first, and the reads of
+    each by id: one per parent that lists it plus one per place in
+    ``roots``, how often a walk over the forest reads its value.
+    """
+    reads: dict = {}
+    order = []
+    stack = [(root, False) for root in reversed(roots)]
+    while stack:
+        node, done = stack.pop()
+        if done:
+            order.append(node)
+            continue
+        reads[id(node)] = reads.get(id(node), 0) + 1
+        if reads[id(node)] == 1:
+            stack.append((node, True))
+            stack.extend((child, False) for child in node._children())
+    return order, reads
+
+
+def evaluate_all(roots, point) -> list:
+    """The value of every root at ``point``, from one walk over the forest.
+
+    A value is kept only while its reads say it will be read again, so
+    a node shared inside or across roots is computed once.
+    """
+    return _walk(roots, point, _repeated_reads(roots))
+
+
+def _repeated_reads(roots) -> dict:
+    return {key: count for key, count in walk_order(roots)[1].items() if count > 1}
+
+
+def _walk(roots, point, repeated: dict) -> list:
+    walk = ({}, dict(repeated))
+    return [root._eval(point, walk) for root in roots]
+
+
 class RationalExpr:
     """Evaluable expression tree over linear forms and complex constants."""
 
     __slots__ = ("_reads",)
 
-    def evaluate(self, point, cache: dict | None = None):
+    def evaluate(self, point):
         """The tree's value at a matrix, a (P, N, N) stack of matrices, a
         (nested) JetMatrix or a PackedPoint.
 
-        A walk keeps a node's value only while another parent can still
-        read it: a node with more than one parent stays cached until its
-        last read, every other value is dropped once used.  The root's
-        value is left in ``cache``, so evaluations at the same point that
-        share a cache reuse each other's roots.
+        The single-root case of :func:`evaluate_all`; the tree's reads
+        are counted on its first evaluation and kept for the next.
         """
-        if cache is None:
-            cache = {}
-        value = cache.get(id(self), _MISSING)
-        if value is _MISSING:
-            value = cache[id(self)] = self._compute(point, (cache, dict(self._shared_reads())))
-        return value
-
-    def _shared_reads(self) -> dict:
-        """Parent count of every node below the root with more than one parent."""
-        try:
-            return self._reads
-        except AttributeError:
-            pass
-        parents: dict = {}
-        stack = [self]
-        while stack:
-            for child in stack.pop()._children():
-                if id(child) not in parents:
-                    parents[id(child)] = 0
-                    stack.append(child)
-                parents[id(child)] += 1
-        self._reads = {key: count for key, count in parents.items() if count > 1}
-        return self._reads
+        if not hasattr(self, "_reads"):
+            self._reads = _repeated_reads([self])
+        return _walk([self], point, self._reads)[0]
 
     def _eval(self, point, walk):
         cache, reads = walk
         key = id(self)
+        if key not in reads:
+            return self._compute(point, walk)
         value = cache.get(key, _MISSING)
         if value is _MISSING:
-            value = self._compute(point, walk)
-            if key in reads:
-                cache[key] = value
-        if key in reads:
-            reads[key] -= 1
-            if not reads[key]:
-                del reads[key], cache[key]
+            value = cache[key] = self._compute(point, walk)
+        reads[key] -= 1
+        if not reads[key]:
+            del reads[key], cache[key]
         return value
 
     def _compute(self, point, walk):
@@ -203,23 +224,6 @@ class RationalExpr:
 
     def coeff_scale(self) -> float:
         raise NotImplementedError
-
-    def quotient_nodes(self):
-        """All Quotient nodes in the tree, children first: every quotient
-        inside a denominator comes before the quotient dividing by it."""
-        seen = set()
-        stack = [(self, False)]
-        out = []
-        while stack:
-            node, done = stack.pop()
-            if done:
-                if isinstance(node, Quotient):
-                    out.append(node)
-            elif id(node) not in seen:
-                seen.add(id(node))
-                stack.append((node, True))
-                stack.extend((child, False) for child in node._children())
-        return out
 
     def _children(self):
         return ()

@@ -14,10 +14,11 @@ Every operator evaluates h on packed Laplacian jets (see
 :mod:`biforge.algebra`): all points and all basis directions in one
 array per tree node, holding each point's value, its first derivatives
 along every Z_b and the basis sum of its second derivatives.
-``laplacian_jets`` walks a list of expressions once, with one shared
-cache, and returns all of that for every expression: the value is
-column 0, tau is twice the last column, and ``kappa_matrix`` gives
-kappa of every pair as one Gram product of the first-order columns.
+``laplacian_jets`` walks a list of expressions once, as one forest
+(``forms.evaluate_all``), and returns all of that for every
+expression: the value is column 0, tau is twice the last column, and
+``kappa_matrix`` gives kappa of every pair as one Gram product of the
+first-order columns.
 ``tension`` and ``conformality`` read one or two expressions off it.
 ``tension2`` computes tau(tau(h)) by moving the points along each outer
 direction W with a t-series of three orders and reading the t**2
@@ -36,7 +37,7 @@ import numpy as np
 
 from .algebra import PackedJet, PackedPoint
 from .errors import ShapeError
-from .forms import RationalExpr
+from .forms import RationalExpr, evaluate_all
 from .groups import GroupSpec, iter_basis
 
 __all__ = [
@@ -105,14 +106,13 @@ def laplacian_jets(exprs, point, ctx: OperatorContext) -> np.ndarray:
 
     Returns shape (len(exprs), P, |B| + 2): per point the value, the |B|
     first derivatives along the basis and the basis sum of the second
-    coefficients.  The roots share one cache, so a root that is read
-    again, or that another root contains, is evaluated once.  A single
-    (N, N) matrix gives shape (len(exprs), |B| + 2).
+    coefficients.  The expressions are one forest to ``evaluate_all``, so
+    a node they share is evaluated once.  A single (N, N) matrix gives
+    shape (len(exprs), |B| + 2).
     """
     stack, single = _batch(point)
     walk = PackedPoint(stack[:, None], ctx.extended)
-    cache: dict = {}
-    jets = np.stack([_coefficients(h.evaluate(walk, cache), walk)[:, 0] for h in exprs])
+    jets = np.stack([_coefficients(value, walk)[:, 0] for value in evaluate_all(exprs, walk)])
     return jets[:, 0] if single else jets
 
 

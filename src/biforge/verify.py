@@ -21,7 +21,7 @@ import numpy as np
 
 from .construct import CoeffTable, build_expression, tension_table
 from .errors import SamplingExhausted
-from .forms import QuadrupleFamily, RationalExpr
+from .forms import QuadrupleFamily, Quotient, RationalExpr, evaluate_all, walk_order
 from .groups import GroupSpec, sample_point
 from .operators import OperatorContext, kappa_matrix, laplacian_jets, relative_residual, tension2
 from .report import CheckResult, VerificationReport
@@ -59,8 +59,8 @@ def sample_domain_points(
     far above the Quotient guard's ``rel_tol``.
     """
     guards = {}
-    for expr in exprs:
-        for node in expr.quotient_nodes():
+    for node in walk_order(exprs)[0]:
+        if isinstance(node, Quotient):
             guards.setdefault(id(node.denominator), (node.denominator, margin * node.den_scale))
     n = spec.ambient_dim
     points = np.empty((0, n, n), dtype=complex)
@@ -130,10 +130,11 @@ def closed_form_tension_checks(
     points,
     tol: float = 1e-9,
 ) -> list[CheckResult]:
-    """Closed-form member tension against the jet-computed operator."""
+    """Closed-form member tension against the jet-computed operator; the
+    quotients are one jet walk and their closed forms one plain walk."""
     members = range(fam.n_members)
     jets = laplacian_jets([fam.member_quotient(i) for i in members], points, ctx)
-    closed = np.array([fam.member_tension(i).evaluate(points) for i in members])
+    closed = np.array(evaluate_all([fam.member_tension(i) for i in members], points))
     worst = np.max(relative_residual(2 * jets[..., -1], closed))
     return [CheckResult.upper("closed-form tension", worst, tol)]
 

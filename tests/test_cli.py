@@ -78,6 +78,11 @@ def test_construct_bad_degrees(tmp_path, capsys):
     code = run(["construct", "--group", "su", "--n", "3", "--degrees", "0", "--out", str(tmp_path)])
     assert code == 2
     assert "degrees" in capsys.readouterr().err
+    for degrees in ("2,,1", "2,1,"):
+        code = run(["construct", "--group", "su", "--n", "3", "--degrees", degrees, "--out", str(tmp_path)])
+        assert code == 2
+        assert "--degrees" in capsys.readouterr().err
+    assert not (tmp_path / "coeffs.json").exists()
 
 
 def test_construct_rejects_mu_with_zero_denominator(tmp_path, capsys):

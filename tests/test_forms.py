@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from biforge.algebra import PackedPoint
 from biforge.errors import (
     DimensionMismatch,
     DomainError,
@@ -19,9 +20,11 @@ from biforge.forms import (
     QuadrupleFamily,
     classify,
     columns_pairwise_dependent,
+    evaluate_all,
     isotropic,
     make_quadruple,
     quotient,
+    walk_order,
 )
 from biforge.groups import GroupSpec, sample_point
 from biforge.operators import conformality, relative_residual, tension
@@ -253,6 +256,29 @@ def test_member_identities_unitary(ctx_for):
         assert relative_residual(conformality(f, f, m, ctx), fv * tv) <= 1e-9
         assert relative_residual(conformality(f, tf, m, ctx), tv * tv) <= 1e-9
         assert relative_residual(conformality(tf, tf, m, ctx), -2 * tv * tv) <= 1e-9
+
+
+def test_forest_walk_matches_separate_walks(ctx_for, monkeypatch):
+    # a repeated root and a root that contains another: the forest reads
+    # tau f three times and computes it, and each of its forms, once
+    fam = fam_u3()
+    tf = fam.member_tension(fam.proper_indices[0])
+    roots = [tf, Power(tf, 2), tf]
+    order, reads = walk_order(roots)
+    assert len(order) == len(reads) == len({id(node) for node in order})
+    assert reads[id(tf)] == 3 and reads[id(roots[1])] == 1
+    stack = sample_domain_points([tf], U3, 3, 950)
+    packed = PackedPoint(stack[:, None], ctx_for(U3).extended)
+    separate = [[root.evaluate(point) for root in roots] for point in (stack, packed)]
+    calls = []
+    evaluate = LinearForm.evaluate
+    monkeypatch.setattr(LinearForm, "evaluate", lambda self, point: calls.append(self) or evaluate(self, point))
+    for point, expected in zip((stack, packed), separate):
+        got = evaluate_all(roots, point)
+        for value, reference in zip(got, expected):
+            value, reference = getattr(value, "c", value), getattr(reference, "c", reference)
+            assert value.shape == reference.shape and np.array_equal(value, reference)
+    assert len(calls) == 2 * 4  # P, Q, R and S once per point type
 
 
 @pytest.mark.parametrize(

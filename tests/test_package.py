@@ -1,6 +1,8 @@
-"""Package hygiene: every exported name resolves and every demo runs."""
+"""Package hygiene: every exported name resolves, every demo runs and
+every function the traced benchmark patches exists."""
 
 import importlib
+import importlib.util
 import os
 import pkgutil
 import subprocess
@@ -30,3 +32,20 @@ def test_demo_runs(demo, tmp_path):
         [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_bench_layer_targets_resolve():
+    # bench/layers.py patches these names by string; a rename in biforge
+    # would otherwise only show up as a crash of a traced benchmark run
+    spec = importlib.util.spec_from_file_location("bench_layers", ROOT / "bench" / "layers.py")
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    for base, home, attr, callers in layers.SPANS + layers.COUNTS:
+        module = importlib.import_module(f"biforge.{home}")
+        if "." in attr:
+            cls_name, method = attr.split(".")
+            assert method in vars(getattr(module, cls_name)), base
+        else:
+            assert callable(getattr(module, attr, None)), base
+        for caller in callers:
+            importlib.import_module(f"biforge.{caller}")

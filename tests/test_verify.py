@@ -10,10 +10,16 @@ import pytest
 import biforge.verify
 from biforge.construct import biharmonic_family, build_expression, rational_morphism, tension_power_family
 from biforge.errors import DomainError
-from biforge.forms import Const, FormExpr, LinearForm, Quotient, Sum, make_quadruple
+from biforge.forms import Const, FormExpr, LinearForm, Quotient, Sum, make_quadruple, walk_order
 from biforge.groups import GroupSpec, sample_point
 from biforge.operators import OperatorContext, conformality, relative_residual, tension
-from biforge.verify import DEFAULT_DOMAIN_MARGIN, eigenfamily_checks, quadruple_checks, sample_domain_points
+from biforge.verify import (
+    DEFAULT_DOMAIN_MARGIN,
+    closed_form_tension_checks,
+    eigenfamily_checks,
+    quadruple_checks,
+    sample_domain_points,
+)
 
 U3 = GroupSpec.unitary(3)
 
@@ -46,9 +52,14 @@ def _su4_candidate_21():
     return [phi, *(tf for _, tf in pairs)], spec
 
 
+def _quotients(exprs):
+    """The forest's Quotient nodes in walk order."""
+    return [node for node in walk_order(exprs)[0] if isinstance(node, Quotient)]
+
+
 def _per_draw_reference(exprs, spec, count, seed):
     """Each seed drawn alone and kept when every denominator clears the margin."""
-    nodes = [node for expr in exprs for node in expr.quotient_nodes()]
+    nodes = _quotients(exprs)
     kept, draws = [], 0
     while len(kept) < count:
         m = sample_point(spec, seed + draws)
@@ -82,12 +93,12 @@ def test_stack_matches_per_draw_reference(build, seed):
 
 def test_quotient_nodes_come_children_first():
     exprs, _ = _so8_rational_morphism()
-    nodes = exprs[0].quotient_nodes()
+    nodes = _quotients(exprs[:1])
     order = {id(node): k for k, node in enumerate(nodes)}
-    nested = [node for node in nodes if node.denominator.quotient_nodes()]
+    nested = [node for node in nodes if _quotients([node.denominator])]
     assert nested  # the morphism divides by a quotient
     for node in nested:
-        for inner in node.denominator.quotient_nodes():
+        for inner in _quotients([node.denominator]):
             assert order[id(inner)] < order[id(node)]
 
 
@@ -192,3 +203,25 @@ def test_checks_match_per_pair_reference(spec, sp_choice, mu_factor):
         assert abs(check.max_residual - expected[check.name]) <= 1e-12 * max(1.0, expected[check.name])
         is_kappa = "kappa" in check.name
         assert check.passed == (mu_factor == 1 or not is_kappa), check.name
+
+
+def test_closed_form_tension_checks_evaluate_each_form_once_per_side(monkeypatch):
+    # sp(4) --choice 10 has 4 members over 10 distinct forms: the jet walk
+    # reads P_0..P_3 and Q, the plain walk of the closed forms P, Q, R and S
+    spec = GroupSpec.quaternionic_unitary(4)
+    fam = _family(spec, 53, sp_choice=10)
+    assert fam.n_members == 4
+    ctx = OperatorContext.for_spec(spec)
+    points = sample_domain_points([fam.member_quotient(i) for i in range(4)], spec, 2, 3700)
+    calls = []
+    evaluate = LinearForm.evaluate
+
+    def counting(self, point):
+        calls.append(self)
+        return evaluate(self, point)
+
+    monkeypatch.setattr(LinearForm, "evaluate", counting)
+    [check] = closed_form_tension_checks(fam, ctx, points)
+    assert check.passed
+    assert len(calls) == 15
+    assert len({id(form) for form in calls}) == 10
