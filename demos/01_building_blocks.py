@@ -4,7 +4,9 @@ Everything downstream rests on three ingredients shown here:
 
 1. orthonormal Lie-algebra bases for U(n), SO(n), Sp(n);
 2. degree-2 jets of the curve p * exp(s Z), which turn differentiation
-   along one-parameter subgroups into truncated Taylor arithmetic;
+   along one-parameter subgroups into truncated Taylor arithmetic: the
+   moved point is a Jet2 of matrices, and a linear form evaluated on it
+   gives the jet of that matrix coefficient;
 3. the tension field (Laplace-Beltrami) and conformality operator as
    plain basis sums of jet coefficients.
 
@@ -16,7 +18,7 @@ coordinate products, which is what every later construction exploits.
 import numpy as np
 
 from biforge import GroupSpec, basis, sample_point, translate
-from biforge.forms import FormExpr, LinearForm
+from biforge.forms import LinearForm
 from biforge.operators import OperatorContext, conformality, tension
 
 for spec in (GroupSpec.unitary(3), GroupSpec.special_orthogonal(4), GroupSpec.quaternionic_unitary(2)):
@@ -30,13 +32,13 @@ m = sample_point(spec, seed=42)
 
 print("\nsampled U(3) point, unitarity residual:", np.max(np.abs(m @ m.conj().T - np.eye(3))))
 
+z11 = LinearForm.coordinate(spec, 0, 0)
+z22 = LinearForm.coordinate(spec, 1, 1)
 elem = next(e for e in basis(spec) if e.label == "iD1")
-jet = translate(m, elem.matrix).entry(0, 0)
+jet = z11.evaluate(translate(m, elem.matrix))
 print(f"2-jet of entry (0,0) along {elem.label}: "
       f"value={jet.a0:.4f}, d/ds={jet.a1:.4f}, d2/ds2={2 * jet.a2:.4f}")
 
-z11 = FormExpr(LinearForm.coordinate(spec, 0, 0))
-z22 = FormExpr(LinearForm.coordinate(spec, 1, 1))
 print("\ntension(z11) =", tension(z11, m, ctx))
 print("-n * z11     =", spec.eigenvalue * m[0, 0])
 print("kappa(z11, z22) =", conformality(z11, z22, m, ctx))

@@ -8,7 +8,7 @@ combinations harmonic or proper biharmonic, and independently verifies
 every construction by jet differentiation along one-parameter subgroups.
 """
 
-from .algebra import Jet2, JetMatrix, translate
+from .algebra import Jet2, translate
 from .construct import (
     CoeffTable,
     FamilyKind,

@@ -6,7 +6,8 @@ Three scalar families are used throughout the package:
   every linear-system solve in :mod:`biforge.construct`;
 * degree-2 truncated Taylor jets (:class:`Jet2`), the generic
   differentiation primitive: one direction at a time, over any
-  coefficient ring, nestable;
+  coefficient ring, nestable; a point moved along one direction
+  (:func:`translate`) is a Jet2 whose coefficients are matrices;
 * packed Laplacian jets (:class:`PackedJet`), what the operators of
   :mod:`biforge.operators` evaluate: every sampled point and every
   basis direction in one array per tree node.
@@ -18,8 +19,9 @@ A ``Jet2`` stores ``(a0, a1, a2)`` with the convention
 so ``a2`` carries *half* of the second derivative; extraction sites that
 need h''(0) must read ``2*a2``.  This convention keeps multiplication a
 plain coefficient convolution.  Coefficients are generic: complex
-numbers, ``Fraction``, or further jets.  Nesting a jet-over-jets (outer
-parameter t, inner parameter s) represents the two-parameter expansion
+numbers, ``Fraction``, matrices, or further jets.  Nesting a
+jet-over-jets (outer parameter t, inner parameter s) represents the
+two-parameter expansion
 
     h(s, t) = sum_{i,j<=2} c_ij s**i t**j + ...,
 
@@ -68,7 +70,6 @@ from .errors import DegenerateJetDivision, ShapeError
 
 __all__ = [
     "Jet2",
-    "JetMatrix",
     "PackedJet",
     "PackedPoint",
     "jet_reciprocal",
@@ -204,56 +205,28 @@ def _reciprocal_scalar(x):
     return 1 / x
 
 
-class JetMatrix:
-    """Matrix-valued 2-jet: three coefficient layers sharing one shape.
-
-    ``a0``, ``a1``, ``a2`` are complex ndarrays or further JetMatrix
-    layers (for nested jets).  Entry extraction produces the
-    corresponding scalar :class:`Jet2`; linear algebra stays vectorized
-    on the coefficient matrices, which is what makes jet evaluation of
-    linear forms cheap.  This is the one-direction reference path; the
-    operators evaluate :class:`PackedPoint` instead.
-    """
-
-    __slots__ = ("a0", "a1", "a2")
-
-    def __init__(self, a0, a1, a2):
-        self.a0 = a0
-        self.a1 = a1
-        self.a2 = a2
-
-    @property
-    def shape(self):
-        layer = self.a0
-        while isinstance(layer, JetMatrix):
-            layer = layer.a0
-        return layer.shape
-
-    def entry(self, i: int, j: int) -> Jet2:
-        if isinstance(self.a0, JetMatrix):
-            return Jet2(self.a0.entry(i, j), self.a1.entry(i, j), self.a2.entry(i, j))
-        return Jet2(self.a0[i, j], self.a1[i, j], self.a2[i, j])
-
-
 def _times(x, m: np.ndarray):
     """``x @ m`` layer by layer."""
-    if isinstance(x, JetMatrix):
-        return JetMatrix(_times(x.a0, m), _times(x.a1, m), _times(x.a2, m))
+    if isinstance(x, Jet2):
+        return Jet2(_times(x.a0, m), _times(x.a1, m), _times(x.a2, m))
     return x @ m
 
 
-def translate(base, direction: np.ndarray, half_square: np.ndarray | None = None) -> JetMatrix:
-    """2-jet of ``base * exp(s*Z)``: ``base + s*(base Z) + s**2*(base Z**2/2)``.
+def translate(base, direction: np.ndarray, half_square: np.ndarray | None = None) -> Jet2:
+    """2-jet of ``base * exp(s*Z)``: ``Jet2(base, base Z, base Z**2/2)``.
 
-    ``base`` is a matrix or a JetMatrix; for a JetMatrix the new parameter
-    s becomes the outermost jet layer, giving a nested two-parameter jet.
-    ``direction`` is one (N, N) matrix Z.
+    ``base`` is a matrix or a Jet2 of matrices; for a jet the new
+    parameter s becomes the outermost jet layer, giving a nested
+    two-parameter jet.  ``direction`` is one (N, N) matrix Z.  This is
+    the one-direction reference path; the operators evaluate
+    :class:`PackedPoint` instead.
     """
-    if direction.ndim != 2 or base.shape[1] != direction.shape[0]:
-        raise ShapeError(f"cannot translate a {base.shape} base along a {direction.shape} direction")
+    shape = leading_value(base).shape
+    if direction.ndim != 2 or shape[1] != direction.shape[0]:
+        raise ShapeError(f"cannot translate a {shape} base along a {direction.shape} direction")
     if half_square is None:
         half_square = 0.5 * (direction @ direction)
-    return JetMatrix(base, _times(base, direction), _times(base, half_square))
+    return Jet2(base, _times(base, direction), _times(base, half_square))
 
 
 # ---------------------------------------------------------------------------

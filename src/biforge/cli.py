@@ -54,7 +54,6 @@ from .groups import GroupKind, GroupSpec
 from .operators import OperatorContext
 from .report import VerificationReport
 from .verify import (
-    assemble_report,
     candidate_checks,
     closed_form_tension_checks,
     eigenfamily_checks,
@@ -67,10 +66,11 @@ __all__ = ["main", "REFERENCE_FIXTURES"]
 
 
 def _parse_degrees(text: str) -> tuple[int, ...]:
-    try:
-        degrees = tuple(int(part) for part in text.split(","))
-    except ValueError as exc:
-        raise BiforgeError(f"cannot parse --degrees {text!r}") from exc
+    parts = text.split(",")
+    # int() would also take "1_0", "+2", " 2" and non-ASCII digits
+    if not all(part.isascii() and part.isdigit() for part in parts):
+        raise BiforgeError(f"cannot parse --degrees {text!r}")
+    degrees = tuple(int(part) for part in parts)
     if any(d < 1 for d in degrees):
         raise BiforgeError("degrees must be positive integers, e.g. --degrees 2,1")
     return degrees
@@ -223,12 +223,12 @@ def cmd_verify(
     checks += candidate_checks(
         phi, ctx, points, proper=proper, tol_tau=tol / 10.0, tol_tau2=tol
     )
-    report = assemble_report(
+    report = VerificationReport(
         subject=f"{'biharmonic' if proper else 'harmonic'} candidate, degrees {table.degrees}",
-        spec=spec,
-        points=points,
+        group={"group": spec.code, "n": spec.n},
+        points=len(points),
         seed=seed,
-        checks=checks,
+        checks=tuple(checks),
     )
     return _emit(report, out_file, as_json)
 
@@ -385,7 +385,9 @@ def cmd_morphism(
         checks += eigenfamily_checks(family, lam, kap, ctx, points, tol=1e-9)
         checks += morphism_checks(morphism, ctx, points, tol=tol)
         subject = f"rational morphism from the k={k} tension-power family"
-    report = assemble_report(subject, spec, points, seed, checks)
+    report = VerificationReport(
+        subject, {"group": spec.code, "n": spec.n}, len(points), seed, tuple(checks)
+    )
     return _emit(report, out_file, as_json)
 
 

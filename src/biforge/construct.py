@@ -54,7 +54,6 @@ import numpy as np
 from .errors import DegenerateQuotient, DimensionMismatch, InconsistentSystem, ZeroVector
 from .forms import (
     Const,
-    FormExpr,
     LinearForm,
     Power,
     Product,
@@ -510,12 +509,8 @@ def column_ratio_family(q, spec: GroupSpec, beta: int = 0) -> list[RationalExpr]
         raise ZeroVector("q must be nonzero")
     if not 0 <= beta < spec.n:
         raise DimensionMismatch(f"beta must be in [0, {spec.n})")
-    den = FormExpr(LinearForm.column(spec, q, beta))
-    return [
-        Quotient(FormExpr(LinearForm.column(spec, q, col)), den)
-        for col in range(spec.n)
-        if col != beta
-    ]
+    den = LinearForm.column(spec, q, beta)
+    return [Quotient(LinearForm.column(spec, q, col), den) for col in range(spec.n) if col != beta]
 
 
 def _poly_degree(poly: dict) -> int:

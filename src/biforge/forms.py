@@ -8,13 +8,14 @@ last n columns the w-block, matching the ambient 2n-by-2n layout where
 the z-block is the top-left n-by-n corner and the w-block the top-right.
 
 :class:`RationalExpr` trees combine forms and complex constants through
-sums, products, integer powers and quotients.  One tree evaluates with
-identical traversal over any scalar tower: a matrix gives a complex, a
-(P, N, N) stack of matrices a (P,) array, a JetMatrix (nested) Jet2
-scalars, and a :class:`~biforge.algebra.PackedPoint` one packed
-Laplacian jet per node for all P points at once.  Quotient nodes guard
-their denominator and raise DomainError when it comes near zero at any
-of the points.
+sums, products, integer powers and quotients; a form is itself a leaf of
+such a tree, so forms compose directly (``p * q - r * s``).  One tree
+evaluates with identical traversal over any scalar tower: a matrix gives
+a complex, a (P, N, N) stack of matrices a (P,) array, a (nested) Jet2
+of matrices, as ``algebra.translate`` builds, (nested) Jet2 scalars, and
+a :class:`~biforge.algebra.PackedPoint` one packed Laplacian jet per
+node for all P points at once.  Quotient nodes guard their denominator and
+raise DomainError when it comes near zero at any of the points.
 
 :func:`walk_order` lists a forest's nodes children first with their read
 counts; :func:`evaluate_all` walks the forest once on them, computing a
@@ -39,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import Jet2, JetMatrix, PackedJet, PackedPoint, leading_value
+from .algebra import Jet2, PackedJet, PackedPoint, leading_value
 from .errors import (
     DimensionMismatch,
     DomainError,
@@ -54,7 +55,6 @@ __all__ = [
     "walk_order",
     "evaluate_all",
     "Const",
-    "FormExpr",
     "Sum",
     "Product",
     "Power",
@@ -68,82 +68,6 @@ __all__ = [
     "Classification",
     "classify",
 ]
-
-
-# ---------------------------------------------------------------------------
-# linear forms
-
-
-@dataclass(frozen=True, eq=False)
-class LinearForm:
-    """Linear combination of matrix-coefficient functions."""
-
-    spec: GroupSpec
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        expected = (self.spec.n, self.spec.ambient_dim)
-        if self.coeffs.shape != expected:
-            raise DimensionMismatch(
-                f"coefficient array must have shape {expected}, got {self.coeffs.shape}"
-            )
-        object.__setattr__(self, "coeffs", np.ascontiguousarray(self.coeffs, dtype=complex))
-
-    @classmethod
-    def coordinate(cls, spec: GroupSpec, row: int, col: int) -> "LinearForm":
-        """The single matrix-coefficient function at (row, col), 0-based.
-
-        On Sp(n), columns 0..n-1 address the z-block and n..2n-1 the
-        w-block.
-        """
-        c = np.zeros((spec.n, spec.ambient_dim), dtype=complex)
-        c[row, col] = 1.0
-        return cls(spec, c)
-
-    @classmethod
-    def column(cls, spec: GroupSpec, rows: np.ndarray, col: int, weight: complex = 1.0) -> "LinearForm":
-        c = np.zeros((spec.n, spec.ambient_dim), dtype=complex)
-        c[:, col] = np.asarray(rows, dtype=complex) * weight
-        return cls(spec, c)
-
-    @classmethod
-    def rank_one(cls, spec: GroupSpec, rows: np.ndarray, cols: np.ndarray) -> "LinearForm":
-        return cls(spec, np.outer(np.asarray(rows, dtype=complex), np.asarray(cols, dtype=complex)))
-
-    def coeff_scale(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
-
-    def is_zero(self, rel_tol: float = 1e-14) -> bool:
-        return self.coeff_scale() <= rel_tol
-
-    def evaluate(self, point):
-        """Sum of coefficients times matrix entries.
-
-        A matrix gives a complex and a (P, N, N) stack a (P,) array; a
-        JetMatrix recurses layerwise into a Jet2.  A PackedPoint with
-        layers X and extended stack E gives the PackedJet of
-        f(X E_e) = <X[:n]^T C, E_e>: two matmuls, W = X[:n]^T C for every
-        layer, then every W against every E_e.
-        """
-        if isinstance(point, JetMatrix):
-            return Jet2(
-                self.evaluate(point.a0),
-                self.evaluate(point.a1),
-                self.evaluate(point.a2),
-            )
-        n, cols = self.spec.n, self.spec.ambient_dim
-        if isinstance(point, PackedPoint):
-            layers, extended = point.layers, point.extended[..., :cols]
-            weights = layers[..., :n, :].swapaxes(-1, -2) @ self.coeffs
-            values = weights.reshape(-1, extended[0].size) @ extended.reshape(len(extended), -1).T
-            return PackedJet(values.reshape(layers.shape[:2] + (len(extended),)))
-        block = np.ascontiguousarray(point[..., :n, :cols])
-        if block.ndim == 2:
-            return complex(np.dot(self.coeffs.ravel(), block.ravel()))
-        return block.reshape(len(block), self.coeffs.size) @ self.coeffs.ravel()
-
-    def __repr__(self):
-        return f"LinearForm({self.spec.code}({self.spec.n}), nnz={int(np.count_nonzero(self.coeffs))})"
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +121,7 @@ class RationalExpr:
 
     def evaluate(self, point):
         """The tree's value at a matrix, a (P, N, N) stack of matrices, a
-        (nested) JetMatrix or a PackedPoint.
+        (nested) Jet2 of matrices or a PackedPoint.
 
         The single-root case of :func:`evaluate_all`; the tree's reads
         are counted on its first evaluation and kept for the next.
@@ -258,11 +182,7 @@ class RationalExpr:
 
 
 def _as_expr(x) -> RationalExpr:
-    if isinstance(x, RationalExpr):
-        return x
-    if isinstance(x, LinearForm):
-        return FormExpr(x)
-    return Const(complex(x))
+    return x if isinstance(x, RationalExpr) else Const(complex(x))
 
 
 class Const(RationalExpr):
@@ -281,20 +201,82 @@ class Const(RationalExpr):
         return f"Const({self.value})"
 
 
-class FormExpr(RationalExpr):
-    __slots__ = ("form",)
+@dataclass(frozen=True, eq=False)
+class LinearForm(RationalExpr):
+    """Linear combination of matrix-coefficient functions: a tree leaf.
 
-    def __init__(self, form: LinearForm):
-        self.form = form
+    Walks key nodes by id, so the form stays ``eq=False``.
+    """
+
+    spec: GroupSpec
+    coeffs: np.ndarray
+
+    def __post_init__(self):
+        expected = (self.spec.n, self.spec.ambient_dim)
+        if self.coeffs.shape != expected:
+            raise DimensionMismatch(
+                f"coefficient array must have shape {expected}, got {self.coeffs.shape}"
+            )
+        object.__setattr__(self, "coeffs", np.ascontiguousarray(self.coeffs, dtype=complex))
+
+    @classmethod
+    def coordinate(cls, spec: GroupSpec, row: int, col: int) -> "LinearForm":
+        """The single matrix-coefficient function at (row, col), 0-based.
+
+        On Sp(n), columns 0..n-1 address the z-block and n..2n-1 the
+        w-block.
+        """
+        c = np.zeros((spec.n, spec.ambient_dim), dtype=complex)
+        c[row, col] = 1.0
+        return cls(spec, c)
+
+    @classmethod
+    def column(cls, spec: GroupSpec, rows: np.ndarray, col: int, weight: complex = 1.0) -> "LinearForm":
+        c = np.zeros((spec.n, spec.ambient_dim), dtype=complex)
+        c[:, col] = np.asarray(rows, dtype=complex) * weight
+        return cls(spec, c)
+
+    @classmethod
+    def rank_one(cls, spec: GroupSpec, rows: np.ndarray, cols: np.ndarray) -> "LinearForm":
+        return cls(spec, np.outer(np.asarray(rows, dtype=complex), np.asarray(cols, dtype=complex)))
+
+    def coeff_scale(self) -> float:
+        return float(np.linalg.norm(self.coeffs))
+
+    def is_zero(self, rel_tol: float = 1e-14) -> bool:
+        return self.coeff_scale() <= rel_tol
+
+    def evaluate(self, point):
+        """Sum of coefficients times matrix entries; a leaf needs no walk.
+
+        A matrix gives a complex and a (P, N, N) stack a (P,) array; a
+        Jet2 of matrices recurses layerwise into a Jet2.  A PackedPoint
+        with layers X and extended stack E gives the PackedJet of
+        f(X E_e) = <X[:n]^T C, E_e>: two matmuls, W = X[:n]^T C for every
+        layer, then every W against every E_e.
+        """
+        if isinstance(point, Jet2):
+            return Jet2(
+                self.evaluate(point.a0),
+                self.evaluate(point.a1),
+                self.evaluate(point.a2),
+            )
+        n, cols = self.spec.n, self.spec.ambient_dim
+        if isinstance(point, PackedPoint):
+            layers, extended = point.layers, point.extended[..., :cols]
+            weights = layers[..., :n, :].swapaxes(-1, -2) @ self.coeffs
+            values = weights.reshape(-1, extended[0].size) @ extended.reshape(len(extended), -1).T
+            return PackedJet(values.reshape(layers.shape[:2] + (len(extended),)))
+        block = np.ascontiguousarray(point[..., :n, :cols])
+        if block.ndim == 2:
+            return complex(np.dot(self.coeffs.ravel(), block.ravel()))
+        return block.reshape(len(block), self.coeffs.size) @ self.coeffs.ravel()
 
     def _compute(self, point, walk):
-        return self.form.evaluate(point)
-
-    def coeff_scale(self):
-        return self.form.coeff_scale()
+        return self.evaluate(point)
 
     def __repr__(self):
-        return f"FormExpr({self.form!r})"
+        return f"LinearForm({self.spec.code}({self.spec.n}), nnz={int(np.count_nonzero(self.coeffs))})"
 
 
 class Sum(RationalExpr):
@@ -363,20 +345,23 @@ class Power(RationalExpr):
         return (self.base,)
 
 
+# a denominator below this fraction of its coefficient scale is a pole
+_POLE_REL_TOL = 1e-12
+
+
 class Quotient(RationalExpr):
     """Quotient node; records its denominator and guards its zero set."""
 
-    __slots__ = ("numerator", "denominator", "den_scale", "rel_tol")
+    __slots__ = ("numerator", "denominator", "den_scale")
 
-    def __init__(self, numerator, denominator, rel_tol: float = 1e-12):
+    def __init__(self, numerator, denominator):
         self.numerator = _as_expr(numerator)
         self.denominator = _as_expr(denominator)
-        self.rel_tol = rel_tol
         self.den_scale = max(self.denominator.coeff_scale(), 1e-300)
 
     def _compute(self, point, walk):
         den = self.denominator._eval(point, walk)
-        if np.any(np.abs(leading_value(den)) < self.rel_tol * self.den_scale):
+        if np.any(np.abs(leading_value(den)) < _POLE_REL_TOL * self.den_scale):
             raise DomainError("evaluation point lies on (or too near) a denominator zero")
         num = self.numerator._eval(point, walk)
         return num / den
@@ -392,7 +377,7 @@ def quotient(num: LinearForm, den: LinearForm) -> Quotient:
     """The rational function num/den on the open set where den != 0."""
     if den.is_zero():
         raise ZeroVector("denominator form is identically zero")
-    return Quotient(FormExpr(num), FormExpr(den))
+    return Quotient(num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -505,19 +490,12 @@ class QuadrupleFamily:
     def proper_indices(self) -> tuple[int, ...]:
         return tuple(i for i, flag in enumerate(self.proper) if flag)
 
-    def _expr(self, form: LinearForm) -> FormExpr:
-        node = self._expr_cache.get(id(form))
-        if node is None:
-            node = FormExpr(form)
-            self._expr_cache[id(form)] = node
-        return node
-
     def member_quotient(self, i: int) -> RationalExpr:
         """The rational member f_i = P_i / Q."""
         key = ("quot", i)
         node = self._expr_cache.get(key)
         if node is None:
-            node = Quotient(self._expr(self.numerators[i]), self._expr(self.denominator))
+            node = Quotient(self.numerators[i], self.denominator)
             self._expr_cache[key] = node
         return node
 
@@ -526,12 +504,9 @@ class QuadrupleFamily:
         key = ("tau", i)
         node = self._expr_cache.get(key)
         if node is None:
-            p = self._expr(self.numerators[i])
-            q = self._expr(self.denominator)
-            r = self._expr(self.exchange_denominator)
-            s = self._expr(self.exchange_numerators[i])
-            numer = Product((Const(2 * self.mu), Sum((Product((p, q)), -Product((r, s))))))
-            node = Quotient(numer, Power(q, 2))
+            p, q = self.numerators[i], self.denominator
+            r, s = self.exchange_denominator, self.exchange_numerators[i]
+            node = 2 * self.mu * (p * q - r * s) / q**2
             self._expr_cache[key] = node
         return node
 

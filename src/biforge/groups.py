@@ -128,9 +128,6 @@ class GroupSpec:
         """Conformality constant of the quadruple product rules."""
         return -1.0 if self.kind is GroupKind.UNITARY else -0.5
 
-    def describe(self) -> dict:
-        return {"group": self.code, "n": self.n}
-
 
 @dataclass(frozen=True)
 class LieBasisElement:

@@ -24,7 +24,7 @@ from .errors import SamplingExhausted
 from .forms import QuadrupleFamily, Quotient, RationalExpr, evaluate_all, walk_order
 from .groups import GroupSpec, sample_point
 from .operators import OperatorContext, kappa_matrix, laplacian_jets, relative_residual, tension2
-from .report import CheckResult, VerificationReport
+from .report import CheckResult
 
 __all__ = [
     "sample_domain_points",
@@ -34,7 +34,6 @@ __all__ = [
     "oracle_equivalence_check",
     "eigenfamily_checks",
     "morphism_checks",
-    "assemble_report",
 ]
 
 DEFAULT_DOMAIN_MARGIN = 0.02
@@ -56,7 +55,7 @@ def sample_domain_points(
     those of a one-at-a-time loop.  Each denominator is evaluated once
     per round on the draws still kept, children first: a denominator is
     only evaluated where every quotient inside it has cleared the margin,
-    far above the Quotient guard's ``rel_tol``.
+    far above the Quotient guard's ``forms._POLE_REL_TOL``.
     """
     guards = {}
     for node in walk_order(exprs)[0]:
@@ -93,7 +92,7 @@ def quadruple_checks(
     All forms are walked once; each rule is a set of index lookups into
     their kappa matrix and their values.
     """
-    jets = laplacian_jets([fam._expr(f) for f in fam.all_forms()], points, ctx)
+    jets = laplacian_jets(fam.all_forms(), points, ctx)
     values = jets[..., 0]
     kappa = kappa_matrix(jets)
     eigen = np.max(relative_residual(2 * jets[..., -1], fam.spec.eigenvalue * values))
@@ -233,19 +232,3 @@ def morphism_checks(
         CheckResult.upper("tension", np.max(tau), tol),
         CheckResult.upper("horizontal conformality", np.max(kap), tol),
     ]
-
-
-def assemble_report(
-    subject: str,
-    spec: GroupSpec,
-    points,
-    seed: int,
-    checks,
-) -> VerificationReport:
-    return VerificationReport(
-        subject=subject,
-        group=spec.describe(),
-        points=len(points),
-        seed=seed,
-        checks=tuple(checks),
-    )

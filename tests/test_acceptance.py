@@ -25,7 +25,6 @@ from biforge.construct import (
 )
 from biforge.forms import (
     Classification,
-    FormExpr,
     LinearForm,
     Quotient,
     classify,
@@ -134,8 +133,8 @@ def _coordinate_relation_residual(spec: GroupSpec, points, index_rng) -> float:
     for m in points:
         j, k = index_rng.integers(0, n, size=2)
         a, b = index_rng.integers(0, cols, size=2)
-        fj = FormExpr(LinearForm.coordinate(spec, j, a))
-        fk = FormExpr(LinearForm.coordinate(spec, k, b))
+        fj = LinearForm.coordinate(spec, j, a)
+        fk = LinearForm.coordinate(spec, k, b)
         worst = max(
             worst,
             relative_residual(tension(fj, m, ctx), spec.eigenvalue * m[j, a]),
@@ -454,8 +453,8 @@ def test_criterion_7_classification_consistency():
             ][case]
             assert got is expected, (spec.code, trial, got)
             f = Quotient(
-                FormExpr(LinearForm(spec, m_p)),
-                FormExpr(LinearForm(spec, np.outer(q, a))),
+                LinearForm(spec, m_p),
+                LinearForm(spec, np.outer(q, a)),
             )
             points = sample_domain_points([f], spec, 4, 7100 + 50 * spec_i + trial)
             taus = []

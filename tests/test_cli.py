@@ -1,9 +1,14 @@
 """End-to-end command-line behaviour, one test per exit-code path."""
 
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -78,7 +83,8 @@ def test_construct_bad_degrees(tmp_path, capsys):
     code = run(["construct", "--group", "su", "--n", "3", "--degrees", "0", "--out", str(tmp_path)])
     assert code == 2
     assert "degrees" in capsys.readouterr().err
-    for degrees in ("2,,1", "2,1,"):
+    # int() would take the last four: "1_0" as 10, "+2" and " 2" as 2, an Arabic-Indic two as 2
+    for degrees in ("2,,1", "2,1,", "1_0", "+2", " 2", "\u0662"):
         code = run(["construct", "--group", "su", "--n", "3", "--degrees", degrees, "--out", str(tmp_path)])
         assert code == 2
         assert "--degrees" in capsys.readouterr().err
@@ -422,3 +428,47 @@ def test_verify_answers_match_recorded(tmp_path, capsys, table):
     for check, (name, residual, passed) in zip(checks, RECORDED_VERIFY[table]):
         assert check["pass"] is passed, name
         assert abs(check["max_residual"] - residual) <= 1e-3 * check["tolerance"], name
+
+
+# SHA-256 of the `--json` report of each run at --points 4 and the default
+# seed (tables from `construct` at the default seed).  Each report runs in
+# its own process with OPENBLAS_NUM_THREADS=1: the batched Gram product in
+# kappa_matrix is bitwise reproducible only on one BLAS thread.
+REPORT_DIGESTS = {
+    "verify-su4-2,1": (
+        ["--group", "su", "--n", "4", "--degrees", "2,1"],
+        "11f978546c1ac503ae7c15c35ec8b21e4eed4b7e473286b0f26a31865060171f",
+    ),
+    "verify-sp2-choice10-2": (
+        ["--group", "sp", "--n", "2", "--degrees", "2", "--choice", "10"],
+        "d832f333fc9067cce6d805fb16331d070a503e46491738224d81a9ddcb878df2",
+    ),
+    "morphism-su3-orthogonal": (
+        ["--group", "su", "--n", "3"],
+        "554b64ad83d66871e26aa9611183f5d1cb4bf59fb8b2acc9af44b51de93c81a3",
+    ),
+    "morphism-su4-rational": (
+        ["--group", "su", "--n", "4", "--kind", "rational"],
+        "b567674c6803fc8ea3faa0b0bb3167f6e4bb37e2e7c16a491c7f9437aaa0f989",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(REPORT_DIGESTS))
+def test_report_bytes_match_recorded_digests(tmp_path, capsys, name):
+    args, digest = REPORT_DIGESTS[name]
+    if name.startswith("verify"):
+        assert run(["construct", *args, "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        argv = ["verify", "--coeffs", str(tmp_path / "coeffs.json"),
+                "--quadruple", str(tmp_path / "quadruple.json")]
+    else:
+        argv = ["morphism", *args]
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "biforge.cli", *argv, "--points", "4", "--json"],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest, proc.stdout

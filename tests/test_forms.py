@@ -13,11 +13,11 @@ from biforge.errors import (
 from biforge.forms import (
     Classification,
     Const,
-    FormExpr,
     LinearForm,
     Power,
     Quotient,
     QuadrupleFamily,
+    RationalExpr,
     classify,
     columns_pairwise_dependent,
     evaluate_all,
@@ -40,8 +40,7 @@ ISO_P = np.array([1.0, 1.0j, 0.0, 0.0])
 ISO_Q = np.array([0.0, 0.0, 1.0, 1.0j])
 
 
-def coord(spec, j, a):
-    return FormExpr(LinearForm.coordinate(spec, j, a))
+coord = LinearForm.coordinate
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +257,26 @@ def test_member_identities_unitary(ctx_for):
         assert relative_residual(conformality(tf, tf, m, ctx), -2 * tv * tv) <= 1e-9
 
 
+def test_forms_compose_directly(monkeypatch):
+    # a form is a tree leaf: arithmetic on forms needs no wrapper, and a
+    # form read twice by one root is one node, evaluated once per walk
+    p, q = coord(U3, 0, 1), coord(U3, 2, 2)
+    assert isinstance(p, RationalExpr)
+    stack = np.array([sample_point(U3, seed) for seed in (31, 32, 33)])
+    pv, qv = p.evaluate(stack), q.evaluate(stack)
+    square, mixed = q * q, p / q + q
+    calls = []
+    evaluate = LinearForm.evaluate
+    monkeypatch.setattr(LinearForm, "evaluate", lambda self, point: calls.append(self) or evaluate(self, point))
+    got = evaluate_all([square, mixed], stack)
+    assert np.array_equal(got[0], qv * qv)
+    assert np.array_equal(got[1], pv / qv + qv)
+    assert sorted(map(id, calls)) == sorted([id(p), id(q)])
+    calls.clear()
+    assert np.array_equal(square.evaluate(stack), qv * qv)
+    assert calls == [q]
+
+
 def test_forest_walk_matches_separate_walks(ctx_for, monkeypatch):
     # a repeated root and a root that contains another: the forest reads
     # tau f three times and computes it, and each of its forms, once
@@ -332,7 +351,7 @@ def test_inverse_square_denominator_tension(ctx_for):
     for spec, seed in ((U2, 1100), (U3, 1200)):
         fam = make_quadruple(spec, [1] * spec.n, [1j] + [1] * (spec.n - 1), [1] * spec.n, [1] * spec.n)
         q = fam.denominator
-        inv_sq = Quotient(Const(1.0), Power(FormExpr(q), 2))
+        inv_sq = Quotient(Const(1.0), Power(q, 2))
         ctx = ctx_for(spec)
         points = sample_domain_points([inv_sq], spec, 6, seed)
         for point in points:

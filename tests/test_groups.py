@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from biforge.algebra import translate
+from biforge.algebra import Jet2, translate
 from biforge.errors import ShapeError
+from biforge.forms import LinearForm
 from biforge.groups import GroupSpec, basis, sample_point
 
 ALL_SPECS = [
@@ -103,7 +104,7 @@ def test_translate_diagonal_rotation():
     spec = GroupSpec.unitary(3)
     elem = next(e for e in basis(spec) if e.label == "iD1")
     jm = translate(np.eye(3, dtype=complex), elem.matrix)
-    jet = jm.entry(0, 0)
+    jet = LinearForm.coordinate(spec, 0, 0).evaluate(jm)
     assert jet.a0 == 1
     assert abs(jet.a1 - 1j) <= 1e-15
     assert abs(jet.a2 - (-0.5)) <= 1e-15
@@ -115,12 +116,13 @@ def test_translate_first_order_is_pz():
     for elem in basis(spec):
         half_square = 0.5 * (elem.matrix @ elem.matrix)
         jm = translate(p, elem.matrix, half_square)
+        assert isinstance(jm, Jet2)
         assert np.array_equal(jm.a1, p @ elem.matrix)
         assert np.array_equal(jm.a0, p)
         assert np.array_equal(jm.a2, p @ half_square)
         # a jet base gains a new outermost layer, each coefficient moved along Z
         nested = translate(jm, elem.matrix)
-        assert nested.a0 is jm
+        assert nested.a0 is jm and isinstance(nested.a1, Jet2)
         assert np.array_equal(nested.a1.a1, jm.a1 @ elem.matrix)
         assert np.array_equal(nested.a2.a0, p @ half_square)
 
@@ -129,7 +131,7 @@ def test_translate_orthogonal_generator():
     spec = GroupSpec.special_orthogonal(4)
     elem = next(e for e in basis(spec) if e.label == "Y12")
     jm = translate(np.eye(4, dtype=complex), elem.matrix)
-    jet = jm.entry(0, 1)
+    jet = LinearForm.coordinate(spec, 0, 1).evaluate(jm)
     assert jet.a0 == 0
     assert abs(jet.a1 - 1 / np.sqrt(2)) <= 1e-15
     assert abs(jet.a2) <= 1e-15

@@ -16,7 +16,7 @@ import pytest
 from biforge.algebra import translate
 from biforge.construct import biharmonic_coefficients, build_expression, column_ratio_family
 from biforge.errors import DomainError, ShapeError
-from biforge.forms import Const, FormExpr, LinearForm, Power, Product, Quotient, Sum
+from biforge.forms import Const, LinearForm, Power, Product, Quotient, Sum
 from biforge.groups import GroupSpec, LieBasisElement, basis, sample_point
 from biforge.operators import (
     OperatorContext,
@@ -42,7 +42,7 @@ def random_form(spec, rng):
 
 
 def random_exprs(spec, rng):
-    a, b, c = (FormExpr(random_form(spec, rng)) for _ in range(3))
+    a, b, c = (random_form(spec, rng) for _ in range(3))
     return [
         Sum((a, Product((Const(0.7 - 0.2j), b)))),
         Product((a, b)),
@@ -77,7 +77,7 @@ def test_conformality_four_term_expansion(ctx_for, spec):
     # kappa(f f~, h h~) expands into four weighted conformality terms
     rng = np.random.default_rng(19)
     ctx = ctx_for(spec)
-    f, ft, h, ht = (FormExpr(random_form(spec, rng)) for _ in range(4))
+    f, ft, h, ht = (random_form(spec, rng) for _ in range(4))
     points = [sample_point(spec, 2100 + i) for i in range(5)]
     for m in points:
         fv, ftv, hv, htv = (e.evaluate(m) for e in (f, ft, h, ht))
@@ -94,7 +94,7 @@ def test_conformality_four_term_expansion(ctx_for, spec):
 def test_conformality_symmetric_exactly(ctx_for):
     rng = np.random.default_rng(23)
     ctx = ctx_for(U3)
-    f, h = (FormExpr(random_form(U3, rng)) for _ in range(2))
+    f, h = (random_form(U3, rng) for _ in range(2))
     for i in range(5):
         point = sample_point(U3, 2200 + i)
         assert conformality(f, h, point, ctx) == conformality(h, f, point, ctx)
@@ -106,8 +106,8 @@ def test_quotient_formulas(ctx_for, spec):
     # Q^3 tau(f) = Q^2 tau(P) - 2Q kappa(P,Q) + 2P kappa(Q,Q) - PQ tau(Q)
     rng = np.random.default_rng(29)
     ctx = ctx_for(spec)
-    p_form = FormExpr(random_form(spec, rng))
-    q_form = FormExpr(random_form(spec, rng))
+    p_form = random_form(spec, rng)
+    q_form = random_form(spec, rng)
     f = Quotient(p_form, q_form)
     points = sample_domain_points([f], spec, 6, 2300)
     for m in points:
@@ -132,7 +132,7 @@ def test_tension_of_constant_and_kappa_with_constant(ctx_for):
     ctx = ctx_for(U3)
     point = sample_point(U3, 2400)
     c = Const(3.0 - 2.0j)
-    h = FormExpr(LinearForm.coordinate(U3, 0, 0))
+    h = LinearForm.coordinate(U3, 0, 0)
     assert abs(tension(c, point, ctx)) == 0
     assert abs(conformality(h, c, point, ctx)) == 0
 
@@ -142,21 +142,21 @@ def test_eigen_check_pass_and_fail(ctx_for, points_for):
         checks = eigenfamily_checks([h], eigenvalue, 0.0, ctx, points)
         return next(c for c in checks if c.name == "eigenfamily tension")
 
-    z11 = FormExpr(LinearForm.coordinate(U3, 0, 0))
+    z11 = LinearForm.coordinate(U3, 0, 0)
     ctx = ctx_for(U3)
     points = points_for(U3, 10, 2500)
     assert eigen_tension(z11, -3.0, points, ctx).passed
     assert not eigen_tension(z11, -2.0, points, ctx).passed
-    w12 = FormExpr(LinearForm.coordinate(SP2, 0, 3))
+    w12 = LinearForm.coordinate(SP2, 0, 3)
     ctx_sp = ctx_for(SP2)
     assert eigen_tension(w12, -2.5, points_for(SP2, 10, 2600), ctx_sp).passed
 
 
 def test_tension2_squares_the_eigenvalue(ctx_for, points_for):
-    z = FormExpr(LinearForm.coordinate(U3, 1, 2))
+    z = LinearForm.coordinate(U3, 1, 2)
     ctx = ctx_for(U3)
     for point in points_for(U3, 5, 2700):
-        expected = 9 * z.form.evaluate(point)
+        expected = 9 * z.evaluate(point)
         assert relative_residual(tension2(z, point, ctx), expected) <= 1e-12
 
 
@@ -313,7 +313,7 @@ def test_batch_with_one_point_on_the_denominator_zero_raises(ctx_for):
     # one matrix of the batch lies on Q = 0: the whole walk is refused
     ctx = ctx_for(U3)
     q_form = LinearForm.coordinate(U3, 0, 0)
-    f = Quotient(FormExpr(LinearForm.coordinate(U3, 1, 1)), FormExpr(q_form))
+    f = Quotient(LinearForm.coordinate(U3, 1, 1), q_form)
     good = [sample_point(U3, 3300 + i) for i in range(2)]
     on_zero = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
     assert q_form.evaluate(on_zero) == 0
@@ -357,7 +357,7 @@ def _family_exprs(spec, sp_choice):
     # every form of a quadruple family, its member quotients and 3 points
     fam = _quadruple(spec, sp_choice)
     quotients = [fam.member_quotient(i) for i in range(fam.n_members)]
-    exprs = [fam._expr(f) for f in fam.all_forms()] + quotients
+    exprs = fam.all_forms() + quotients
     return fam, exprs, sample_domain_points(quotients, spec, 3, 3500)
 
 

@@ -10,7 +10,7 @@ import pytest
 import biforge.verify
 from biforge.construct import biharmonic_family, build_expression, rational_morphism, tension_power_family
 from biforge.errors import DomainError
-from biforge.forms import Const, FormExpr, LinearForm, Quotient, Sum, make_quadruple, walk_order
+from biforge.forms import Const, LinearForm, Quotient, Sum, make_quadruple, walk_order
 from biforge.groups import GroupSpec, sample_point
 from biforge.operators import OperatorContext, conformality, relative_residual, tension
 from biforge.verify import (
@@ -106,7 +106,7 @@ def test_draw_on_an_inner_denominator_zero_is_rejected_alone(monkeypatch):
     # the outer denominator 3 + z11/z00 reads the inner quotient, so a batch
     # containing a point with z00 = 0 would raise there; the inner margin
     # check must drop that one draw first and keep the rest of its round
-    inner = Quotient(FormExpr(LinearForm.coordinate(U3, 1, 1)), FormExpr(LinearForm.coordinate(U3, 0, 0)))
+    inner = Quotient(LinearForm.coordinate(U3, 1, 1), LinearForm.coordinate(U3, 0, 0))
     outer = Quotient(Const(1.0), Sum((Const(3.0), inner)))
     on_zero = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
     with pytest.raises(DomainError):
@@ -127,7 +127,7 @@ def test_draw_on_an_inner_denominator_zero_is_rejected_alone(monkeypatch):
 def test_constant_denominator_keeps_every_draw():
     # x / 2 guards a denominator without matrix entries: its one value
     # stands for every draw of the round
-    half = FormExpr(LinearForm.coordinate(U3, 0, 1)) / 2
+    half = LinearForm.coordinate(U3, 0, 1) / 2
     points = sample_domain_points([half], U3, 3, 3400)
     assert np.array_equal(points, np.array([sample_point(U3, 3400 + k) for k in range(3)]))
 
@@ -140,11 +140,11 @@ def _reference_quadruple_residuals(fam, ctx, points):
     values = {id(f): f.evaluate(points) for f in fam.all_forms()}
 
     def kappa(left, right, fa, fb):
-        actual = conformality(FormExpr(left), FormExpr(right), points, ctx)
+        actual = conformality(left, right, points, ctx)
         return np.max(relative_residual(actual, fam.mu * values[id(fa)] * values[id(fb)]))
 
     eigen = max(
-        np.max(relative_residual(tension(FormExpr(f), points, ctx), fam.spec.eigenvalue * values[id(f)]))
+        np.max(relative_residual(tension(f, points, ctx), fam.spec.eigenvalue * values[id(f)]))
         for f in fam.all_forms()
     )
     relations = {
@@ -193,7 +193,7 @@ def test_checks_match_per_pair_reference(spec, sp_choice, mu_factor):
     fam = dataclasses.replace(fam, mu=mu_factor * fam.mu)
     ctx = OperatorContext.for_spec(spec)
     points = sample_domain_points([fam.member_quotient(i) for i in range(fam.n_members)], spec, 3, 3600)
-    members = [FormExpr(f) for f in fam.numerators]
+    members = list(fam.numerators)
     checks = quadruple_checks(fam, ctx, points)
     checks += eigenfamily_checks(members, spec.eigenvalue, fam.mu, ctx, points)
     expected = _reference_quadruple_residuals(fam, ctx, points)
