@@ -54,6 +54,8 @@ from .groups import GroupKind, GroupSpec
 from .operators import OperatorContext
 from .report import VerificationReport
 from .verify import (
+    DEFAULT_CANDIDATE_TOL,
+    DEFAULT_MORPHISM_TOL,
     candidate_checks,
     closed_form_tension_checks,
     eigenfamily_checks,
@@ -220,9 +222,7 @@ def cmd_verify(
     points = sample_domain_points([phi, *(tf for _, tf in pairs)], spec, points, seed)
     checks = quadruple_checks(fam, ctx, points)
     checks += closed_form_tension_checks(fam, ctx, points)
-    checks += candidate_checks(
-        phi, ctx, points, proper=proper, tol_tau=tol / 10.0, tol_tau2=tol
-    )
+    checks += candidate_checks(phi, ctx, points, proper=proper, tol=tol)
     report = VerificationReport(
         subject=f"{'biharmonic' if proper else 'harmonic'} candidate, degrees {table.degrees}",
         group={"group": spec.code, "n": spec.n},
@@ -382,7 +382,7 @@ def cmd_morphism(
         lam, kap = eigenfamily_constants(spec.mu, k)
         morphism = rational_morphism(family, {(1, 0): 1.0}, {(0, 1): 1.0})
         points = sample_domain_points([morphism, *family], spec, points, seed)
-        checks += eigenfamily_checks(family, lam, kap, ctx, points, tol=1e-9)
+        checks += eigenfamily_checks(family, lam, kap, ctx, points)
         checks += morphism_checks(morphism, ctx, points, tol=tol)
         subject = f"rational morphism from the k={k} tension-power family"
     report = VerificationReport(
@@ -400,11 +400,7 @@ def _add_group(parser: argparse.ArgumentParser):
     parser.add_argument("--n", type=int, required=True)
 
 
-def _add_checks(
-    parser: argparse.ArgumentParser,
-    tol: float = 1e-7,
-    tol_help: str = "bitension tolerance; the tension check uses tol/10",
-):
+def _add_checks(parser: argparse.ArgumentParser, tol: float, tol_help: str):
     parser.add_argument("--points", type=int, default=20, help="sample points, at least 1")
     parser.add_argument("--tol", type=float, default=tol, help=tol_help)
     parser.add_argument("--seed", type=int, default=1)
@@ -428,14 +424,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--coeffs", type=Path, required=True)
     p_ver.add_argument("--quadruple", type=Path, required=True)
     p_ver.add_argument("--out", type=Path, default=None)
-    _add_checks(p_ver)
+    _add_checks(p_ver, DEFAULT_CANDIDATE_TOL, "bitension tolerance; the tension check uses tol/10")
 
     p_rep = sub.add_parser("reproduce", help="regenerate and compare exact fixtures")
     p_rep.add_argument("--json", action="store_true", dest="as_json")
 
     p_mor = sub.add_parser("morphism", help="build and verify harmonic morphisms")
     _add_group(p_mor)
-    _add_checks(p_mor, tol=1e-8, tol_help="tolerance on the tension and conformality residuals")
+    _add_checks(p_mor, DEFAULT_MORPHISM_TOL, "tolerance on the tension and conformality residuals")
     p_mor.add_argument("--kind", choices=["orthogonal", "rational"], default="orthogonal")
     p_mor.add_argument("--k", type=int, default=None, help="tension power, --kind rational only (default 1)")
     p_mor.add_argument(

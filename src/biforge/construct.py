@@ -61,6 +61,9 @@ from .forms import (
     Quotient,
     RationalExpr,
     Sum,
+    _ZERO_REL_TOL,
+    _check_beta,
+    _check_vector,
 )
 from .groups import GroupKind, GroupSpec
 
@@ -502,13 +505,8 @@ def column_ratio_family(q, spec: GroupSpec, beta: int = 0) -> list[RationalExpr]
     """
     if spec.kind is not GroupKind.UNITARY:
         raise DimensionMismatch("column-ratio families are built on the unitary group")
-    q = np.asarray(q, dtype=complex).reshape(-1)
-    if q.shape[0] != spec.n:
-        raise DimensionMismatch(f"q must have length {spec.n}")
-    if np.linalg.norm(q) == 0:
-        raise ZeroVector("q must be nonzero")
-    if not 0 <= beta < spec.n:
-        raise DimensionMismatch(f"beta must be in [0, {spec.n})")
+    q = _check_vector("q", q, spec.n)
+    _check_beta(beta, spec.n)
     den = LinearForm.column(spec, q, beta)
     return [Quotient(LinearForm.column(spec, q, col), den) for col in range(spec.n) if col != beta]
 
@@ -546,7 +544,7 @@ def rational_morphism(family: list[RationalExpr], num_poly: dict, den_poly: dict
     v = np.array([complex(den_poly.get(mono, 0)) for mono in monomials])
     minors = np.abs(np.outer(u, v) - np.outer(v, u))
     scale = max(np.max(np.abs(u)) * np.max(np.abs(v)), 1e-300)
-    if np.max(minors) <= 1e-12 * scale:
+    if np.max(minors) <= _ZERO_REL_TOL * scale:
         raise DegenerateQuotient("numerator and denominator polynomials are dependent")
 
     max_exp = [max(exp[i] for exp in monomials) for i in range(n)]

@@ -35,8 +35,9 @@ proper biharmonic and drive every construction downstream.
 from __future__ import annotations
 
 import enum
+import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -243,8 +244,8 @@ class LinearForm(RationalExpr):
     def coeff_scale(self) -> float:
         return float(np.linalg.norm(self.coeffs))
 
-    def is_zero(self, rel_tol: float = 1e-14) -> bool:
-        return self.coeff_scale() <= rel_tol
+    def is_zero(self) -> bool:
+        return not self.coeffs.any()
 
     def evaluate(self, point):
         """Sum of coefficients times matrix entries; a leaf needs no walk.
@@ -347,6 +348,10 @@ class Power(RationalExpr):
 
 # a denominator below this fraction of its coefficient scale is a pole
 _POLE_REL_TOL = 1e-12
+# float cancellations (2x2 minors, square sums, off-support entries) below
+# this fraction of their scale are structural zeros: rounding leaves a few
+# ulps, while a generic nonzero value sits many orders above it
+_ZERO_REL_TOL = 1e-12
 
 
 class Quotient(RationalExpr):
@@ -394,7 +399,7 @@ def _pairwise_dependent_exact(m) -> bool:
     return True
 
 
-def columns_pairwise_dependent(m: np.ndarray, rel_tol: float = 1e-12) -> bool:
+def columns_pairwise_dependent(m: np.ndarray) -> bool:
     """True iff every 2x2 minor across column pairs vanishes (rank <= 1).
 
     Float input is tested relative to the largest entry magnitude; exact
@@ -413,7 +418,7 @@ def columns_pairwise_dependent(m: np.ndarray, rel_tol: float = 1e-12) -> bool:
     for a in range(cols):
         for b in range(a + 1, cols):
             minors = np.abs(np.outer(m[:, a], m[:, b]) - np.outer(m[:, b], m[:, a]))
-            if np.max(minors) > rel_tol * scale * scale:
+            if np.max(minors) > _ZERO_REL_TOL * scale * scale:
                 return False
     return True
 
@@ -427,7 +432,7 @@ def bilinear(u, v) -> complex:
     return complex(np.sum(np.asarray(u, dtype=complex) * np.asarray(v, dtype=complex)))
 
 
-def isotropic(v, rel_tol: float = 1e-12) -> bool:
+def isotropic(v) -> bool:
     """True iff sum(v_k**2) = 0 under the complex-bilinear square sum."""
     v = np.asarray(v)
     if v.dtype == object:
@@ -436,7 +441,7 @@ def isotropic(v, rel_tol: float = 1e-12) -> bool:
     scale = float(np.sum(np.abs(v) ** 2))
     if scale == 0:
         return True
-    return abs(np.sum(v * v)) <= rel_tol * scale
+    return abs(np.sum(v * v)) <= _ZERO_REL_TOL * scale
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +464,8 @@ class QuadrupleFamily:
     ``exchange_denominator`` (R) and ``exchange_numerators[i]`` (S_i) are
     the swapped-row forms appearing in kappa(P_i, Q) = mu * R * S_i.
     ``proper[i]`` records whether member i is structurally proper
-    biharmonic (nonzero tension).
+    biharmonic (nonzero tension).  Each family object builds its member
+    nodes once, on first use, so ``dataclasses.replace`` gives fresh ones.
     """
 
     spec: GroupSpec
@@ -476,7 +482,6 @@ class QuadrupleFamily:
     beta: int
     sp_choice: SpChoice | None = None
     so_mode: str | None = None
-    _expr_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def n_members(self) -> int:
@@ -490,25 +495,23 @@ class QuadrupleFamily:
     def proper_indices(self) -> tuple[int, ...]:
         return tuple(i for i, flag in enumerate(self.proper) if flag)
 
+    @functools.cached_property
+    def _quotients(self) -> tuple[RationalExpr, ...]:
+        return tuple(Quotient(p, self.denominator) for p in self.numerators)
+
+    @functools.cached_property
+    def _tensions(self) -> tuple[RationalExpr, ...]:
+        q, r = self.denominator, self.exchange_denominator
+        pairs = zip(self.numerators, self.exchange_numerators)
+        return tuple(2 * self.mu * (p * q - r * s) / q**2 for p, s in pairs)
+
     def member_quotient(self, i: int) -> RationalExpr:
         """The rational member f_i = P_i / Q."""
-        key = ("quot", i)
-        node = self._expr_cache.get(key)
-        if node is None:
-            node = Quotient(self.numerators[i], self.denominator)
-            self._expr_cache[key] = node
-        return node
+        return self._quotients[i]
 
     def member_tension(self, i: int) -> RationalExpr:
         """Closed-form tension 2*mu*(P_i*Q - R*S_i)/Q**2 of member i."""
-        key = ("tau", i)
-        node = self._expr_cache.get(key)
-        if node is None:
-            p, q = self.numerators[i], self.denominator
-            r, s = self.exchange_denominator, self.exchange_numerators[i]
-            node = 2 * self.mu * (p * q - r * s) / q**2
-            self._expr_cache[key] = node
-        return node
+        return self._tensions[i]
 
     def all_forms(self) -> list[LinearForm]:
         return [*self.numerators, self.denominator, self.exchange_denominator, *self.exchange_numerators]
@@ -558,8 +561,9 @@ def _check_vector(name: str, v, n: int) -> np.ndarray:
     return arr
 
 
-def _rows_independent(p: np.ndarray, q: np.ndarray, rel_tol: float = 1e-12) -> bool:
-    return not columns_pairwise_dependent(np.column_stack([p, q]), rel_tol)
+def _check_beta(beta: int, n: int) -> None:
+    if not 0 <= beta < n:
+        raise DimensionMismatch(f"beta must be in [0, {n}), got {beta}")
 
 
 def make_quadruple(
@@ -594,20 +598,20 @@ def make_quadruple(
     q = _check_vector("q", q, n)
     a = _check_vector("a", a, n)
     b = _check_vector("b", b, n)
-    if not 0 <= beta < n:
-        raise DimensionMismatch(f"beta must be in [0, {n}), got {beta}")
+    _check_beta(beta, n)
+
+    def independent(u, v) -> bool:
+        return not columns_pairwise_dependent(np.column_stack([u, v]))
+
+    def isotropic_pair(u, v) -> bool:
+        bound = _ZERO_REL_TOL * (np.linalg.norm(u) * np.linalg.norm(v))
+        return isotropic(u) and isotropic(v) and abs(bilinear(u, v)) <= bound
 
     so_mode = None
     if spec.kind is GroupKind.SPECIAL_ORTHOGONAL:
-        rows_iso = isotropic(p) and isotropic(q) and abs(bilinear(p, q)) <= 1e-12 * (
-            np.linalg.norm(p) * np.linalg.norm(q)
-        )
-        cols_iso = isotropic(a) and isotropic(b) and abs(bilinear(a, b)) <= 1e-12 * (
-            np.linalg.norm(a) * np.linalg.norm(b)
-        )
-        if rows_iso:
+        if isotropic_pair(p, q):
             so_mode = "isotropic_rows"
-        elif cols_iso:
+        elif isotropic_pair(a, b):
             so_mode = "isotropic_columns"
         else:
             raise IsotropyViolation(
@@ -620,76 +624,41 @@ def make_quadruple(
     elif sp_choice is not None:
         raise DimensionMismatch("sp_choice only applies to the quaternionic group")
 
-    independent = _rows_independent(p, q)
-
+    rows_independent = independent(p, q)
     if so_mode == "isotropic_columns":
-        num = LinearForm.rank_one(spec, p, a)
-        exch_num = LinearForm.rank_one(spec, q, a)
+        numerators = [LinearForm.rank_one(spec, p, a)]
+        exchange = [LinearForm.rank_one(spec, q, a)]
         den = LinearForm.rank_one(spec, q, b)
         exch_den = LinearForm.rank_one(spec, p, b)
-        cols_independent = not columns_pairwise_dependent(np.column_stack([a, b]))
-        proper = (independent and cols_independent,)
-        return QuadrupleFamily(
-            spec=spec,
-            mu=spec.mu,
-            numerators=(num,),
-            exchange_numerators=(exch_num,),
-            denominator=den,
-            exchange_denominator=exch_den,
-            proper=proper,
-            row_p=p,
-            row_q=q,
-            col_a=a,
-            col_b=b,
-            beta=beta,
-            sp_choice=None,
-            so_mode=so_mode,
-        )
-
-    # column family (U, Sp, SO with isotropic rows)
-    if choice in (SpChoice.W_OVER_Z, SpChoice.W_OVER_W):
-        member_offset = n
+        proper = [rows_independent and independent(a, b)]
     else:
-        member_offset = 0
-    den_offset = n if choice is SpChoice.W_OVER_W else 0
+        # column family (U, Sp, SO with isotropic rows)
+        member_offset = n if choice in (SpChoice.W_OVER_Z, SpChoice.W_OVER_W) else 0
+        den_offset = n if choice is SpChoice.W_OVER_W else 0
+        if abs(b[beta]) == 0:
+            raise ZeroVector("denominator weight b[beta] must be nonzero")
+        den_col = den_offset + beta
+        den = LinearForm.column(spec, q, den_col, b[beta])
+        exch_den = LinearForm.column(spec, p, den_col, b[beta])
 
-    if abs(b[beta]) == 0:
-        raise ZeroVector("denominator weight b[beta] must be nonzero")
-    den_col = den_offset + beta
-    den = LinearForm.column(spec, q, den_col, b[beta])
-    exch_den = LinearForm.column(spec, p, den_col, b[beta])
-
-    scale_a = float(np.max(np.abs(a)))
-    numerators = []
-    exchange = []
-    proper_flags = []
-    for j in range(n):
-        if abs(a[j]) <= 1e-14 * scale_a:
-            continue
-        col = member_offset + j
-        numerators.append(LinearForm.column(spec, p, col, a[j]))
-        exchange.append(LinearForm.column(spec, q, col, a[j]))
-        # cross-block members (choice 10) never share the denominator column,
-        # so every column is proper there; same-block members lose column beta.
-        proper_flags.append(independent and col != den_col)
-    if not numerators:
-        raise ZeroVector("no nonzero column weights in a")
+        scale_a = float(np.max(np.abs(a)))
+        numerators, exchange, proper = [], [], []
+        for j in range(n):
+            if abs(a[j]) <= 1e-14 * scale_a:
+                continue
+            col = member_offset + j
+            numerators.append(LinearForm.column(spec, p, col, a[j]))
+            exchange.append(LinearForm.column(spec, q, col, a[j]))
+            # cross-block members (choice 10) never share the denominator column,
+            # so every column is proper there; same-block members lose column beta.
+            proper.append(rows_independent and col != den_col)
+        if not numerators:
+            raise ZeroVector("no nonzero column weights in a")
 
     return QuadrupleFamily(
-        spec=spec,
-        mu=spec.mu,
-        numerators=tuple(numerators),
-        exchange_numerators=tuple(exchange),
-        denominator=den,
-        exchange_denominator=exch_den,
-        proper=tuple(proper_flags),
-        row_p=p,
-        row_q=q,
-        col_a=a,
-        col_b=b,
-        beta=beta,
-        sp_choice=choice,
-        so_mode=so_mode,
+        spec=spec, mu=spec.mu, numerators=tuple(numerators), exchange_numerators=tuple(exchange),
+        denominator=den, exchange_denominator=exch_den, proper=tuple(proper),
+        row_p=p, row_q=q, col_a=a, col_b=b, beta=beta, sp_choice=choice, so_mode=so_mode,
     )
 
 
@@ -705,7 +674,7 @@ class Classification(enum.Enum):
     ProperBiharmonic = "proper biharmonic"
 
 
-def classify(m_p: np.ndarray, q, a, spec: GroupSpec, rel_tol: float = 1e-12) -> Classification:
+def classify(m_p: np.ndarray, q, a, spec: GroupSpec) -> Classification:
     """Classify the quotient of P (coefficients ``m_p``) by Q = q (x) a.
 
     Case I: q and every column of m_p are pairwise linearly dependent.
@@ -728,15 +697,15 @@ def classify(m_p: np.ndarray, q, a, spec: GroupSpec, rel_tol: float = 1e-12) -> 
     if spec.kind is GroupKind.SPECIAL_ORTHOGONAL and isotropic(a):
         raise IsotropyViolation("SO(n) classification requires (a,a) != 0")
 
-    if columns_pairwise_dependent(np.column_stack([q, m_p]), rel_tol):
+    if columns_pairwise_dependent(np.column_stack([q, m_p])):
         return Classification.HarmonicCaseI
 
     a_abs = np.abs(a)
     support = int(np.argmax(a_abs))
-    a_single = np.all(np.delete(a_abs, support) <= rel_tol * a_abs[support])
+    a_single = np.all(np.delete(a_abs, support) <= _ZERO_REL_TOL * a_abs[support])
     if a_single:
         col_norms = np.linalg.norm(m_p, axis=0)
         others = np.delete(col_norms, support)
-        if np.all(others <= rel_tol * max(col_norms[support], 1e-300)):
+        if np.all(others <= _ZERO_REL_TOL * max(col_norms[support], 1e-300)):
             return Classification.HarmonicCaseII
     return Classification.ProperBiharmonic

@@ -53,11 +53,6 @@ class VerificationReport:
     def verdict(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    @property
-    def max_residual(self) -> float:
-        upper = [c.max_residual for c in self.checks if not c.lower_bound]
-        return max(upper, default=0.0)
-
     def to_dict(self) -> dict:
         return {
             "subject": self.subject,

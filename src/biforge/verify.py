@@ -13,6 +13,24 @@ Each check walks every function it reads once, through
 (``operators.kappa_matrix``) off that walk.  The closed-form member
 tension is evaluated on the plain stack, so the jet side never reads the
 formula it checks.
+
+Every bound is a module constant with its reason below; the CLI's
+``--tol`` defaults read them.  All residuals are relative.
+
+* ``IDENTITY_TOL`` = 1e-9: eigenfunction relations, product rules,
+  closed-form tensions and eigenfamily constants are exact identities;
+  rounding leaves at most about 1e-13, a wrong coefficient order one.
+* ``DEFAULT_CANDIDATE_TOL`` = 1e-7 (``verify --tol``): the bitension is
+  fourth order through nested quotients, up to about 1e-10; a harmonic
+  candidate's tension, second order, gets a tenth of it.
+* ``TENSION_WITNESS_MIN`` = 1e-3: a proper candidate's tension reaches
+  order one somewhere; a harmonic one stays at rounding.
+* ``DEFAULT_MORPHISM_TOL`` = 1e-8 (``morphism --tol``): second-order
+  residuals of powers of quotients, about 1e-13 in practice.
+* ``ROUTE_TOL`` = 1e-8: two fourth-order routes to the bitension differ
+  by rounding, up to about 1e-10.
+* ``DEFAULT_DOMAIN_MARGIN`` = 0.02: points keep every denominator at this
+  fraction of its coefficient scale, so no nearby pole inflates a residual.
 """
 
 from __future__ import annotations
@@ -36,31 +54,32 @@ __all__ = [
     "morphism_checks",
 ]
 
+IDENTITY_TOL = 1e-9
+DEFAULT_CANDIDATE_TOL = 1e-7
+TENSION_WITNESS_MIN = 1e-3
+DEFAULT_MORPHISM_TOL = 1e-8
+ROUTE_TOL = 1e-8
 DEFAULT_DOMAIN_MARGIN = 0.02
 
 
-def sample_domain_points(
-    exprs,
-    spec: GroupSpec,
-    count: int,
-    seed: int,
-    margin: float = DEFAULT_DOMAIN_MARGIN,
-) -> np.ndarray:
+def sample_domain_points(exprs, spec: GroupSpec, count: int, seed: int) -> np.ndarray:
     """A (count, N, N) stack of deterministic points where every denominator
     stays away from zero.
 
     Seeds seed, seed + 1, ... are drawn in rounds of as many draws as
     points are still missing, and a draw is kept when every denominator
-    reaches ``margin`` times its coefficient scale, so the kept seeds are
-    those of a one-at-a-time loop.  Each denominator is evaluated once
-    per round on the draws still kept, children first: a denominator is
-    only evaluated where every quotient inside it has cleared the margin,
-    far above the Quotient guard's ``forms._POLE_REL_TOL``.
+    reaches ``DEFAULT_DOMAIN_MARGIN`` (read at call time) times its
+    coefficient scale, so the kept seeds are those of a one-at-a-time
+    loop.  Each denominator is evaluated once per round on the draws
+    still kept, children first: a denominator is only evaluated where
+    every quotient inside it has cleared the margin, far above the
+    Quotient guard's ``forms._POLE_REL_TOL``.
     """
     guards = {}
     for node in walk_order(exprs)[0]:
         if isinstance(node, Quotient):
-            guards.setdefault(id(node.denominator), (node.denominator, margin * node.den_scale))
+            bound = DEFAULT_DOMAIN_MARGIN * node.den_scale
+            guards.setdefault(id(node.denominator), (node.denominator, bound))
     n = spec.ambient_dim
     points = np.empty((0, n, n), dtype=complex)
     offset = 0
@@ -80,13 +99,7 @@ def sample_domain_points(
     return points
 
 
-def quadruple_checks(
-    fam: QuadrupleFamily,
-    ctx: OperatorContext,
-    points,
-    tol_eigen: float = 1e-9,
-    tol_kappa: float = 1e-9,
-) -> list[CheckResult]:
+def quadruple_checks(fam: QuadrupleFamily, ctx: OperatorContext, points) -> list[CheckResult]:
     """Eigenfunction residuals and the ten conformality product rules.
 
     All forms are walked once; each rule is a set of index lookups into
@@ -96,7 +109,7 @@ def quadruple_checks(
     values = jets[..., 0]
     kappa = kappa_matrix(jets)
     eigen = np.max(relative_residual(2 * jets[..., -1], fam.spec.eigenvalue * values))
-    checks = [CheckResult.upper("eigenfunctions", eigen, tol_eigen)]
+    checks = [CheckResult.upper("eigenfunctions", eigen, IDENTITY_TOL)]
 
     # indices in all_forms() order: P_0 .. P_{m-1}, Q, R, S_0 .. S_{m-1}
     m = fam.n_members
@@ -119,23 +132,18 @@ def quadruple_checks(
     for name, rows in relations.items():
         left, right, fa, fb = np.array(rows).T
         worst = np.max(relative_residual(kappa[left, right], fam.mu * values[fa] * values[fb]))
-        checks.append(CheckResult.upper(name, worst, tol_kappa))
+        checks.append(CheckResult.upper(name, worst, IDENTITY_TOL))
     return checks
 
 
-def closed_form_tension_checks(
-    fam: QuadrupleFamily,
-    ctx: OperatorContext,
-    points,
-    tol: float = 1e-9,
-) -> list[CheckResult]:
+def closed_form_tension_checks(fam: QuadrupleFamily, ctx: OperatorContext, points) -> list[CheckResult]:
     """Closed-form member tension against the jet-computed operator; the
     quotients are one jet walk and their closed forms one plain walk."""
     members = range(fam.n_members)
     jets = laplacian_jets([fam.member_quotient(i) for i in members], points, ctx)
     closed = np.array(evaluate_all([fam.member_tension(i) for i in members], points))
     worst = np.max(relative_residual(2 * jets[..., -1], closed))
-    return [CheckResult.upper("closed-form tension", worst, tol)]
+    return [CheckResult.upper("closed-form tension", worst, IDENTITY_TOL)]
 
 
 def candidate_checks(
@@ -143,27 +151,26 @@ def candidate_checks(
     ctx: OperatorContext,
     points,
     proper: bool,
-    tol_tau: float = 1e-8,
-    tol_tau2: float = 1e-7,
-    min_tau: float = 1e-3,
+    tol: float = DEFAULT_CANDIDATE_TOL,
 ) -> list[CheckResult]:
     """Harmonicity or proper biharmonicity of an assembled candidate.
 
     Residuals are normalized by max(1, |phi|, |tau phi|) at each point;
-    the properness witness is max over points of |tau phi| / max(1, |phi|)
-    and must reach ``min_tau``.
+    the bitension is bounded by ``tol`` and the tension of a harmonic
+    candidate by ``tol / 10``.  The properness witness is max over points
+    of |tau phi| / max(1, |phi|) and must reach ``TENSION_WITNESS_MIN``.
     """
     jets = laplacian_jets([phi], points, ctx)[0]
     value = np.abs(jets[:, 0])
     tau = np.abs(2 * jets[:, -1])
     tau_ratio = tau / np.maximum(1.0, value)
     if not proper:
-        return [CheckResult.upper("tension", np.max(tau_ratio), tol_tau)]
+        return [CheckResult.upper("tension", np.max(tau_ratio), tol / 10)]
     tau_two = np.abs(tension2(phi, points, ctx))
     scale = np.maximum(np.maximum(1.0, value), tau)
     return [
-        CheckResult.upper("bitension", np.max(tau_two / scale), tol_tau2),
-        CheckResult.lower("tension nonvanishing", np.max(tau_ratio), min_tau),
+        CheckResult.upper("bitension", np.max(tau_two / scale), tol),
+        CheckResult.lower("tension nonvanishing", np.max(tau_ratio), TENSION_WITNESS_MIN),
     ]
 
 
@@ -174,7 +181,6 @@ def oracle_equivalence_check(
     phi: RationalExpr,
     ctx: OperatorContext,
     points,
-    tol: float = 1e-8,
 ) -> CheckResult:
     """Jet bitension (``tension2``) against the symbolic route.
 
@@ -191,7 +197,7 @@ def oracle_equivalence_check(
     via_expansion = 2 * jets[1, :, -1]
     scale = np.maximum.reduce([np.ones(len(points)), *np.abs(jets[..., 0]), np.abs(via_expansion)])
     return CheckResult.upper(
-        "bitension route equivalence", np.max(np.abs(direct - via_expansion) / scale), tol
+        "bitension route equivalence", np.max(np.abs(direct - via_expansion) / scale), ROUTE_TOL
     )
 
 
@@ -201,7 +207,7 @@ def eigenfamily_checks(
     kappa_constant: float,
     ctx: OperatorContext,
     points,
-    tol: float = 1e-9,
+    tol: float = IDENTITY_TOL,
 ) -> list[CheckResult]:
     """Definition of an eigenfamily: common eigenvalue and kappa constant."""
     jets = laplacian_jets(members, points, ctx)
@@ -221,7 +227,7 @@ def morphism_checks(
     expr: RationalExpr,
     ctx: OperatorContext,
     points,
-    tol: float = 1e-8,
+    tol: float = DEFAULT_MORPHISM_TOL,
 ) -> list[CheckResult]:
     """Harmonic morphism conditions: tension and kappa(f, f) both vanish."""
     jets = laplacian_jets([expr], points, ctx)

@@ -260,17 +260,13 @@ def test_criterion_4_biharmonicity_end_to_end():
     weakest_witness = float("inf")
     for cand in _constructed_candidates():
         ctx = ctx_of(cand["spec"])
-        checks = candidate_checks(
-            cand["phi"], ctx, cand["points"], proper=True, tol_tau2=1e-7, min_tau=1e-3
-        )
+        checks = candidate_checks(cand["phi"], ctx, cand["points"], proper=True)
         by_name = {c.name: c for c in checks}
         worst_tau2 = max(worst_tau2, by_name["bitension"].max_residual)
         weakest_witness = min(weakest_witness, by_name["tension nonvanishing"].max_residual)
         assert all(c.passed for c in checks), (cand["spec"].code, cand["degrees"])
         for harmonic in cand["harmonics"]:
-            hchecks = candidate_checks(
-                harmonic, ctx, cand["points"], proper=False, tol_tau=1e-8
-            )
+            hchecks = candidate_checks(harmonic, ctx, cand["points"], proper=False)
             worst_harmonic = max(worst_harmonic, hchecks[0].max_residual)
             assert hchecks[0].passed, (cand["spec"].code, cand["degrees"])
     verdict(
@@ -295,7 +291,6 @@ def test_criterion_5_oracle_equivalence():
             cand["phi"],
             ctx,
             cand["points"][:10],
-            tol=1e-8,
         )
         worst = max(worst, check.max_residual)
         assert check.passed, (cand["spec"].code, cand["degrees"], check.max_residual)

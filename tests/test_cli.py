@@ -7,14 +7,12 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from functools import partial
 from pathlib import Path
 
 import pytest
 
 from biforge.cli import REFERENCE_FIXTURES, main
 from biforge.construct import CoeffTable
-from biforge.verify import sample_domain_points
 
 
 def run(argv):
@@ -259,9 +257,7 @@ def test_verify_rejects_zero_points(tmp_path, capsys):
 
 def test_morphism_exhausted_sampler_exits_2(monkeypatch, capsys):
     # a domain margin that no finite denominator meets rejects every draw
-    monkeypatch.setattr(
-        "biforge.cli.sample_domain_points", partial(sample_domain_points, margin=math.inf)
-    )
+    monkeypatch.setattr("biforge.verify.DEFAULT_DOMAIN_MARGIN", math.inf)
     code = run(["morphism", "--group", "su", "--n", "5", "--kind", "rational", "--k", "2",
                 "--points", "5", "--seed", "214"])
     assert code == 2

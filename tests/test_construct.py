@@ -356,6 +356,17 @@ def test_orthogonal_column_family(ctx_for):
                 assert abs(conformality(phi, family[j], point, ctx)) <= 1e-9
 
 
+def test_column_ratio_family_rejects_bad_input():
+    with pytest.raises(DimensionMismatch):
+        column_ratio_family([1.0, 2.0], SP2)
+    with pytest.raises(DimensionMismatch):
+        column_ratio_family([1.0, 2.0], U3)
+    with pytest.raises(ZeroVector):
+        column_ratio_family([0.0, 0.0, 0.0], U3)
+    with pytest.raises(DimensionMismatch):
+        column_ratio_family([1.0, 2.0, 3.0], U3, beta=3)
+
+
 def test_orthogonal_family_single_member_and_composition(ctx_for):
     family = column_ratio_family([1.0, -2.0], U2, beta=1)
     assert len(family) == 1

@@ -1,5 +1,8 @@
 """Linear forms, quadruple families, their product rules, and predicates."""
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -172,6 +175,59 @@ def test_quadruple_json_round_trip():
         assert np.array_equal(f1.coeffs, f2.coeffs)
 
 
+ROWS_P, ROWS_Q = [1, 2j, 3, 0.5], [0.5, 1, 2j, 1]  # generic, not isotropic
+SP2_VECTORS = ([1, 2], [1j, 1], [1, 1], [1, 0.5])
+
+
+# SHA-256 of to_json() and the proper flags, recorded when make_quadruple
+# built the isotropic-column family on a path of its own
+@pytest.mark.parametrize(
+    "args, sp_choice, digest, proper",
+    [
+        pytest.param((U3, [1, 0, 0], [0, 1, 0], [1, 1, 1], [1, 1, 1]), None,
+                     "e6a6fdaf76ca96d27125e82a88292b0c42ce5d243140eda6a64b4b8cbf53960e",
+                     (False, True, True), id="su3"),
+        pytest.param((SO4, ISO_P, ISO_Q, [1, 1, 1, 1], [1, 1, 1, 1]), None,
+                     "2cb84e359e334afe6661916e4c78a81c8daaf81250c6e1f97293502f3e765ac7",
+                     (False, True, True, True), id="so4-iso-rows"),
+        pytest.param((SO4, ROWS_P, ROWS_Q, [1, 1j, 0, 0], [1, 1j, 0, 0]), None,
+                     "7b8461792fc9f229f8097cb0febab09a9646d34e3eb10611e14c5c15e2ba795c",
+                     (False,), id="so4-iso-cols-equal"),
+        pytest.param((SO4, ROWS_P, ROWS_Q, [1, 1j, 0, 0], [0, 0, 1, 1j]), None,
+                     "790b7c928a504dbb1af49c2b733e648b8519f68cfcc04ff3a2b11b8f9865cc9f",
+                     (True,), id="so4-iso-cols-distinct"),
+        pytest.param((SP2, *SP2_VECTORS), 9,
+                     "7c229a88fccce88a7f6e86a8cd7bc894276c7affc6eaa06eb8236cf7b3459670",
+                     (False, True), id="sp2-choice9"),
+        pytest.param((SP2, *SP2_VECTORS), 10,
+                     "1888c3083c9db40f0db80806d2f3720d1d746f0ced77854160f21ead3211b737",
+                     (True, True), id="sp2-choice10"),
+        pytest.param((SP2, *SP2_VECTORS), 11,
+                     "407ced2544413381f0c29fee301c05f2e38f7470c5d35f82ce106ea15cf51c52",
+                     (False, True), id="sp2-choice11"),
+    ],
+)
+def test_quadruple_json_matches_recorded_digest(args, sp_choice, digest, proper):
+    fam = make_quadruple(*args, sp_choice=sp_choice)
+    assert hashlib.sha256(fam.to_json().encode()).hexdigest() == digest
+    assert fam.proper == proper
+
+
+def test_member_nodes_are_built_once_per_family(points_for):
+    fam = fam_u3()
+    for i in range(fam.n_members):
+        assert fam.member_quotient(i) is fam.member_quotient(i)
+        assert fam.member_tension(i) is fam.member_tension(i)
+    # a family with another mu builds its own nodes, even after the
+    # original's were built
+    doubled = dataclasses.replace(fam, mu=2 * fam.mu)
+    (point,) = points_for(U3, 1, 950)
+    for i in fam.proper_indices:
+        assert doubled.member_tension(i) is not fam.member_tension(i)
+        expected = 2 * fam.member_tension(i).evaluate(point)
+        assert abs(doubled.member_tension(i).evaluate(point) - expected) <= 1e-12 * abs(expected)
+
+
 # ---------------------------------------------------------------------------
 # quotients and the closed-form tension
 
@@ -189,6 +245,16 @@ def test_quotient_domain_error():
     f = quotient(LinearForm.coordinate(U3, 0, 1), LinearForm.coordinate(U3, 0, 0))
     with pytest.raises(DomainError):
         f.evaluate(m)
+
+
+def test_quotient_rejects_only_an_all_zero_denominator():
+    # a tiny but nonzero denominator form is a valid rational function
+    tiny = LinearForm(U3, 1e-15 * coord(U3, 1, 0).coeffs)
+    f = quotient(coord(U3, 0, 0), tiny)
+    m = sample_point(U3, 1)
+    assert f.evaluate(m) == pytest.approx(m[0, 0] / (1e-15 * m[1, 0]), rel=1e-12)
+    with pytest.raises(ZeroVector):
+        quotient(coord(U3, 0, 0), LinearForm(U3, np.zeros((3, 3))))
 
 
 def test_quotient_matches_direct_entry_division(points_for):
