@@ -11,9 +11,9 @@ bitension.
 from biforge import GroupSpec, make_quadruple
 from biforge.construct import (
     biharmonic_coefficients,
-    biharmonic_family,
     build_expression,
     harmonic_coefficients,
+    proper_biharmonic_table,
 )
 from biforge.operators import OperatorContext, tension, tension2
 from biforge.verify import sample_domain_points
@@ -25,7 +25,7 @@ print(f"family members: {fam.n_members}, proper: {fam.n_proper} (column {fam.bet
 
 for d in (2, 3, 4):
     h = harmonic_coefficients(d, -1)
-    b = biharmonic_family((d,), -1).proper_member
+    b = proper_biharmonic_table((d,), -1)
     print(f"d={d}:  harmonic {h.single_degree()}   proper biharmonic {b.single_degree()}")
 
 print("\nscaled degree-2 member:", biharmonic_coefficients(2, -1, 4, 0).single_degree())
@@ -33,7 +33,7 @@ print("\nscaled degree-2 member:", biharmonic_coefficients(2, -1, 4, 0).single_d
 i = fam.proper_indices[0]
 pairs = [(fam.member_quotient(i), fam.member_tension(i))]
 for d in (1, 2, 3, 4):
-    table = biharmonic_family((d,), -1).proper_member
+    table = proper_biharmonic_table((d,), -1)
     phi = build_expression(table, pairs)
     points = sample_domain_points([phi, pairs[0][1]], spec, 5, seed=100 + d)
     worst_t2, witness = 0.0, 0.0

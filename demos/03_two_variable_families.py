@@ -12,7 +12,14 @@ isotropic row vectors.
 import numpy as np
 
 from biforge import GroupSpec, make_quadruple
-from biforge.construct import CoeffTable, biharmonic_family, box_indices, build_expression, tension_table
+from biforge.construct import (
+    CoeffTable,
+    biharmonic_family,
+    box_indices,
+    build_expression,
+    proper_biharmonic_table,
+    tension_table,
+)
 from biforge.operators import OperatorContext, tension, tension2
 from biforge.verify import sample_domain_points
 
@@ -26,8 +33,8 @@ print("its square (kernel = biharmonic family):")
 print(matrix @ matrix)
 
 fam21 = biharmonic_family((2, 1), -1)
-print(f"\ndegree-(2,1) biharmonic family dimension: {fam21.dimension}")
-print("proper member:", dict(fam21.proper_member.items()))
+print(f"\ndegree-(2,1) biharmonic family dimension: {len(fam21)}")
+print("proper member:", dict(fam21[0].items()))
 
 configs = [
     ("Sp(2), cross-block choice", GroupSpec.quaternionic_unitary(2),
@@ -39,7 +46,7 @@ for name, spec, build in configs:
     ctx = OperatorContext.for_spec(spec)
     fam = build(spec)
     pairs = [(fam.member_quotient(i), fam.member_tension(i)) for i in fam.proper_indices[:2]]
-    table = biharmonic_family((2, 1), spec.mu).proper_member
+    table = proper_biharmonic_table((2, 1), spec.mu)
     phi = build_expression(table, pairs)
     points = sample_domain_points([phi] + [tf for _, tf in pairs], spec, 5, seed=7)
     worst = 0.0

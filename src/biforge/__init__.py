@@ -11,17 +11,15 @@ every construction by jet differentiation along one-parameter subgroups.
 from .algebra import Jet2, translate
 from .construct import (
     CoeffTable,
-    FamilyKind,
-    SolutionFamily,
     biharmonic_coefficients,
     biharmonic_family,
     build_expression,
     column_ratio_family,
+    combine,
     eigenfamily_constants,
     harmonic_coefficients,
     harmonic_family,
-    is_biharmonic_table,
-    is_harmonic_table,
+    proper_biharmonic_table,
     rational_morphism,
     tension_power_family,
     tension_table,

@@ -41,9 +41,10 @@ from .construct import (
     box_indices,
     build_expression,
     column_ratio_family,
+    combine,
     eigenfamily_constants,
-    harmonic_coefficients,
     harmonic_family,
+    proper_biharmonic_table,
     rational_morphism,
     tension_power_family,
     tension_table,
@@ -162,11 +163,12 @@ def cmd_construct(
             f"need {m} proper members but the family has {fam.n_proper}; "
             "use a larger n or, on sp, --choice 10"
         )
-    family = biharmonic_family(degrees, Fraction(spec.mu) if mu is None else mu)
+    mu = Fraction(spec.mu) if mu is None else mu
+    table = proper_biharmonic_table(degrees, mu)
     out.mkdir(parents=True, exist_ok=True)
     coeffs_path = out / "coeffs.json"
     quad_path = out / "quadruple.json"
-    coeffs_path.write_text(family.proper_member.to_json(fam.spec, family.mu) + "\n")
+    coeffs_path.write_text(table.to_json(fam.spec, mu) + "\n")
     quad_path.write_text(fam.to_json() + "\n")
     print(f"wrote {coeffs_path} and {quad_path}")
     print(f"group={group} n={n} degrees={degrees} proper members available: {fam.n_proper}")
@@ -291,9 +293,8 @@ def _check_fixture(name: str) -> bool:
     expected = REFERENCE_FIXTURES[name]
     if name.startswith("harmonic_d"):
         d = int(name[-1])
-        got = harmonic_coefficients(d, -1).single_degree()
         reference = CoeffTable((d,), {(k,): v for k, v in enumerate(expected)})
-        return CoeffTable((d,), {(k,): v for k, v in enumerate(got)}).proportional_to(reference)
+        return harmonic_family((d,), -1)[0].proportional_to(reference)
     if name.startswith("biharmonic_d"):
         d = int(name[-1])
         got = biharmonic_coefficients(d, -1, expected[0], 0).single_degree()
@@ -306,12 +307,10 @@ def _check_fixture(name: str) -> bool:
     if name.endswith("relations_11") or name.endswith("relations_21"):
         degrees = (1, 1) if name.endswith("_11") else (2, 1)
         if name.startswith("harmonic"):
-            family = harmonic_family(degrees, -1)
-            tables = list(family.tables) + [family.combine([2, -3][: len(family.tables)])]
+            family, weights = harmonic_family(degrees, -1), [2, -3]
         else:
-            family = biharmonic_family(degrees, -1)
-            tables = list(family.tables) + [family.combine([1, 2, -3][: len(family.tables)])]
-        for table in tables:
+            family, weights = biharmonic_family(degrees, -1), [1, 2, -3]
+        for table in (*family, combine(family, weights)):
             vec = _table_vector(table)
             for row in expected:
                 if sum(Fraction(c) * v for c, v in zip(row, vec)) != 0:

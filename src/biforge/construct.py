@@ -22,7 +22,10 @@ Biharmonicity is handled by rewriting tau(F) in the same monomial basis
 (the ``tension_table`` map below) and demanding that *its* coefficients
 solve the harmonic system; the solution space gains one dimension,
 freely parametrized by c at the zero index (the proper direction) plus
-the unit indices (the harmonic directions).
+the unit indices (the harmonic directions).  Solution spaces are plain
+tuples of tables: ``harmonic_family`` returns the m harmonic basis
+tables, ``proper_biharmonic_table`` the one proper table, and
+``biharmonic_family`` the proper table followed by the harmonic basis.
 
 Writing mu = a/b in lowest terms, every row is kept multiplied by b, so
 its coefficients are Python ints (the composed biharmonic rows by b^2);
@@ -41,12 +44,10 @@ into an evaluable expression.
 
 from __future__ import annotations
 
-import enum
 import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -69,16 +70,14 @@ from .groups import GroupKind, GroupSpec
 
 __all__ = [
     "CoeffTable",
-    "FamilyKind",
-    "SolutionFamily",
     "box_indices",
+    "combine",
     "harmonic_coefficients",
     "biharmonic_coefficients",
     "harmonic_family",
+    "proper_biharmonic_table",
     "biharmonic_family",
     "tension_table",
-    "is_harmonic_table",
-    "is_biharmonic_table",
     "build_expression",
     "tension_power_family",
     "eigenfamily_constants",
@@ -129,18 +128,6 @@ class CoeffTable:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def scale(self, factor) -> "CoeffTable":
-        factor = _frac(factor)
-        return CoeffTable(self.degrees, {k: v * factor for k, v in self.coeffs.items()})
-
-    def __add__(self, other: "CoeffTable") -> "CoeffTable":
-        if self.degrees != other.degrees:
-            raise DimensionMismatch("cannot add tables of different degree boxes")
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) + v
-        return CoeffTable(self.degrees, out)
 
     def __eq__(self, other):
         if not isinstance(other, CoeffTable):
@@ -206,44 +193,19 @@ class CoeffTable:
         return f"CoeffTable(degrees={self.degrees}, nnz={len(self.coeffs)})"
 
 
-class FamilyKind(enum.Enum):
-    HARMONIC = "harmonic"
-    BIHARMONIC = "biharmonic"
-
-
-@dataclass(frozen=True)
-class SolutionFamily:
-    """Basis tables spanning a solution space of the defining system."""
-
-    kind: FamilyKind
-    degrees: tuple[int, ...]
-    mu: Fraction
-    tables: tuple[CoeffTable, ...]
-
-    @property
-    def dimension(self) -> int:
-        return len(self.tables)
-
-    @property
-    def proper_member(self) -> CoeffTable:
-        if self.kind is not FamilyKind.BIHARMONIC:
-            raise ValueError("only biharmonic families have a proper member")
-        return self.tables[0]
-
-    @property
-    def harmonic_members(self) -> tuple[CoeffTable, ...]:
-        if self.kind is FamilyKind.BIHARMONIC:
-            return self.tables[1:]
-        return self.tables
-
-    def combine(self, weights) -> CoeffTable:
-        weights = [_frac(w) for w in weights]
-        if len(weights) != len(self.tables):
-            raise DimensionMismatch("one weight per basis table")
-        out = CoeffTable(self.degrees, {})
-        for w, t in zip(weights, self.tables):
-            out = out + t.scale(w)
-        return out
+def combine(tables, weights) -> CoeffTable:
+    """sum_i weights[i] * tables[i], for tables on one degree box."""
+    weights = [_frac(w) for w in weights]
+    if len(weights) != len(tables):
+        raise DimensionMismatch("one weight per basis table")
+    boxes = {t.degrees for t in tables}
+    if len(boxes) != 1:
+        raise DimensionMismatch(f"tables must share one degree box, got {sorted(boxes)}")
+    out: dict = {}
+    for w, t in zip(weights, tables):
+        for k, v in t.coeffs.items():
+            out[k] = out.get(k, 0) + w * v
+    return CoeffTable(boxes.pop(), out)
 
 
 # ---------------------------------------------------------------------------
@@ -302,14 +264,6 @@ def tension_table(table: CoeffTable, mu) -> CoeffTable:
     return CoeffTable(degrees, out)
 
 
-def is_harmonic_table(table: CoeffTable, mu) -> bool:
-    return tension_table(table, mu).is_zero()
-
-
-def is_biharmonic_table(table: CoeffTable, mu) -> bool:
-    return is_harmonic_table(tension_table(table, mu), mu)
-
-
 # ---------------------------------------------------------------------------
 # exact solving
 
@@ -355,39 +309,40 @@ def _validate_degrees(degrees) -> tuple[int, ...]:
     return degrees
 
 
-def harmonic_family(degrees, mu) -> SolutionFamily:
-    """All harmonic coefficient tables on the degree box.
-
-    Returns m basis tables, one per free unit multi-index; basis table i
-    has coefficient 1 at e_i and 0 at the other unit indices.  The
-    sigma = 1 rows read d_j * sum(d) * c_0 = 0, so c_0 is pinned to 0.
-    """
+def _validate_problem(degrees, mu) -> tuple[tuple[int, ...], Fraction]:
+    """Positive integer degrees and a nonzero rational mu, or an error."""
     degrees = _validate_degrees(degrees)
     mu = _frac(mu)
     if mu == 0:
         raise ZeroVector("mu must be nonzero")
+    return degrees, mu
+
+
+def harmonic_family(degrees, mu) -> tuple[CoeffTable, ...]:
+    """The harmonic solution space on the degree box, as m basis tables.
+
+    Basis table i has coefficient 1 at e_i and 0 at the other unit
+    indices.  The sigma = 1 rows read d_j * sum(d) * c_0 = 0, so c_0 is
+    pinned to 0.
+    """
+    degrees, mu = _validate_problem(degrees, mu)
     m = len(degrees)
     rows = {idx: _tension_row(degrees, mu, idx) for idx in box_indices(degrees)}
     zero, units = (0,) * m, _unit_indices(m)
-    tables = []
-    for i in range(m):
-        pinned = {zero: Fraction(0), **{u: Fraction(int(j == i)) for j, u in enumerate(units)}}
-        tables.append(CoeffTable(degrees, _graded_solve(rows, pinned)))
-    return SolutionFamily(FamilyKind.HARMONIC, degrees, mu, tuple(tables))
+    pins = ({zero: Fraction(0), **{u: Fraction(int(u == e)) for u in units}} for e in units)
+    return tuple(CoeffTable(degrees, _graded_solve(rows, pinned)) for pinned in pins)
 
 
-def biharmonic_family(degrees, mu) -> SolutionFamily:
-    """All biharmonic tables: the harmonic family plus one proper direction.
+def proper_biharmonic_table(degrees, mu) -> CoeffTable:
+    """The proper biharmonic table: coefficient 1 at the zero index, 0 at
+    the unit indices.
 
-    The proper member is normalized to coefficient 1 at the zero index
-    and 0 at the unit indices; it is returned first.  The rows of the
-    composed system (harmonic rows applied to ``tension_table``) at
-    sigma <= 1 vanish identically, so the m + 1 indices there are free.
+    The rows of the composed system (harmonic rows applied to
+    ``tension_table``) at sigma <= 1 vanish identically, so the m + 1
+    indices there are free; pinning them fixes the table, and one
+    forward substitution solves for the rest.
     """
-    degrees = _validate_degrees(degrees)
-    mu = _frac(mu)
-    if mu == 0:
-        raise ZeroVector("mu must be nonzero")
+    degrees, mu = _validate_problem(degrees, mu)
     m = len(degrees)
     columns = list(box_indices(degrees))
     tension_rows = {idx: _tension_row(degrees, mu, idx) for idx in columns}
@@ -400,15 +355,17 @@ def biharmonic_family(degrees, mu) -> SolutionFamily:
         return row
 
     rows = {idx: compose(tension_rows[idx]) for idx in columns}
-    free = [(0,) * m, *_unit_indices(m)]
-    tables = []
-    for i in range(m + 1):
-        pinned = {idx: Fraction(int(j == i)) for j, idx in enumerate(free)}
-        tables.append(CoeffTable(degrees, _graded_solve(rows, pinned)))
-    proper = tables[0]
+    pinned = {(0,) * m: Fraction(1), **{u: Fraction(0) for u in _unit_indices(m)}}
+    proper = CoeffTable(degrees, _graded_solve(rows, pinned))
     if tension_table(proper, mu).is_zero():
         raise InconsistentSystem("proper direction came out harmonic")
-    return SolutionFamily(FamilyKind.BIHARMONIC, degrees, mu, tuple(tables))
+    return proper
+
+
+def biharmonic_family(degrees, mu) -> tuple[CoeffTable, ...]:
+    """The biharmonic solution space: the proper table, then the harmonic
+    basis, whose tables solve the composed system with the same pins."""
+    return (proper_biharmonic_table(degrees, mu), *harmonic_family(degrees, mu))
 
 
 def harmonic_coefficients(d: int, mu) -> CoeffTable:
@@ -416,11 +373,7 @@ def harmonic_coefficients(d: int, mu) -> CoeffTable:
 
         -2*mu*k*(k+1)*c_{k+1} = (d**2 - k**2) * c_k,   k = 1..d-1.
     """
-    if d < 1:
-        raise DimensionMismatch("degree must be positive")
-    mu = _frac(mu)
-    if mu == 0:
-        raise ZeroVector("mu must be nonzero")
+    (d,), mu = _validate_problem((d,), mu)
     coeffs = {(1,): Fraction(1)}
     value = Fraction(1)
     for k in range(1, d):
@@ -440,8 +393,7 @@ def biharmonic_coefficients(d: int, mu, c0, c1) -> CoeffTable:
 
     The result is proper biharmonic iff c0 != 0.
     """
-    family = biharmonic_family((d,), mu)
-    return family.combine([c0, c1])
+    return combine(biharmonic_family((d,), mu), [c0, c1])
 
 
 # ---------------------------------------------------------------------------

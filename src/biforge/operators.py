@@ -55,14 +55,13 @@ _BRACKET_TOL = 1e-12
 
 @dataclass(eq=False)
 class OperatorContext:
-    """A group plus its extended basis stack, shared across evaluations.
+    """A group's extended basis stack, shared across evaluations.
 
     ``extended`` has shape (|B| + 2, N, N): the identity, the basis
     elements Z_1 ... Z_|B|, and H = sum_b Z_b**2 / 2, computed from the
     basis itself.
     """
 
-    spec: GroupSpec
     extended: np.ndarray
 
     @classmethod
@@ -78,7 +77,7 @@ class OperatorContext:
             extended[b] = z
             half_sum += z @ z
         half_sum *= 0.5
-        return cls(spec, extended)
+        return cls(extended)
 
 
 def _batch(point) -> tuple[np.ndarray, bool]:

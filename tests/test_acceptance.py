@@ -17,6 +17,7 @@ from biforge.construct import (
     box_indices,
     build_expression,
     column_ratio_family,
+    combine,
     eigenfamily_constants,
     harmonic_coefficients,
     rational_morphism,
@@ -108,7 +109,7 @@ def test_criterion_2_multivariable_fixtures():
 
     family = biharmonic_family((2, 1), -1)
     for weights in ([1, 0, 0], [0, 1, 0], [0, 0, 1], [2, -1, 5]):
-        t = family.combine(weights)
+        t = combine(family, weights)
         c1, c2, c3 = t.get((0, 0)), t.get((0, 1)), t.get((1, 0))
         c4, c5, c6 = t.get((1, 1)), t.get((2, 0)), t.get((2, 1))
         ok &= c4 == 2 * c2 + c3 - 3 * c1
@@ -231,9 +232,9 @@ def _constructed_candidates():
             m = len(degrees)
             indices = fam.proper_indices[:m]
             pairs = [(fam.member_quotient(i), fam.member_tension(i)) for i in indices]
-            bih = biharmonic_family(degrees, mu)
-            phi = build_expression(bih.proper_member, pairs)
-            harmonics = [build_expression(t, pairs) for t in bih.harmonic_members]
+            proper, *harmonic = biharmonic_family(degrees, mu)
+            phi = build_expression(proper, pairs)
+            harmonics = [build_expression(t, pairs) for t in harmonic]
             guard = [phi, *harmonics, *(tf for _, tf in pairs)]
             points = sample_domain_points(guard, spec, 20, seed)
             seed += 100
@@ -242,7 +243,7 @@ def _constructed_candidates():
                     "spec": spec,
                     "degrees": degrees,
                     "mu": mu,
-                    "table": bih.proper_member,
+                    "table": proper,
                     "pairs": pairs,
                     "phi": phi,
                     "harmonics": harmonics,

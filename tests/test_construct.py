@@ -12,20 +12,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from biforge import cli, construct
 from biforge.construct import (
     TABLE_SCHEMA,
     CoeffTable,
-    FamilyKind,
     biharmonic_coefficients,
     biharmonic_family,
     box_indices,
     build_expression,
     column_ratio_family,
+    combine,
     eigenfamily_constants,
     harmonic_coefficients,
     harmonic_family,
-    is_biharmonic_table,
-    is_harmonic_table,
     rational_morphism,
     tension_power_family,
     tension_table,
@@ -58,7 +57,7 @@ def table_from_tuple(values):
 def test_harmonic_tables_match_up_to_scale(d):
     got = harmonic_coefficients(d, -1)
     assert got.proportional_to(table_from_tuple(HARMONIC_TABLES[d]))
-    assert is_harmonic_table(got, -1)
+    assert tension_table(got, -1).is_zero()
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -66,8 +65,8 @@ def test_biharmonic_tables_exact(d):
     expected = BIHARMONIC_TABLES[d]
     got = biharmonic_coefficients(d, -1, expected[0], 0)
     assert got.single_degree() == tuple(Fraction(c) for c in expected)
-    assert is_biharmonic_table(got, -1)
-    assert not is_harmonic_table(got, -1)
+    assert tension_table(tension_table(got, -1), -1).is_zero()
+    assert not tension_table(got, -1).is_zero()
 
 
 def test_degree_one_harmonic_is_tension_alone():
@@ -80,7 +79,7 @@ def test_second_order_difference_equation(d):
     # for mu = -1 the proper member solves
     # 4(k-1)^2 k^2 c_k = 4(k-1)^2 (d^2-(k-1)^2) c_{k-1}
     #                    - (d^2-(k-2)^2)(d^2-(k-1)^2) c_{k-2}
-    table = biharmonic_family((d,), -1).proper_member
+    table = biharmonic_family((d,), -1)[0]
     c = table.single_degree()
     for k in range(2, d + 1):
         lhs = 4 * (k - 1) ** 2 * k**2 * c[k]
@@ -93,8 +92,8 @@ def test_second_order_difference_equation(d):
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
 def test_multi_variable_solver_reduces_to_recurrence(d):
     family = harmonic_family((d,), -1)
-    assert family.dimension == 1
-    assert family.tables[0] == harmonic_coefficients(d, -1)
+    assert len(family) == 1
+    assert family[0] == harmonic_coefficients(d, -1)
 
 
 def test_one_variable_general_mu_recurrence():
@@ -104,10 +103,10 @@ def test_one_variable_general_mu_recurrence():
         assert c[0] == 0 and c[1] == 1
         for k in range(1, d):
             assert -2 * mu * k * (k + 1) * c[k + 1] == (d * d - k * k) * c[k]
-        assert is_harmonic_table(harmonic_coefficients(d, mu), mu)
-        proper = biharmonic_family((d,), mu).proper_member
-        assert is_biharmonic_table(proper, mu)
-        assert not is_harmonic_table(proper, mu)
+        assert tension_table(harmonic_coefficients(d, mu), mu).is_zero()
+        proper = biharmonic_family((d,), mu)[0]
+        assert tension_table(tension_table(proper, mu), mu).is_zero()
+        assert not tension_table(proper, mu).is_zero()
 
 
 def test_tension_matrix_two_variables():
@@ -130,31 +129,31 @@ def test_tension_matrix_two_variables():
 
 def test_two_variable_harmonic_family_degree_11():
     family = harmonic_family((1, 1), -1)
-    assert family.dimension == 2
+    assert len(family) == 2
     for weights in ([1, 0], [0, 1], [2, -5]):
-        t = family.combine(weights)
+        t = combine(family, weights)
         assert t.get((0, 0)) == 0
         assert 4 * t.get((1, 1)) == 3 * (t.get((0, 1)) + t.get((1, 0)))
 
 
 def test_two_variable_biharmonic_family_degree_11():
     family = biharmonic_family((1, 1), -1)
-    assert family.dimension == 3
-    proper = family.proper_member
+    assert len(family) == 3
+    proper = family[0]
     assert proper.get((0, 0)) == 1
     for weights in ([1, 0, 0], [1, 2, -1], [3, 0, 5]):
-        t = family.combine(weights)
+        t = combine(family, weights)
         assert 4 * t.get((1, 1)) == 3 * (
             t.get((0, 1)) + t.get((1, 0)) - t.get((0, 0))
         )
-        assert is_biharmonic_table(t, -1)
+        assert tension_table(tension_table(t, -1), -1).is_zero()
 
 
 def test_two_variable_biharmonic_family_degree_21():
     family = biharmonic_family((2, 1), -1)
-    assert family.dimension == 3
+    assert len(family) == 3
     for weights in ([1, 0, 0], [0, 1, 0], [0, 0, 1], [1, -2, 3]):
-        t = family.combine(weights)
+        t = combine(family, weights)
         c1, c2, c3 = t.get((0, 0)), t.get((0, 1)), t.get((1, 0))
         c4, c5, c6 = t.get((1, 1)), t.get((2, 0)), t.get((2, 1))
         assert c4 == 2 * c2 + c3 - 3 * c1
@@ -164,9 +163,9 @@ def test_two_variable_biharmonic_family_degree_21():
 
 def test_two_variable_harmonic_family_degree_21():
     family = harmonic_family((2, 1), -1)
-    assert family.dimension == 2
+    assert len(family) == 2
     for weights in ([1, 0], [0, 1], [7, -2]):
-        t = family.combine(weights)
+        t = combine(family, weights)
         assert t.get((0, 0)) == 0
         assert t.get((1, 1)) == 2 * t.get((0, 1)) + t.get((1, 0))
         assert t.get((2, 0)) == t.get((1, 0))
@@ -180,18 +179,18 @@ def test_graded_solver_families_exact_and_normalised(degrees, mu):
     zero = (0,) * m
     units = [tuple(int(j == i) for j in range(m)) for i in range(m)]
     harm = harmonic_family(degrees, mu)
-    assert harm.dimension == m
-    for i, table in enumerate(harm.tables):
-        assert is_harmonic_table(table, mu)
+    assert len(harm) == m
+    for i, table in enumerate(harm):
+        assert tension_table(table, mu).is_zero()
         assert [table.get(k) for k in (zero, *units)] == [0, *(int(j == i) for j in range(m))]
     bih = biharmonic_family(degrees, mu)
-    assert bih.dimension == m + 1
-    for i, table in enumerate(bih.tables):
-        assert is_biharmonic_table(table, mu)
+    assert len(bih) == m + 1
+    for i, table in enumerate(bih):
+        assert tension_table(tension_table(table, mu), mu).is_zero()
         assert [table.get(k) for k in (zero, *units)] == [int(j == i) for j in range(m + 1)]
     # same pinned values, so uniqueness makes them the harmonic basis
-    assert bih.harmonic_members == harm.tables
-    assert not tension_table(bih.proper_member, mu).is_zero()
+    assert bih[1:] == harm
+    assert not tension_table(bih[0], mu).is_zero()
 
 
 def test_graded_solver_rejects_inconsistent_systems():
@@ -238,8 +237,7 @@ TABLE_DIGESTS = {
 
 @pytest.mark.parametrize("degrees, mu", list(TABLE_DIGESTS), ids=str)
 def test_family_tables_match_recorded_digests(degrees, mu):
-    tables = biharmonic_family(degrees, Fraction(mu)).tables
-    tables += harmonic_family(degrees, Fraction(mu)).tables
+    tables = biharmonic_family(degrees, Fraction(mu)) + harmonic_family(degrees, Fraction(mu))
     text = "\n".join(t.to_json() for t in tables)
     assert hashlib.sha256(text.encode()).hexdigest() == TABLE_DIGESTS[degrees, mu]
 
@@ -251,7 +249,7 @@ def test_graded_solver_checks_integer_rows_exactly(off):
     # must see a single entry off by one
     mu = Fraction(-1, 2)
     rows = {idx: _tension_row((2, 1), mu, idx) for idx in box_indices((2, 1))}
-    table = harmonic_family((2, 1), mu).tables[1]
+    table = harmonic_family((2, 1), mu)[1]
     assert any(v.denominator > 1 for _, v in table.items())
     pinned = {idx: table.get(idx) for idx in rows}
     assert _graded_solve(rows, pinned) == pinned
@@ -262,8 +260,7 @@ def test_graded_solver_checks_integer_rows_exactly(off):
 
 def test_tension_table_of_harmonic_is_zero():
     for degrees in ((3,), (1, 1), (2, 1)):
-        family = harmonic_family(degrees, -1)
-        for t in family.tables:
+        for t in harmonic_family(degrees, -1):
             assert tension_table(t, -1).is_zero()
 
 
@@ -282,7 +279,7 @@ def test_tension_table_unit_column():
 
 
 def test_coeff_table_json_round_trip():
-    table = biharmonic_family((2, 1), Fraction(-1, 2)).proper_member
+    table = biharmonic_family((2, 1), Fraction(-1, 2))[0]
     clone = CoeffTable.from_json(table.to_json())
     assert clone == table
     text = table.to_json(GroupSpec.quaternionic_unitary(3), Fraction(-1, 2))
@@ -416,13 +413,37 @@ def test_rational_morphism_validation():
 
 def test_family_kinds_and_combo_validation():
     harm = harmonic_family((1, 1), -1)
-    assert harm.kind is FamilyKind.HARMONIC
-    with pytest.raises(ValueError):
-        _ = harm.proper_member
     with pytest.raises(DimensionMismatch):
-        harm.combine([1])
+        combine(harm, [1])
+    with pytest.raises(DimensionMismatch):
+        combine([harm[0], harmonic_family((2, 1), -1)[0]], [1, 1])
     bih = biharmonic_family((1, 1), -1)
-    assert bih.kind is FamilyKind.BIHARMONIC
-    assert len(bih.harmonic_members) == 2
-    for t in bih.harmonic_members:
-        assert is_harmonic_table(t, -1)
+    assert len(bih[1:]) == 2
+    for t in bih[1:]:
+        assert tension_table(t, -1).is_zero()
+
+
+def test_construct_solves_only_the_table_it_writes(tmp_path, monkeypatch):
+    # construct writes the proper table alone, so it needs one composed
+    # solve; the harmonic basis costs m more and is only built on request
+    calls = []
+    solve = construct._graded_solve
+
+    def counting_solve(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(construct, "_graded_solve", counting_solve)
+    argv = ["construct", "--group", "su", "--n", "5", "--degrees", "2,2,2,2", "--seed", "1",
+            "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    assert len(calls) == 1
+    degrees, mu = (2, 2, 2, 2), Fraction(-1)
+    m = len(degrees)
+    tables = biharmonic_family(degrees, mu)
+    assert len(tables) == m + 1
+    zero = (0,) * m
+    units = [tuple(int(j == i) for j in range(m)) for i in range(m)]
+    for i, table in enumerate(tables):
+        assert [table.get(k) for k in (zero, *units)] == [int(j == i) for j in range(m + 1)]
+    assert CoeffTable.from_json((tmp_path / "coeffs.json").read_text()) == tables[0]

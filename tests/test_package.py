@@ -1,6 +1,7 @@
 """Package hygiene: every exported name resolves, every demo runs and
 every function the traced benchmark patches exists."""
 
+import hashlib
 import importlib
 import importlib.util
 import os
@@ -16,6 +17,12 @@ import biforge
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = [m.name for m in pkgutil.iter_modules(biforge.__path__)]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+# SHA-256 of the stdout of the demos that print exact tables, run on one
+# BLAS thread so the printed residuals are reproducible
+DEMO_STDOUT_SHA256 = {
+    "02_biharmonic_one_variable": "c69d95a1f69a4fb1fbdf836507f01b073fddf0d8d58264ccd2b4bafe880a0296",
+    "03_two_variable_families": "e0f6c88e02a1ad54ebac15c759d6d9ff7b12f44704165a8967ba99a1c7e51a0d",
+}
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -27,11 +34,13 @@ def test_all_names_resolve(name):
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(demo, tmp_path):
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1"}
     proc = subprocess.run(
         [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
+    if demo.stem in DEMO_STDOUT_SHA256:
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == DEMO_STDOUT_SHA256[demo.stem]
 
 
 def test_bench_layer_targets_resolve():

@@ -48,7 +48,7 @@ def _su4_candidate_21():
     spec = GroupSpec.unitary(4)
     fam = _family(spec, 43)
     pairs = [(fam.member_quotient(i), fam.member_tension(i)) for i in fam.proper_indices[:2]]
-    phi = build_expression(biharmonic_family((2, 1), Fraction(-1)).proper_member, pairs)
+    phi = build_expression(biharmonic_family((2, 1), Fraction(-1))[0], pairs)
     return [phi, *(tf for _, tf in pairs)], spec
 
 
