@@ -68,6 +68,19 @@ from .verify import (
 __all__ = ["main", "REFERENCE_FIXTURES"]
 
 
+# The option parsers are argparse type= callables.  A value out of range
+# raises BiforgeError, which argparse lets through to main (exit 2,
+# "error: ..."): it turns only ValueError and TypeError into usage errors.
+
+
+def _number(convert, text: str):
+    """convert(text), failing on a non-number with argparse's own message."""
+    try:
+        return convert(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid {convert.__name__} value: {text!r}") from None
+
+
 def _parse_degrees(text: str) -> tuple[int, ...]:
     parts = text.split(",")
     # int() would also take "1_0", "+2", " 2" and non-ASCII digits
@@ -79,27 +92,28 @@ def _parse_degrees(text: str) -> tuple[int, ...]:
     return degrees
 
 
-def _parse_points(count: int) -> int:
+def _parse_points(text: str) -> int:
+    count = _number(int, text)
     if count < 1:
         raise BiforgeError(f"--points must be at least 1, got {count}")
     return count
 
 
-def _parse_tol(tol: float) -> float:
+def _parse_tol(text: str) -> float:
+    tol = _number(float, text)
     if not (math.isfinite(tol) and tol > 0):
         raise BiforgeError(f"--tol must be a finite number above 0, got {tol}")
     return tol
 
 
-def _parse_seed(seed: int) -> int:
+def _parse_seed(text: str) -> int:
+    seed = _number(int, text)
     if seed < 0:
         raise BiforgeError(f"--seed must be non-negative, got {seed}")
     return seed
 
 
-def _parse_mu(text: str | None) -> Fraction | None:
-    if text is None:
-        return None
+def _parse_mu(text: str) -> Fraction:
     try:
         mu = Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -146,14 +160,9 @@ def _build_family(spec: GroupSpec, seed: int, beta: int, choice: int | None) -> 
     return make_quadruple(spec, p, q, a, b, beta=beta, sp_choice=choice)
 
 
-def _member_pairs(fam: QuadrupleFamily, m: int):
-    indices = fam.proper_indices[:m]
-    return [(fam.member_quotient(i), fam.member_tension(i)) for i in indices]
-
-
 def cmd_construct(
-    group: str, n: int, degrees: tuple[int, ...], *,
-    mu: Fraction | None, seed: int, beta: int, choice: int | None, out: Path,
+    *, group: str, n: int, seed: int, degrees: tuple[int, ...], choice: int | None,
+    beta: int, mu: Fraction | None, out: Path,
 ) -> int:
     spec = GroupSpec.from_code(group, n)
     fam = _build_family(spec, seed, beta, choice)
@@ -200,16 +209,10 @@ def _read_inputs(coeffs_file: Path, quadruple_file: Path) -> tuple[CoeffTable, Q
 
 
 def cmd_verify(
-    coeffs_file: Path,
-    quadruple_file: Path,
-    out_file: Path | None,
-    *,
-    points: int,
-    tol: float,
-    seed: int,
+    *, coeffs: Path, quadruple: Path, out: Path | None, points: int, tol: float, seed: int,
     as_json: bool,
 ) -> int:
-    table, fam = _read_inputs(coeffs_file, quadruple_file)
+    table, fam = _read_inputs(coeffs, quadruple)
     spec = fam.spec
     ctx = OperatorContext.for_spec(spec)
     m = len(table.degrees)
@@ -217,7 +220,7 @@ def cmd_verify(
         raise BiforgeError(
             f"table has {m} variables but the family has {fam.n_proper} proper members"
         )
-    pairs = _member_pairs(fam, m)
+    pairs = [(fam.member_quotient(i), fam.member_tension(i)) for i in fam.proper_indices[:m]]
     phi = build_expression(table, pairs)
     proper = table.get((0,) * m) != 0
 
@@ -225,21 +228,18 @@ def cmd_verify(
     checks = quadruple_checks(fam, ctx, points)
     checks += closed_form_tension_checks(fam, ctx, points)
     checks += candidate_checks(phi, ctx, points, proper=proper, tol=tol)
-    report = VerificationReport(
-        subject=f"{'biharmonic' if proper else 'harmonic'} candidate, degrees {table.degrees}",
-        group={"group": spec.code, "n": spec.n},
-        points=len(points),
-        seed=seed,
-        checks=tuple(checks),
-    )
-    return _emit(report, out_file, as_json)
+    subject = f"{'biharmonic' if proper else 'harmonic'} candidate, degrees {table.degrees}"
+    return _emit(subject, spec, points, seed, checks, out, as_json)
 
 
-def _emit(report: VerificationReport, out_file: Path | None, as_json: bool) -> int:
-    """Write the report to ``out_file``, print it, and return the exit code."""
-    if out_file is not None:
-        out_file.parent.mkdir(parents=True, exist_ok=True)
-        out_file.write_text(report.to_json() + "\n")
+def _emit(subject: str, spec: GroupSpec, points, seed: int, checks: list, out: Path | None,
+          as_json: bool) -> int:
+    """Write the report of ``checks`` to ``out``, print it, and return the exit code."""
+    group = {"group": spec.code, "n": spec.n}
+    report = VerificationReport(subject, group, len(points), seed, tuple(checks))
+    if out is not None:
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(report.to_json() + "\n")
     if as_json:
         print(report.to_json())
     else:
@@ -303,7 +303,7 @@ def _check_fixture(name: str) -> bool:
         return _tension_matrix_11() == expected
     if name == "tension_matrix_11_squared":
         m = np.array(_tension_matrix_11(), dtype=object)
-        return tuple(tuple(x for x in row) for row in (m @ m)) == expected
+        return tuple(map(tuple, m @ m)) == expected
     if name.endswith("relations_11") or name.endswith("relations_21"):
         degrees = (1, 1) if name.endswith("_11") else (2, 1)
         if name.startswith("harmonic"):
@@ -320,19 +320,13 @@ def _check_fixture(name: str) -> bool:
 
 
 def _tension_matrix_11() -> tuple:
-    columns = []
-    index_list = list(box_indices((1, 1)))
-    for idx in index_list:
-        unit = CoeffTable((1, 1), {idx: 1})
-        image = tension_table(unit, -1)
-        columns.append([image.get(row_idx) for row_idx in index_list])
-    matrix = tuple(
-        tuple(int(columns[c][r]) for c in range(len(index_list))) for r in range(len(index_list))
-    )
-    return matrix
+    """Row r, column c: coefficient at index r of the tension of unit monomial c."""
+    indices = list(box_indices((1, 1)))
+    images = [tension_table(CoeffTable((1, 1), {idx: 1}), -1) for idx in indices]
+    return tuple(tuple(int(image.get(row)) for image in images) for row in indices)
 
 
-def cmd_reproduce(as_json: bool) -> int:
+def cmd_reproduce(*, as_json: bool) -> int:
     results = {name: bool(_check_fixture(name)) for name in REFERENCE_FIXTURES}
     ok = all(results.values())
     if as_json:
@@ -350,8 +344,8 @@ def cmd_reproduce(as_json: bool) -> int:
 
 
 def cmd_morphism(
-    group: str, n: int, kind: str, out_file: Path | None, *,
-    k: int | None, choice: int | None, points: int, tol: float, seed: int, as_json: bool,
+    *, group: str, n: int, points: int, tol: float, seed: int, as_json: bool, kind: str,
+    k: int | None, choice: int | None, out: Path | None,
 ) -> int:
     if kind == "orthogonal":
         for flag, value in (("--choice", choice), ("--k", k)):
@@ -384,10 +378,7 @@ def cmd_morphism(
         checks += eigenfamily_checks(family, lam, kap, ctx, points)
         checks += morphism_checks(morphism, ctx, points, tol=tol)
         subject = f"rational morphism from the k={k} tension-power family"
-    report = VerificationReport(
-        subject, {"group": spec.code, "n": spec.n}, len(points), seed, tuple(checks)
-    )
-    return _emit(report, out_file, as_json)
+    return _emit(subject, spec, points, seed, checks, out, as_json)
 
 
 # ---------------------------------------------------------------------------
@@ -400,35 +391,40 @@ def _add_group(parser: argparse.ArgumentParser):
 
 
 def _add_checks(parser: argparse.ArgumentParser, tol: float, tol_help: str):
-    parser.add_argument("--points", type=int, default=20, help="sample points, at least 1")
-    parser.add_argument("--tol", type=float, default=tol, help=tol_help)
-    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--points", type=_parse_points, default=20, help="sample points, at least 1")
+    parser.add_argument("--tol", type=_parse_tol, default=tol, help=tol_help)
+    parser.add_argument("--seed", type=_parse_seed, default=1)
     parser.add_argument("--json", action="store_true", dest="as_json")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The biforge parser; each subcommand's ``run`` default is its cmd_* function."""
     parser = argparse.ArgumentParser(prog="biforge", description=__doc__.split("\n")[0])
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(required=True)
 
     p_con = sub.add_parser("construct", help="build and write a biharmonic family")
+    p_con.set_defaults(run=cmd_construct)
     _add_group(p_con)
-    p_con.add_argument("--seed", type=int, default=1)
-    p_con.add_argument("--degrees", default="1")
+    p_con.add_argument("--seed", type=_parse_seed, default=1)
+    p_con.add_argument("--degrees", type=_parse_degrees, default="1")
     p_con.add_argument("--choice", type=int, choices=[9, 10, 11], default=None)
     p_con.add_argument("--beta", type=int, default=0)
-    p_con.add_argument("--mu", default=None, help="override, e.g. -1/2")
+    p_con.add_argument("--mu", type=_parse_mu, default=None, help="override, e.g. -1/2")
     p_con.add_argument("--out", type=Path, default=Path("out"))
 
     p_ver = sub.add_parser("verify", help="verify construct outputs numerically")
+    p_ver.set_defaults(run=cmd_verify)
     p_ver.add_argument("--coeffs", type=Path, required=True)
     p_ver.add_argument("--quadruple", type=Path, required=True)
     p_ver.add_argument("--out", type=Path, default=None)
     _add_checks(p_ver, DEFAULT_CANDIDATE_TOL, "bitension tolerance; the tension check uses tol/10")
 
     p_rep = sub.add_parser("reproduce", help="regenerate and compare exact fixtures")
+    p_rep.set_defaults(run=cmd_reproduce)
     p_rep.add_argument("--json", action="store_true", dest="as_json")
 
     p_mor = sub.add_parser("morphism", help="build and verify harmonic morphisms")
+    p_mor.set_defaults(run=cmd_morphism)
     _add_group(p_mor)
     _add_checks(p_mor, DEFAULT_MORPHISM_TOL, "tolerance on the tension and conformality residuals")
     p_mor.add_argument("--kind", choices=["orthogonal", "rational"], default="orthogonal")
@@ -441,44 +437,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        if args.command == "construct":
-            return cmd_construct(
-                args.group,
-                args.n,
-                _parse_degrees(args.degrees),
-                mu=_parse_mu(args.mu),
-                seed=_parse_seed(args.seed),
-                beta=args.beta,
-                choice=args.choice,
-                out=args.out,
-            )
-        if args.command == "verify":
-            return cmd_verify(
-                args.coeffs,
-                args.quadruple,
-                args.out,
-                points=_parse_points(args.points),
-                tol=_parse_tol(args.tol),
-                seed=_parse_seed(args.seed),
-                as_json=args.as_json,
-            )
-        if args.command == "reproduce":
-            return cmd_reproduce(args.as_json)
-        return cmd_morphism(
-            args.group,
-            args.n,
-            args.kind,
-            args.out,
-            k=args.k,
-            choice=args.choice,
-            points=_parse_points(args.points),
-            tol=_parse_tol(args.tol),
-            seed=_parse_seed(args.seed),
-            as_json=args.as_json,
-        )
+        args = vars(build_parser().parse_args(argv))
+        return args.pop("run")(**args)
     except (BiforgeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

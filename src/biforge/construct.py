@@ -65,6 +65,7 @@ from .forms import (
     _ZERO_REL_TOL,
     _check_beta,
     _check_vector,
+    _json_int,
 )
 from .groups import GroupKind, GroupSpec
 
@@ -103,7 +104,8 @@ def box_indices(degrees: tuple[int, ...]):
 class CoeffTable:
     """Exact multi-index coefficients of one multi-homogeneous candidate.
 
-    Out-of-box indices are implicitly zero; zero entries are not stored.
+    Every given index must lie in the box 0 <= k_i <= d_i; indices not
+    given are zero, and zero entries are not stored.
     """
 
     __slots__ = ("degrees", "coeffs")
@@ -113,8 +115,8 @@ class CoeffTable:
         clean = {}
         for idx, value in coeffs.items():
             idx = tuple(int(k) for k in idx)
-            if len(idx) != len(self.degrees):
-                raise DimensionMismatch(f"index {idx} does not match degrees {self.degrees}")
+            if len(idx) != len(self.degrees) or not all(0 <= k <= d for k, d in zip(idx, self.degrees)):
+                raise DimensionMismatch(f"index {idx} lies outside the degree box {self.degrees}")
             value = _frac(value)
             if value != 0:
                 clean[idx] = value
@@ -171,22 +173,24 @@ class CoeffTable:
     def from_json(cls, text: str) -> "CoeffTable":
         """Parse a table; group, n and mu, if recorded, are left to the caller.
 
-        Degrees must be positive and each index must lie in the box once,
-        over a nonzero denominator; otherwise ValueError names the entry.
+        Degrees and indices must be JSON integers, and num and den too or
+        the digit strings ``to_json`` writes.  Degrees must be positive and
+        each index must lie in the box once, over a nonzero denominator;
+        otherwise ValueError (DimensionMismatch for the box) names the entry.
         """
         doc = json.loads(text)
         if doc.get("schema", TABLE_SCHEMA) != TABLE_SCHEMA:
             raise ValueError(f"unsupported coefficient table schema {doc['schema']!r}")
-        degrees = _validate_degrees(doc["degrees"])
+        degrees = _validate_degrees([_json_int(d, "degrees") for d in doc["degrees"]])
         coeffs = {}
         for entry in doc["coeffs"]:
-            idx, den = tuple(int(k) for k in entry["k"]), int(entry["den"])
-            if len(idx) != len(degrees) or not all(0 <= k <= d for k, d in zip(idx, degrees)):
-                raise ValueError(f"coefficient entry {entry} lies outside the degree box {degrees}")
+            where = f"coefficient entry {entry}"
+            idx = tuple(_json_int(k, where) for k in entry["k"])
+            num, den = (_json_int(entry[key], where, digits=True) for key in ("num", "den"))
             if idx in coeffs or den == 0:
                 problem = "repeats index" if idx in coeffs else "has denominator 0"
                 raise ValueError(f"coefficient entry {entry} {problem}")
-            coeffs[idx] = Fraction(int(entry["num"]), den)
+            coeffs[idx] = Fraction(num, den)
         return cls(degrees, coeffs)
 
     def __repr__(self):

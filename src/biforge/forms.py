@@ -352,6 +352,9 @@ _POLE_REL_TOL = 1e-12
 # this fraction of their scale are structural zeros: rounding leaves a few
 # ulps, while a generic nonzero value sits many orders above it
 _ZERO_REL_TOL = 1e-12
+# a column weight |a_j| at most this fraction of max |a_j| is a zero up to
+# rounding, so its column gives no family member
+_WEIGHT_REL_TOL = 1e-14
 
 
 class Quotient(RationalExpr):
@@ -540,16 +543,28 @@ class QuadrupleFamily:
         def vec(pairs):
             return np.array([complex(re, im) for re, im in pairs])
 
-        spec = GroupSpec.from_code(doc["group"], doc["n"])
+        spec = GroupSpec.from_code(doc["group"], _json_int(doc["n"], "n"))
+        choice = doc["sp_choice"]
         return make_quadruple(
             spec,
             vec(doc["p"]),
             vec(doc["q"]),
             vec(doc["a"]),
             vec(doc["b"]),
-            beta=doc["beta"],
-            sp_choice=doc["sp_choice"],
+            beta=_json_int(doc["beta"], "beta"),
+            sp_choice=None if choice is None else _json_int(choice, "sp_choice"),
         )
+
+
+def _json_int(value, where: str, digits: bool = False) -> int:
+    """An integer field read from a JSON file: a JSON integer or, with
+    ``digits``, a decimal string.  A float or bool raises ValueError naming
+    ``where`` rather than being cut down to an int."""
+    if digits and isinstance(value, str):
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{where}: {value!r} is not an integer")
+    return value
 
 
 def _check_vector(name: str, v, n: int) -> np.ndarray:
@@ -644,7 +659,7 @@ def make_quadruple(
         scale_a = float(np.max(np.abs(a)))
         numerators, exchange, proper = [], [], []
         for j in range(n):
-            if abs(a[j]) <= 1e-14 * scale_a:
+            if abs(a[j]) <= _WEIGHT_REL_TOL * scale_a:
                 continue
             col = member_offset + j
             numerators.append(LinearForm.column(spec, p, col, a[j]))

@@ -18,18 +18,21 @@ class CheckResult:
     name: str
     max_residual: float
     tolerance: float
-    passed: bool
     lower_bound: bool = False
+
+    @property
+    def passed(self) -> bool:
+        if self.lower_bound:
+            return self.max_residual >= self.tolerance
+        return self.max_residual <= self.tolerance
 
     @classmethod
     def upper(cls, name: str, residual: float, tolerance: float) -> "CheckResult":
-        return cls(name, float(residual), float(tolerance), float(residual) <= float(tolerance))
+        return cls(name, float(residual), float(tolerance))
 
     @classmethod
     def lower(cls, name: str, residual: float, tolerance: float) -> "CheckResult":
-        return cls(
-            name, float(residual), float(tolerance), float(residual) >= float(tolerance), True
-        )
+        return cls(name, float(residual), float(tolerance), True)
 
     def to_dict(self) -> dict:
         return {

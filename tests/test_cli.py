@@ -107,9 +107,14 @@ def test_construct_rejects_mu_with_zero_denominator(tmp_path, capsys):
         (lambda doc: doc["coeffs"].append(dict(doc["coeffs"][0], num="5")), "repeats index"),
         (lambda doc: doc.update(degrees=2), "cannot parse inputs"),
         (lambda doc: doc.update(mu="1/0"), "cannot parse inputs"),
+        # json writes these as Infinity, which it reads back as a float
+        (lambda doc: doc["coeffs"][0].update(num=1e400), "inf is not an integer"),
+        (lambda doc: doc.update(degrees=[1e400]), "inf is not an integer"),
+        (lambda doc: doc.update(degrees=[2.5]), "2.5 is not an integer"),
+        (lambda doc: doc["coeffs"][0].update(k=[0.5]), "0.5 is not an integer"),
     ],
     ids=["zero-den", "index-7", "index-minus-1", "degree-0", "duplicate-index", "degrees-not-list",
-         "mu-zero-den"],
+         "mu-zero-den", "num-1e400", "degree-1e400", "degree-2.5", "index-0.5"],
 )
 def test_verify_rejects_malformed_table(tmp_path, capsys, edit, message):
     out = tmp_path / "su4"
@@ -123,6 +128,16 @@ def test_verify_rejects_malformed_table(tmp_path, capsys, edit, message):
                 "--points", "2"])
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+def test_verify_rejects_fractional_beta(tmp_path, capsys):
+    out = _construct(tmp_path)
+    doc = json.loads((out / "quadruple.json").read_text())
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(doc, beta=0.5)))
+    code = run(["verify", "--coeffs", str(out / "coeffs.json"), "--quadruple", str(bad), "--points", "2"])
+    assert code == 2
+    assert "beta: 0.5 is not an integer" in capsys.readouterr().err
 
 
 def _construct(tmp_path, extra=()):
@@ -468,3 +483,35 @@ def test_report_bytes_match_recorded_digests(tmp_path, capsys, name):
     )
     assert proc.returncode == 0, proc.stderr
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest, proc.stdout
+
+
+# SHA-256 of stdout plus stderr of the parser's help pages and of two of
+# its type errors, on an 80-column terminal
+CLI_SURFACE_DIGESTS = {
+    "help": (["--help"], "47c6904aaa54aed7e34679303c44e3abda2f07ec80d220ce9067dea09d11d457"),
+    "help-construct": (["construct", "--help"],
+                       "91dd8546fa8c3871e70d23cc2c833628914c88912421da2d1cee896415679191"),
+    "help-verify": (["verify", "--help"],
+                    "3868e2d0c07751bb52650e44cc1be1af338cf3e9244f8eb0911e8971458caba8"),
+    "help-reproduce": (["reproduce", "--help"],
+                       "cf601840ef4a17d06c9d0499dac50b6384e46aecfefd4b6b4512e3a2a91568fe"),
+    "help-morphism": (["morphism", "--help"],
+                      "8fc06da4ed59d0a66c2abd8abf8b79df41048132b856c2b4a2d35f874fa60d38"),
+    "verify-points-x": (["verify", "--coeffs", "c.json", "--quadruple", "q.json", "--points", "x"],
+                        "4de7afa56a91cbf6ffecb5b1a24a42b7a662d5d4f26d82c41d0226d4f1bffcab"),
+    "morphism-tol-x": (["morphism", "--group", "su", "--n", "3", "--tol", "x"],
+                       "2fefb0933bfa3ab70c29e6d187bbcbca6542e2d21493fad42ed5ac9b177d46a9"),
+}
+
+
+@pytest.mark.parametrize("name", list(CLI_SURFACE_DIGESTS))
+def test_cli_surface_matches_recorded_digests(tmp_path, name):
+    argv, digest = CLI_SURFACE_DIGESTS[name]
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "COLUMNS": "80", "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "biforge.cli", *argv], cwd=tmp_path, env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == (0 if "--help" in argv else 2)
+    text = proc.stdout + proc.stderr
+    assert hashlib.sha256(text.encode()).hexdigest() == digest, text

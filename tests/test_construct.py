@@ -291,6 +291,13 @@ def test_coeff_table_json_round_trip():
         CoeffTable.from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize("idx", [(3,), (-1,), (1, 1)])
+def test_coeff_table_rejects_index_outside_box(idx):
+    # a stored out-of-box entry would read as zero to tension_table
+    with pytest.raises(DimensionMismatch, match="outside the degree box"):
+        CoeffTable((2,), {idx: 1})
+
+
 def test_build_expression_validation_and_zero():
     table = harmonic_coefficients(2, -1)
     with pytest.raises(DimensionMismatch):

@@ -13,6 +13,7 @@ from biforge.errors import DomainError
 from biforge.forms import Const, LinearForm, Quotient, Sum, make_quadruple, walk_order
 from biforge.groups import GroupSpec, sample_point
 from biforge.operators import OperatorContext, conformality, relative_residual, tension
+from biforge.report import CheckResult
 from biforge.verify import (
     DEFAULT_DOMAIN_MARGIN,
     closed_form_tension_checks,
@@ -225,3 +226,10 @@ def test_closed_form_tension_checks_evaluate_each_form_once_per_side(monkeypatch
     assert check.passed
     assert len(calls) == 15
     assert len({id(form) for form in calls}) == 10
+
+
+def test_check_result_passed_follows_its_numbers():
+    assert CheckResult("x", 1.0, 0.5).passed is False
+    assert CheckResult("x", 0.5, 0.5).passed is True
+    assert CheckResult("x", 1.0, 0.5, lower_bound=True).passed is True
+    assert CheckResult("x", float("nan"), 0.5).passed is False
