@@ -53,11 +53,17 @@ t-convolutions are batched matmuls by lower-triangular Toeplitz
 matrices, and the sum over b of f1b g1b is one Gram product.  No
 ``np.linalg`` is used, so object arrays of ``Fraction`` work too.
 
-A :class:`PackedPoint` is the matrix jet a walk starts from: the layers
-(P, K, N, N) of the points moved along t, and the extended stack
-E = [I, Z_1, ..., Z_|B|, H] with H = sum_b Z_b**2 / 2.  A linear form
+A :class:`PackedPoint` is the matrix jet a walk starts from: the points,
+the maps [I, W, W**2/2] that move them along t for each outer direction
+W (their layers X = p [I, W, W**2/2]), and the extended stack
+E = [I, Z_1, ..., Z_|B|, H] with H = sum_b Z_b**2 / 2.  Every E_e has at
+most one nonzero per row and per column, so E is kept as two
+(|B| + 2, N) arrays, E_e[k, cols[e, k]] = vals[e, k].  A linear form
 f gives the packed jet f(X E_e) at each layer X, because
-p exp(sZ_b) = p + s p Z_b + s**2 p Z_b**2 / 2 + O(s**3).
+p exp(sZ_b) = p + s p Z_b + s**2 p Z_b**2 / 2 + O(s**3); for
+f(X) = u^T X[:n] v that is (u^T X[:n]) (E_e v), with E_e v the gather
+vals[e] * v[cols[e]] and u^T X[:n] = (u^T p[:n]) [I, W, W**2/2], so the
+layers of the points are never built.
 """
 
 from __future__ import annotations
@@ -261,7 +267,12 @@ class PackedJet:
             return PackedJet(self.c * other)
         f, g = self.c, other.c
         out = _toeplitz(f[..., 0]) @ g
-        out[..., 1:] += _toeplitz(g[..., 0]) @ f[..., 1:]
+        # g0 times f's derivative columns, as the product over every column
+        # with column 0 zeroed: an in-place add into a column slice would
+        # copy both operands first
+        cross = _toeplitz(g[..., 0]) @ f
+        cross[..., 0] = 0
+        out += cross
         out[..., -1] += _antidiagonal_sums(f[..., 1:-1] @ g[..., 1:-1].swapaxes(-1, -2))
         return PackedJet(out)
 
@@ -279,43 +290,69 @@ class PackedJet:
 class PackedPoint:
     """The matrix jet a packed walk starts from.
 
-    ``layers`` (P, K, N, N) are the t-coefficients of the P points moved
-    along an outer direction (K = 1 when there is none); ``extended`` is
-    the stack E = [I, Z_1, ..., Z_|B|, H] of shape (|B| + 2, N, N).
+    ``points`` (P, N, N) are the sampled points.  ``outer`` is None for a
+    walk at the points themselves (K = 1), or (D, K, N, N): for each of D
+    outer directions W the maps [I, W, W**2/2] that move a point p along
+    t to its layers p outer[d, k]; the rows are then the pairs (point,
+    direction), point-major.  ``cols`` and ``vals``, both (|B| + 2, N),
+    are the extended stack E = [I, Z_1, ..., Z_|B|, H] in compact form,
+    E_e[k, cols[e, k]] = vals[e, k].
     """
 
-    __slots__ = ("layers", "extended")
+    __slots__ = ("points", "cols", "vals", "outer")
 
-    def __init__(self, layers: np.ndarray, extended: np.ndarray):
-        self.layers = layers
-        self.extended = extended
+    def __init__(self, points: np.ndarray, cols: np.ndarray, vals: np.ndarray, outer: np.ndarray | None = None):
+        self.points = points
+        self.cols = cols
+        self.vals = vals
+        self.outer = outer
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        """(rows, K, |B| + 2), the shape of a packed jet at this point."""
+        if self.outer is None:
+            return len(self.points), 1, len(self.cols)
+        return len(self.points) * len(self.outer), self.outer.shape[1], len(self.cols)
+
+    def row_weights(self, u: np.ndarray) -> np.ndarray:
+        """u_t^T X[:n] at every layer X of every row, shape (rows, K, T, N),
+        for row factors ``u`` (T, n): (u_t^T p[:n]) times each outer map."""
+        r = u @ self.points[:, : u.shape[-1]]
+        if self.outer is None:
+            return r[:, None]
+        return (r[:, None, None] @ self.outer).reshape((-1,) + self.outer.shape[1:2] + r.shape[1:])
+
+    def images(self, v: np.ndarray) -> np.ndarray:
+        """E_e v_t for every e and every column factor, shape (T, |B| + 2, N):
+        one gather, vals[e] * v_t[cols[e]]."""
+        moved = v[:, self.cols]
+        moved *= self.vals
+        return moved
 
 
 @lru_cache(maxsize=None)
 def _series_indices(k: int):
-    """Lower-triangle indices of a K x K Toeplitz matrix, and the 0/1 matrix
-    that sums a flattened K x K array along its anti-diagonals i + j < K."""
-    rows, cols = np.tril_indices(k)
+    """Constant 0/1 matrices for K-term t-series: (K, K*K) that maps a
+    series s to its flattened lower-triangular Toeplitz matrix, entry
+    (i, j) = s[i - j], and (K*K, K) that sums a flattened K x K array
+    along its anti-diagonals i + j < K."""
+    lags = np.subtract.outer(np.arange(k), np.arange(k)).reshape(-1)
     order = np.add.outer(np.arange(k), np.arange(k)).reshape(-1)
+    toeplitz = (lags == np.arange(k)[:, None]).astype(int)
     antidiagonals = (order[:, None] == np.arange(k)).astype(int)
-    return rows, cols, rows - cols, antidiagonals
+    return toeplitz, antidiagonals
 
 
 def _toeplitz(s: np.ndarray) -> np.ndarray:
     """(..., K) t-series -> (..., K, K) matrices T with T @ g = s * g mod t**K."""
     k = s.shape[-1]
-    if k == 1:
-        return s[..., None]
-    rows, cols, lags, _ = _series_indices(k)
-    t = np.zeros(s.shape + (k,), dtype=s.dtype)
-    t[..., rows, cols] = s[..., lags]
-    return t
+    return (s @ _series_indices(k)[0]).reshape(s.shape + (k,))
 
 
 def _antidiagonal_sums(g: np.ndarray) -> np.ndarray:
     """(..., K, K) -> (..., K): entry k sums g[..., i, j] over i + j = k."""
     k = g.shape[-1]
-    return g.reshape(g.shape[:-2] + (k * k,)) @ _series_indices(k)[3]
+    return g.reshape(g.shape[:-2] + (k * k,)) @ _series_indices(k)[1]
 
 
 def _series_reciprocal(s: np.ndarray) -> np.ndarray:
@@ -336,7 +373,7 @@ def _packed_reciprocal(y: PackedJet) -> PackedJet:
     t2 = t @ t
     out = np.empty_like(c)
     out[..., 0] = r0
-    out[..., 1:] = -(t2 @ c[..., 1:])
+    out[..., 1:] = -t2 @ c[..., 1:]
     x1 = c[..., 1:-1]
     square_sum = _antidiagonal_sums(x1 @ x1.swapaxes(-1, -2))
     out[..., -1] += (t2 @ t @ square_sum[..., None])[..., 0]

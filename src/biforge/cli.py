@@ -168,9 +168,10 @@ def cmd_construct(
     fam = _build_family(spec, seed, beta, choice)
     m = len(degrees)
     if m > fam.n_proper:
+        other_choice = spec.kind is GroupKind.QUATERNIONIC_UNITARY and choice != 10
         raise BiforgeError(
             f"need {m} proper members but the family has {fam.n_proper}; "
-            "use a larger n or, on sp, --choice 10"
+            f"use a larger n{' or --choice 10' if other_choice else ''}"
         )
     mu = Fraction(spec.mu) if mu is None else mu
     table = proper_biharmonic_table(degrees, mu)

@@ -206,6 +206,10 @@ class Const(RationalExpr):
 class LinearForm(RationalExpr):
     """Linear combination of matrix-coefficient functions: a tree leaf.
 
+    ``coeffs`` C is kept with rank-one factors: ``factors`` (u, v) of
+    shapes (T, n) and (T, ambient_dim) with C = sum_t u_t v_t^T.  A
+    general C is split into its nonzero rows, u_t = e_i and v_t = C[i];
+    ``rank_one`` and the constructors built on it keep their one term.
     Walks key nodes by id, so the form stays ``eq=False``.
     """
 
@@ -220,6 +224,11 @@ class LinearForm(RationalExpr):
             )
         object.__setattr__(self, "coeffs", np.ascontiguousarray(self.coeffs, dtype=complex))
 
+    @functools.cached_property
+    def factors(self) -> tuple[np.ndarray, np.ndarray]:
+        rows = np.flatnonzero(self.coeffs.any(axis=1))
+        return np.eye(len(self.coeffs), dtype=complex)[rows], self.coeffs[rows]
+
     @classmethod
     def coordinate(cls, spec: GroupSpec, row: int, col: int) -> "LinearForm":
         """The single matrix-coefficient function at (row, col), 0-based.
@@ -227,19 +236,18 @@ class LinearForm(RationalExpr):
         On Sp(n), columns 0..n-1 address the z-block and n..2n-1 the
         w-block.
         """
-        c = np.zeros((spec.n, spec.ambient_dim), dtype=complex)
-        c[row, col] = 1.0
-        return cls(spec, c)
+        return cls.rank_one(spec, np.eye(1, spec.n, row)[0], np.eye(1, spec.ambient_dim, col)[0])
 
     @classmethod
     def column(cls, spec: GroupSpec, rows: np.ndarray, col: int, weight: complex = 1.0) -> "LinearForm":
-        c = np.zeros((spec.n, spec.ambient_dim), dtype=complex)
-        c[:, col] = np.asarray(rows, dtype=complex) * weight
-        return cls(spec, c)
+        return cls.rank_one(spec, np.asarray(rows, dtype=complex) * weight, np.eye(1, spec.ambient_dim, col)[0])
 
     @classmethod
     def rank_one(cls, spec: GroupSpec, rows: np.ndarray, cols: np.ndarray) -> "LinearForm":
-        return cls(spec, np.outer(np.asarray(rows, dtype=complex), np.asarray(cols, dtype=complex)))
+        u, v = np.asarray(rows, dtype=complex), np.asarray(cols, dtype=complex)
+        form = cls(spec, np.multiply.outer(u, v))
+        object.__setattr__(form, "factors", (u[None], v[None]))  # one term, not the row split
+        return form
 
     def coeff_scale(self) -> float:
         return float(np.linalg.norm(self.coeffs))
@@ -252,9 +260,10 @@ class LinearForm(RationalExpr):
 
         A matrix gives a complex and a (P, N, N) stack a (P,) array; a
         Jet2 of matrices recurses layerwise into a Jet2.  A PackedPoint
-        with layers X and extended stack E gives the PackedJet of
-        f(X E_e) = <X[:n]^T C, E_e>: two matmuls, W = X[:n]^T C for every
-        layer, then every W against every E_e.
+        gives the PackedJet of f(X E_e) = sum_t (u_t^T X[:n]) (E_e v_t)
+        over its layers X and its compact extended stack E: the point's
+        row weights u_t^T X[:n] times the gathered E_e v_t, one product.
+        A matrix or a stack is the case E = [I].
         """
         if isinstance(point, Jet2):
             return Jet2(
@@ -262,16 +271,17 @@ class LinearForm(RationalExpr):
                 self.evaluate(point.a1),
                 self.evaluate(point.a2),
             )
-        n, cols = self.spec.n, self.spec.ambient_dim
+        u, v = self.factors
         if isinstance(point, PackedPoint):
-            layers, extended = point.layers, point.extended[..., :cols]
-            weights = layers[..., :n, :].swapaxes(-1, -2) @ self.coeffs
-            values = weights.reshape(-1, extended[0].size) @ extended.reshape(len(extended), -1).T
-            return PackedJet(values.reshape(layers.shape[:2] + (len(extended),)))
-        block = np.ascontiguousarray(point[..., :n, :cols])
-        if block.ndim == 2:
-            return complex(np.dot(self.coeffs.ravel(), block.ravel()))
-        return block.reshape(len(block), self.coeffs.size) @ self.coeffs.ravel()
+            weights, moved = point.row_weights(u), point.images(v)
+        else:
+            point = np.asarray(point)
+            weights, moved = u @ point[..., : self.spec.n, :], v[:, None]
+        # weights (..., T, N) against moved (T, E, N), summed over t and k
+        values = weights.reshape(-1, v.size) @ moved.swapaxes(0, 1).reshape(moved.shape[1], -1).T
+        if isinstance(point, PackedPoint):
+            return PackedJet(values.reshape(point.shape))
+        return complex(values[0, 0]) if point.ndim == 2 else values[:, 0]
 
     def _compute(self, point, walk):
         return self.evaluate(point)

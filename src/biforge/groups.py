@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -46,7 +47,7 @@ __all__ = [
     "GroupSpec",
     "LieBasisElement",
     "basis",
-    "iter_basis",
+    "basis_entries",
     "sample_point",
 ]
 
@@ -137,69 +138,43 @@ class LieBasisElement:
     label: str
 
 
-def _symmetric(n: int, r: int, s: int) -> np.ndarray:
-    m = np.zeros((n, n), dtype=complex)
-    m[r, s] += 1 / _SQRT2
-    m[s, r] += 1 / _SQRT2
-    return m
-
-
-def _skew(n: int, r: int, s: int) -> np.ndarray:
-    m = np.zeros((n, n), dtype=complex)
-    m[r, s] = 1 / _SQRT2
-    m[s, r] = -1 / _SQRT2
-    return m
-
-
-def _diag_unit(n: int, r: int) -> np.ndarray:
-    m = np.zeros((n, n), dtype=complex)
-    m[r, r] = 1.0
-    return m
+def _orthogonal_basis(n: int):
+    h = 1 / _SQRT2
+    for r, s in combinations(range(n), 2):
+        yield f"Y{r + 1}{s + 1}", (r, s), (s, r), (h, -h)
 
 
 def _unitary_basis(n: int):
+    yield from _orthogonal_basis(n)
+    h = 1 / _SQRT2
+    for r, s in combinations(range(n), 2):
+        yield f"iX{r + 1}{s + 1}", (r, s), (s, r), (1j * h, 1j * h)
     for r in range(n):
-        for s in range(r + 1, n):
-            yield LieBasisElement(_skew(n, r, s), f"Y{r + 1}{s + 1}")
-    for r in range(n):
-        for s in range(r + 1, n):
-            yield LieBasisElement(1j * _symmetric(n, r, s), f"iX{r + 1}{s + 1}")
-    for r in range(n):
-        yield LieBasisElement(1j * _diag_unit(n, r), f"iD{r + 1}")
-
-
-def _orthogonal_basis(n: int):
-    for r in range(n):
-        for s in range(r + 1, n):
-            yield LieBasisElement(_skew(n, r, s), f"Y{r + 1}{s + 1}")
-
-
-def _sp_block(top_left, top_right, bottom_left, bottom_right) -> np.ndarray:
-    return np.block([[top_left, top_right], [bottom_left, bottom_right]]) / _SQRT2
+        yield f"iD{r + 1}", (r,), (r,), (1j,)
 
 
 def _quaternionic_basis(n: int):
-    zero = np.zeros((n, n), dtype=complex)
+    # the blocks over sqrt(2) have entries 1/2 (from X_rs and Y_rs) and
+    # 1/sqrt(2) (from D_r); rows and columns n.. are the second block
+    h, q = 1 / _SQRT2, 0.5
+    for r, s in combinations(range(n), 2):
+        rows, cols = (r, s, n + r, n + s), (s, r, n + s, n + r)
+        yield f"dY{r + 1}{s + 1}", rows, cols, (q, -q, q, -q)
+        yield f"dX{r + 1}{s + 1}", rows, cols, (1j * q, 1j * q, -1j * q, -1j * q)
+    for r, s in combinations(range(n), 2):
+        rows, cols = (r, s, n + r, n + s), (n + s, n + r, s, r)
+        yield f"oX{r + 1}{s + 1}", rows, cols, (q, q, -q, -q)
+        yield f"oiX{r + 1}{s + 1}", rows, cols, (1j * q, 1j * q, 1j * q, 1j * q)
     for r in range(n):
-        for s in range(r + 1, n):
-            y = _skew(n, r, s)
-            x = _symmetric(n, r, s)
-            yield LieBasisElement(_sp_block(y, zero, zero, y), f"dY{r + 1}{s + 1}")
-            yield LieBasisElement(_sp_block(1j * x, zero, zero, -1j * x), f"dX{r + 1}{s + 1}")
-    for r in range(n):
-        for s in range(r + 1, n):
-            x = _symmetric(n, r, s)
-            yield LieBasisElement(_sp_block(zero, x, -x, zero), f"oX{r + 1}{s + 1}")
-            yield LieBasisElement(_sp_block(zero, 1j * x, 1j * x, zero), f"oiX{r + 1}{s + 1}")
-    for r in range(n):
-        d = _diag_unit(n, r)
-        yield LieBasisElement(_sp_block(zero, d, -d, zero), f"oD{r + 1}")
-        yield LieBasisElement(_sp_block(zero, 1j * d, 1j * d, zero), f"oiD{r + 1}")
-        yield LieBasisElement(_sp_block(1j * d, zero, zero, -1j * d), f"dD{r + 1}")
+        yield f"oD{r + 1}", (r, n + r), (n + r, r), (h, -h)
+        yield f"oiD{r + 1}", (r, n + r), (n + r, r), (1j * h, 1j * h)
+        yield f"dD{r + 1}", (r, n + r), (r, n + r), (1j * h, -1j * h)
 
 
-def iter_basis(spec: GroupSpec):
-    """The elements of :func:`basis` in the same order, built one at a time."""
+def basis_entries(spec: GroupSpec):
+    """The elements of :func:`basis` in the same order, one at a time, by
+    their nonzero entries: (label, rows, cols, values), the element
+    holding values[i] at (rows[i], cols[i])."""
     if spec.kind is GroupKind.UNITARY:
         return _unitary_basis(spec.n)
     if spec.kind is GroupKind.SPECIAL_ORTHOGONAL:
@@ -213,7 +188,12 @@ def basis(spec: GroupSpec) -> list[LieBasisElement]:
     Cardinality: ``spec.dimension``, i.e. n**2 for u(n), n(n-1)/2 for
     so(n), n(2n+1) for sp(n).
     """
-    return list(iter_basis(spec))
+    elements = []
+    for label, rows, cols, values in basis_entries(spec):
+        m = np.zeros((spec.ambient_dim, spec.ambient_dim), dtype=complex)
+        m[rows, cols] = values
+        elements.append(LieBasisElement(m, label))
+    return elements
 
 
 def _sample_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -22,8 +22,14 @@ first-order columns.
 ``tension`` and ``conformality`` read one or two expressions off it.
 ``tension2`` computes tau(tau(h)) by moving the points along each outer
 direction W with a t-series of three orders and reading the t**2
-coefficient of the basis sum: |B| walks in all.  Derivatives are read
+coefficient of the basis sum; each walk stacks two directions on the
+point axis, so |B|/2 walks (rounded up) in all.  Derivatives are read
 off with the half-second-derivative convention.
+
+The context keeps the extended basis in compact form: every element is
+a scaled partial permutation, so a form's packed jet needs one gather
+per leaf (``E_e v``) rather than a product with a dense (|B| + 2, N, N)
+stack, and [Z, Z*] = 0 is a comparison of row and column moduli.
 
 Points come as a (P, N, N) stack, as sampled, and give a (P,) array; a
 single (N, N) matrix is a batch of one and gives a complex.
@@ -38,7 +44,7 @@ import numpy as np
 from .algebra import PackedJet, PackedPoint
 from .errors import ShapeError
 from .forms import RationalExpr, evaluate_all
-from .groups import GroupSpec, iter_basis
+from .groups import GroupSpec, basis_entries
 
 __all__ = [
     "OperatorContext",
@@ -51,33 +57,75 @@ __all__ = [
 ]
 
 _BRACKET_TOL = 1e-12
+# outer directions stacked on the point axis of one tension2 walk: halves
+# the walks, and the compact basis pays for the larger jets it keeps live
+_DIRECTIONS_PER_WALK = 2
 
 
 @dataclass(eq=False)
 class OperatorContext:
-    """A group's extended basis stack, shared across evaluations.
+    """A group's extended basis E = [I, Z_1, ..., Z_|B|, H], shared across
+    evaluations, with H = sum_b Z_b**2 / 2 computed from the basis itself.
 
-    ``extended`` has shape (|B| + 2, N, N): the identity, the basis
-    elements Z_1 ... Z_|B|, and H = sum_b Z_b**2 / 2, computed from the
-    basis itself.
+    Every E_e is a scaled partial permutation, at most one nonzero per row
+    and per column, and is kept as two (|B| + 2, N) arrays:
+    E_e[k, cols[e, k]] = vals[e, k], with cols[e, k] = k on a zero row.
+    So E_e v is the gather ``vals[e] * v[cols[e]]``.
     """
 
-    extended: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
 
     @classmethod
     def for_spec(cls, spec: GroupSpec) -> "OperatorContext":
         n = spec.ambient_dim
-        extended = np.zeros((spec.dimension + 2, n, n), dtype=complex)
-        extended[0] = np.eye(n)
-        half_sum = extended[-1]
-        for b, e in enumerate(iter_basis(spec), 1):
-            z = e.matrix
-            if np.max(np.abs(z @ z.conj().T - z.conj().T @ z)) > _BRACKET_TOL:
-                raise ShapeError(f"basis element {e.label} is not normal: [Z, Z*] != 0")
-            extended[b] = z
-            half_sum += z @ z
-        half_sum *= 0.5
-        return cls(extended)
+        cols = np.empty((spec.dimension + 2, n), dtype=np.intp)
+        cols[:] = np.arange(n)
+        vals = np.zeros((spec.dimension + 2, n), dtype=complex)
+        vals[0] = 1
+        square = {}  # row -> (column, value) of sum_b Z_b**2
+        for b, (label, rows, columns, values) in enumerate(basis_entries(spec), 1):
+            _set_row(cols[b], vals[b], rows, columns, values, label)
+            _check_normal_and_square(square, rows, columns, values, label)
+        rows = tuple(square)
+        columns = tuple(square[r][0] for r in rows)
+        _set_row(cols[-1], vals[-1], rows, columns, tuple(square[r][1] / 2 for r in rows), "H")
+        return cls(cols, vals)
+
+    def dense(self, e: int) -> np.ndarray:
+        """E_e as an (N, N) matrix."""
+        n = self.cols.shape[1]
+        out = np.zeros((n, n), dtype=complex)
+        out[np.arange(n), self.cols[e]] = self.vals[e]
+        return out
+
+
+def _set_row(cols, vals, rows, columns, values, label: str) -> None:
+    """Write the element holding values[i] at (rows[i], columns[i]) into
+    one row of the compact basis; refuse two nonzeros in one row or
+    column."""
+    if any(rows.count(r) > 1 for r in rows) or any(columns.count(c) > 1 for c in columns):
+        raise ShapeError(f"basis element {label} has two nonzeros in one row or column")
+    for r, c, x in zip(rows, columns, values):
+        cols[r], vals[r] = c, x
+
+
+def _check_normal_and_square(square: dict, rows, columns, values, label: str) -> None:
+    """Refuse an element with [Z, Z*] != 0, and add Z**2 into ``square``."""
+    for c, x in zip(columns, values):
+        # [Z, Z*] is diagonal with |row k|**2 - |column k|**2 at (k, k).
+        # Column c holds only x and row c only x2; once every column in
+        # use passes, those columns are the nonzero rows, so every k does
+        x2 = values[rows.index(c)] if c in rows else 0
+        if abs(abs(x2) ** 2 - abs(x) ** 2) > _BRACKET_TOL:
+            raise ShapeError(f"basis element {label} is not normal: [Z, Z*] != 0")
+    for r, c, x in zip(rows, columns, values):
+        if c in rows:  # Z**2 holds x * Z[c, c2] at (r, c2)
+            i = rows.index(c)
+            column, total = square.get(r, (columns[i], 0))
+            if column != columns[i]:
+                raise ShapeError(f"H = sum Z**2 / 2 has two nonzeros in one row at {label}")
+            square[r] = (column, total + x * values[i])
 
 
 def _batch(point) -> tuple[np.ndarray, bool]:
@@ -90,7 +138,7 @@ def _coefficients(value, walk: PackedPoint) -> np.ndarray:
     """The packed coefficients of a walk's result; a constant has only a value."""
     if isinstance(value, PackedJet):
         return value.c
-    c = np.zeros(walk.layers.shape[:2] + (len(walk.extended),), dtype=complex)
+    c = np.zeros(walk.shape, dtype=complex)
     c[:, 0, 0] = value
     return c
 
@@ -110,7 +158,7 @@ def laplacian_jets(exprs, point, ctx: OperatorContext) -> np.ndarray:
     shape (len(exprs), |B| + 2).
     """
     stack, single = _batch(point)
-    walk = PackedPoint(stack[:, None], ctx.extended)
+    walk = PackedPoint(stack, ctx.cols, ctx.vals)
     jets = np.stack([_coefficients(value, walk)[:, 0] for value in evaluate_all(exprs, walk)])
     return jets[:, 0] if single else jets
 
@@ -150,14 +198,24 @@ def tension2(h: RationalExpr, point, ctx: OperatorContext):
     The layers [p, pW, pW**2/2] move the points along W; the t**2
     coefficient of the basis sum of second coefficients, times 4, is
     d^2/dt^2 [tau(h)(p exp(tW))] |_0, and the sum over W is tau(tau(h)).
+    Each walk stacks ``_DIRECTIONS_PER_WALK`` directions on the point
+    axis; their columns are added in basis order.
     """
     stack, single = _batch(point)
     total = np.zeros(len(stack), dtype=complex)
-    for w in ctx.extended[1:-1]:
-        moved = stack @ w
-        walk = PackedPoint(np.stack([stack, moved, 0.5 * (moved @ w)], axis=1), ctx.extended)
-        total += 4 * _coefficients(h.evaluate(walk), walk)[:, 2, -1]
+    directions = range(1, len(ctx.cols) - 1)
+    for first in range(0, len(directions), _DIRECTIONS_PER_WALK):
+        outer = np.stack([_outer_maps(ctx.dense(e)) for e in directions[first : first + _DIRECTIONS_PER_WALK]])
+        walk = PackedPoint(stack, ctx.cols, ctx.vals, outer)
+        columns = 4 * _coefficients(h.evaluate(walk), walk)[:, 2, -1]
+        for column in columns.reshape(len(stack), len(outer)).T:
+            total += column
     return _result(total[0] if single else total)
+
+
+def _outer_maps(w: np.ndarray) -> np.ndarray:
+    """[I, W, W**2/2]: a point p moves along exp(tW) to p + t pW + t**2 pW**2/2."""
+    return np.stack([np.eye(len(w), dtype=complex), w, 0.5 * (w @ w)])
 
 
 def relative_residual(actual, expected):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biforge.algebra import Jet2, PackedJet, jet_reciprocal, leading_value
+from biforge.algebra import Jet2, PackedJet, _toeplitz, jet_reciprocal, leading_value
 from biforge.errors import DegenerateJetDivision
 
 fractions_st = st.fractions(
@@ -270,3 +270,27 @@ def test_packed_reciprocal_of_zero_value_raises():
     c[:, 0, 0] = [1.0, 0.0]
     with pytest.raises(DegenerateJetDivision):
         jet_reciprocal(PackedJet(c))
+
+
+def _scattered_toeplitz(s):
+    # a zero array with s[i - j] scattered into every entry i >= j
+    k = s.shape[-1]
+    rows, cols = np.tril_indices(k)
+    out = np.zeros(s.shape + (k,), dtype=s.dtype)
+    out[..., rows, cols] = s[..., rows - cols]
+    return out
+
+
+@pytest.mark.parametrize("orders", [1, 2, 3, 5])
+def test_toeplitz_product_matches_scatter(orders):
+    # the lower-triangular Toeplitz matrices of t-series are one product by
+    # a constant 0/1 matrix: equal to the scatter on complex input, and
+    # exact on Fraction input
+    rng = np.random.default_rng(43 + orders)
+    s = rng.normal(size=(4, 2, orders)) + 1j * rng.normal(size=(4, 2, orders))
+    t = _toeplitz(s)
+    assert np.array_equal(t, _scattered_toeplitz(s)) and t.tobytes() == _scattered_toeplitz(s).tobytes()
+    exact = np.array([[Fraction(k + 1, 3 + j) for k in range(orders)] for j in range(2)], dtype=object)
+    product = _toeplitz(exact)
+    assert all(isinstance(x, Fraction) for x in product.ravel())
+    assert np.array_equal(product, _scattered_toeplitz(exact))

@@ -45,7 +45,22 @@ def test_construct_rejects_too_many_degrees(tmp_path, capsys):
          "--out", str(tmp_path)]
     )
     assert code == 2
-    assert "proper members" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "proper members" in err and err.rstrip().endswith("use a larger n or --choice 10")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--group", "sp", "--n", "1", "--choice", "10", "--degrees", "2"],
+     ["--group", "su", "--n", "2", "--degrees", "1,1"]],
+    ids=["sp1-choice10", "su2"],
+)
+def test_construct_too_few_members_hint_follows_the_inputs(tmp_path, capsys, argv):
+    # sp(1) rows are 1-vectors, always dependent, so no member is proper;
+    # --choice 10 was given, so the hint does not suggest it again
+    assert run(["construct", *argv, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "proper members" in err and err.rstrip().endswith("use a larger n")
 
 
 def test_construct_sp_choice_10_multi_degree_verifies_downstream(tmp_path):
@@ -448,15 +463,15 @@ def test_verify_answers_match_recorded(tmp_path, capsys, table):
 REPORT_DIGESTS = {
     "verify-su4-2,1": (
         ["--group", "su", "--n", "4", "--degrees", "2,1"],
-        "11f978546c1ac503ae7c15c35ec8b21e4eed4b7e473286b0f26a31865060171f",
+        "70d1e22efcf1eb628852c01b7b5b2c92ba8add48f01c3cec975255cad42b446a",
     ),
     "verify-sp2-choice10-2": (
         ["--group", "sp", "--n", "2", "--degrees", "2", "--choice", "10"],
-        "d832f333fc9067cce6d805fb16331d070a503e46491738224d81a9ddcb878df2",
+        "508cb44a2ab9c98a4ed1f8b13c304191845bbe402ccada41c16952fe8c16e772",
     ),
     "morphism-su3-orthogonal": (
         ["--group", "su", "--n", "3"],
-        "554b64ad83d66871e26aa9611183f5d1cb4bf59fb8b2acc9af44b51de93c81a3",
+        "37970c712fde942fdfdcc16667f6536f11649c2d3700732a6b08f5001b8565d7",
     ),
     "morphism-su4-rational": (
         ["--group", "su", "--n", "4", "--kind", "rational"],

@@ -353,7 +353,8 @@ def test_forest_walk_matches_separate_walks(ctx_for, monkeypatch):
     assert len(order) == len(reads) == len({id(node) for node in order})
     assert reads[id(tf)] == 3 and reads[id(roots[1])] == 1
     stack = sample_domain_points([tf], U3, 3, 950)
-    packed = PackedPoint(stack[:, None], ctx_for(U3).extended)
+    ctx = ctx_for(U3)
+    packed = PackedPoint(stack, ctx.cols, ctx.vals)
     separate = [[root.evaluate(point) for root in roots] for point in (stack, packed)]
     calls = []
     evaluate = LinearForm.evaluate

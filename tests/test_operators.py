@@ -13,11 +13,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from biforge.algebra import translate
+from biforge.algebra import PackedJet, PackedPoint, translate
 from biforge.construct import biharmonic_coefficients, build_expression, column_ratio_family
 from biforge.errors import DomainError, ShapeError
-from biforge.forms import Const, LinearForm, Power, Product, Quotient, Sum
-from biforge.groups import GroupSpec, LieBasisElement, basis, sample_point
+from biforge.forms import Const, LinearForm, Power, Product, Quotient, RationalExpr, Sum
+from biforge.groups import GroupSpec, basis, sample_point
 from biforge.operators import (
     OperatorContext,
     conformality,
@@ -192,33 +192,51 @@ def test_tension2_proper_biharmonic_member(ctx_for):
 def test_bracket_correction_path(monkeypatch):
     # non-normal elements of sl(2): their [Z, Z*] would add a first-order
     # correction to the tension, so the context refuses them
-    e12 = np.array([[0, 1], [0, 0]], dtype=complex)
-    e21 = np.array([[0, 0], [1, 0]], dtype=complex)
-    h = np.diag([1, -1]).astype(complex) / np.sqrt(2)
     elements = [
-        LieBasisElement(e12, "n+"),
-        LieBasisElement(e21, "n-"),
-        LieBasisElement(h, "h"),
+        ("n+", (0,), (1,), (1.0,)),
+        ("n-", (1,), (0,), (1.0,)),
+        ("h", (0, 1), (0, 1), (1 / np.sqrt(2), -1 / np.sqrt(2))),
     ]
-    monkeypatch.setattr("biforge.operators.iter_basis", lambda spec: iter(elements))
+    monkeypatch.setattr("biforge.operators.basis_entries", lambda spec: iter(elements))
     with pytest.raises(ShapeError, match="n\\+"):
         OperatorContext.for_spec(U2)
 
 
+@pytest.mark.parametrize("rows, cols", [((0, 0), (0, 1)), ((0, 1), (1, 1))], ids=["row", "column"])
+def test_two_nonzeros_in_one_row_are_refused(monkeypatch, rows, cols):
+    # the context keeps each element as one column and one value per row,
+    # so an element with two nonzeros in a row or a column has no compact form
+    element = ("two", rows, cols, (1j, 1j))
+    monkeypatch.setattr("biforge.operators.basis_entries", lambda spec: iter([element]))
+    with pytest.raises(ShapeError, match="two has two nonzeros"):
+        OperatorContext.for_spec(U2)
+
+
+def dense_extended(ctx):
+    """The (|B| + 2, N, N) stack E that the compact (cols, vals) stands for."""
+    count, n = ctx.cols.shape
+    dense = np.zeros((count, n, n), dtype=complex)
+    dense[np.arange(count)[:, None], np.arange(n), ctx.cols] = ctx.vals
+    return dense
+
+
 def test_standard_bases_have_no_corrections():
     # every standard basis passes the context's [Z, Z*] = 0 check; the
-    # context keeps E = [I, Z_1 .. Z_|B|, H] with H = sum_b Z_b^2 / 2
+    # context keeps E = [I, Z_1 .. Z_|B|, H] with H = sum_b Z_b^2 / 2, each
+    # E_e as a permutation of columns and one value per row
     for spec in (U3, SO4, SP2):
         ctx = OperatorContext.for_spec(spec)
         elements = basis(spec)
         n = spec.ambient_dim
         assert spec.dimension == len(elements)
-        assert ctx.extended.shape == (len(elements) + 2, n, n)
-        assert np.array_equal(ctx.extended[0], np.eye(n))
-        for z, e in zip(ctx.extended[1:-1], elements):
+        assert ctx.cols.shape == ctx.vals.shape == (len(elements) + 2, n)
+        assert np.array_equal(np.sort(ctx.cols, axis=1), np.broadcast_to(np.arange(n), ctx.cols.shape))
+        extended = dense_extended(ctx)
+        assert np.array_equal(extended[0], np.eye(n))
+        for z, e in zip(extended[1:-1], elements):
             assert np.array_equal(z, e.matrix)
         half_sum = sum(0.5 * (e.matrix @ e.matrix) for e in elements)
-        assert np.allclose(ctx.extended[-1], half_sum, rtol=0, atol=1e-15)
+        assert np.allclose(extended[-1], half_sum, rtol=0, atol=1e-15)
 
 
 def _quadruple(spec, sp_choice=None):
@@ -288,6 +306,103 @@ def test_batched_operators_match_per_element_reference(ctx_for, spec, sp_choice)
     )
 
 
+class DensePoint:
+    """A packed walk's start with the dense stack E = [I, Z_1 .. Z_|B|, H]
+    built from ``basis(spec)``: the reference the compact basis replaces."""
+
+    def __init__(self, layers, extended):
+        self.layers, self.extended = layers, extended
+
+
+def dense_extended_from_basis(spec):
+    elements = [e.matrix for e in basis(spec)]
+    half_sum = sum(0.5 * (z @ z) for z in elements)
+    return np.stack([np.eye(spec.ambient_dim, dtype=complex), *elements, half_sum])
+
+
+def dense_leaf(form, point):
+    # <X[:n]^T C, E_e> for every layer X and every e
+    weights = point.layers[..., : form.spec.n, :].swapaxes(-1, -2) @ form.coeffs
+    return PackedJet(np.einsum("pkij,eij->pke", weights, point.extended))
+
+
+def dense_tension2(h, stack, extended):
+    # one outer direction W per walk, layers [p, pW, pW^2/2] by dense products
+    total = np.zeros(len(stack), dtype=complex)
+    for w in extended[1:-1]:
+        moved = stack @ w
+        total += 4 * h.evaluate(DensePoint(np.stack([stack, moved, 0.5 * (moved @ w)], axis=1), extended)).c[:, 2, -1]
+    return total
+
+
+@pytest.fixture
+def dense_leaves(monkeypatch):
+    # forms evaluate a DensePoint by the dense reference, anything else as usual
+    evaluate = LinearForm.evaluate
+    monkeypatch.setattr(
+        LinearForm, "evaluate",
+        lambda self, point: dense_leaf(self, point) if isinstance(point, DensePoint) else evaluate(self, point),
+    )
+
+
+# float64 sums of a few dozen terms, each rounded once or twice
+REFERENCE_TOL = 1e-13
+REFERENCE_FAMILIES = [(GroupSpec.unitary(4), None), (GroupSpec.special_orthogonal(6), None), (SP2, 10)]
+REFERENCE_IDS = ["su4", "so6", "sp2-choice10"]
+
+
+def _assert_matches_reference(value, reference):
+    assert np.all(np.abs(value - reference) <= REFERENCE_TOL * np.maximum(1.0, np.abs(reference)))
+
+
+@pytest.mark.parametrize("spec, sp_choice", REFERENCE_FAMILIES, ids=REFERENCE_IDS)
+def test_packed_leaves_match_dense_reference(ctx_for, spec, sp_choice, rng):
+    # every form of a quadruple family, each rank one, and a general form
+    # (split into its rows) on points moved along one outer direction
+    ctx = ctx_for(spec)
+    extended = dense_extended_from_basis(spec)
+    fam = _quadruple(spec, sp_choice)
+    stack = np.array([sample_point(spec, 3600 + i) for i in range(3)])
+    w = extended[len(extended) // 2]
+    moved = stack @ w
+    walks = [
+        (PackedPoint(stack, ctx.cols, ctx.vals), stack[:, None]),
+        (PackedPoint(stack, ctx.cols, ctx.vals, np.stack([np.eye(len(w)), w, 0.5 * (w @ w)])[None]),
+         np.stack([stack, moved, 0.5 * (moved @ w)], axis=1)),
+    ]
+    for walk, layers in walks:
+        for form in [*fam.all_forms(), random_form(spec, rng)]:
+            _assert_matches_reference(form.evaluate(walk).c, dense_leaf(form, DensePoint(layers, extended)).c)
+
+
+@pytest.mark.parametrize("spec, sp_choice", REFERENCE_FAMILIES, ids=REFERENCE_IDS)
+def test_tension2_matches_dense_reference(ctx_for, dense_leaves, rng, spec, sp_choice):
+    # two outer directions per walk on the compact basis, against one per
+    # walk on the dense stack; a member quotient is biharmonic, so its
+    # square (rank-one forms) and a quotient of general forms are used
+    ctx = ctx_for(spec)
+    extended = dense_extended_from_basis(spec)
+    fam = _quadruple(spec, sp_choice)
+    exprs = [Power(fam.member_quotient(fam.proper_indices[0]), 2), random_exprs(spec, rng)[3]]
+    stack = sample_domain_points(exprs, spec, 3, 3700)
+    for h in exprs:
+        _assert_matches_reference(tension2(h, stack, ctx), dense_tension2(h, stack, extended))
+
+
+def test_tension2_walks_two_directions_at_a_time(ctx_for, dense_leaves, monkeypatch):
+    # su(3) has |B| = 9 directions: four walks of two and a last one of one
+    fam = _quadruple(U3)
+    h = Power(fam.member_quotient(fam.proper_indices[0]), 2)
+    stack = sample_domain_points([h], U3, 3, 3800)
+    reference = dense_tension2(h, stack, dense_extended_from_basis(U3))
+    walks = []
+    evaluate = RationalExpr.evaluate
+    monkeypatch.setattr(RationalExpr, "evaluate", lambda self, point: walks.append(point) or evaluate(self, point))
+    value = tension2(h, stack, ctx_for(U3))
+    assert [walk.shape[:2] for walk in walks] == [(6, 3)] * 4 + [(3, 3)]
+    _assert_matches_reference(value, reference)
+
+
 def test_single_point_and_stack_contract(ctx_for):
     # a matrix gives a complex; a stack gives one entry per point, equal to
     # the single calls
@@ -333,8 +448,8 @@ def test_batch_with_one_point_on_the_denominator_zero_raises(ctx_for):
     "spec", [GroupSpec.quaternionic_unitary(4), GroupSpec.unitary(8)], ids=["sp4", "su8"]
 )
 def test_context_build_peak_stays_near_what_it_keeps(spec):
-    # the context keeps one (|B| + 2, N, N) stack; building it must not hold
-    # the element list and the stack at once
+    # the context keeps two (|B| + 2, N) arrays; building them reads one
+    # dense basis element at a time and never builds the dense stack
     OperatorContext.for_spec(spec)  # one-time allocations outside the measurement
     tracing = tracemalloc.is_tracing()
     tracemalloc.start()
@@ -346,7 +461,8 @@ def test_context_build_peak_stays_near_what_it_keeps(spec):
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert peak <= 1.25 * ctx.extended.nbytes
+    element = np.zeros((spec.ambient_dim, spec.ambient_dim), dtype=complex).nbytes
+    assert peak <= 1.25 * (ctx.cols.nbytes + ctx.vals.nbytes + element)
 
 
 FAMILIES = [(U3, None), (GroupSpec.special_orthogonal(6), None), (SP2, 10)]
