@@ -56,16 +56,16 @@ from .errors import DegenerateQuotient, DimensionMismatch, InconsistentSystem, Z
 from .forms import (
     Const,
     LinearForm,
-    Power,
     Product,
     QuadrupleFamily,
     Quotient,
     RationalExpr,
     Sum,
-    _ZERO_REL_TOL,
     _check_beta,
     _check_vector,
     _json_int,
+    columns_pairwise_dependent,
+    powers,
 )
 from .groups import GroupKind, GroupSpec
 
@@ -404,11 +404,22 @@ def biharmonic_coefficients(d: int, mu, c0, c1) -> CoeffTable:
 # assembling expressions
 
 
+def _polynomial(pows, terms) -> RationalExpr:
+    """sum of coeff * prod_i pows[i][e_i - 1] over the (exponents, coeff)
+    terms, in the order given; a zero exponent skips its power chain."""
+    out = []
+    for exps, coeff in terms:
+        factors = [Const(complex(coeff)), *(chain[e - 1] for chain, e in zip(pows, exps) if e)]
+        out.append(Product(factors) if len(factors) > 1 else factors[0])
+    return Sum(out) if len(out) > 1 else out[0]
+
+
 def build_expression(table: CoeffTable, pairs) -> RationalExpr:
     """Evaluable expression sum_k c_k prod_i f_i**(d_i-k_i) * t_i**k_i.
 
     ``pairs`` is one (f_i, tension_of_f_i) expression pair per variable.
-    Power nodes are shared so evaluation caches subterms.
+    The powers of each f_i and t_i form one shared chain (``powers``), so
+    a walk computes f_i**e once for every term that reads it.
     """
     pairs = list(pairs)
     if len(pairs) != len(table.degrees):
@@ -417,21 +428,12 @@ def build_expression(table: CoeffTable, pairs) -> RationalExpr:
         )
     if table.is_zero():
         return Const(0.0)
-    f_pows = []
-    t_pows = []
-    for (f, tf), d in zip(pairs, table.degrees):
-        f_pows.append({e: Power(f, e) for e in range(1, d + 1)})
-        t_pows.append({e: Power(tf, e) for e in range(1, d + 1)})
-    terms = []
-    for idx, coeff in table.items():
-        factors = [Const(complex(coeff))]
-        for i, d in enumerate(table.degrees):
-            if d - idx[i] > 0:
-                factors.append(f_pows[i][d - idx[i]])
-            if idx[i] > 0:
-                factors.append(t_pows[i][idx[i]])
-        terms.append(Product(factors) if len(factors) > 1 else factors[0])
-    return Sum(terms) if len(terms) > 1 else terms[0]
+    degrees = table.degrees
+    pows = [chain for (f, tf), d in zip(pairs, degrees) for chain in (powers(f, d), powers(tf, d))]
+    terms = [
+        (tuple(e for k, d in zip(idx, degrees) for e in (d - k, k)), coeff) for idx, coeff in table.items()
+    ]
+    return _polynomial(pows, terms)
 
 
 def tension_power_family(fam: QuadrupleFamily, k: int) -> list[RationalExpr]:
@@ -444,7 +446,7 @@ def tension_power_family(fam: QuadrupleFamily, k: int) -> list[RationalExpr]:
         raise DimensionMismatch("power must be a positive integer")
     if fam.n_proper < 1:
         raise ZeroVector("family has no proper members")
-    return [Power(fam.member_tension(i), k) for i in fam.proper_indices]
+    return [fam.member_tension(i) ** k for i in fam.proper_indices]
 
 
 def eigenfamily_constants(mu: float, k: int) -> tuple[float, float]:
@@ -498,25 +500,9 @@ def rational_morphism(family: list[RationalExpr], num_poly: dict, den_poly: dict
     monomials = sorted(set(num_poly) | set(den_poly))
     u = np.array([complex(num_poly.get(mono, 0)) for mono in monomials])
     v = np.array([complex(den_poly.get(mono, 0)) for mono in monomials])
-    minors = np.abs(np.outer(u, v) - np.outer(v, u))
-    scale = max(np.max(np.abs(u)) * np.max(np.abs(v)), 1e-300)
-    if np.max(minors) <= _ZERO_REL_TOL * scale:
+    if columns_pairwise_dependent(np.column_stack([u, v])):
         raise DegenerateQuotient("numerator and denominator polynomials are dependent")
 
-    max_exp = [max(exp[i] for exp in monomials) for i in range(n)]
-    pows = [{e: Power(family[i], e) for e in range(1, max_exp[i] + 1)} for i in range(n)]
-
-    def poly_expr(poly: dict) -> RationalExpr:
-        terms = []
-        for exp in sorted(poly):
-            coeff = complex(poly[exp])
-            if coeff == 0:
-                continue
-            factors = [Const(coeff)]
-            factors.extend(pows[i][e] for i, e in enumerate(exp) if e > 0)
-            terms.append(Product(factors) if len(factors) > 1 else factors[0])
-        if not terms:
-            raise ZeroVector("polynomial has no nonzero coefficients")
-        return Sum(terms) if len(terms) > 1 else terms[0]
-
-    return Quotient(poly_expr(num_poly), poly_expr(den_poly))
+    pows = [powers(member, max(exp[i] for exp in monomials)) for i, member in enumerate(family)]
+    num, den = (_polynomial(pows, [(mono, c) for mono, c in zip(monomials, w) if c != 0]) for w in (u, v))
+    return Quotient(num, den)

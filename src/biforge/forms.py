@@ -8,13 +8,14 @@ last n columns the w-block, matching the ambient 2n-by-2n layout where
 the z-block is the top-left n-by-n corner and the w-block the top-right.
 
 :class:`RationalExpr` trees combine forms and complex constants through
-sums, products, integer powers and quotients; a form is itself a leaf of
-such a tree, so forms compose directly (``p * q - r * s``).  One tree
-evaluates with identical traversal over any scalar tower: a matrix gives
-a complex, a (P, N, N) stack of matrices a (P,) array, a (nested) Jet2
-of matrices, as ``algebra.translate`` builds, (nested) Jet2 scalars, and
-a :class:`~biforge.algebra.PackedPoint` one packed Laplacian jet per
-node for all P points at once.  Quotient nodes guard their denominator and
+sums, products and quotients; an integer power is a chain of shared
+products (:func:`powers`).  A form is itself a leaf of such a tree, so
+forms compose directly (``p * q - r * s``).  One tree evaluates with
+identical traversal over any scalar tower: a matrix gives a complex, a
+(P, N, N) stack of matrices a (P,) array, a (nested) Jet2 of matrices,
+as ``algebra.translate`` builds, (nested) Jet2 scalars, and a
+:class:`~biforge.algebra.PackedPoint` one packed Laplacian jet per node
+for all P points at once.  Quotient nodes guard their denominator and
 raise DomainError when it comes near zero at any of the points.
 
 :func:`walk_order` lists a forest's nodes children first with their read
@@ -36,7 +37,9 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import json
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,14 +61,13 @@ __all__ = [
     "Const",
     "Sum",
     "Product",
-    "Power",
+    "powers",
     "Quotient",
     "QuadrupleFamily",
     "make_quadruple",
     "quotient",
     "columns_pairwise_dependent",
     "isotropic",
-    "bilinear",
     "Classification",
     "classify",
 ]
@@ -176,7 +178,11 @@ class RationalExpr:
         return Quotient(self, _as_expr(other))
 
     def __pow__(self, k: int):
-        return Power(self, k)
+        """The top of ``powers(self, k)``; ``Const(1.0)`` at k = 0."""
+        k = operator.index(k)  # TypeError for a non-integer exponent
+        if k < 0:
+            raise ValueError("negative exponents are expressed through Quotient")
+        return powers(self, k)[-1] if k else Const(1.0)
 
     def __neg__(self):
         return Product((Const(-1.0), self))
@@ -202,32 +208,37 @@ class Const(RationalExpr):
         return f"Const({self.value})"
 
 
-@dataclass(frozen=True, eq=False)
+def _check_form_shape(spec: GroupSpec, shape: tuple) -> None:
+    expected = (spec.n, spec.ambient_dim)
+    if shape != expected:
+        raise DimensionMismatch(f"coefficient array must have shape {expected}, got {shape}")
+
+
 class LinearForm(RationalExpr):
     """Linear combination of matrix-coefficient functions: a tree leaf.
 
-    ``coeffs`` C is kept with rank-one factors: ``factors`` (u, v) of
-    shapes (T, n) and (T, ambient_dim) with C = sum_t u_t v_t^T.  A
-    general C is split into its nonzero rows, u_t = e_i and v_t = C[i];
+    The coefficient array C is kept only as rank-one factors: ``factors``
+    (u, v) of shapes (T, n) and (T, ambient_dim) with C = sum_t u_t v_t^T.
+    A general C is split into its nonzero rows, u_t = e_i and v_t = C[i];
     ``rank_one`` and the constructors built on it keep their one term.
-    Walks key nodes by id, so the form stays ``eq=False``.
+    The norm of C is kept for ``coeff_scale``; ``coeffs`` rebuilds C on
+    demand.  Walks key nodes by id, so forms compare by identity.
     """
 
-    spec: GroupSpec
-    coeffs: np.ndarray
+    __slots__ = ("spec", "factors", "_scale")
 
-    def __post_init__(self):
-        expected = (self.spec.n, self.spec.ambient_dim)
-        if self.coeffs.shape != expected:
-            raise DimensionMismatch(
-                f"coefficient array must have shape {expected}, got {self.coeffs.shape}"
-            )
-        object.__setattr__(self, "coeffs", np.ascontiguousarray(self.coeffs, dtype=complex))
+    def __init__(self, spec: GroupSpec, coeffs):
+        coeffs = np.ascontiguousarray(coeffs, dtype=complex)
+        _check_form_shape(spec, coeffs.shape)
+        rows = np.flatnonzero(coeffs.any(axis=1))
+        self.spec, self.factors = spec, (np.eye(len(coeffs), dtype=complex)[rows], coeffs[rows])
+        self._scale = float(np.linalg.norm(coeffs))
 
-    @functools.cached_property
-    def factors(self) -> tuple[np.ndarray, np.ndarray]:
-        rows = np.flatnonzero(self.coeffs.any(axis=1))
-        return np.eye(len(self.coeffs), dtype=complex)[rows], self.coeffs[rows]
+    @property
+    def coeffs(self) -> np.ndarray:
+        """The (n, ambient_dim) array C = sum_t u_t v_t^T."""
+        u, v = self.factors
+        return (u[:, :, None] * v[:, None, :]).sum(axis=0)
 
     @classmethod
     def coordinate(cls, spec: GroupSpec, row: int, col: int) -> "LinearForm":
@@ -245,12 +256,15 @@ class LinearForm(RationalExpr):
     @classmethod
     def rank_one(cls, spec: GroupSpec, rows: np.ndarray, cols: np.ndarray) -> "LinearForm":
         u, v = np.asarray(rows, dtype=complex), np.asarray(cols, dtype=complex)
-        form = cls(spec, np.multiply.outer(u, v))
-        object.__setattr__(form, "factors", (u[None], v[None]))  # one term, not the row split
+        coeffs = np.multiply.outer(u, v)
+        _check_form_shape(spec, coeffs.shape)
+        form = cls.__new__(cls)
+        form.spec, form.factors = spec, (u[None], v[None])  # one term, not the row split
+        form._scale = float(np.linalg.norm(coeffs))
         return form
 
     def coeff_scale(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
+        return self._scale
 
     def is_zero(self) -> bool:
         return not self.coeffs.any()
@@ -331,36 +345,21 @@ class Product(RationalExpr):
         return self.factors
 
 
-class Power(RationalExpr):
-    __slots__ = ("base", "exponent")
-
-    def __init__(self, base, exponent: int):
-        if exponent < 0:
-            raise ValueError("negative exponents are expressed through Quotient")
-        self.base = _as_expr(base)
-        self.exponent = int(exponent)
-
-    def _compute(self, point, walk):
-        if self.exponent == 0:
-            return 1.0 + 0.0j
-        value = self.base._eval(point, walk)
-        out = value
-        for _ in range(self.exponent - 1):
-            out = out * value
-        return out
-
-    def coeff_scale(self):
-        return self.base.coeff_scale() ** self.exponent
-
-    def _children(self):
-        return (self.base,)
+def powers(base, d: int) -> list:
+    """The chain [f, f*f, (f*f)*f, ...] of f**1 .. f**d: each power is the
+    one below times f, so the chain shares its d - 1 products."""
+    chain = [_as_expr(base)]
+    while len(chain) < d:
+        chain.append(Product((chain[-1], chain[0])))
+    return chain[:d]
 
 
 # a denominator below this fraction of its coefficient scale is a pole
 _POLE_REL_TOL = 1e-12
 # float cancellations (2x2 minors, square sums, off-support entries) below
-# this fraction of their scale are structural zeros: rounding leaves a few
-# ulps, while a generic nonzero value sits many orders above it
+# this fraction of their scale are structural zeros (``_negligible``):
+# rounding leaves a few ulps, while a generic nonzero value sits many
+# orders above it
 _ZERO_REL_TOL = 1e-12
 # a column weight |a_j| at most this fraction of max |a_j| is a zero up to
 # rounding, so its column gives no family member
@@ -401,60 +400,42 @@ def quotient(num: LinearForm, den: LinearForm) -> Quotient:
 # ---------------------------------------------------------------------------
 # structural predicates
 
-def _pairwise_dependent_exact(m) -> bool:
-    rows, cols = m.shape
-    for a in range(cols):
-        for b in range(a + 1, cols):
-            for i in range(rows):
-                for j in range(i + 1, rows):
-                    if m[i, a] * m[j, b] - m[j, a] * m[i, b] != 0:
-                        return False
-    return True
+def _negligible(x, scale, exact: bool = False) -> bool:
+    """True iff every entry of ``x`` is a structural zero: exactly 0 for
+    exact (object dtype) input, at most ``_ZERO_REL_TOL * scale`` otherwise."""
+    x = np.abs(np.asarray(x))
+    return bool(np.all(x == 0) if exact else np.all(x <= _ZERO_REL_TOL * scale))
 
 
 def columns_pairwise_dependent(m: np.ndarray) -> bool:
     """True iff every 2x2 minor across column pairs vanishes (rank <= 1).
 
-    Float input is tested relative to the largest entry magnitude; exact
-    (object dtype) input is tested exactly.
+    Float input is tested relative to the square of the largest entry
+    magnitude; exact (object dtype) input is tested exactly.
     """
     m = np.asarray(m)
     if m.size == 0:
         raise ZeroVector("empty matrix")
-    if m.dtype == object:
-        return _pairwise_dependent_exact(m)
-    m = m.astype(complex)
+    exact = m.dtype == object
+    if not exact:
+        m = m.astype(complex)
     scale = np.max(np.abs(m))
     if scale == 0:
         raise ZeroVector("zero matrix has no dependence structure")
-    rows, cols = m.shape
-    for a in range(cols):
-        for b in range(a + 1, cols):
-            minors = np.abs(np.outer(m[:, a], m[:, b]) - np.outer(m[:, b], m[:, a]))
-            if np.max(minors) > _ZERO_REL_TOL * scale * scale:
-                return False
-    return True
-
-
-def bilinear(u, v) -> complex:
-    """Complex-bilinear pairing sum(u_k * v_k), not the hermitian product."""
-    u = np.asarray(u)
-    v = np.asarray(v)
-    if u.shape != v.shape:
-        raise DimensionMismatch(f"bilinear pairing of {u.shape} with {v.shape}")
-    return complex(np.sum(np.asarray(u, dtype=complex) * np.asarray(v, dtype=complex)))
+    outer = np.multiply.outer
+    return all(
+        _negligible(outer(m[:, a], m[:, b]) - outer(m[:, b], m[:, a]), scale * scale, exact)
+        for a, b in itertools.combinations(range(m.shape[1]), 2)
+    )
 
 
 def isotropic(v) -> bool:
     """True iff sum(v_k**2) = 0 under the complex-bilinear square sum."""
     v = np.asarray(v)
-    if v.dtype == object:
-        return sum(x * x for x in v.ravel()) == 0
-    v = v.astype(complex)
-    scale = float(np.sum(np.abs(v) ** 2))
-    if scale == 0:
-        return True
-    return abs(np.sum(v * v)) <= _ZERO_REL_TOL * scale
+    exact = v.dtype == object
+    if not exact:
+        v = v.astype(complex)
+    return _negligible(np.sum(v * v), np.sum(np.abs(v) ** 2), exact)
 
 
 # ---------------------------------------------------------------------------
@@ -629,8 +610,8 @@ def make_quadruple(
         return not columns_pairwise_dependent(np.column_stack([u, v]))
 
     def isotropic_pair(u, v) -> bool:
-        bound = _ZERO_REL_TOL * (np.linalg.norm(u) * np.linalg.norm(v))
-        return isotropic(u) and isotropic(v) and abs(bilinear(u, v)) <= bound
+        scale = np.linalg.norm(u) * np.linalg.norm(v)
+        return isotropic(u) and isotropic(v) and _negligible(np.sum(u * v), scale)
 
     so_mode = None
     if spec.kind is GroupKind.SPECIAL_ORTHOGONAL:
@@ -725,12 +706,10 @@ def classify(m_p: np.ndarray, q, a, spec: GroupSpec) -> Classification:
     if columns_pairwise_dependent(np.column_stack([q, m_p])):
         return Classification.HarmonicCaseI
 
-    a_abs = np.abs(a)
-    support = int(np.argmax(a_abs))
-    a_single = np.all(np.delete(a_abs, support) <= _ZERO_REL_TOL * a_abs[support])
-    if a_single:
-        col_norms = np.linalg.norm(m_p, axis=0)
-        others = np.delete(col_norms, support)
-        if np.all(others <= _ZERO_REL_TOL * max(col_norms[support], 1e-300)):
-            return Classification.HarmonicCaseII
+    support = int(np.argmax(np.abs(a)))
+    col_norms = np.linalg.norm(m_p, axis=0)
+    if _negligible(np.delete(a, support), abs(a[support])) and _negligible(
+        np.delete(col_norms, support), max(col_norms[support], 1e-300)
+    ):
+        return Classification.HarmonicCaseII
     return Classification.ProperBiharmonic

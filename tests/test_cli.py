@@ -477,6 +477,16 @@ REPORT_DIGESTS = {
         ["--group", "su", "--n", "4", "--kind", "rational"],
         "b567674c6803fc8ea3faa0b0bb3167f6e4bb37e2e7c16a491c7f9437aaa0f989",
     ),
+    # powers up to the cube: f**3 and (tau f)**3 in each variable, and
+    # cubes of the member tensions in the morphism's eigenfamily
+    "verify-su4-3,3,3": (
+        ["--group", "su", "--n", "4", "--degrees", "3,3,3"],
+        "6bafbc74205763580e8a255e9233c4128d9304f8d60aa4061037ebb9f6791f33",
+    ),
+    "morphism-su5-rational-k3": (
+        ["--group", "su", "--n", "5", "--kind", "rational", "--k", "3"],
+        "2faabe5afa1785cb374d929929537e9289dbd31137d230a2d12e6e083c09304f",
+    ),
 }
 
 

@@ -32,7 +32,7 @@ from biforge.construct import (
     _tension_row,
 )
 from biforge.errors import DegenerateQuotient, DimensionMismatch, InconsistentSystem, ZeroVector
-from biforge.forms import Const, make_quadruple
+from biforge.forms import Const, Product, make_quadruple, walk_order
 from biforge.groups import GroupSpec
 from biforge.operators import conformality, relative_residual, tension
 from biforge.verify import sample_domain_points
@@ -319,6 +319,25 @@ def test_build_expression_harmonic_member(ctx_for):
         assert abs(tension(h3, point, ctx)) <= 1e-8 * max(1.0, abs(value))
 
 
+def test_build_expression_shares_one_power_chain_per_factor():
+    # f**e is the node f**(e - 1) * f: the powers of f, and of tau f, that a
+    # degree-d table reads make one chain of d - 1 products, where separate
+    # powers would multiply sum(e - 1) times
+    fam = make_quadruple(U3, [1, 2, -1], [3, 1j, 0.5], [1, 1, 1], [1, 1, 1], beta=0)
+    i = fam.proper_indices[0]
+    f, tf = fam.member_quotient(i), fam.member_tension(i)
+    d = 4
+    expr = build_expression(biharmonic_family((d,), fam.mu)[0], [(f, tf)])
+    order, _ = walk_order([expr])
+    for base in (f, tf):
+        chain = [
+            node for node in order
+            if isinstance(node, Product) and node.factors[-1] is base and not isinstance(node.factors[0], Const)
+        ]
+        assert len(chain) == d - 1
+        assert [node.factors[0] for node in chain] == [base, *chain[:-1]]
+
+
 def test_eigenfamily_constants_and_members(ctx_for):
     fam = make_quadruple(U3, [1, 2, -1], [3, 1j, 0.5], [1, 1, 1], [1, 1, 1], beta=0)
     ctx = ctx_for(U3)
@@ -416,6 +435,8 @@ def test_rational_morphism_validation():
         rational_morphism(members, {(1, 0, 0): 1.0}, {(0, 1): 1.0})
     with pytest.raises(ZeroVector):
         rational_morphism([], {}, {})
+    with pytest.raises(ZeroVector):
+        rational_morphism(members, {(1, 0): 0.0}, {(0, 1): 0.0})
 
 
 def test_family_kinds_and_combo_validation():

@@ -17,7 +17,6 @@ from biforge.forms import (
     Classification,
     Const,
     LinearForm,
-    Power,
     Quotient,
     QuadrupleFamily,
     RationalExpr,
@@ -323,6 +322,24 @@ def test_member_identities_unitary(ctx_for):
         assert relative_residual(conformality(tf, tf, m, ctx), -2 * tv * tv) <= 1e-9
 
 
+def test_forms_keep_only_their_factors():
+    # a form stores its factors (u, v), not the dense (n, N) array, and
+    # ``coeffs`` rebuilds C exactly for rank-one and row-split forms alike
+    u, v = np.array([1, 2j, -1]), np.array([0.5, 0, 3])
+    form = LinearForm.rank_one(U3, u, v)
+    assert not hasattr(form, "__dict__")
+    assert [a.shape for a in form.factors] == [(1, 3), (1, 3)]
+    assert np.array_equal(form.coeffs, np.multiply.outer(u, v))
+    assert form.coeff_scale() == np.linalg.norm(np.multiply.outer(u, v))
+    c = np.array([[1, 0, 2j], [0, 0, 0], [3, -1, 0]])
+    dense = LinearForm(U3, c)
+    assert [a.shape for a in dense.factors] == [(2, 3), (2, 3)]
+    assert np.array_equal(dense.coeffs, c) and dense.coeff_scale() == np.linalg.norm(c)
+    for bad in (lambda: LinearForm(U3, c[:2]), lambda: LinearForm.rank_one(U3, u[:2], v)):
+        with pytest.raises(DimensionMismatch, match=r"must have shape \(3, 3\)"):
+            bad()
+
+
 def test_forms_compose_directly(monkeypatch):
     # a form is a tree leaf: arithmetic on forms needs no wrapper, and a
     # form read twice by one root is one node, evaluated once per walk
@@ -343,15 +360,32 @@ def test_forms_compose_directly(monkeypatch):
     assert calls == [q]
 
 
+def test_powers_take_integer_exponents_only():
+    # f**k is the top of one product chain, f**0 the constant 1; a negative
+    # or non-integer exponent is refused, never truncated to an integer
+    p = coord(U3, 0, 1)
+    point = sample_point(U3, 41)
+    pv = p.evaluate(point)
+    assert (p**3).evaluate(point) == pv * pv * pv
+    assert p**1 is p
+    one = p**0
+    assert isinstance(one, Const) and one.evaluate(point) == 1
+    with pytest.raises(TypeError):
+        p**2.5
+    with pytest.raises(ValueError):
+        p**-1
+
+
 def test_forest_walk_matches_separate_walks(ctx_for, monkeypatch):
     # a repeated root and a root that contains another: the forest reads
-    # tau f three times and computes it, and each of its forms, once
+    # tau f four times (twice in tf**2 = tf * tf) and computes it, and each
+    # of its forms, once
     fam = fam_u3()
     tf = fam.member_tension(fam.proper_indices[0])
-    roots = [tf, Power(tf, 2), tf]
+    roots = [tf, tf**2, tf]
     order, reads = walk_order(roots)
     assert len(order) == len(reads) == len({id(node) for node in order})
-    assert reads[id(tf)] == 3 and reads[id(roots[1])] == 1
+    assert reads[id(tf)] == 4 and reads[id(roots[1])] == 1
     stack = sample_domain_points([tf], U3, 3, 950)
     ctx = ctx_for(U3)
     packed = PackedPoint(stack, ctx.cols, ctx.vals)
@@ -388,8 +422,8 @@ def test_power_identities_general_mu(ctx_for, fam_builder):
     ti, tj = fam.member_tension(i), fam.member_tension(j)
     points = sample_domain_points([fi, fj, ti, tj], fam.spec, 6, 1000)
     m_exp, l_exp = 2, 3
-    pow_ti, pow_tj = Power(ti, m_exp), Power(tj, l_exp)
-    pow_fi, pow_fj = Power(fi, m_exp), Power(fj, l_exp)
+    pow_ti, pow_tj = ti**m_exp, tj**l_exp
+    pow_fi, pow_fj = fi**m_exp, fj**l_exp
     for mat in points:
         fiv, fjv = fi.evaluate(mat), fj.evaluate(mat)
         tiv, tjv = ti.evaluate(mat), tj.evaluate(mat)
@@ -418,7 +452,7 @@ def test_inverse_square_denominator_tension(ctx_for):
     for spec, seed in ((U2, 1100), (U3, 1200)):
         fam = make_quadruple(spec, [1] * spec.n, [1j] + [1] * (spec.n - 1), [1] * spec.n, [1] * spec.n)
         q = fam.denominator
-        inv_sq = Quotient(Const(1.0), Power(q, 2))
+        inv_sq = Quotient(Const(1.0), q**2)
         ctx = ctx_for(spec)
         points = sample_domain_points([inv_sq], spec, 6, seed)
         for point in points:
@@ -465,6 +499,8 @@ def test_predicates_exact_mode_bypasses_tolerances():
     assert isotropic(v)
     v[2] = 5j + tiny
     assert not isotropic(v)
+    with pytest.raises(ZeroVector):
+        columns_pairwise_dependent(np.array([[Fraction(0)] * 2] * 2, dtype=object))
 
 
 def test_classify_structural():

@@ -16,7 +16,7 @@ import pytest
 from biforge.algebra import PackedJet, PackedPoint, translate
 from biforge.construct import biharmonic_coefficients, build_expression, column_ratio_family
 from biforge.errors import DomainError, ShapeError
-from biforge.forms import Const, LinearForm, Power, Product, Quotient, RationalExpr, Sum
+from biforge.forms import Const, LinearForm, Product, Quotient, RationalExpr, Sum
 from biforge.groups import GroupSpec, basis, sample_point
 from biforge.operators import (
     OperatorContext,
@@ -46,9 +46,9 @@ def random_exprs(spec, rng):
     return [
         Sum((a, Product((Const(0.7 - 0.2j), b)))),
         Product((a, b)),
-        Power(Sum((a, Const(2.0))), 2),
-        Quotient(b, Sum((Power(c, 2), Const(5.0)))),
-        Sum((Product((a, c)), Const(1.5), Power(b, 3))),
+        Sum((a, Const(2.0))) ** 2,
+        Quotient(b, Sum((c**2, Const(5.0)))),
+        Sum((Product((a, c)), Const(1.5), b**3)),
     ]
 
 
@@ -383,7 +383,7 @@ def test_tension2_matches_dense_reference(ctx_for, dense_leaves, rng, spec, sp_c
     ctx = ctx_for(spec)
     extended = dense_extended_from_basis(spec)
     fam = _quadruple(spec, sp_choice)
-    exprs = [Power(fam.member_quotient(fam.proper_indices[0]), 2), random_exprs(spec, rng)[3]]
+    exprs = [fam.member_quotient(fam.proper_indices[0]) ** 2, random_exprs(spec, rng)[3]]
     stack = sample_domain_points(exprs, spec, 3, 3700)
     for h in exprs:
         _assert_matches_reference(tension2(h, stack, ctx), dense_tension2(h, stack, extended))
@@ -392,7 +392,7 @@ def test_tension2_matches_dense_reference(ctx_for, dense_leaves, rng, spec, sp_c
 def test_tension2_walks_two_directions_at_a_time(ctx_for, dense_leaves, monkeypatch):
     # su(3) has |B| = 9 directions: four walks of two and a last one of one
     fam = _quadruple(U3)
-    h = Power(fam.member_quotient(fam.proper_indices[0]), 2)
+    h = fam.member_quotient(fam.proper_indices[0]) ** 2
     stack = sample_domain_points([h], U3, 3, 3800)
     reference = dense_tension2(h, stack, dense_extended_from_basis(U3))
     walks = []
