@@ -19,8 +19,8 @@ failure (reports are still written), 2 invalid configuration or input.
 Random vectors are drawn from a seeded complex Gaussian; for SO(n) the
 row vectors are built as u + i*v with |u| = |v|, u orthogonal to v (and
 the two rows mutually orthogonal), so the isotropy conditions hold
-exactly up to rounding.  Same configuration and seed give byte-identical
-output files.
+exactly up to rounding.  Same configuration, seed and BLAS thread count
+give byte-identical output files.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from .construct import (
 )
 from .errors import BiforgeError
 from .forms import QuadrupleFamily, make_quadruple
-from .groups import GroupKind, GroupSpec
+from .groups import GroupKind, GroupSpec, _orthonormalize
 from .operators import OperatorContext
 from .report import VerificationReport
 from .verify import (
@@ -125,18 +125,9 @@ def _parse_mu(text: str) -> Fraction:
 
 def _orthonormal_rows(rng: np.random.Generator, n: int, count: int) -> list[np.ndarray]:
     while True:
-        raw = rng.normal(size=(count, n))
-        basis = []
-        for row in raw:
-            v = row.copy()
-            for u in basis:
-                v -= u * (u @ v)
-            norm = np.linalg.norm(v)
-            if norm < 1e-8:
-                break
-            basis.append(v / norm)
-        if len(basis) == count:
-            return basis
+        rows = _orthonormalize(rng.normal(size=(count, n)))
+        if rows is not None:
+            return rows
 
 
 def _seeded_vectors(spec: GroupSpec, rng: np.random.Generator):
@@ -186,26 +177,12 @@ def cmd_construct(
 
 
 def _read_inputs(coeffs_file: Path, quadruple_file: Path) -> tuple[CoeffTable, QuadrupleFamily]:
-    """Parse verify's inputs; reject a table recorded for another group, n or mu.
-
-    Tables without that record (older files, hand-written ones) are taken
-    as they are.
-    """
+    """Parse verify's inputs; reject a table recorded for another group, n or mu."""
     try:
-        text = coeffs_file.read_text()
-        table = CoeffTable.from_json(text)
-        meta = json.loads(text)
         fam = QuadrupleFamily.from_json(quadruple_file.read_text())
-        expected = {"group": fam.spec.code, "n": fam.spec.n, "mu": Fraction(fam.spec.mu)}
-        recorded = {key: meta[key] for key in expected if key in meta}
-        if "mu" in recorded:
-            recorded["mu"] = Fraction(recorded["mu"])
+        table = CoeffTable.from_json(coeffs_file.read_text(), fam.spec, fam.spec.mu)
     except (OSError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise BiforgeError(f"cannot parse inputs: {exc}") from exc
-    wrong = [f"{key}={recorded[key]} (quadruple: {expected[key]})"
-             for key in recorded if recorded[key] != expected[key]]
-    if wrong:
-        raise BiforgeError(f"coefficient table does not match the quadruple: {', '.join(wrong)}")
     return table, fam
 
 

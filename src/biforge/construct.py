@@ -48,11 +48,12 @@ import functools
 import itertools
 import json
 import math
+import numbers
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import DegenerateQuotient, DimensionMismatch, InconsistentSystem, ZeroVector
+from .errors import BiforgeError, DegenerateQuotient, DimensionMismatch, InconsistentSystem, ZeroVector
 from .forms import (
     Const,
     LinearForm,
@@ -170,8 +171,11 @@ class CoeffTable:
         return json.dumps(doc, indent=2, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "CoeffTable":
-        """Parse a table; group, n and mu, if recorded, are left to the caller.
+    def from_json(cls, text: str, spec: GroupSpec | None = None, mu=None) -> "CoeffTable":
+        """Parse a table; given the group and mu it is read for, also refuse
+        one recorded for another group, n or mu (BiforgeError).  A table
+        without that record (an older file, a hand-written one) is taken
+        as it is.
 
         Degrees and indices must be JSON integers, and num and den too or
         the digit strings ``to_json`` writes.  Degrees must be positive and
@@ -191,7 +195,17 @@ class CoeffTable:
                 problem = "repeats index" if idx in coeffs else "has denominator 0"
                 raise ValueError(f"coefficient entry {entry} {problem}")
             coeffs[idx] = Fraction(num, den)
-        return cls(degrees, coeffs)
+        table = cls(degrees, coeffs)
+        if spec is not None:
+            expected = {"group": spec.code, "n": spec.n, "mu": _frac(mu)}
+            recorded = {key: doc[key] for key in expected if key in doc}
+            if "mu" in recorded:
+                recorded["mu"] = Fraction(recorded["mu"])
+            wrong = [f"{key}={recorded[key]} (quadruple: {expected[key]})"
+                     for key in recorded if recorded[key] != expected[key]]
+            if wrong:
+                raise BiforgeError(f"coefficient table does not match the quadruple: {', '.join(wrong)}")
+        return table
 
     def __repr__(self):
         return f"CoeffTable(degrees={self.degrees}, nnz={len(self.coeffs)})"
@@ -480,9 +494,10 @@ def _poly_degree(poly: dict) -> int:
 def rational_morphism(family: list[RationalExpr], num_poly: dict, den_poly: dict) -> RationalExpr:
     """Quotient of two homogeneous polynomials evaluated on an eigenfamily.
 
-    Polynomials are maps {exponent tuple: coefficient}; both must be
-    homogeneous of the same positive degree and linearly independent,
-    otherwise the quotient is constant (DegenerateQuotient).
+    Polynomials are maps {exponent tuple: coefficient} with nonnegative
+    integer exponents; both must be homogeneous of the same positive
+    degree and linearly independent, otherwise the quotient is constant
+    (DegenerateQuotient).
     """
     n = len(family)
     if n == 0:
@@ -491,6 +506,8 @@ def rational_morphism(family: list[RationalExpr], num_poly: dict, den_poly: dict
         if not poly:
             raise ZeroVector("empty polynomial")
         for exp in poly:
+            if any(isinstance(e, bool) or not isinstance(e, numbers.Integral) for e in exp):
+                raise DimensionMismatch(f"exponent tuple {exp} holds a non-integer exponent")
             if len(exp) != n or any(e < 0 for e in exp):
                 raise DimensionMismatch(f"exponent tuple {exp} does not fit {n} variables")
     deg_num = _poly_degree(num_poly)

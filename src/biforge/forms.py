@@ -496,8 +496,9 @@ class QuadrupleFamily:
     @functools.cached_property
     def _tensions(self) -> tuple[RationalExpr, ...]:
         q, r = self.denominator, self.exchange_denominator
+        q2 = q**2
         pairs = zip(self.numerators, self.exchange_numerators)
-        return tuple(2 * self.mu * (p * q - r * s) / q**2 for p, s in pairs)
+        return tuple(2 * self.mu * (p * q - r * s) / q2 for p, s in pairs)
 
     def member_quotient(self, i: int) -> RationalExpr:
         """The rational member f_i = P_i / Q."""

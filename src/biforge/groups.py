@@ -229,33 +229,36 @@ def _quaternionic_partner(v: np.ndarray) -> np.ndarray:
     return np.concatenate([-c[n:], c[:n]])
 
 
+def _orthonormalize(vectors, partner=None) -> list[np.ndarray] | None:
+    """Modified Gram-Schmidt over ``vectors`` in order; None when one of
+    them keeps a norm below 1e-8 against the frame before it.
+
+    With ``partner``, each new vector's partner(v) joins the frame too.
+    The frame lists the new vectors, then their partners.
+    """
+    left, right = [], []
+    for vector in vectors:
+        v = vector.copy()
+        for u in left + right:
+            v -= u * np.vdot(u, v)
+        norm = np.linalg.norm(v)
+        if norm < 1e-8:
+            return None
+        v /= norm
+        left.append(v)
+        if partner is not None:
+            right.append(partner(v))
+    return left + right
+
+
 def _sample_quaternionic(n: int, rng: np.random.Generator) -> np.ndarray:
-    dim = 2 * n
     while True:
         z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         w = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        raw = np.block([[z, w], [-np.conj(w), np.conj(z)]])
-        left = []
-        right = []
-        ok = True
-        for col in range(n):
-            v = raw[:, col].copy()
-            for u in left + right:
-                v -= u * np.vdot(u, v)
-            norm = np.linalg.norm(v)
-            if norm < 1e-8:
-                ok = False
-                break
-            v /= norm
-            left.append(v)
-            right.append(_quaternionic_partner(v))
-        if not ok:
-            continue
-        out = np.empty((dim, dim), dtype=complex)
-        for col in range(n):
-            out[:, col] = left[col]
-            out[:, n + col] = right[col]
-        return out
+        # the first n columns of [z, w; -conj w, conj z]; partners give the rest
+        frame = _orthonormalize(np.concatenate([z, -np.conj(w)]).T, _quaternionic_partner)
+        if frame is not None:
+            return np.column_stack(frame)
 
 
 def sample_point(spec: GroupSpec, seed: int) -> np.ndarray:

@@ -15,11 +15,10 @@ Every operator evaluates h on packed Laplacian jets (see
 array per tree node, holding each point's value, its first derivatives
 along every Z_b and the basis sum of its second derivatives.
 ``laplacian_jets`` walks a list of expressions once, as one forest
-(``forms.evaluate_all``), and returns all of that for every
-expression: the value is column 0, tau is twice the last column, and
-``kappa_matrix`` gives kappa of every pair as one Gram product of the
-first-order columns.
-``tension`` and ``conformality`` read one or two expressions off it.
+(``forms.evaluate_all``), and reads off every expression's value, its
+tension and kappa of every pair; the packed column order and the
+half-second-derivative factor stay inside this module.
+``tension`` and ``conformality`` read one entry of that read-out.
 ``tension2`` computes tau(tau(h)) by moving the points along each outer
 direction W with a t-series of three orders and reading the t**2
 coefficient of the basis sum; each walk stacks two directions on the
@@ -49,7 +48,6 @@ from .groups import GroupSpec, basis_entries
 __all__ = [
     "OperatorContext",
     "laplacian_jets",
-    "kappa_matrix",
     "tension",
     "conformality",
     "tension2",
@@ -148,48 +146,42 @@ def _result(values):
     return complex(values) if np.ndim(values) == 0 else values
 
 
-def laplacian_jets(exprs, point, ctx: OperatorContext) -> np.ndarray:
-    """Packed coefficients of every expression at the points, from one walk.
+def laplacian_jets(exprs, point, ctx: OperatorContext):
+    """Values, tensions and kappa of every pair of the expressions, from one walk.
 
-    Returns shape (len(exprs), P, |B| + 2): per point the value, the |B|
-    first derivatives along the basis and the basis sum of the second
-    coefficients.  The expressions are one forest to ``evaluate_all``, so
-    a node they share is evaluated once.  A single (N, N) matrix gives
-    shape (len(exprs), |B| + 2).
+    Returns ``(values, tau, kappa)`` of shapes (E, P), (E, P) and
+    (E, E, P) for E expressions; a single (N, N) matrix drops the point
+    axis.  The expressions are one forest to ``evaluate_all``, so a node
+    they share is evaluated once.  tau is twice the basis sum of second
+    coefficients; kappa is one Gram product of the first-order columns,
+    sum_b d_ib d_jb over the basis, made exactly symmetric as
+    (G + G^T) / 2.  The transposed operand is a copy: for ``d @ d.T`` of
+    one buffer numpy runs a symmetric rank-k update, whose fixed operand
+    roles would make kappa(h1, h2) and kappa(h2, h1) differ in the last
+    bit (a complex multiply is not bit-symmetric); a general product
+    computes every entry the same way.
     """
     stack, single = _batch(point)
     walk = PackedPoint(stack, ctx.cols, ctx.vals)
     jets = np.stack([_coefficients(value, walk)[:, 0] for value in evaluate_all(exprs, walk)])
-    return jets[:, 0] if single else jets
-
-
-def kappa_matrix(jets: np.ndarray) -> np.ndarray:
-    """kappa of every pair of the expressions behind ``jets``, shape (E, E, ...).
-
-    One Gram product of the first-order columns, sum_b d_ib d_jb over the
-    basis, made exactly symmetric as (G + G^T) / 2.  The transposed
-    operand is a copy: for ``d @ d.T`` of one buffer numpy runs a
-    symmetric rank-k update, whose fixed operand roles would make
-    kappa(h1, h2) and kappa(h2, h1) differ in the last bit (a complex
-    multiply is not bit-symmetric); a general product computes every
-    entry the same way.
-    """
     d = np.moveaxis(jets[..., 1:-1], 0, -2)
     gram = d @ np.ascontiguousarray(d.swapaxes(-1, -2))
-    return np.moveaxis((gram + gram.swapaxes(-1, -2)) / 2, (-2, -1), (0, 1))
+    kappa = np.moveaxis((gram + gram.swapaxes(-1, -2)) / 2, 0, -1)
+    out = jets[..., 0], 2 * jets[..., -1], kappa
+    return tuple(x[..., 0] for x in out) if single else out
 
 
 def tension(h: RationalExpr, point, ctx: OperatorContext):
     """tau(h) at the points: twice the basis sum of second jet coefficients."""
-    return _result(2 * laplacian_jets([h], point, ctx)[0, ..., -1])
+    return _result(laplacian_jets([h], point, ctx)[1][0])
 
 
 def conformality(h1: RationalExpr, h2: RationalExpr, point, ctx: OperatorContext):
     """kappa(h1, h2) at the points: basis sum of first-derivative products.
 
-    Exactly symmetric in (h1, h2), as every entry of ``kappa_matrix``.
+    Exactly symmetric in (h1, h2), as every kappa of ``laplacian_jets``.
     """
-    return _result(kappa_matrix(laplacian_jets([h1, h2], point, ctx))[0, 1])
+    return _result(laplacian_jets([h1, h2], point, ctx)[2][0, 1])
 
 
 def tension2(h: RationalExpr, point, ctx: OperatorContext):

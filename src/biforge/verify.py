@@ -9,10 +9,10 @@ in seed order; every check takes that stack and reduces per-point
 residual arrays to their maximum, so reports are deterministic.
 
 Each check walks every function it reads once, through
-``operators.laplacian_jets``, and reads values, tensions and kappa pairs
-(``operators.kappa_matrix``) off that walk.  The closed-form member
-tension is evaluated on the plain stack, so the jet side never reads the
-formula it checks.
+``operators.laplacian_jets``, and unpacks the values, tensions and kappa
+pairs that walk returns; how jets are packed is left to ``operators``.
+The closed-form member tension is evaluated on the plain stack, so the
+jet side never reads the formula it checks.
 
 Every bound is a module constant with its reason below; the CLI's
 ``--tol`` defaults read them.  All residuals are relative.
@@ -41,7 +41,7 @@ from .construct import CoeffTable, build_expression, tension_table
 from .errors import SamplingExhausted
 from .forms import QuadrupleFamily, Quotient, RationalExpr, evaluate_all, walk_order
 from .groups import GroupSpec, sample_point
-from .operators import OperatorContext, kappa_matrix, laplacian_jets, relative_residual, tension2
+from .operators import OperatorContext, laplacian_jets, relative_residual, tension2
 from .report import CheckResult
 
 __all__ = [
@@ -105,10 +105,8 @@ def quadruple_checks(fam: QuadrupleFamily, ctx: OperatorContext, points) -> list
     All forms are walked once; each rule is a set of index lookups into
     their kappa matrix and their values.
     """
-    jets = laplacian_jets(fam.all_forms(), points, ctx)
-    values = jets[..., 0]
-    kappa = kappa_matrix(jets)
-    eigen = np.max(relative_residual(2 * jets[..., -1], fam.spec.eigenvalue * values))
+    values, tau, kappa = laplacian_jets(fam.all_forms(), points, ctx)
+    eigen = np.max(relative_residual(tau, fam.spec.eigenvalue * values))
     checks = [CheckResult.upper("eigenfunctions", eigen, IDENTITY_TOL)]
 
     # indices in all_forms() order: P_0 .. P_{m-1}, Q, R, S_0 .. S_{m-1}
@@ -140,9 +138,9 @@ def closed_form_tension_checks(fam: QuadrupleFamily, ctx: OperatorContext, point
     """Closed-form member tension against the jet-computed operator; the
     quotients are one jet walk and their closed forms one plain walk."""
     members = range(fam.n_members)
-    jets = laplacian_jets([fam.member_quotient(i) for i in members], points, ctx)
+    _, tau, _ = laplacian_jets([fam.member_quotient(i) for i in members], points, ctx)
     closed = np.array(evaluate_all([fam.member_tension(i) for i in members], points))
-    worst = np.max(relative_residual(2 * jets[..., -1], closed))
+    worst = np.max(relative_residual(tau, closed))
     return [CheckResult.upper("closed-form tension", worst, IDENTITY_TOL)]
 
 
@@ -160,9 +158,8 @@ def candidate_checks(
     candidate by ``tol / 10``.  The properness witness is max over points
     of |tau phi| / max(1, |phi|) and must reach ``TENSION_WITNESS_MIN``.
     """
-    jets = laplacian_jets([phi], points, ctx)[0]
-    value = np.abs(jets[:, 0])
-    tau = np.abs(2 * jets[:, -1])
+    (value,), (tau,), _ = laplacian_jets([phi], points, ctx)
+    value, tau = np.abs(value), np.abs(tau)
     tau_ratio = tau / np.maximum(1.0, value)
     if not proper:
         return [CheckResult.upper("tension", np.max(tau_ratio), tol / 10)]
@@ -193,9 +190,8 @@ def oracle_equivalence_check(
     """
     tau_sym = build_expression(tension_table(table, mu), pairs)
     direct = tension2(phi, points, ctx)
-    jets = laplacian_jets([phi, tau_sym], points, ctx)
-    via_expansion = 2 * jets[1, :, -1]
-    scale = np.maximum.reduce([np.ones(len(points)), *np.abs(jets[..., 0]), np.abs(via_expansion)])
+    values, (_, via_expansion), _ = laplacian_jets([phi, tau_sym], points, ctx)
+    scale = np.maximum.reduce([np.ones(len(points)), *np.abs(values), np.abs(via_expansion)])
     return CheckResult.upper(
         "bitension route equivalence", np.max(np.abs(direct - via_expansion) / scale), ROUTE_TOL
     )
@@ -210,13 +206,10 @@ def eigenfamily_checks(
     tol: float = IDENTITY_TOL,
 ) -> list[CheckResult]:
     """Definition of an eigenfamily: common eigenvalue and kappa constant."""
-    jets = laplacian_jets(members, points, ctx)
-    values = jets[..., 0]
-    tau = np.max(relative_residual(2 * jets[..., -1], eigenvalue * values))
+    values, tau, kappa = laplacian_jets(members, points, ctx)
+    tau = np.max(relative_residual(tau, eigenvalue * values))
     left, right = np.triu_indices(len(members))
-    kappa = np.max(
-        relative_residual(kappa_matrix(jets)[left, right], kappa_constant * values[left] * values[right])
-    )
+    kappa = np.max(relative_residual(kappa[left, right], kappa_constant * values[left] * values[right]))
     return [
         CheckResult.upper("eigenfamily tension", tau, tol),
         CheckResult.upper("eigenfamily kappa", kappa, tol),
@@ -230,10 +223,10 @@ def morphism_checks(
     tol: float = DEFAULT_MORPHISM_TOL,
 ) -> list[CheckResult]:
     """Harmonic morphism conditions: tension and kappa(f, f) both vanish."""
-    jets = laplacian_jets([expr], points, ctx)
-    value = np.abs(jets[0, :, 0])
-    tau = np.abs(2 * jets[0, :, -1]) / np.maximum(1.0, value)
-    kap = np.abs(kappa_matrix(jets)[0, 0]) / np.maximum(1.0, value**2)
+    (value,), (tau,), ((kap,),) = laplacian_jets([expr], points, ctx)
+    value = np.abs(value)
+    tau = np.abs(tau) / np.maximum(1.0, value)
+    kap = np.abs(kap) / np.maximum(1.0, value**2)
     return [
         CheckResult.upper("tension", np.max(tau), tol),
         CheckResult.upper("horizontal conformality", np.max(kap), tol),

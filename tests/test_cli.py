@@ -458,8 +458,9 @@ def test_verify_answers_match_recorded(tmp_path, capsys, table):
 
 # SHA-256 of the `--json` report of each run at --points 4 and the default
 # seed (tables from `construct` at the default seed).  Each report runs in
-# its own process with OPENBLAS_NUM_THREADS=1: the batched Gram product in
-# kappa_matrix is bitwise reproducible only on one BLAS thread.
+# its own process with OPENBLAS_NUM_THREADS=1: the batched Gram product
+# behind kappa in operators.laplacian_jets is bitwise reproducible only on
+# one BLAS thread.
 REPORT_DIGESTS = {
     "verify-su4-2,1": (
         ["--group", "su", "--n", "4", "--degrees", "2,1"],
@@ -486,6 +487,16 @@ REPORT_DIGESTS = {
     "morphism-su5-rational-k3": (
         ["--group", "su", "--n", "5", "--kind", "rational", "--k", "3"],
         "2faabe5afa1785cb374d929929537e9289dbd31137d230a2d12e6e083c09304f",
+    ),
+    # so runs draw the isotropic rows u + iv of the quadruple and of the
+    # rational morphism's eigenfamily from seeded orthonormal frames
+    "verify-so8-2": (
+        ["--group", "so", "--n", "8", "--degrees", "2"],
+        "897fdf82d08e0aeae7c48506bfefe7c43603bda580e1c959d99184a433eff9e5",
+    ),
+    "morphism-so8-rational-k2": (
+        ["--group", "so", "--n", "8", "--kind", "rational", "--k", "2"],
+        "28c7dd73b9a65d02f0e1d8b31fa589355c52a0781082013342548bc10dd7d977",
     ),
 }
 

@@ -31,7 +31,7 @@ from biforge.construct import (
     _graded_solve,
     _tension_row,
 )
-from biforge.errors import DegenerateQuotient, DimensionMismatch, InconsistentSystem, ZeroVector
+from biforge.errors import BiforgeError, DegenerateQuotient, DimensionMismatch, InconsistentSystem, ZeroVector
 from biforge.forms import Const, Product, make_quadruple, walk_order
 from biforge.groups import GroupSpec
 from biforge.operators import conformality, relative_residual, tension
@@ -291,6 +291,20 @@ def test_coeff_table_json_round_trip():
         CoeffTable.from_json(json.dumps(doc))
 
 
+def test_coeff_table_json_refuses_another_group():
+    table = biharmonic_family((2,), -1)[0]
+    su4, so8 = GroupSpec.unitary(4), GroupSpec.special_orthogonal(8)
+    text = table.to_json(su4, -1)
+    assert CoeffTable.from_json(text, su4, su4.mu) == table
+    assert CoeffTable.from_json(text) == table
+    with pytest.raises(BiforgeError) as info:
+        CoeffTable.from_json(text, so8, so8.mu)
+    assert str(info.value) == (
+        "coefficient table does not match the quadruple: "
+        "group=su (quadruple: so), n=4 (quadruple: 8), mu=-1 (quadruple: -1/2)"
+    )
+
+
 @pytest.mark.parametrize("idx", [(3,), (-1,), (1, 1)])
 def test_coeff_table_rejects_index_outside_box(idx):
     # a stored out-of-box entry would read as zero to tension_table
@@ -433,6 +447,9 @@ def test_rational_morphism_validation():
         rational_morphism(members, {(1, 0): 1.0}, {(0, 2): 1.0})
     with pytest.raises(DimensionMismatch):
         rational_morphism(members, {(1, 0, 0): 1.0}, {(0, 1): 1.0})
+    for exp in [(1.5, 0.5), (True, False)]:
+        with pytest.raises(DimensionMismatch, match=rf"exponent tuple \({exp[0]}, {exp[1]}\)"):
+            rational_morphism(members, {exp: 1.0}, {exp[::-1]: 1.0})
     with pytest.raises(ZeroVector):
         rational_morphism([], {}, {})
     with pytest.raises(ZeroVector):

@@ -217,6 +217,8 @@ def test_member_nodes_are_built_once_per_family(points_for):
     for i in range(fam.n_members):
         assert fam.member_quotient(i) is fam.member_quotient(i)
         assert fam.member_tension(i) is fam.member_tension(i)
+    # every member tension divides by one Q**2 node
+    assert len({id(fam.member_tension(i).denominator) for i in range(fam.n_members)}) == 1
     # a family with another mu builds its own nodes, even after the
     # original's were built
     doubled = dataclasses.replace(fam, mu=2 * fam.mu)

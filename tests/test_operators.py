@@ -21,7 +21,7 @@ from biforge.groups import GroupSpec, basis, sample_point
 from biforge.operators import (
     OperatorContext,
     conformality,
-    kappa_matrix,
+    _coefficients,
     laplacian_jets,
     relative_residual,
     tension,
@@ -484,21 +484,20 @@ def test_laplacian_jets_match_per_expression_operators(ctx_for, spec, sp_choice)
     # a time, and the Jet2 reference moves one point along one element
     ctx = ctx_for(spec)
     _, exprs, points = _family_exprs(spec, sp_choice)
-    jets = laplacian_jets(exprs, points, ctx)
-    assert jets.shape == (len(exprs), 3, spec.dimension + 2)
-    kappa = kappa_matrix(jets)
+    values, tau, kappa = laplacian_jets(exprs, points, ctx)
+    assert values.shape == tau.shape == (len(exprs), 3)
     assert kappa.shape == (len(exprs), len(exprs), 3)
     assert np.array_equal(kappa, kappa.swapaxes(0, 1))
     for a, h in enumerate(exprs):
-        assert np.all(relative_residual(jets[a, :, 0], h.evaluate(points)) <= 1e-12)
-        assert np.all(relative_residual(2 * jets[a, :, -1], tension(h, points, ctx)) <= 1e-12)
+        assert np.all(relative_residual(values[a], h.evaluate(points)) <= 1e-12)
+        assert np.all(relative_residual(tau[a], tension(h, points, ctx)) <= 1e-12)
         for b, g in enumerate(exprs[a:], a):
             assert np.all(relative_residual(kappa[a, b], conformality(h, g, points, ctx)) <= 1e-12)
     directions = [(e.matrix, 0.5 * (e.matrix @ e.matrix)) for e in basis(spec)]
     for k, base in enumerate(points):
         moved = [[h.evaluate(translate(base, z, zh)) for z, zh in directions] for h in exprs]
         for a, along in enumerate(moved):
-            _assert_sum_matches(2 * jets[a, k, -1], [2 * jet.a2 for jet in along])
+            _assert_sum_matches(tau[a, k], [2 * jet.a2 for jet in along])
             for b in range(a, len(exprs)):
                 _assert_sum_matches(kappa[a, b, k], [x.a1 * y.a1 for x, y in zip(along, moved[b])])
 
@@ -506,10 +505,15 @@ def test_laplacian_jets_match_per_expression_operators(ctx_for, spec, sp_choice)
 def test_constant_root_has_zero_derivative_columns(ctx_for):
     ctx = ctx_for(U3)
     _, exprs, points = _family_exprs(U3, None)
-    jets = laplacian_jets([Const(3.0 - 2.0j), exprs[0]], points, ctx)
-    assert np.all(jets[0, :, 0] == 3.0 - 2.0j)
-    assert not np.any(jets[0, :, 1:])
-    assert not np.any(kappa_matrix(jets)[0])
+    walk = PackedPoint(points, ctx.cols, ctx.vals)
+    raw = _coefficients(Const(3.0 - 2.0j).evaluate(walk), walk)
+    assert raw.shape == walk.shape
+    assert np.all(raw[:, 0, 0] == 3.0 - 2.0j)
+    assert not np.any(raw[:, 0, 1:])
+    values, tau, kappa = laplacian_jets([Const(3.0 - 2.0j), exprs[0]], points, ctx)
+    assert np.all(values[0] == 3.0 - 2.0j)
+    assert not np.any(tau[0])
+    assert not np.any(kappa[0])
 
 
 def test_laplacian_jets_of_one_matrix_drop_the_point_axis(ctx_for):
@@ -519,8 +523,9 @@ def test_laplacian_jets_of_one_matrix_drop_the_point_axis(ctx_for):
     batched = laplacian_jets(exprs, points, ctx)
     for k, point in enumerate(points):
         single = laplacian_jets(exprs, point, ctx)
-        assert single.shape == (len(exprs), spec.dimension + 2)
-        assert np.all(np.abs(single - batched[:, k]) <= 1e-14 * np.maximum(1.0, np.abs(single)))
+        assert [x.shape for x in single] == [(len(exprs),), (len(exprs),), (len(exprs), len(exprs))]
+        for one, many in zip(single, batched):
+            assert np.all(np.abs(one - many[..., k]) <= 1e-14 * np.maximum(1.0, np.abs(one)))
 
 
 @pytest.mark.parametrize("spec, sp_choice", FAMILIES, ids=FAMILY_IDS)
