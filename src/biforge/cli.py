@@ -180,7 +180,7 @@ def _read_inputs(coeffs_file: Path, quadruple_file: Path) -> tuple[CoeffTable, Q
     """Parse verify's inputs; reject a table recorded for another group, n or mu."""
     try:
         fam = QuadrupleFamily.from_json(quadruple_file.read_text())
-        table = CoeffTable.from_json(coeffs_file.read_text(), fam.spec, fam.spec.mu)
+        table = CoeffTable.from_json(coeffs_file.read_text(), fam.spec)
     except (OSError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise BiforgeError(f"cannot parse inputs: {exc}") from exc
     return table, fam

@@ -171,9 +171,9 @@ class CoeffTable:
         return json.dumps(doc, indent=2, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str, spec: GroupSpec | None = None, mu=None) -> "CoeffTable":
-        """Parse a table; given the group and mu it is read for, also refuse
-        one recorded for another group, n or mu (BiforgeError).  A table
+    def from_json(cls, text: str, spec: GroupSpec | None = None) -> "CoeffTable":
+        """Parse a table; given the group it is read for, also refuse one
+        recorded for another group, n or mu (BiforgeError).  A table
         without that record (an older file, a hand-written one) is taken
         as it is.
 
@@ -197,7 +197,7 @@ class CoeffTable:
             coeffs[idx] = Fraction(num, den)
         table = cls(degrees, coeffs)
         if spec is not None:
-            expected = {"group": spec.code, "n": spec.n, "mu": _frac(mu)}
+            expected = {"group": spec.code, "n": spec.n, "mu": _frac(spec.mu)}
             recorded = {key: doc[key] for key in expected if key in doc}
             if "mu" in recorded:
                 recorded["mu"] = Fraction(recorded["mu"])

@@ -295,10 +295,10 @@ def test_coeff_table_json_refuses_another_group():
     table = biharmonic_family((2,), -1)[0]
     su4, so8 = GroupSpec.unitary(4), GroupSpec.special_orthogonal(8)
     text = table.to_json(su4, -1)
-    assert CoeffTable.from_json(text, su4, su4.mu) == table
+    assert CoeffTable.from_json(text, su4) == table
     assert CoeffTable.from_json(text) == table
     with pytest.raises(BiforgeError) as info:
-        CoeffTable.from_json(text, so8, so8.mu)
+        CoeffTable.from_json(text, so8)
     assert str(info.value) == (
         "coefficient table does not match the quadruple: "
         "group=su (quadruple: so), n=4 (quadruple: 8), mu=-1 (quadruple: -1/2)"

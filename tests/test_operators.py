@@ -521,7 +521,13 @@ def test_laplacian_jets_of_one_matrix_drop_the_point_axis(ctx_for):
     ctx = ctx_for(spec)
     _, exprs, points = _family_exprs(spec, None)
     batched = laplacian_jets(exprs, points, ctx)
+    walk = PackedPoint(points, ctx.cols, ctx.vals)
+    raw = np.stack([_coefficients(h.evaluate(walk), walk)[:, 0] for h in exprs])
     for k, point in enumerate(points):
+        one = PackedPoint(point[None], ctx.cols, ctx.vals)
+        one_raw = np.stack([_coefficients(h.evaluate(one), one)[0, 0] for h in exprs])
+        assert one_raw.shape == (len(exprs), spec.dimension + 2)
+        assert np.all(np.abs(one_raw - raw[:, k]) <= 1e-14 * np.maximum(1.0, np.abs(one_raw)))
         single = laplacian_jets(exprs, point, ctx)
         assert [x.shape for x in single] == [(len(exprs),), (len(exprs),), (len(exprs), len(exprs))]
         for one, many in zip(single, batched):
