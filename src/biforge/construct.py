@@ -19,8 +19,8 @@ space has dimension m, freely parametrized by the coefficients at the
 unit multi-indices.
 
 Biharmonicity is handled by rewriting tau(F) in the same monomial basis
-(the ``tension_table`` map below) and demanding that *its* coefficients
-solve the harmonic system; the solution space gains one dimension,
+(the ``tension_table`` map below): F is biharmonic iff its tension table
+solves the harmonic system.  The solution space gains one dimension,
 freely parametrized by c at the zero index (the proper direction) plus
 the unit indices (the harmonic directions).  Solution spaces are plain
 tuples of tables: ``harmonic_family`` returns the m harmonic basis
@@ -28,18 +28,18 @@ tables, ``proper_biharmonic_table`` the one proper table, and
 ``biharmonic_family`` the proper table followed by the harmonic basis.
 
 Writing mu = a/b in lowest terms, every row is kept multiplied by b, so
-its coefficients are Python ints (the composed biharmonic rows by b^2);
-a homogeneous equation keeps its solutions under that scaling.  Both
-systems are lower-triangular in sigma: each equation at k involves c_k
-and coefficients of smaller total degree only, with diagonal
-2*a*(sigma^2 - sigma) for the harmonic system and 4*a^2*(sigma^2 - sigma)^2
-for the composed biharmonic one.  The diagonal is nonzero for sigma >= 2,
-so one forward substitution in sigma order solves for everything but the
-sigma <= 1 coordinates.  Each unknown is an integer sum over the common
-denominator of the values its row reads, normalised by one Fraction, and
-every row is then checked with integer sums only.  Tables are exact
-Fractions; the numerical operators only enter when a table is assembled
-into an evaluable expression.
+its coefficients are Python ints; the proper table's right-hand side,
+its tension table, is scaled by b too, and a homogeneous equation keeps
+its solutions.  The rows are lower-triangular in sigma: each equation at
+k involves c_k and coefficients of smaller total degree only, with
+diagonal 2*a*(sigma^2 - sigma), nonzero for sigma >= 2.  So a forward
+substitution in sigma order solves for everything but the sigma <= 1
+coordinates; the proper table takes two on the same rows, for its
+tension table, then for the table.  Each unknown is an integer sum over
+the common denominator of the values its row reads, normalised by one
+Fraction, and every row is then checked with integer sums only.  Tables
+are exact Fractions; the numerical operators only enter when a table is
+assembled into an evaluable expression.
 """
 
 from __future__ import annotations
@@ -122,6 +122,14 @@ class CoeffTable:
             if value != 0:
                 clean[idx] = value
         self.coeffs = clean
+
+    @classmethod
+    def _trusted(cls, degrees: tuple[int, ...], coeffs: dict) -> "CoeffTable":
+        """A solver's in-box Fraction table, kept as given but for its zeros."""
+        table = cls.__new__(cls)
+        table.degrees = degrees
+        table.coeffs = {k: v for k, v in coeffs.items() if v}
+        return table
 
     def get(self, idx) -> Fraction:
         return self.coeffs.get(tuple(idx), Fraction(0))
@@ -286,19 +294,19 @@ def tension_table(table: CoeffTable, mu) -> CoeffTable:
 # exact solving
 
 
-def _graded_solve(rows: dict, pinned: dict) -> dict:
-    """Solve a homogeneous system that is lower-triangular in sigma = sum(k).
+def _graded_solve(rows: dict, pinned: dict, rhs: dict | None = None) -> dict:
+    """Solve rows . x = rhs (0 if None), a system lower-triangular in sigma = sum(k).
 
     ``rows`` maps each box index to its sparse equation, with integer
-    coefficients (rational ones work too); every equation at index k
-    involves k itself and indices of smaller total degree.  Pinned
-    indices take their given values and every other index is solved from
-    its own row in (sigma, index) order: the values the row reads are put
-    over their least common denominator L, and their integer sum is
-    divided by L times the diagonal in one Fraction, the only
-    normalisation per unknown.  Every row, pinned ones included, is then
-    checked by integer sums over the solution's common denominator.
+    coefficients; every equation at index k involves k itself and indices
+    of smaller total degree.  Pinned indices take their given values and
+    every other index is solved from its own row in (sigma, index) order,
+    by one Fraction over the product of the diagonal and the common
+    denominators of rhs and of the values the row reads.  Every row,
+    pinned ones included, is then checked against rhs (missing entries 0)
+    by integer sums over common denominators.
     """
+    rhs, rhs_den = _over_common_denominator(rhs or {})
     solution = dict(pinned)
     for idx in sorted(rows, key=lambda k: (sum(k), k)):
         if idx in pinned:
@@ -308,10 +316,10 @@ def _graded_solve(rows: dict, pinned: dict) -> dict:
         if diag == 0:
             raise InconsistentSystem(f"zero diagonal at unpinned index {idx}")
         values, den = _over_common_denominator({k: solution[k] for k in row if k != idx})
-        solution[idx] = Fraction(-_dot(row, values), den * diag)
-    values, _ = _over_common_denominator(solution)
+        solution[idx] = Fraction(rhs.get(idx, 0) * den - rhs_den * _dot(row, values), rhs_den * den * diag)
+    values, den = _over_common_denominator(solution)
     for idx, row in rows.items():
-        if _dot(row, values) != 0:
+        if _dot(row, values) * rhs_den != rhs.get(idx, 0) * den:
             raise InconsistentSystem(f"pinned values leave a residual at index {idx}")
     return solution
 
@@ -348,41 +356,31 @@ def harmonic_family(degrees, mu) -> tuple[CoeffTable, ...]:
     rows = {idx: _tension_row(degrees, mu, idx) for idx in box_indices(degrees)}
     zero, units = (0,) * m, _unit_indices(m)
     pins = ({zero: Fraction(0), **{u: Fraction(int(u == e)) for u in units}} for e in units)
-    return tuple(CoeffTable(degrees, _graded_solve(rows, pinned)) for pinned in pins)
+    return tuple(CoeffTable._trusted(degrees, _graded_solve(rows, pinned)) for pinned in pins)
 
 
 def proper_biharmonic_table(degrees, mu) -> CoeffTable:
     """The proper biharmonic table: coefficient 1 at the zero index, 0 at
     the unit indices.
 
-    The rows of the composed system (harmonic rows applied to
-    ``tension_table``) at sigma <= 1 vanish identically, so the m + 1
-    indices there are free; pinning them fixes the table, and one
-    forward substitution solves for the rest.
+    Its b-scaled tension table g solves the harmonic rows T, and the
+    sigma <= 1 rows of T read only the pinned entries, so they pin g
+    (g_0 = 0, g_{e_j} = b*d_j*sum(d)): one substitution gives g, a second
+    the table from T c = g.  A zero g would mean a harmonic table.
     """
     degrees, mu = _validate_problem(degrees, mu)
     m = len(degrees)
-    columns = list(box_indices(degrees))
-    tension_rows = {idx: _tension_row(degrees, mu, idx) for idx in columns}
-
-    def compose(outer: dict) -> dict:
-        row: dict = {}
-        for mid, coeff in outer.items():
-            for col, inner in tension_rows[mid].items():
-                row[col] = row.get(col, 0) + coeff * inner
-        return row
-
-    rows = {idx: compose(tension_rows[idx]) for idx in columns}
+    rows = {idx: _tension_row(degrees, mu, idx) for idx in box_indices(degrees)}
     pinned = {(0,) * m: Fraction(1), **{u: Fraction(0) for u in _unit_indices(m)}}
-    proper = CoeffTable(degrees, _graded_solve(rows, pinned))
-    if tension_table(proper, mu).is_zero():
+    tension = _graded_solve(rows, {k: Fraction(_dot(rows[k], pinned)) for k in pinned})
+    if not any(tension.values()):
         raise InconsistentSystem("proper direction came out harmonic")
-    return proper
+    return CoeffTable._trusted(degrees, _graded_solve(rows, pinned, tension))
 
 
 def biharmonic_family(degrees, mu) -> tuple[CoeffTable, ...]:
     """The biharmonic solution space: the proper table, then the harmonic
-    basis, whose tables solve the composed system with the same pins."""
+    basis, whose tables have zero tension and are pinned at the same indices."""
     return (proper_biharmonic_table(degrees, mu), *harmonic_family(degrees, mu))
 
 

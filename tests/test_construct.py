@@ -190,6 +190,8 @@ def test_graded_solver_families_exact_and_normalised(degrees, mu):
         assert [table.get(k) for k in (zero, *units)] == [int(j == i) for j in range(m + 1)]
     # same pinned values, so uniqueness makes them the harmonic basis
     assert bih[1:] == harm
+    # tau(F) of the proper table is harmonic with unit coefficients d_j*sum(d)
+    assert tension_table(bih[0], mu) == combine(harm, [d_j * sum(degrees) for d_j in degrees])
     assert not tension_table(bih[0], mu).is_zero()
 
 
@@ -256,6 +258,23 @@ def test_graded_solver_checks_integer_rows_exactly(off):
     pinned[off] += 1
     with pytest.raises(InconsistentSystem):
         _graded_solve(rows, pinned)
+    # with a right-hand side: a table with sevenths and thirds, and its
+    # b-scaled tension table (sevenths) from tension_table, not the solver;
+    # an rhs entry off by one fails the row check at a pinned sigma <= 1
+    # index and, with the whole solution pinned, at any index
+    table = combine(biharmonic_family((2, 1), mu), [Fraction(1, 7), 0, 1])
+    rhs = {idx: mu.denominator * tension_table(table, mu).get(idx) for idx in rows}
+    assert any(v.denominator > 1 for v in rhs.values())
+    solution = {idx: table.get(idx) for idx in rows}
+    low = {idx: v for idx, v in solution.items() if sum(idx) <= 1}
+    assert _graded_solve(rows, low, rhs) == solution
+    assert _graded_solve(rows, solution, rhs) == solution
+    rhs[off] += 1
+    with pytest.raises(InconsistentSystem):
+        _graded_solve(rows, solution, rhs)
+    if off in low:
+        with pytest.raises(InconsistentSystem):
+            _graded_solve(rows, low, rhs)
 
 
 def test_tension_table_of_harmonic_is_zero():
@@ -469,8 +488,11 @@ def test_family_kinds_and_combo_validation():
 
 
 def test_construct_solves_only_the_table_it_writes(tmp_path, monkeypatch):
-    # construct writes the proper table alone, so it needs one composed
-    # solve; the harmonic basis costs m more and is only built on request
+    # construct writes the proper table alone, so it needs two solves: the
+    # homogeneous one for its tension table (pinned at the units to
+    # d_j*sum(d) = 16, not to a harmonic basis table's 0 or 1), then the one
+    # with that right-hand side; the harmonic basis costs m more homogeneous
+    # solves and is only built on request
     calls = []
     solve = construct._graded_solve
 
@@ -482,7 +504,11 @@ def test_construct_solves_only_the_table_it_writes(tmp_path, monkeypatch):
     argv = ["construct", "--group", "su", "--n", "5", "--degrees", "2,2,2,2", "--seed", "1",
             "--out", str(tmp_path)]
     assert cli.main(argv) == 0
-    assert len(calls) == 1
+    assert [len(args) for args in calls] == [2, 3]
+    zero, *units = sorted(calls[0][1])
+    assert calls[0][1] == {zero: 0, **{u: 16 for u in units}}
+    assert calls[1][1] == {zero: 1, **{u: 0 for u in units}}
+    assert calls[1][2] == solve(*calls[0])
     degrees, mu = (2, 2, 2, 2), Fraction(-1)
     m = len(degrees)
     tables = biharmonic_family(degrees, mu)
