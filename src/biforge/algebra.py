@@ -45,12 +45,17 @@ The sum of the a2_b is all the Laplacian needs, and the layout is closed
 under the ring operations ("Forward Laplacian", Li et al. 2023):
 
     sum_b (fg)_2b = f0 sum_b g2b + g0 sum_b f2b + sum_b f1b g1b,
-    sum_b (1/f)_2b = (sum_b f1b**2) / f0**3 - (sum_b f2b) / f0**2,
+
+and a quotient q = f/g solves that rule for q column by column:
+
+    q0 = f0 / g0,   q1b = (f1b - q0 g1b) / g0,
+    sum_b q2b = (sum_b f2b - q0 sum_b g2b - sum_b q1b g1b) / g0,
 
 where every product is a truncated t-series product (univariate Taylor
 propagation, Griewank, Utke and Walther, Math. Comp. 2000).  The
 t-convolutions are batched matmuls by lower-triangular Toeplitz
-matrices, and the sum over b of f1b g1b is one Gram product.  No
+matrices, dividing by g0 is one such matmul by the Toeplitz matrix of
+the series 1/g0, and the sum over b of f1b g1b is one Gram product.  No
 ``np.linalg`` is used, so object arrays of ``Fraction`` work too.
 
 A :class:`PackedPoint` is the matrix jet a walk starts from: the points,
@@ -193,12 +198,15 @@ def leading_value(x):
 
 
 def jet_reciprocal(y):
-    """Multiplicative inverse modulo s**3 (and t**K for a PackedJet).
+    """Multiplicative inverse modulo s**3 (and t**K for a PackedJet, the
+    quotient of the unit jet).
 
     Requires a nonzero value part, at every point of a PackedJet.
     """
     if isinstance(y, PackedJet):
-        return _packed_reciprocal(y)
+        one = np.zeros_like(y.c)
+        one[..., 0, 0] = 1
+        return PackedJet(_packed_quotient(one, y.c))
     r0 = _reciprocal_scalar(y.a0)
     return Jet2(r0, -(y.a1 * r0) * r0, ((y.a1 * y.a1) * r0 - y.a2) * (r0 * r0))
 
@@ -244,8 +252,9 @@ class PackedJet:
 
     See the module docstring for the layout.  A scalar summand adds to
     the value at t**0 and a scalar factor scales every coefficient;
-    products and quotients of two packed jets follow the collapsed
-    product and reciprocal rules.
+    products of two packed jets follow the collapsed product rule, and
+    quotients that rule solved for the quotient; a reciprocal is the
+    quotient of the unit jet.
     """
 
     __slots__ = ("c",)
@@ -280,7 +289,7 @@ class PackedJet:
 
     def __truediv__(self, other):
         if isinstance(other, PackedJet):
-            return self * jet_reciprocal(other)
+            return PackedJet(_packed_quotient(self.c, other.c))
         return PackedJet(self.c / other)
 
     def __rtruediv__(self, other):
@@ -331,28 +340,31 @@ class PackedPoint:
 
 
 @lru_cache(maxsize=None)
-def _series_indices(k: int):
-    """Constant 0/1 matrices for K-term t-series: (K, K*K) that maps a
-    series s to its flattened lower-triangular Toeplitz matrix, entry
-    (i, j) = s[i - j], and (K*K, K) that sums a flattened K x K array
-    along its anti-diagonals i + j < K."""
+def _series_indices(k: int, dtype: np.dtype):
+    """Constant 0/1 matrices for K-term t-series of ``dtype``: (K, K*K) that
+    maps a series s to its flattened lower-triangular Toeplitz matrix,
+    entry (i, j) = s[i - j], and (K*K, K) that sums a flattened K x K
+    array along its anti-diagonals i + j < K.  They are built in the
+    series' own dtype, so a product does not cast them first; object
+    series get int matrices, which keep Fraction entries exact."""
     lags = np.subtract.outer(np.arange(k), np.arange(k)).reshape(-1)
     order = np.add.outer(np.arange(k), np.arange(k)).reshape(-1)
-    toeplitz = (lags == np.arange(k)[:, None]).astype(int)
-    antidiagonals = (order[:, None] == np.arange(k)).astype(int)
+    kind = int if dtype == object else dtype
+    toeplitz = (lags == np.arange(k)[:, None]).astype(kind)
+    antidiagonals = (order[:, None] == np.arange(k)).astype(kind)
     return toeplitz, antidiagonals
 
 
 def _toeplitz(s: np.ndarray) -> np.ndarray:
     """(..., K) t-series -> (..., K, K) matrices T with T @ g = s * g mod t**K."""
     k = s.shape[-1]
-    return (s @ _series_indices(k)[0]).reshape(s.shape + (k,))
+    return (s @ _series_indices(k, s.dtype)[0]).reshape(s.shape + (k,))
 
 
 def _antidiagonal_sums(g: np.ndarray) -> np.ndarray:
     """(..., K, K) -> (..., K): entry k sums g[..., i, j] over i + j = k."""
     k = g.shape[-1]
-    return g.reshape(g.shape[:-2] + (k * k,)) @ _series_indices(k)[1]
+    return g.reshape(g.shape[:-2] + (k * k,)) @ _series_indices(k, g.dtype)[1]
 
 
 def _series_reciprocal(s: np.ndarray) -> np.ndarray:
@@ -364,17 +376,20 @@ def _series_reciprocal(s: np.ndarray) -> np.ndarray:
     return r
 
 
-def _packed_reciprocal(y: PackedJet) -> PackedJet:
-    c = y.c
-    if np.any(c[..., 0, 0] == 0):
+def _packed_quotient(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """q = a / b for (P, K, |B| + 2) packed coefficients: the product rule
+    of a = q b solved column by column (Griewank and Walther 2008, 13.2),
+
+        q0 = a0 / b0,   q1b = (a1b - q0 b1b) / b0,
+        sum_b q2b = (sum_b a2b - q0 sum_b b2b - sum_b q1b b1b) / b0,
+
+    every product a t-series product, and dividing by b0 one product by
+    R, the Toeplitz matrix of the series 1/b0."""
+    if np.any(b[..., 0, 0] == 0):
         raise DegenerateJetDivision("jet division by a jet with zero value part")
-    r0 = _series_reciprocal(c[..., 0])
-    t = _toeplitz(r0)
-    t2 = t @ t
-    out = np.empty_like(c)
-    out[..., 0] = r0
-    out[..., 1:] = -t2 @ c[..., 1:]
-    x1 = c[..., 1:-1]
-    square_sum = _antidiagonal_sums(x1 @ x1.swapaxes(-1, -2))
-    out[..., -1] += (t2 @ t @ square_sum[..., None])[..., 0]
-    return PackedJet(out)
+    r = _toeplitz(_series_reciprocal(b[..., 0]))
+    q0 = (r @ a[..., :1])[..., 0]
+    q = r @ (a - _toeplitz(q0) @ b)
+    q[..., 0] = q0
+    q[..., -1] -= (r @ _antidiagonal_sums(q[..., 1:-1] @ b[..., 1:-1].swapaxes(-1, -2))[..., None])[..., 0]
+    return q

@@ -272,6 +272,44 @@ def test_packed_reciprocal_of_zero_value_raises():
         jet_reciprocal(PackedJet(c))
 
 
+def test_packed_quotient_by_zero_value_raises():
+    # one point of the divisor has a zero value; its other columns do not help
+    rng = np.random.default_rng(47)
+    f = PackedJet(rng.normal(size=(2, 3, 4)) + 1j * rng.normal(size=(2, 3, 4)))
+    c = rng.normal(size=(2, 3, 4)) + 1j * rng.normal(size=(2, 3, 4))
+    c[1, 0, 0] = 0
+    with pytest.raises(DegenerateJetDivision):
+        f / PackedJet(c)
+    with pytest.raises(DegenerateJetDivision):
+        2.0 / PackedJet(c)
+
+
+@pytest.mark.parametrize("orders", [1, 3])
+def test_packed_scalar_over_jet_exact_over_fractions(orders):
+    rng = np.random.default_rng(53 + orders)
+    points, directions = 2, 3
+    g, g2 = _random_packed(rng, points, orders, directions, nonzero_value=True)
+    gs = [[_direction_jet(g.c, g2, p, b) for b in range(directions)] for p in range(points)]
+    x = Fraction(-5, 7)
+    quotient = x / g
+    assert all(isinstance(v, Fraction) for v in quotient.c.ravel())
+    _assert_packs(quotient, [[x / y for y in row] for row in gs])
+
+
+@pytest.mark.parametrize("shape", [(4, 3, 38), (5, 1, 66)])
+def test_packed_quotient_times_divisor_round_trips(shape):
+    # complex f / g times g gives f back, every column of every order
+    rng = np.random.default_rng(sum(shape))
+
+    def normal():
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    f, g = PackedJet(normal()), PackedJet(normal())
+    g.c[:, 0, 0] += 4
+    back = (f / g) * g
+    assert np.max(np.abs(back.c - f.c)) <= 1e-14 * np.max(np.abs(f.c))
+
+
 def _scattered_toeplitz(s):
     # a zero array with s[i - j] scattered into every entry i >= j
     k = s.shape[-1]

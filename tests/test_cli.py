@@ -464,39 +464,39 @@ def test_verify_answers_match_recorded(tmp_path, capsys, table):
 REPORT_DIGESTS = {
     "verify-su4-2,1": (
         ["--group", "su", "--n", "4", "--degrees", "2,1"],
-        "70d1e22efcf1eb628852c01b7b5b2c92ba8add48f01c3cec975255cad42b446a",
+        "4e5aa481ab8b98c3deeb2c51f60da2925f68b0aadd6f9eb29ae081d1747d40d1",
     ),
     "verify-sp2-choice10-2": (
         ["--group", "sp", "--n", "2", "--degrees", "2", "--choice", "10"],
-        "508cb44a2ab9c98a4ed1f8b13c304191845bbe402ccada41c16952fe8c16e772",
+        "f1078ae31e92d7e5a93ecf387d41efbbc8c53778298d0e9007660ace85c0b77a",
     ),
     "morphism-su3-orthogonal": (
         ["--group", "su", "--n", "3"],
-        "37970c712fde942fdfdcc16667f6536f11649c2d3700732a6b08f5001b8565d7",
+        "050becfd1de9ea8229364a2cdc301205f9a46409786954bb0facef21dd7e792d",
     ),
     "morphism-su4-rational": (
         ["--group", "su", "--n", "4", "--kind", "rational"],
-        "b567674c6803fc8ea3faa0b0bb3167f6e4bb37e2e7c16a491c7f9437aaa0f989",
+        "3e11e975c71ac4ccc6fc15e87bc4f43324e4b768965256ac3fa420e2b46abd4c",
     ),
     # powers up to the cube: f**3 and (tau f)**3 in each variable, and
     # cubes of the member tensions in the morphism's eigenfamily
     "verify-su4-3,3,3": (
         ["--group", "su", "--n", "4", "--degrees", "3,3,3"],
-        "6bafbc74205763580e8a255e9233c4128d9304f8d60aa4061037ebb9f6791f33",
+        "cb731287864faa97c477b7b098927168cb9196bc5f677fbf7c1aa6d1d4228e40",
     ),
     "morphism-su5-rational-k3": (
         ["--group", "su", "--n", "5", "--kind", "rational", "--k", "3"],
-        "2faabe5afa1785cb374d929929537e9289dbd31137d230a2d12e6e083c09304f",
+        "f58627aae05793c8cbf0da2042787bef741dded29822d992357f9eb7c937785c",
     ),
     # so runs draw the isotropic rows u + iv of the quadruple and of the
     # rational morphism's eigenfamily from seeded orthonormal frames
     "verify-so8-2": (
         ["--group", "so", "--n", "8", "--degrees", "2"],
-        "897fdf82d08e0aeae7c48506bfefe7c43603bda580e1c959d99184a433eff9e5",
+        "ef8b1ce57925ece9ea35824e9fa4e09098e4668598964123531df29f001c3747",
     ),
     "morphism-so8-rational-k2": (
         ["--group", "so", "--n", "8", "--kind", "rational", "--k", "2"],
-        "28c7dd73b9a65d02f0e1d8b31fa589355c52a0781082013342548bc10dd7d977",
+        "dbc10c70f222a9e031f87ad921e4d9124c4caa9a1234ca98bc3451e208caaba4",
     ),
 }
 

@@ -20,8 +20,8 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 # SHA-256 of the stdout of the demos that print exact tables, run on one
 # BLAS thread so the printed residuals are reproducible
 DEMO_STDOUT_SHA256 = {
-    "02_biharmonic_one_variable": "542e013cdd9ab27989a65e57285b3d2a932b4be58825e7420efee9c0e6127e0f",
-    "03_two_variable_families": "a199ba0e3752c50225256ac0424770598ad997cda4c30712b187dc2f2c4c61da",
+    "02_biharmonic_one_variable": "a2b9500ea19c3fa3fad45c388ebd8a08c951af5bd06ad85e725d910fb6007c72",
+    "03_two_variable_families": "9d2d6012815c13301e7e54f78acecbdc1e8e45cb297f167030103b08f30ac6a4",
 }
 
 
