@@ -19,11 +19,13 @@ along every Z_b and the basis sum of its second derivatives.
 tension and kappa of every pair; the packed column order and the
 half-second-derivative factor stay inside this module.
 ``tension`` and ``conformality`` read one entry of that read-out.
-``tension2`` computes tau(tau(h)) by moving the points along each outer
-direction W with a t-series of three orders and reading the t**2
+``bitension_jets`` computes tau(tau(h)) by moving the points along each
+outer direction W with a t-series of three orders and reading the t**2
 coefficient of the basis sum; each walk stacks two directions on the
-point axis, so |B|/2 walks (rounded up) in all.  Derivatives are read
-off with the half-second-derivative convention.
+point axis, so |B|/2 walks (rounded up) in all.  The value and tau(h)
+come with it, read at t**0 of the first walk; ``tension2`` reads the
+bitension alone.  Derivatives are read off with the
+half-second-derivative convention.
 
 The context keeps the extended basis in compact form: every element is
 a scaled partial permutation, so a form's packed jet needs one gather
@@ -48,6 +50,7 @@ from .groups import GroupSpec, basis_entries
 __all__ = [
     "OperatorContext",
     "laplacian_jets",
+    "bitension_jets",
     "tension",
     "conformality",
     "tension2",
@@ -184,14 +187,18 @@ def conformality(h1: RationalExpr, h2: RationalExpr, point, ctx: OperatorContext
     return _result(laplacian_jets([h1, h2], point, ctx)[2][0, 1])
 
 
-def tension2(h: RationalExpr, point, ctx: OperatorContext):
-    """tau(tau(h)) via an outer t-series along each W over the packed Z jets.
+def bitension_jets(h: RationalExpr, point, ctx: OperatorContext):
+    """Values, tensions and bitensions tau(tau(h)) of one expression.
 
-    The layers [p, pW, pW**2/2] move the points along W; the t**2
-    coefficient of the basis sum of second coefficients, times 4, is
+    Returns ``(values, tau, tau2)``, each of shape (P,); a single (N, N)
+    matrix drops the point axis.  The layers [p, pW, pW**2/2] move the
+    points along each outer direction W; the t**2 coefficient of the
+    basis sum of second coefficients, times 4, is
     d^2/dt^2 [tau(h)(p exp(tW))] |_0, and the sum over W is tau(tau(h)).
     Each walk stacks ``_DIRECTIONS_PER_WALK`` directions on the point
-    axis; their columns are added in basis order.
+    axis; their columns are added in basis order.  The value and tau are
+    read at t**0 of the first walk's first direction, where its layer is
+    the point itself, so no separate walk is made for them.
     """
     stack, single = _batch(point)
     total = np.zeros(len(stack), dtype=complex)
@@ -199,10 +206,19 @@ def tension2(h: RationalExpr, point, ctx: OperatorContext):
     for first in range(0, len(directions), _DIRECTIONS_PER_WALK):
         outer = np.stack([_outer_maps(ctx.dense(e)) for e in directions[first : first + _DIRECTIONS_PER_WALK]])
         walk = PackedPoint(stack, ctx.cols, ctx.vals, outer)
-        columns = 4 * _coefficients(h.evaluate(walk), walk)[:, 2, -1]
-        for column in columns.reshape(len(stack), len(outer)).T:
+        # the value and Laplacian columns, copied so no walk's jet outlives it
+        ends = _coefficients(h.evaluate(walk), walk)[..., [0, -1]]
+        if first == 0:
+            values, tau = ends[:: len(outer), 0, 0].copy(), 2 * ends[:: len(outer), 0, 1]
+        for column in 4 * ends[:, 2, 1].reshape(len(stack), len(outer)).T:
             total += column
-    return _result(total[0] if single else total)
+    out = values, tau, total
+    return tuple(x[0] for x in out) if single else out
+
+
+def tension2(h: RationalExpr, point, ctx: OperatorContext):
+    """tau(tau(h)) at the points: the last entry of ``bitension_jets``."""
+    return _result(bitension_jets(h, point, ctx)[2])
 
 
 def _outer_maps(w: np.ndarray) -> np.ndarray:

@@ -41,7 +41,7 @@ from .construct import CoeffTable, build_expression, tension_table
 from .errors import SamplingExhausted
 from .forms import QuadrupleFamily, Quotient, RationalExpr, evaluate_all, walk_order
 from .groups import GroupSpec, sample_point
-from .operators import OperatorContext, laplacian_jets, relative_residual, tension2
+from .operators import OperatorContext, bitension_jets, laplacian_jets, relative_residual, tension2
 from .report import CheckResult
 
 __all__ = [
@@ -158,15 +158,17 @@ def candidate_checks(
     candidate by ``tol / 10``.  The properness witness is max over points
     of |tau phi| / max(1, |phi|) and must reach ``TENSION_WITNESS_MIN``.
     """
-    (value,), (tau,), _ = laplacian_jets([phi], points, ctx)
+    if proper:
+        value, tau, tau_two = bitension_jets(phi, points, ctx)
+    else:
+        (value,), (tau,), _ = laplacian_jets([phi], points, ctx)
     value, tau = np.abs(value), np.abs(tau)
     tau_ratio = tau / np.maximum(1.0, value)
     if not proper:
         return [CheckResult.upper("tension", np.max(tau_ratio), tol / 10)]
-    tau_two = np.abs(tension2(phi, points, ctx))
     scale = np.maximum(np.maximum(1.0, value), tau)
     return [
-        CheckResult.upper("bitension", np.max(tau_two / scale), tol),
+        CheckResult.upper("bitension", np.max(np.abs(tau_two) / scale), tol),
         CheckResult.lower("tension nonvanishing", np.max(tau_ratio), TENSION_WITNESS_MIN),
     ]
 

@@ -464,11 +464,11 @@ def test_verify_answers_match_recorded(tmp_path, capsys, table):
 REPORT_DIGESTS = {
     "verify-su4-2,1": (
         ["--group", "su", "--n", "4", "--degrees", "2,1"],
-        "4e5aa481ab8b98c3deeb2c51f60da2925f68b0aadd6f9eb29ae081d1747d40d1",
+        "bd6dbdc0cf20dc8d179386fadfc432036547a552bcac4ab241451f59da38b1dc",
     ),
     "verify-sp2-choice10-2": (
         ["--group", "sp", "--n", "2", "--degrees", "2", "--choice", "10"],
-        "f1078ae31e92d7e5a93ecf387d41efbbc8c53778298d0e9007660ace85c0b77a",
+        "84d66835027f687c4382c991bc63154d01be31bec14acbc583c42f9c66930c8d",
     ),
     "morphism-su3-orthogonal": (
         ["--group", "su", "--n", "3"],
@@ -482,7 +482,7 @@ REPORT_DIGESTS = {
     # cubes of the member tensions in the morphism's eigenfamily
     "verify-su4-3,3,3": (
         ["--group", "su", "--n", "4", "--degrees", "3,3,3"],
-        "cb731287864faa97c477b7b098927168cb9196bc5f677fbf7c1aa6d1d4228e40",
+        "739e18d546f8e6ef9feec0e3c6ea8006aea9fc994edd30d490a06b3d5c249500",
     ),
     "morphism-su5-rational-k3": (
         ["--group", "su", "--n", "5", "--kind", "rational", "--k", "3"],
@@ -492,7 +492,7 @@ REPORT_DIGESTS = {
     # rational morphism's eigenfamily from seeded orthonormal frames
     "verify-so8-2": (
         ["--group", "so", "--n", "8", "--degrees", "2"],
-        "ef8b1ce57925ece9ea35824e9fa4e09098e4668598964123531df29f001c3747",
+        "a036b8662612e66bf0a8a3c5b0cb7dbb945f1500745790b8394a1bdf79c39490",
     ),
     "morphism-so8-rational-k2": (
         ["--group", "so", "--n", "8", "--kind", "rational", "--k", "2"],

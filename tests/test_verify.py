@@ -8,14 +8,22 @@ import numpy as np
 import pytest
 
 import biforge.verify
-from biforge.construct import biharmonic_family, build_expression, rational_morphism, tension_power_family
+import biforge.operators
+from biforge.construct import (
+    biharmonic_family,
+    build_expression,
+    proper_biharmonic_table,
+    rational_morphism,
+    tension_power_family,
+)
 from biforge.errors import DomainError
 from biforge.forms import Const, LinearForm, Quotient, Sum, make_quadruple, walk_order
 from biforge.groups import GroupSpec, sample_point
-from biforge.operators import OperatorContext, conformality, relative_residual, tension
+from biforge.operators import OperatorContext, conformality, laplacian_jets, relative_residual, tension, tension2
 from biforge.report import CheckResult
 from biforge.verify import (
     DEFAULT_DOMAIN_MARGIN,
+    candidate_checks,
     closed_form_tension_checks,
     eigenfamily_checks,
     quadruple_checks,
@@ -233,3 +241,25 @@ def test_check_result_passed_follows_its_numbers():
     assert CheckResult("x", 0.5, 0.5).passed is True
     assert CheckResult("x", 1.0, 0.5, lower_bound=True).passed is True
     assert CheckResult("x", float("nan"), 0.5).passed is False
+
+
+def test_proper_candidate_checks_walk_only_the_bitension(monkeypatch):
+    # su(4) has |B| = 16 directions: eight walks of two, and phi and tau(phi)
+    # are read from the first of them, with no K = 1 walk of their own
+    spec = GroupSpec.unitary(4)
+    fam = _family(spec, 59)
+    pairs = [(fam.member_quotient(i), fam.member_tension(i)) for i in fam.proper_indices[:2]]
+    phi = build_expression(proper_biharmonic_table((2, 1), Fraction(spec.mu)), pairs)
+    ctx = OperatorContext.for_spec(spec)
+    points = sample_domain_points([phi, *(tf for _, tf in pairs)], spec, 3, 3900)
+    walks = []
+    packed_point = biforge.operators.PackedPoint
+    monkeypatch.setattr(biforge.operators, "PackedPoint", lambda *a: walks.append(packed_point(*a)) or walks[-1])
+    bitension, witness = candidate_checks(phi, ctx, points, proper=True)
+    assert [walk.shape[:2] for walk in walks] == [(6, 3)] * 8
+    monkeypatch.undo()
+    (value,), (tau,), _ = laplacian_jets([phi], points, ctx)
+    scale = np.maximum.reduce([np.ones(len(points)), np.abs(value), np.abs(tau)])
+    assert bitension.passed and witness.passed
+    assert abs(bitension.max_residual - np.max(np.abs(tension2(phi, points, ctx)) / scale)) <= 1e-12
+    assert witness.max_residual == pytest.approx(np.max(np.abs(tau) / np.maximum(1.0, np.abs(value))), rel=1e-12)
