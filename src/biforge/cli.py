@@ -387,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_con.add_argument("--degrees", type=_parse_degrees, default="1")
     p_con.add_argument("--choice", type=int, choices=[9, 10, 11], default=None)
     p_con.add_argument("--beta", type=int, default=0)
-    p_con.add_argument("--mu", type=_parse_mu, default=None, help="override, e.g. -1/2")
+    p_con.add_argument("--mu", type=_parse_mu, default=None, help="override, e.g. --mu=-1/2")
     p_con.add_argument("--out", type=Path, default=Path("out"))
 
     p_ver = sub.add_parser("verify", help="verify construct outputs numerically")

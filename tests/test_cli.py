@@ -318,6 +318,17 @@ def test_construct_records_family_in_table(tmp_path):
     assert CoeffTable.from_json((out / "coeffs.json").read_text()).single_degree() == (1, 0, -3)
 
 
+def test_construct_mu_help_example_parses(tmp_path, capsys):
+    # the help shows the form argparse reads for a negative fraction; a bare
+    # "-1/2" after "--mu" would be taken for an option
+    with pytest.raises(SystemExit) as done:
+        run(["construct", "--help"])
+    assert done.value.code == 0
+    assert "e.g. --mu=-1/2" in " ".join(capsys.readouterr().out.split())
+    out = _construct(tmp_path, ["--mu=-1/2"])
+    assert json.loads((out / "coeffs.json").read_text())["mu"] == "-1/2"
+
+
 def test_verify_rejects_table_of_another_mu(tmp_path, capsys):
     out = _construct(tmp_path, ["--mu=-1/2"])
     code = run(["verify", "--coeffs", str(out / "coeffs.json"), "--quadruple",
@@ -526,7 +537,7 @@ def test_report_bytes_match_recorded_digests(tmp_path, capsys, name):
 CLI_SURFACE_DIGESTS = {
     "help": (["--help"], "47c6904aaa54aed7e34679303c44e3abda2f07ec80d220ce9067dea09d11d457"),
     "help-construct": (["construct", "--help"],
-                       "91dd8546fa8c3871e70d23cc2c833628914c88912421da2d1cee896415679191"),
+                       "403ccb113d08225f693e1a02077dcd762df4ff3d3bd1e28d8520db869c22cf3d"),
     "help-verify": (["verify", "--help"],
                     "3868e2d0c07751bb52650e44cc1be1af338cf3e9244f8eb0911e8971458caba8"),
     "help-reproduce": (["reproduce", "--help"],
