@@ -344,9 +344,8 @@ def _series_indices(k: int, dtype: np.dtype):
     """Constant 0/1 matrices for K-term t-series of ``dtype``: (K, K*K) that
     maps a series s to its flattened lower-triangular Toeplitz matrix,
     entry (i, j) = s[i - j], and (K*K, K) that sums a flattened K x K
-    array along its anti-diagonals i + j < K.  They are built in the
-    series' own dtype, so a product does not cast them first; object
-    series get int matrices, which keep Fraction entries exact."""
+    array along its anti-diagonals i + j < K.  In ``dtype``, so no product
+    casts them; int for object series, which keeps Fractions exact."""
     lags = np.subtract.outer(np.arange(k), np.arange(k)).reshape(-1)
     order = np.add.outer(np.arange(k), np.arange(k)).reshape(-1)
     kind = int if dtype == object else dtype
@@ -377,14 +376,9 @@ def _series_reciprocal(s: np.ndarray) -> np.ndarray:
 
 
 def _packed_quotient(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """q = a / b for (P, K, |B| + 2) packed coefficients: the product rule
-    of a = q b solved column by column (Griewank and Walther 2008, 13.2),
-
-        q0 = a0 / b0,   q1b = (a1b - q0 b1b) / b0,
-        sum_b q2b = (sum_b a2b - q0 sum_b b2b - sum_b q1b b1b) / b0,
-
-    every product a t-series product, and dividing by b0 one product by
-    R, the Toeplitz matrix of the series 1/b0."""
+    """q = a / b for (P, K, |B| + 2) packed coefficients, by the quotient
+    rule of the module docstring (Griewank and Walther 2008, 13.2):
+    dividing by b0 is one product by R, the Toeplitz matrix of 1/b0."""
     if np.any(b[..., 0, 0] == 0):
         raise DegenerateJetDivision("jet division by a jet with zero value part")
     r = _toeplitz(_series_reciprocal(b[..., 0]))

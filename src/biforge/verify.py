@@ -10,7 +10,9 @@ residual arrays to their maximum, so reports are deterministic.
 
 Each check walks every function it reads once, through
 ``operators.laplacian_jets``, and unpacks the values, tensions and kappa
-pairs that walk returns; how jets are packed is left to ``operators``.
+pairs that walk returns; a proper candidate's check reads its value,
+tension and bitension from ``operators.bitension_jets`` instead.  How
+jets are packed is left to ``operators``.
 The closed-form member tension is evaluated on the plain stack, so the
 jet side never reads the formula it checks.
 

@@ -261,6 +261,7 @@ def test_packed_product_and_reciprocal_exact_over_fractions(orders):
     _assert_packs(f * g, [[x * y for x, y in zip(*pair)] for pair in zip(fs, gs)])
     _assert_packs(jet_reciprocal(g), [[1 / y for y in row] for row in gs])
     _assert_packs(f / g, [[x / y for x, y in zip(*pair)] for pair in zip(fs, gs)])
+    _assert_packs(Fraction(-5, 7) / g, [[Fraction(-5, 7) / y for y in row] for row in gs])
     _assert_packs(3 + f * Fraction(1, 2), [[3 + x * Fraction(1, 2) for x in row] for row in fs])
     assert list(leading_value(g)) == [row[0].a0 if orders == 1 else row[0].a0.a0 for row in gs]
 
@@ -270,30 +271,12 @@ def test_packed_reciprocal_of_zero_value_raises():
     c[:, 0, 0] = [1.0, 0.0]
     with pytest.raises(DegenerateJetDivision):
         jet_reciprocal(PackedJet(c))
-
-
-def test_packed_quotient_by_zero_value_raises():
-    # one point of the divisor has a zero value; its other columns do not help
-    rng = np.random.default_rng(47)
-    f = PackedJet(rng.normal(size=(2, 3, 4)) + 1j * rng.normal(size=(2, 3, 4)))
-    c = rng.normal(size=(2, 3, 4)) + 1j * rng.normal(size=(2, 3, 4))
-    c[1, 0, 0] = 0
+    # a quotient checks the same value, whatever the other columns hold
+    c[..., 1:] = 1.0
     with pytest.raises(DegenerateJetDivision):
-        f / PackedJet(c)
+        PackedJet(np.ones((2, 3, 4), dtype=complex)) / PackedJet(c)
     with pytest.raises(DegenerateJetDivision):
         2.0 / PackedJet(c)
-
-
-@pytest.mark.parametrize("orders", [1, 3])
-def test_packed_scalar_over_jet_exact_over_fractions(orders):
-    rng = np.random.default_rng(53 + orders)
-    points, directions = 2, 3
-    g, g2 = _random_packed(rng, points, orders, directions, nonzero_value=True)
-    gs = [[_direction_jet(g.c, g2, p, b) for b in range(directions)] for p in range(points)]
-    x = Fraction(-5, 7)
-    quotient = x / g
-    assert all(isinstance(v, Fraction) for v in quotient.c.ravel())
-    _assert_packs(quotient, [[x / y for y in row] for row in gs])
 
 
 @pytest.mark.parametrize("shape", [(4, 3, 38), (5, 1, 66)])

@@ -319,13 +319,13 @@ def test_construct_records_family_in_table(tmp_path):
 
 
 def test_construct_mu_help_example_parses(tmp_path, capsys):
-    # the help shows the form argparse reads for a negative fraction; a bare
-    # "-1/2" after "--mu" would be taken for an option
+    # the help's example is a form argparse reads for a negative fraction;
+    # a bare "-1/2" after "--mu" would be taken for an option
     with pytest.raises(SystemExit) as done:
         run(["construct", "--help"])
     assert done.value.code == 0
-    assert "e.g. --mu=-1/2" in " ".join(capsys.readouterr().out.split())
-    out = _construct(tmp_path, ["--mu=-1/2"])
+    example = capsys.readouterr().out.split("override, e.g. ")[1].split()[0]
+    out = _construct(tmp_path, [example])
     assert json.loads((out / "coeffs.json").read_text())["mu"] == "-1/2"
 
 
