@@ -20,7 +20,11 @@ Random vectors are drawn from a seeded complex Gaussian; for SO(n) the
 row vectors are built as u + i*v with |u| = |v|, u orthogonal to v (and
 the two rows mutually orthogonal), so the isotropy conditions hold
 exactly up to rounding.  Same configuration, seed and BLAS thread count
-give byte-identical output files.
+give byte-identical output files, whatever ran before in the process.
+
+The parser and each group's operator context are built once per process
+and shared by every later ``main`` call; only the inputs change between
+calls.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -52,7 +57,7 @@ from .construct import (
 from .errors import BiforgeError
 from .forms import QuadrupleFamily, make_quadruple
 from .groups import GroupKind, GroupSpec, _orthonormalize
-from .operators import OperatorContext
+from .operators import context
 from .report import VerificationReport
 from .verify import (
     DEFAULT_CANDIDATE_TOL,
@@ -192,12 +197,12 @@ def cmd_verify(
 ) -> int:
     table, fam = _read_inputs(coeffs, quadruple)
     spec = fam.spec
-    ctx = OperatorContext.for_spec(spec)
     m = len(table.degrees)
     if m > fam.n_proper:
         raise BiforgeError(
             f"table has {m} variables but the family has {fam.n_proper} proper members"
         )
+    ctx = context(spec)
     pairs = [(fam.member_quotient(i), fam.member_tension(i)) for i in fam.proper_indices[:m]]
     phi = build_expression(table, pairs)
     proper = table.get((0,) * m) != 0
@@ -332,12 +337,12 @@ def cmd_morphism(
     elif k is None:
         k = 1
     spec = GroupSpec.from_code(group, n)
-    ctx = OperatorContext.for_spec(spec)
     rng = np.random.default_rng(seed)
     checks = []
     if kind == "orthogonal":
         if spec.kind is not GroupKind.UNITARY:
             raise BiforgeError("orthogonal column-ratio families live on the unitary group")
+        ctx = context(spec)
         q = rng.normal(size=spec.n) + 1j * rng.normal(size=spec.n)
         family = column_ratio_family(q, spec, beta=0)
         points = sample_domain_points(family, spec, points, seed)
@@ -349,6 +354,7 @@ def cmd_morphism(
         fam = _build_family(spec, seed, 0, choice)
         if fam.n_proper < 2:
             raise BiforgeError("need at least two proper members for a rational morphism")
+        ctx = context(spec)
         family = tension_power_family(fam, k)[:2]
         lam, kap = eigenfamily_constants(spec.mu, k)
         morphism = rational_morphism(family, {(1, 0): 1.0}, {(0, 1): 1.0})
@@ -375,8 +381,14 @@ def _add_checks(parser: argparse.ArgumentParser, tol: float, tol_help: str):
     parser.add_argument("--json", action="store_true", dest="as_json")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
-    """The biforge parser; each subcommand's ``run`` default is its cmd_* function."""
+    """The biforge parser; each subcommand's ``run`` default is its cmd_* function.
+
+    Built once and shared by every call in the process, so it must not be
+    mutated: ``parse_args`` keeps no state on it, and help pages are
+    formatted when printed, so they still follow ``COLUMNS``.
+    """
     parser = argparse.ArgumentParser(prog="biforge", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(required=True)
 

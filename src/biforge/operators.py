@@ -39,6 +39,7 @@ single (N, N) matrix is a batch of one and gives a complex.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -49,6 +50,7 @@ from .groups import GroupSpec, basis_entries
 
 __all__ = [
     "OperatorContext",
+    "context",
     "laplacian_jets",
     "bitension_jets",
     "tension",
@@ -63,10 +65,14 @@ _BRACKET_TOL = 1e-12
 _DIRECTIONS_PER_WALK = 2
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class OperatorContext:
     """A group's extended basis E = [I, Z_1, ..., Z_|B|, H], shared across
     evaluations, with H = sum_b Z_b**2 / 2 computed from the basis itself.
+
+    A context is immutable, its arrays read-only, so ``context(spec)``
+    shares one per group with every caller in the process;
+    ``for_spec`` builds a fresh one.
 
     Every E_e is a scaled partial permutation, at most one nonzero per row
     and per column, and is kept as two (|B| + 2, N) arrays:
@@ -91,6 +97,7 @@ class OperatorContext:
         rows = tuple(square)
         columns = tuple(square[r][0] for r in rows)
         _set_row(cols[-1], vals[-1], rows, columns, tuple(square[r][1] / 2 for r in rows), "H")
+        cols.flags.writeable = vals.flags.writeable = False
         return cls(cols, vals)
 
     def dense(self, e: int) -> np.ndarray:
@@ -99,6 +106,13 @@ class OperatorContext:
         out = np.zeros((n, n), dtype=complex)
         out[np.arange(n), self.cols[e]] = self.vals[e]
         return out
+
+
+@cache
+def context(spec: GroupSpec) -> OperatorContext:
+    """The context of ``spec``, built by ``OperatorContext.for_spec`` on the
+    first call and shared by every later one."""
+    return OperatorContext.for_spec(spec)
 
 
 def _set_row(cols, vals, rows, columns, values, label: str) -> None:

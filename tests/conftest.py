@@ -2,22 +2,13 @@ import numpy as np
 import pytest
 
 from biforge.groups import GroupSpec, sample_point
-from biforge.operators import OperatorContext
-
-_CTX_CACHE: dict = {}
+from biforge.operators import context
 
 
 @pytest.fixture(scope="session")
 def ctx_for():
-    """Operator contexts are immutable; share them across the whole run."""
-
-    def get(spec: GroupSpec) -> OperatorContext:
-        key = (spec.kind, spec.n)
-        if key not in _CTX_CACHE:
-            _CTX_CACHE[key] = OperatorContext.for_spec(spec)
-        return _CTX_CACHE[key]
-
-    return get
+    """Operator contexts are immutable; the whole run shares one per group."""
+    return context
 
 
 @pytest.fixture(scope="session")

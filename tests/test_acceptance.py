@@ -33,8 +33,8 @@ from biforge.forms import (
 )
 from biforge.groups import GroupKind, GroupSpec, sample_point
 from biforge.operators import (
-    OperatorContext,
     conformality,
+    context,
     relative_residual,
     tension,
     tension2,
@@ -51,16 +51,6 @@ BIHARMONIC_TABLES = {
     3: (6, 0, -27, -15),
     4: (32, 0, -480, -640, -210),
 }
-
-_CTX: dict = {}
-
-
-def ctx_of(spec: GroupSpec) -> OperatorContext:
-    key = (spec.kind, spec.n)
-    if key not in _CTX:
-        _CTX[key] = OperatorContext.for_spec(spec)
-    return _CTX[key]
-
 
 def verdict(criterion: str, passed: bool, detail: str):
     print(f"ACCEPTANCE {criterion}: {'PASS' if passed else 'FAIL'} - {detail}")
@@ -128,7 +118,7 @@ def test_criterion_2_multivariable_fixtures():
 
 
 def _coordinate_relation_residual(spec: GroupSpec, points, index_rng) -> float:
-    ctx = ctx_of(spec)
+    ctx = context(spec)
     n, cols = spec.n, spec.ambient_dim
     worst = 0.0
     for m in points:
@@ -260,7 +250,7 @@ def test_criterion_4_biharmonicity_end_to_end():
     worst_harmonic = 0.0
     weakest_witness = float("inf")
     for cand in _constructed_candidates():
-        ctx = ctx_of(cand["spec"])
+        ctx = context(cand["spec"])
         checks = candidate_checks(cand["phi"], ctx, cand["points"], proper=True)
         by_name = {c.name: c for c in checks}
         worst_tau2 = max(worst_tau2, by_name["bitension"].max_residual)
@@ -284,7 +274,7 @@ def test_criterion_5_oracle_equivalence():
     start = time.time()
     worst = 0.0
     for cand in _constructed_candidates():
-        ctx = ctx_of(cand["spec"])
+        ctx = context(cand["spec"])
         check = oracle_equivalence_check(
             cand["table"],
             cand["mu"],
@@ -314,7 +304,7 @@ def test_criterion_6_harmonic_morphisms():
     # orthogonal column-ratio families on U(3) and U(4)
     for n, seed in ((3, 6000), (4, 6100)):
         spec = GroupSpec.unitary(n)
-        ctx = ctx_of(spec)
+        ctx = context(spec)
         rng = np.random.default_rng(seed)
         q = rng.normal(size=n) + 1j * rng.normal(size=n)
         family = column_ratio_family(q, spec, beta=0)
@@ -329,7 +319,7 @@ def test_criterion_6_harmonic_morphisms():
                     )
     # eigenfamily constants for k in {1,2,3} and rational combinations
     spec = GroupSpec.unitary(3)
-    ctx = ctx_of(spec)
+    ctx = context(spec)
     fam = make_quadruple(spec, [1, 2, -1], [3, 1j, 0.5], [1, 1, 1], [1, 1, 1], beta=0)
     const_worst = 0.0
     for k in (1, 2, 3):
@@ -436,7 +426,7 @@ def test_criterion_7_classification_consistency():
     ]
     checked = 0
     for spec_i, spec in enumerate(specs):
-        ctx = ctx_of(spec)
+        ctx = context(spec)
         rng = np.random.default_rng(7000 + spec_i)
         for trial in range(50):
             case = trial % 3

@@ -1,18 +1,22 @@
 """End-to-end command-line behaviour, one test per exit-code path."""
 
+import argparse
 import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from biforge.cli import REFERENCE_FIXTURES, main
+from biforge.cli import REFERENCE_FIXTURES, build_parser, main
 from biforge.construct import CoeffTable
+from biforge.groups import GroupSpec
+from biforge.operators import OperatorContext, context
 
 
 def run(argv):
@@ -562,3 +566,76 @@ def test_cli_surface_matches_recorded_digests(tmp_path, name):
     assert proc.returncode == (0 if "--help" in argv else 2)
     text = proc.stdout + proc.stderr
     assert hashlib.sha256(text.encode()).hexdigest() == digest, text
+
+
+# The parser and the operator contexts are built once per process; the
+# REPORT_DIGESTS runs each start a fresh one, so these cover repeated calls
+# in one process.  Each test starts from empty caches.
+
+
+@pytest.fixture
+def fresh_caches():
+    build_parser.cache_clear()
+    context.cache_clear()
+
+
+def test_parser_is_built_once(fresh_caches):
+    assert build_parser() is build_parser()
+
+
+def test_in_process_calls_do_not_depend_on_call_order(fresh_caches, tmp_path, capsys):
+    argv = ["morphism", "--group", "su", "--n", "3", "--points", "4", "--json"]
+    assert run(argv) == 0
+    first = capsys.readouterr().out
+    # a refused value and a type error leave the shared parser as it was
+    assert run(["morphism", "--group", "su", "--n", "3", "--points", "0"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        run(["morphism", "--group", "su", "--n", "3", "--tol", "x"])
+    assert exc.value.code == 2
+    assert run(["construct", "--group", "so", "--n", "8", "--degrees", "2", "--out", str(tmp_path)]) == 0
+    assert run(["verify", "--coeffs", str(tmp_path / "coeffs.json"), "--quadruple",
+                str(tmp_path / "quadruple.json"), "--points", "4", "--json"]) == 0
+    capsys.readouterr()
+    assert run(argv) == 0
+    assert capsys.readouterr().out == first
+
+
+def test_help_is_formatted_at_print_time(fresh_caches, monkeypatch, capsys):
+    def help_text(columns):
+        monkeypatch.setenv("COLUMNS", columns)
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        return captured.out + captured.err
+
+    text = help_text("80")
+    assert help_text("40") != text
+    assert help_text("80") == text
+    assert hashlib.sha256(text.encode()).hexdigest() == CLI_SURFACE_DIGESTS["help"][1]
+
+
+def test_parser_and_contexts_are_built_once_per_process(fresh_caches, monkeypatch, tmp_path, capsys):
+    builds = Counter()
+    for_spec = OperatorContext.for_spec.__func__
+    init = argparse.ArgumentParser.__init__
+
+    def counted_for_spec(cls, spec):
+        builds[spec] += 1
+        return for_spec(cls, spec)
+
+    def counted_init(self, *args, **kwargs):
+        builds["parser"] += kwargs.get("prog") == "biforge"
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(OperatorContext, "for_spec", classmethod(counted_for_spec))
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    assert run(["construct", "--group", "so", "--n", "6", "--out", str(tmp_path)]) == 0
+    verify = ["verify", "--coeffs", str(tmp_path / "coeffs.json"), "--quadruple",
+              str(tmp_path / "quadruple.json"), "--points", "2"]
+    morphism = ["morphism", "--group", "su", "--n", "3", "--points", "2"]
+    for argv in (verify, morphism, verify, morphism):
+        assert run(argv) == 0
+    # a refused configuration exits before any numerical set-up
+    assert run(["morphism", "--group", "so", "--n", "4", "--kind", "orthogonal"]) == 2
+    assert builds == {"parser": 1, GroupSpec.special_orthogonal(6): 1, GroupSpec.unitary(3): 1}

@@ -21,6 +21,7 @@ from biforge.groups import GroupSpec, basis, sample_point
 from biforge.operators import (
     OperatorContext,
     conformality,
+    context,
     _coefficients,
     laplacian_jets,
     relative_residual,
@@ -210,6 +211,18 @@ def test_two_nonzeros_in_one_row_are_refused(monkeypatch, rows, cols):
     monkeypatch.setattr("biforge.operators.basis_entries", lambda spec: iter([element]))
     with pytest.raises(ShapeError, match="two has two nonzeros"):
         OperatorContext.for_spec(U2)
+
+
+def test_shared_context_is_read_only():
+    # context(spec) hands one context to every caller in the process, so
+    # none of them may write into it
+    ctx = context(U3)
+    assert context(GroupSpec.unitary(3)) is ctx
+    with pytest.raises(ValueError, match="read-only"):
+        ctx.vals[0, 0] = 2
+    with pytest.raises(ValueError, match="read-only"):
+        ctx.cols[0, 0] = 1
+    assert ctx.vals[0, 0] == 1 and ctx.cols[0, 0] == 0
 
 
 def dense_extended(ctx):
