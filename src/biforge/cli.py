@@ -24,7 +24,9 @@ give byte-identical output files, whatever ran before in the process.
 
 The parser and each group's operator context are built once per process
 and shared by every later ``main`` call; only the inputs change between
-calls.
+calls.  That saves time only where one process calls ``main`` more than
+once, as the benchmark's campaigns and the test suite do; a one-shot
+``biforge`` command builds each of them once either way.
 """
 
 from __future__ import annotations

@@ -579,10 +579,6 @@ def fresh_caches():
     context.cache_clear()
 
 
-def test_parser_is_built_once(fresh_caches):
-    assert build_parser() is build_parser()
-
-
 def test_in_process_calls_do_not_depend_on_call_order(fresh_caches, tmp_path, capsys):
     argv = ["morphism", "--group", "su", "--n", "3", "--points", "4", "--json"]
     assert run(argv) == 0
