@@ -27,19 +27,34 @@ tuples of tables: ``harmonic_family`` returns the m harmonic basis
 tables, ``proper_biharmonic_table`` the one proper table, and
 ``biharmonic_family`` the proper table followed by the harmonic basis.
 
-Writing mu = a/b in lowest terms, every row is kept multiplied by b, so
-its coefficients are Python ints; the proper table's right-hand side,
-its tension table, is scaled by b too, and a homogeneous equation keeps
-its solutions.  The rows are lower-triangular in sigma: each equation at
-k involves c_k and coefficients of smaller total degree only, with
-diagonal 2*a*(sigma^2 - sigma), nonzero for sigma >= 2.  So a forward
-substitution in sigma order solves for everything but the sigma <= 1
-coordinates; the proper table takes two on the same rows, for its
-tension table, then for the table.  Each unknown is an integer sum over
-the common denominator of the values its row reads, normalised by one
-Fraction, and every row is then checked with integer sums only.  Tables
-are exact Fractions; the numerical operators only enter when a table is
-assembled into an evaluable expression.
+Every such table has the form c_k = beta_sigma * w_k * prod_j C(d_j, k_j)
+with w_k = 1 or w_k = k_i.  Since (d_j + 1 - k_j) * C(d_j, k_j - 1) =
+k_j * C(d_j, k_j), the sum over j in the equation at k becomes
+prod_j C(d_j, k_j) * beta_{sigma-1} times sigma (w = 1) or
+(sigma - 1) * k_i (w_k = k_i), so each system reduces to one recurrence
+in sigma with D = sum(d):
+
+    harmonic basis table i:  2*mu*sigma*beta_sigma = -(D + sigma - 1)*beta_{sigma-1},
+                             beta_1 = 1/d_i;
+    proper table (w = 1):    its tension is gamma_sigma * prod_j C(d_j, k_j),
+                             gamma_sigma = 2*mu*sigma*(sigma - 1)*beta_sigma
+                                           + sigma*(D + sigma - 1)*beta_{sigma-1},
+                             which must solve the harmonic recurrence
+                             2*mu*(sigma - 1)*gamma_sigma = -(D + sigma - 1)*gamma_{sigma-1};
+                             beta_0 = 1, beta_1 = 0, so gamma_1 = D.
+
+With x = -1/(2*mu) these solve to beta_sigma = C(D + sigma - 1, sigma) *
+x**(sigma - 1) / (D * d_i), and gamma_sigma = sigma * C(D + sigma - 1,
+sigma) * x**(sigma - 1) with beta_sigma = (1 - sigma) * C(D + sigma - 1,
+sigma) * x**sigma; the pinned systems have unique solutions, so these
+are the tables.  No table is trusted to the algebra: writing mu = a/b
+in lowest terms, every equation is kept multiplied by b so that its
+coefficients are Python ints, and each returned table must satisfy
+every equation on the box in integer sums over its common denominator
+(for the proper table: its tension table is nonzero and solves the
+harmonic equations) and hold its pinned values.  Tables are exact
+Fractions; the numerical operators only enter when a table is assembled
+into an evaluable expression.
 """
 
 from __future__ import annotations
@@ -50,6 +65,7 @@ import json
 import math
 import numbers
 from fractions import Fraction
+from operator import itemgetter
 
 import numpy as np
 
@@ -100,6 +116,14 @@ def _frac(x) -> Fraction:
 def box_indices(degrees: tuple[int, ...]):
     """Lexicographic multi-indices 0 <= k_i <= d_i."""
     return itertools.product(*(range(d + 1) for d in degrees))
+
+
+def _json_ints(values, indent: int) -> str:
+    """A list of ints as ``json.dumps(..., indent=2)`` lays it out at ``indent``."""
+    if not values:
+        return "[]"
+    pad = " " * indent
+    return "[\n" + ",\n".join(f"{pad}  {v}" for v in values) + f"\n{pad}]"
 
 
 class CoeffTable:
@@ -168,15 +192,23 @@ class CoeffTable:
 
     def to_json(self, spec: GroupSpec | None = None, mu=None) -> str:
         """Serialize the table; given the group and mu it was solved for,
-        also record them and the schema version."""
-        entries = [
-            {"k": list(k), "num": str(v.numerator), "den": str(v.denominator)}
+        also record them and the schema version.
+
+        The text is ``json.dumps(doc, indent=2, sort_keys=True)`` of the
+        document, written from one template per entry: with an indent,
+        ``json.dumps`` runs its pure-Python encoder.
+        """
+        entries = ",\n".join(
+            f'    {{\n      "den": "{v.denominator}",\n      "k": {_json_ints(k, 6)},\n'
+            f'      "num": "{v.numerator}"\n    }}'
             for k, v in self.items()
-        ]
-        doc = {"degrees": list(self.degrees), "coeffs": entries}
+        )
+        lines = [f'  "coeffs": [\n{entries}\n  ]' if entries else '  "coeffs": []',
+                 f'  "degrees": {_json_ints(self.degrees, 2)}']
         if spec is not None:
-            doc.update(schema=TABLE_SCHEMA, group=spec.code, n=spec.n, mu=str(_frac(mu)))
-        return json.dumps(doc, indent=2, sort_keys=True)
+            lines += [f'  "group": {json.dumps(spec.code)}', f'  "mu": "{_frac(mu)}"',
+                      f'  "n": {spec.n}', f'  "schema": {TABLE_SCHEMA}']
+        return "{\n" + ",\n".join(lines) + "\n}"
 
     @classmethod
     def from_json(cls, text: str, spec: GroupSpec | None = None) -> "CoeffTable":
@@ -294,34 +326,35 @@ def tension_table(table: CoeffTable, mu) -> CoeffTable:
 # exact solving
 
 
-def _graded_solve(rows: dict, pinned: dict, rhs: dict | None = None) -> dict:
-    """Solve rows . x = rhs (0 if None), a system lower-triangular in sigma = sum(k).
+def _checked_table(degrees, mu: Fraction, coeffs: dict, pins: dict, proper: bool) -> CoeffTable:
+    """The table of ``coeffs`` once the integer rows accept it.
 
-    ``rows`` maps each box index to its sparse equation, with integer
-    coefficients; every equation at index k involves k itself and indices
-    of smaller total degree.  Pinned indices take their given values and
-    every other index is solved from its own row in (sigma, index) order,
-    by one Fraction over the product of the diagonal and the common
-    denominators of rhs and of the values the row reads.  Every row,
-    pinned ones included, is then checked against rhs (missing entries 0)
-    by integer sums over common denominators.
+    Every pinned index must hold its value.  With T the b-scaled rows of
+    ``_tension_row`` on the box, a harmonic table needs T c = 0 and the
+    proper table a nonzero g = T c with T g = 0, each sum taken in
+    integers over the table's common denominator; otherwise
+    InconsistentSystem.
     """
-    rhs, rhs_den = _over_common_denominator(rhs or {})
-    solution = dict(pinned)
-    for idx in sorted(rows, key=lambda k: (sum(k), k)):
-        if idx in pinned:
-            continue
-        row = rows[idx]
-        diag = row.get(idx, 0)
-        if diag == 0:
-            raise InconsistentSystem(f"zero diagonal at unpinned index {idx}")
-        values, den = _over_common_denominator({k: solution[k] for k in row if k != idx})
-        solution[idx] = Fraction(rhs.get(idx, 0) * den - rhs_den * _dot(row, values), rhs_den * den * diag)
-    values, den = _over_common_denominator(solution)
-    for idx, row in rows.items():
-        if _dot(row, values) * rhs_den != rhs.get(idx, 0) * den:
-            raise InconsistentSystem(f"pinned values leave a residual at index {idx}")
-    return solution
+    for idx, value in pins.items():
+        if coeffs.get(idx, 0) != value:
+            raise InconsistentSystem(f"index {idx} holds {coeffs.get(idx, 0)}, pinned to {value}")
+    rows = [(idx, _tension_row(degrees, mu, idx)) for idx in box_indices(degrees)]
+    values, _ = _over_common_denominator(coeffs)
+    image = {idx: _dot(row, values) for idx, row in rows}
+    if proper:
+        if not any(image.values()):
+            raise InconsistentSystem("proper direction came out harmonic")
+        image = {idx: _dot(row, image) for idx, row in rows}
+    for idx, value in image.items():
+        if value:
+            raise InconsistentSystem(f"table leaves a residual at index {idx}")
+    return CoeffTable._trusted(degrees, coeffs)
+
+
+def _closed_form(degrees, betas, weight) -> dict:
+    """c_k = betas[sigma] * weight(k) * prod_j C(d_j, k_j) on the box, sigma = sum(k)."""
+    binomials = itertools.product(*([math.comb(d, k) for k in range(d + 1)] for d in degrees))
+    return {idx: betas[sum(idx)] * (weight(idx) * math.prod(c)) for idx, c in zip(box_indices(degrees), binomials)}
 
 
 def _unit_indices(m: int) -> list[tuple[int, ...]]:
@@ -348,34 +381,39 @@ def harmonic_family(degrees, mu) -> tuple[CoeffTable, ...]:
     """The harmonic solution space on the degree box, as m basis tables.
 
     Basis table i has coefficient 1 at e_i and 0 at the other unit
-    indices.  The sigma = 1 rows read d_j * sum(d) * c_0 = 0, so c_0 is
-    pinned to 0.
+    indices (the sigma = 1 rows read d_j * D * c_0 = 0, so c_0 = 0):
+
+        c_k = (k_i / d_i) * C(D + sigma - 1, sigma) / D * x**(sigma - 1) * prod_j C(d_j, k_j),
+
+    with D = sum(d), sigma = sum(k) and x = -1/(2*mu).  Each table passes
+    the exact row and pin check.
     """
     degrees, mu = _validate_problem(degrees, mu)
-    m = len(degrees)
-    rows = {idx: _tension_row(degrees, mu, idx) for idx in box_indices(degrees)}
+    m, total, x = len(degrees), sum(degrees), -1 / (2 * mu)
     zero, units = (0,) * m, _unit_indices(m)
-    pins = ({zero: Fraction(0), **{u: Fraction(int(u == e)) for u in units}} for e in units)
-    return tuple(CoeffTable._trusted(degrees, _graded_solve(rows, pinned)) for pinned in pins)
+    tables = []
+    for i, (d_i, e_i) in enumerate(zip(degrees, units)):
+        betas = [math.comb(total + s - 1, s) * x ** (s - 1) / (total * d_i) for s in range(total + 1)]
+        pins = {zero: 0, **{u: int(u == e_i) for u in units}}
+        tables.append(_checked_table(degrees, mu, _closed_form(degrees, betas, itemgetter(i)), pins, proper=False))
+    return tuple(tables)
 
 
 def proper_biharmonic_table(degrees, mu) -> CoeffTable:
     """The proper biharmonic table: coefficient 1 at the zero index, 0 at
-    the unit indices.
+    the unit indices:
 
-    Its b-scaled tension table g solves the harmonic rows T, and the
-    sigma <= 1 rows of T read only the pinned entries, so they pin g
-    (g_0 = 0, g_{e_j} = b*d_j*sum(d)): one substitution gives g, a second
-    the table from T c = g.  A zero g would mean a harmonic table.
+        c_k = (1 - sigma) * C(D + sigma - 1, sigma) * x**sigma * prod_j C(d_j, k_j),
+
+    with D, sigma and x as in ``harmonic_family``.  Its tension table is
+    the harmonic basis weighted by d_j * D.  The table passes the exact
+    row and pin check; a zero tension would mean a harmonic table.
     """
     degrees, mu = _validate_problem(degrees, mu)
-    m = len(degrees)
-    rows = {idx: _tension_row(degrees, mu, idx) for idx in box_indices(degrees)}
-    pinned = {(0,) * m: Fraction(1), **{u: Fraction(0) for u in _unit_indices(m)}}
-    tension = _graded_solve(rows, {k: Fraction(_dot(rows[k], pinned)) for k in pinned})
-    if not any(tension.values()):
-        raise InconsistentSystem("proper direction came out harmonic")
-    return CoeffTable._trusted(degrees, _graded_solve(rows, pinned, tension))
+    m, total, x = len(degrees), sum(degrees), -1 / (2 * mu)
+    betas = [(1 - s) * math.comb(total + s - 1, s) * x**s for s in range(total + 1)]
+    pins = {(0,) * m: 1, **{u: 0 for u in _unit_indices(m)}}
+    return _checked_table(degrees, mu, _closed_form(degrees, betas, lambda idx: 1), pins, proper=True)
 
 
 def biharmonic_family(degrees, mu) -> tuple[CoeffTable, ...]:

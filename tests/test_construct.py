@@ -27,9 +27,9 @@ from biforge.construct import (
     harmonic_family,
     rational_morphism,
     tension_power_family,
+    proper_biharmonic_table,
     tension_table,
-    _graded_solve,
-    _tension_row,
+    _checked_table,
 )
 from biforge.errors import BiforgeError, DegenerateQuotient, DimensionMismatch, InconsistentSystem, ZeroVector
 from biforge.forms import Const, Product, make_quadruple, walk_order
@@ -89,11 +89,12 @@ def test_second_order_difference_equation(d):
         assert lhs == rhs
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 20])
 def test_multi_variable_solver_reduces_to_recurrence(d):
-    family = harmonic_family((d,), -1)
-    assert len(family) == 1
-    assert family[0] == harmonic_coefficients(d, -1)
+    for mu in (-1, Fraction(-1, 2), Fraction(3, 5)):
+        family = harmonic_family((d,), mu)
+        assert len(family) == 1
+        assert family[0] == harmonic_coefficients(d, mu)
 
 
 def test_one_variable_general_mu_recurrence():
@@ -172,6 +173,9 @@ def test_two_variable_harmonic_family_degree_21():
         assert 6 * t.get((2, 1)) == 5 * (t.get((0, 1)) + t.get((1, 0)))
 
 
+# "graded solver": the closed forms in sigma = sum(k) behind harmonic_family
+# and proper_biharmonic_table, with the exact row and pin check
+# (_checked_table) every table they return passes
 @pytest.mark.parametrize("mu", [-1, Fraction(-1, 2)], ids=str)
 @pytest.mark.parametrize("degrees", [(4, 4), (6, 6), (3, 3, 3), (2, 2, 2, 2), (3, 1, 2)], ids=str)
 def test_graded_solver_families_exact_and_normalised(degrees, mu):
@@ -195,15 +199,29 @@ def test_graded_solver_families_exact_and_normalised(degrees, mu):
     assert not tension_table(bih[0], mu).is_zero()
 
 
+def unit_pins(m, value_at_zero, unit=None):
+    """Pins of a table on m variables: c_0 and c_{e_j} = 1 at the given unit, else 0."""
+    units = [tuple(int(j == i) for j in range(m)) for i in range(m)]
+    return {(0,) * m: value_at_zero, **{u: int(i == unit) for i, u in enumerate(units)}}
+
+
 def test_graded_solver_rejects_inconsistent_systems():
-    # the row at (1,) reads c_1 - c_0 = 0, contradicting the pinned values
-    rows = {(0,): {}, (1,): {(1,): Fraction(1), (0,): Fraction(-1)}}
-    assert _graded_solve(rows, {(0,): Fraction(2)}) == {(0,): 2, (1,): 2}
-    with pytest.raises(InconsistentSystem):
-        _graded_solve(rows, {(0,): Fraction(1), (1,): Fraction(0)})
-    # an unpinned index whose own row has no diagonal cannot be solved
-    with pytest.raises(InconsistentSystem):
-        _graded_solve({(0,): {}, (1,): {(0,): Fraction(1)}}, {(0,): Fraction(0)})
+    # the tables the closed forms return pass only with their own pins and
+    # kind: a zero tension table is no proper table
+    degrees, mu = (2, 1), Fraction(-1, 2)
+    proper, *harm = biharmonic_family(degrees, mu)
+    assert _checked_table(degrees, mu, dict(proper.coeffs), unit_pins(2, 1), proper=True) == proper
+    assert _checked_table(degrees, mu, dict(harm[1].coeffs), unit_pins(2, 0, 1), proper=False) == harm[1]
+    for table in (harm[0], CoeffTable(degrees, {})):
+        with pytest.raises(InconsistentSystem, match="came out harmonic"):
+            _checked_table(degrees, mu, dict(table.coeffs), {}, proper=True)
+    with pytest.raises(InconsistentSystem, match="pinned"):
+        _checked_table(degrees, mu, dict(proper.coeffs), unit_pins(2, 2), proper=True)
+    with pytest.raises(InconsistentSystem, match="pinned"):
+        _checked_table(degrees, mu, dict(harm[0].coeffs), unit_pins(2, 0, 1), proper=False)
+    # a harmonic table is no proper one, and the proper one is not harmonic
+    with pytest.raises(InconsistentSystem, match="residual"):
+        _checked_table(degrees, mu, dict(proper.coeffs), {}, proper=False)
 
 
 # SHA-256 of the to_json() texts of every biharmonic then harmonic basis
@@ -246,35 +264,32 @@ def test_family_tables_match_recorded_digests(degrees, mu):
 
 @pytest.mark.parametrize("off", list(box_indices((2, 1))), ids=str)
 def test_graded_solver_checks_integer_rows_exactly(off):
-    # mu = -1/2 scales the integer rows by 2 while the solution has
-    # thirds; pinning the whole solution leaves only the row check, which
-    # must see a single entry off by one
-    mu = Fraction(-1, 2)
-    rows = {idx: _tension_row((2, 1), mu, idx) for idx in box_indices((2, 1))}
-    table = harmonic_family((2, 1), mu)[1]
-    assert any(v.denominator > 1 for _, v in table.items())
-    pinned = {idx: table.get(idx) for idx in rows}
-    assert _graded_solve(rows, pinned) == pinned
-    pinned[off] += 1
-    with pytest.raises(InconsistentSystem):
-        _graded_solve(rows, pinned)
-    # with a right-hand side: a table with sevenths and thirds, and its
-    # b-scaled tension table (sevenths) from tension_table, not the solver;
-    # an rhs entry off by one fails the row check at a pinned sigma <= 1
-    # index and, with the whole solution pinned, at any index
-    table = combine(biharmonic_family((2, 1), mu), [Fraction(1, 7), 0, 1])
-    rhs = {idx: mu.denominator * tension_table(table, mu).get(idx) for idx in rows}
-    assert any(v.denominator > 1 for v in rhs.values())
-    solution = {idx: table.get(idx) for idx in rows}
-    low = {idx: v for idx, v in solution.items() if sum(idx) <= 1}
-    assert _graded_solve(rows, low, rhs) == solution
-    assert _graded_solve(rows, solution, rhs) == solution
-    rhs[off] += 1
-    with pytest.raises(InconsistentSystem):
-        _graded_solve(rows, solution, rhs)
-    if off in low:
-        with pytest.raises(InconsistentSystem):
-            _graded_solve(rows, low, rhs)
+    # mu = -1/2 scales the integer rows by 2 while the tables have thirds
+    # and ninths; one entry off by one must fail the check with its pins
+    # and, pins dropped, on the rows alone
+    degrees, mu = (2, 1), Fraction(-1, 2)
+    proper, *harm = biharmonic_family(degrees, mu)
+    cases = [(proper, unit_pins(2, 1), True), *((t, unit_pins(2, 0, i), False) for i, t in enumerate(harm))]
+    assert any(v.denominator > 1 for table, _, _ in cases for _, v in table.items())
+    for table, pins, proper_kind in cases:
+        coeffs = {idx: table.get(idx) for idx in box_indices(degrees)}
+        assert _checked_table(degrees, mu, coeffs, pins, proper_kind) == table
+        coeffs[off] += 1
+        for check_pins in (pins, {}):
+            with pytest.raises(InconsistentSystem):
+                _checked_table(degrees, mu, coeffs, check_pins, proper_kind)
+
+
+@pytest.mark.parametrize("degrees", [(12, 12), (2, 2, 2, 2, 2)], ids=str)
+def test_large_boxes_pass_the_row_check(degrees):
+    # su(3) takes (12,12) and su(6) (2,2,2,2,2); mu = -1 for both
+    mu = Fraction(GroupSpec.unitary(3).mu)
+    m = len(degrees)
+    proper = proper_biharmonic_table(degrees, mu)
+    assert len(proper.coeffs) > 100
+    assert _checked_table(degrees, mu, dict(proper.coeffs), unit_pins(m, 1), proper=True) == proper
+    for i, table in enumerate(harmonic_family(degrees, mu)):
+        assert _checked_table(degrees, mu, dict(table.coeffs), unit_pins(m, 0, i), proper=False) == table
 
 
 def test_tension_table_of_harmonic_is_zero():
@@ -308,6 +323,33 @@ def test_coeff_table_json_round_trip():
     doc["schema"] = TABLE_SCHEMA + 1
     with pytest.raises(ValueError, match="schema"):
         CoeffTable.from_json(json.dumps(doc))
+
+
+def reference_json(table, spec=None, mu=None):
+    """The table document through json.dumps, which CoeffTable.to_json must match byte for byte."""
+    entries = [{"k": list(k), "num": str(v.numerator), "den": str(v.denominator)} for k, v in table.items()]
+    doc = {"degrees": list(table.degrees), "coeffs": entries}
+    if spec is not None:
+        doc.update(schema=TABLE_SCHEMA, group=spec.code, n=spec.n, mu=str(Fraction(mu)))
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        CoeffTable((2, 1), {}),
+        CoeffTable((3,), {(2,): Fraction(-1234567, 89), (0,): 7}),
+        proper_biharmonic_table((12, 12), Fraction(-1, 2)),
+        harmonic_family((2, 1), Fraction(3, 5))[1],
+    ],
+    ids=["empty", "one-variable", "(12,12)", "(2,1)"],
+)
+def test_coeff_table_json_matches_reference_encoder(table):
+    if table.degrees == (12, 12):  # two-digit indices, negative multi-digit numerators
+        assert any(max(k) >= 10 for k, _ in table.items())
+        assert min(v.numerator for _, v in table.items()) < -9
+    for spec, mu in [(None, None), (GroupSpec.unitary(3), -1), (SP2, Fraction(-1, 2))]:
+        assert table.to_json(spec, mu) == reference_json(table, spec, mu)
 
 
 def test_coeff_table_json_refuses_another_group():
@@ -488,33 +530,19 @@ def test_family_kinds_and_combo_validation():
 
 
 def test_construct_solves_only_the_table_it_writes(tmp_path, monkeypatch):
-    # construct writes the proper table alone, so it needs two solves: the
-    # homogeneous one for its tension table (pinned at the units to
-    # d_j*sum(d) = 16, not to a harmonic basis table's 0 or 1), then the one
-    # with that right-hand side; the harmonic basis costs m more homogeneous
-    # solves and is only built on request
-    calls = []
-    solve = construct._graded_solve
+    # construct writes the proper table alone; the harmonic basis is only
+    # built on request, so construct must succeed with it unavailable
+    degrees, mu = (2, 2, 2, 2), Fraction(-1)
+    expected = biharmonic_family(degrees, mu)[0]
 
-    def counting_solve(*args):
-        calls.append(args)
-        return solve(*args)
+    def no_basis(*args):
+        raise AssertionError("construct built the harmonic basis")
 
-    monkeypatch.setattr(construct, "_graded_solve", counting_solve)
+    monkeypatch.setattr(construct, "harmonic_family", no_basis)
+    monkeypatch.setattr(cli, "harmonic_family", no_basis)
     argv = ["construct", "--group", "su", "--n", "5", "--degrees", "2,2,2,2", "--seed", "1",
             "--out", str(tmp_path)]
     assert cli.main(argv) == 0
-    assert [len(args) for args in calls] == [2, 3]
-    zero, *units = sorted(calls[0][1])
-    assert calls[0][1] == {zero: 0, **{u: 16 for u in units}}
-    assert calls[1][1] == {zero: 1, **{u: 0 for u in units}}
-    assert calls[1][2] == solve(*calls[0])
-    degrees, mu = (2, 2, 2, 2), Fraction(-1)
-    m = len(degrees)
-    tables = biharmonic_family(degrees, mu)
-    assert len(tables) == m + 1
-    zero = (0,) * m
-    units = [tuple(int(j == i) for j in range(m)) for i in range(m)]
-    for i, table in enumerate(tables):
-        assert [table.get(k) for k in (zero, *units)] == [int(j == i) for j in range(m + 1)]
-    assert CoeffTable.from_json((tmp_path / "coeffs.json").read_text()) == tables[0]
+    text = (tmp_path / "coeffs.json").read_text()
+    assert text == expected.to_json(GroupSpec.unitary(5), mu) + "\n"
+    assert CoeffTable.from_json(text) == expected
