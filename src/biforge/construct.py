@@ -27,34 +27,27 @@ tuples of tables: ``harmonic_family`` returns the m harmonic basis
 tables, ``proper_biharmonic_table`` the one proper table, and
 ``biharmonic_family`` the proper table followed by the harmonic basis.
 
-Every such table has the form c_k = beta_sigma * w_k * prod_j C(d_j, k_j)
-with w_k = 1 or w_k = k_i.  Since (d_j + 1 - k_j) * C(d_j, k_j - 1) =
-k_j * C(d_j, k_j), the sum over j in the equation at k becomes
-prod_j C(d_j, k_j) * beta_{sigma-1} times sigma (w = 1) or
-(sigma - 1) * k_i (w_k = k_i), so each system reduces to one recurrence
-in sigma with D = sum(d):
+Every such table is c_k = beta_sigma * w_k * prod_j C(d_j, k_j), with
+w_k = k_i for harmonic basis table i and w = 1 for the proper table.
+Since (d_j + 1 - k_j) * C(d_j, k_j - 1) = k_j * C(d_j, k_j), the sum over
+j above becomes prod_j C(d_j, k_j) * beta_{sigma-1} times (sigma - 1)*k_i
+or sigma, so each system is one recurrence in sigma (D = sum(d)):
 
-    harmonic basis table i:  2*mu*sigma*beta_sigma = -(D + sigma - 1)*beta_{sigma-1},
-                             beta_1 = 1/d_i;
-    proper table (w = 1):    its tension is gamma_sigma * prod_j C(d_j, k_j),
-                             gamma_sigma = 2*mu*sigma*(sigma - 1)*beta_sigma
-                                           + sigma*(D + sigma - 1)*beta_{sigma-1},
-                             which must solve the harmonic recurrence
-                             2*mu*(sigma - 1)*gamma_sigma = -(D + sigma - 1)*gamma_{sigma-1};
-                             beta_0 = 1, beta_1 = 0, so gamma_1 = D.
+    harmonic table i:  2*mu*sigma*beta_sigma = -(D + sigma - 1)*beta_{sigma-1},  beta_1 = 1/d_i;
+    proper table:      beta_0 = 1, beta_1 = 0, and its tension gamma_sigma * prod_j C(d_j, k_j),
+                       gamma_sigma = 2*mu*sigma*(sigma - 1)*beta_sigma
+                                     + sigma*(D + sigma - 1)*beta_{sigma-1},
+                       solves 2*mu*(sigma - 1)*gamma_sigma = -(D + sigma - 1)*gamma_{sigma-1}.
 
-With x = -1/(2*mu) these solve to beta_sigma = C(D + sigma - 1, sigma) *
-x**(sigma - 1) / (D * d_i), and gamma_sigma = sigma * C(D + sigma - 1,
-sigma) * x**(sigma - 1) with beta_sigma = (1 - sigma) * C(D + sigma - 1,
-sigma) * x**sigma; the pinned systems have unique solutions, so these
-are the tables.  No table is trusted to the algebra: writing mu = a/b
-in lowest terms, every equation is kept multiplied by b so that its
-coefficients are Python ints, and each returned table must satisfy
-every equation on the box in integer sums over its common denominator
-(for the proper table: its tension table is nonzero and solves the
-harmonic equations) and hold its pinned values.  Tables are exact
-Fractions; the numerical operators only enter when a table is assembled
-into an evaluable expression.
+``harmonic_family`` and ``proper_biharmonic_table`` give the solutions in
+closed form.  No table is trusted to that algebra: writing mu = a/b in
+lowest terms, every equation is kept multiplied by b, so its
+coefficients are Python ints, and each returned table must hold its
+pinned values and satisfy every equation on the box in integer sums over
+its common denominator (the proper table: its tension table is nonzero
+and satisfies the harmonic equations).  Tables are exact Fractions; the
+numerical operators only enter when a table is assembled into an
+evaluable expression.
 """
 
 from __future__ import annotations
@@ -354,7 +347,9 @@ def _checked_table(degrees, mu: Fraction, coeffs: dict, pins: dict, proper: bool
 def _closed_form(degrees, betas, weight) -> dict:
     """c_k = betas[sigma] * weight(k) * prod_j C(d_j, k_j) on the box, sigma = sum(k)."""
     binomials = itertools.product(*([math.comb(d, k) for k in range(d + 1)] for d in degrees))
-    return {idx: betas[sum(idx)] * (weight(idx) * math.prod(c)) for idx, c in zip(box_indices(degrees), binomials)}
+    return {
+        idx: betas[sum(idx)] * (weight(idx) * math.prod(c)) for idx, c in zip(box_indices(degrees), binomials)
+    }
 
 
 def _unit_indices(m: int) -> list[tuple[int, ...]]:
@@ -395,7 +390,8 @@ def harmonic_family(degrees, mu) -> tuple[CoeffTable, ...]:
     for i, (d_i, e_i) in enumerate(zip(degrees, units)):
         betas = [math.comb(total + s - 1, s) * x ** (s - 1) / (total * d_i) for s in range(total + 1)]
         pins = {zero: 0, **{u: int(u == e_i) for u in units}}
-        tables.append(_checked_table(degrees, mu, _closed_form(degrees, betas, itemgetter(i)), pins, proper=False))
+        coeffs = _closed_form(degrees, betas, itemgetter(i))
+        tables.append(_checked_table(degrees, mu, coeffs, pins, proper=False))
     return tuple(tables)
 
 

@@ -219,7 +219,7 @@ def test_graded_solver_rejects_inconsistent_systems():
         _checked_table(degrees, mu, dict(proper.coeffs), unit_pins(2, 2), proper=True)
     with pytest.raises(InconsistentSystem, match="pinned"):
         _checked_table(degrees, mu, dict(harm[0].coeffs), unit_pins(2, 0, 1), proper=False)
-    # a harmonic table is no proper one, and the proper one is not harmonic
+    # and the proper table is no harmonic one
     with pytest.raises(InconsistentSystem, match="residual"):
         _checked_table(degrees, mu, dict(proper.coeffs), {}, proper=False)
 
