@@ -10,8 +10,9 @@ bitension.
 
 from biforge import GroupSpec, make_quadruple
 from biforge.construct import (
-    biharmonic_coefficients,
+    biharmonic_family,
     build_expression,
+    combine,
     harmonic_coefficients,
     proper_biharmonic_table,
 )
@@ -28,7 +29,7 @@ for d in (2, 3, 4):
     b = proper_biharmonic_table((d,), -1)
     print(f"d={d}:  harmonic {h.single_degree()}   proper biharmonic {b.single_degree()}")
 
-print("\nscaled degree-2 member:", biharmonic_coefficients(2, -1, 4, 0).single_degree())
+print("\nscaled degree-2 member:", combine(biharmonic_family((2,), -1), [4, 0]).single_degree())
 
 i = fam.proper_indices[0]
 pairs = [(fam.member_quotient(i), fam.member_tension(i))]

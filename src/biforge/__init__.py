@@ -11,7 +11,6 @@ every construction by jet differentiation along one-parameter subgroups.
 from .algebra import Jet2, translate
 from .construct import (
     CoeffTable,
-    biharmonic_coefficients,
     biharmonic_family,
     build_expression,
     column_ratio_family,

@@ -43,7 +43,6 @@ import numpy as np
 
 from .construct import (
     CoeffTable,
-    biharmonic_coefficients,
     biharmonic_family,
     box_indices,
     build_expression,
@@ -276,14 +275,12 @@ def _table_vector(table: CoeffTable) -> list[Fraction]:
 
 def _check_fixture(name: str) -> bool:
     expected = REFERENCE_FIXTURES[name]
-    if name.startswith("harmonic_d"):
+    if name.startswith(("harmonic_d", "biharmonic_d")):
         d = int(name[-1])
         reference = CoeffTable((d,), {(k,): v for k, v in enumerate(expected)})
-        return harmonic_family((d,), -1)[0].proportional_to(reference)
-    if name.startswith("biharmonic_d"):
-        d = int(name[-1])
-        got = biharmonic_coefficients(d, -1, expected[0], 0).single_degree()
-        return got == tuple(Fraction(c) for c in expected)
+        if name.startswith("harmonic"):
+            return harmonic_family((d,), -1)[0].proportional_to(reference)
+        return proper_biharmonic_table((d,), -1).proportional_to(reference)
     if name == "tension_matrix_11":
         return _tension_matrix_11() == expected
     if name == "tension_matrix_11_squared":

@@ -42,12 +42,14 @@ or sigma, so each system is one recurrence in sigma (D = sum(d)):
 ``harmonic_family`` and ``proper_biharmonic_table`` give the solutions in
 closed form.  No table is trusted to that algebra: writing mu = a/b in
 lowest terms, every equation is kept multiplied by b, so its
-coefficients are Python ints, and each returned table must hold its
-pinned values and satisfy every equation on the box in integer sums over
-its common denominator (the proper table: its tension table is nonzero
-and satisfies the harmonic equations).  Tables are exact Fractions; the
-numerical operators only enter when a table is assembled into an
-evaluable expression.
+coefficients are Python ints.  One map applies these integer rows on
+the box: ``tension_table`` takes them as the tension of a table, and the
+row check takes them to accept a solution.  Each returned table must hold
+its pinned values and satisfy every equation on the box in integer sums
+over its common denominator (the proper table: its tension table is
+nonzero and satisfies the harmonic equations).  Tables are exact
+Fractions; the numerical operators only enter when a table is assembled
+into an evaluable expression.
 """
 
 from __future__ import annotations
@@ -84,7 +86,6 @@ __all__ = [
     "box_indices",
     "combine",
     "harmonic_coefficients",
-    "biharmonic_coefficients",
     "harmonic_family",
     "proper_biharmonic_table",
     "biharmonic_family",
@@ -279,9 +280,20 @@ def _tension_row(degrees, mu: Fraction, idx) -> dict:
     return row
 
 
-def _dot(row: dict, values: dict):
-    """sum_k row[k] * values[k], with indices missing from values read as 0."""
-    return sum(c * values.get(k, 0) for k, c in row.items())
+def _box_rows(degrees, mu: Fraction) -> list:
+    """(idx, ``_tension_row`` at idx) for every index of the box, in box order."""
+    return [(idx, _tension_row(degrees, mu, idx)) for idx in box_indices(degrees)]
+
+
+def _row_sums(rows, values: dict) -> dict:
+    """{idx: sum_k row[k] * values[k]} for the rows whose sum is nonzero, in
+    row order, with indices missing from values read as 0."""
+    sums = {}
+    for idx, row in rows:
+        value = sum(c * values.get(k, 0) for k, c in row.items())
+        if value:
+            sums[idx] = value
+    return sums
 
 
 def _over_common_denominator(values: dict) -> tuple[dict, int]:
@@ -294,25 +306,16 @@ def _over_common_denominator(values: dict) -> tuple[dict, int]:
 def tension_table(table: CoeffTable, mu) -> CoeffTable:
     """Coefficients of tau(F) in the same monomial basis as F.
 
-    The bookkeeping box extends to d_i + 1 in each direction, but every
-    boundary entry vanishes identically (each contribution carries a
-    zero factor or an out-of-box index), so the result lives on the
-    original box; the boundary is asserted zero rather than trusted.
+    tau maps the box into itself: the row at an index with k_j = d_j + 1
+    reads only c at indices with that k_j, outside the box, or c_{k - e_j}
+    with the factor d_j + 1 - k_j = 0.  So the rows of the box give every
+    coefficient.
     """
     mu = _frac(mu)
-    degrees = table.degrees
     values, den = _over_common_denominator(table.coeffs)
     den *= mu.denominator
-    out = {}
-    for idx in itertools.product(*(range(d + 2) for d in degrees)):
-        value = _dot(_tension_row(degrees, mu, idx), values)
-        if value != 0:
-            if any(k > d for k, d in zip(idx, degrees)):
-                raise InconsistentSystem(
-                    f"tension coefficient at boundary index {idx} is {Fraction(value, den)}, expected 0"
-                )
-            out[idx] = Fraction(value, den)
-    return CoeffTable(degrees, out)
+    sums = _row_sums(_box_rows(table.degrees, mu), values)
+    return CoeffTable._trusted(table.degrees, {idx: Fraction(v, den) for idx, v in sums.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -331,16 +334,15 @@ def _checked_table(degrees, mu: Fraction, coeffs: dict, pins: dict, proper: bool
     for idx, value in pins.items():
         if coeffs.get(idx, 0) != value:
             raise InconsistentSystem(f"index {idx} holds {coeffs.get(idx, 0)}, pinned to {value}")
-    rows = [(idx, _tension_row(degrees, mu, idx)) for idx in box_indices(degrees)]
+    rows = _box_rows(degrees, mu)
     values, _ = _over_common_denominator(coeffs)
-    image = {idx: _dot(row, values) for idx, row in rows}
+    image = _row_sums(rows, values)
     if proper:
-        if not any(image.values()):
+        if not image:
             raise InconsistentSystem("proper direction came out harmonic")
-        image = {idx: _dot(row, image) for idx, row in rows}
-    for idx, value in image.items():
-        if value:
-            raise InconsistentSystem(f"table leaves a residual at index {idx}")
+        image = _row_sums(rows, image)
+    if image:
+        raise InconsistentSystem(f"table leaves a residual at index {next(iter(image))}")
     return CoeffTable._trusted(degrees, coeffs)
 
 
@@ -414,7 +416,15 @@ def proper_biharmonic_table(degrees, mu) -> CoeffTable:
 
 def biharmonic_family(degrees, mu) -> tuple[CoeffTable, ...]:
     """The biharmonic solution space: the proper table, then the harmonic
-    basis, whose tables have zero tension and are pinned at the same indices."""
+    basis, whose tables have zero tension and are pinned at the same indices.
+
+    In one variable, ``combine(biharmonic_family((d,), mu), [c0, c1])`` is
+    the table with leading pair (c0, c1), proper biharmonic iff c0 != 0;
+    for mu = -1 its coefficients solve the second-order difference equation
+
+        4(k-1)^2 k^2 c_k = 4(k-1)^2 (d^2-(k-1)^2) c_{k-1}
+                           - (d^2-(k-2)^2)(d^2-(k-1)^2) c_{k-2}.
+    """
     return (proper_biharmonic_table(degrees, mu), *harmonic_family(degrees, mu))
 
 
@@ -430,20 +440,6 @@ def harmonic_coefficients(d: int, mu) -> CoeffTable:
         value = value * Fraction(d * d - k * k) / (-2 * mu * Fraction(k * (k + 1)))
         coeffs[(k + 1,)] = value
     return CoeffTable((d,), coeffs)
-
-
-def biharmonic_coefficients(d: int, mu, c0, c1) -> CoeffTable:
-    """One-variable biharmonic table with prescribed leading pair (c0, c1).
-
-    Solved through the tension-coefficient mechanism, which for mu = -1
-    reduces to the second-order difference equation
-
-        4(k-1)^2 k^2 c_k = 4(k-1)^2 (d^2-(k-1)^2) c_{k-1}
-                           - (d^2-(k-2)^2)(d^2-(k-1)^2) c_{k-2}.
-
-    The result is proper biharmonic iff c0 != 0.
-    """
-    return combine(biharmonic_family((d,), mu), [c0, c1])
 
 
 # ---------------------------------------------------------------------------

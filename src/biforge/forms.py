@@ -550,10 +550,14 @@ class QuadrupleFamily:
 
 def _json_int(value, where: str, digits: bool = False) -> int:
     """An integer field read from a JSON file: a JSON integer or, with
-    ``digits``, a decimal string.  A float or bool raises ValueError naming
-    ``where`` rather than being cut down to an int."""
+    ``digits``, a decimal string: an optional "-" and ASCII digits.  A float,
+    a bool or another string raises ValueError naming ``where`` rather than
+    being cut down to an int."""
     if digits and isinstance(value, str):
-        return int(value)
+        # int() would also take "-3_0", " -3" and non-ASCII digits
+        body = value[1:] if value.startswith("-") else value
+        if body.isascii() and body.isdigit():
+            return int(value)
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{where}: {value!r} is not an integer")
     return value
@@ -563,6 +567,8 @@ def _check_vector(name: str, v, n: int) -> np.ndarray:
     arr = np.asarray(v, dtype=complex).reshape(-1)
     if arr.shape[0] != n:
         raise DimensionMismatch(f"vector {name} must have length {n}, got {arr.shape[0]}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"vector {name} has a non-finite entry")
     if np.linalg.norm(arr) == 0:
         raise ZeroVector(f"vector {name} must be nonzero")
     return arr

@@ -196,28 +196,26 @@ def basis(spec: GroupSpec) -> list[LieBasisElement]:
     return elements
 
 
-def _sample_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
+def _haar_qr(draw) -> np.ndarray:
+    """Q of g = QR for a Gaussian draw g = draw(), its columns scaled by the
+    phases d/|d| of R's diagonal so that Q is Haar; g is drawn again while
+    some |r_ii| < 1e-8."""
     while True:
-        g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        q, r = np.linalg.qr(g)
+        q, r = np.linalg.qr(draw())
         d = np.diagonal(r)
-        if np.min(np.abs(d)) < 1e-8:
-            continue
-        return q * (d / np.abs(d))
+        if np.min(np.abs(d)) >= 1e-8:
+            return q * (d / np.abs(d))
+
+
+def _sample_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
+    return _haar_qr(lambda: rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
 
 
 def _sample_special_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
-    while True:
-        g = rng.normal(size=(n, n))
-        q, r = np.linalg.qr(g)
-        d = np.diagonal(r)
-        if np.min(np.abs(d)) < 1e-8:
-            continue
-        q = q * np.sign(d)
-        if np.linalg.det(q) < 0:
-            q = q.copy()
-            q[:, -1] = -q[:, -1]
-        return q.astype(complex)
+    q = _haar_qr(lambda: rng.normal(size=(n, n)))
+    if np.linalg.det(q) < 0:
+        q[:, -1] = -q[:, -1]
+    return q.astype(complex)
 
 
 def _quaternionic_partner(v: np.ndarray) -> np.ndarray:

@@ -12,7 +12,6 @@ import numpy as np
 
 from biforge.construct import (
     CoeffTable,
-    biharmonic_coefficients,
     biharmonic_family,
     box_indices,
     build_expression,
@@ -69,7 +68,7 @@ def test_criterion_1_coefficient_fixtures():
         ok &= harmonic_coefficients(d, -1).proportional_to(reference)
     for d, expected in BIHARMONIC_TABLES.items():
         reference = CoeffTable((d,), {(k,): c for k, c in enumerate(expected)})
-        ok &= biharmonic_coefficients(d, -1, 1, 0).proportional_to(reference)
+        ok &= combine(biharmonic_family((d,), -1), [1, 0]).proportional_to(reference)
     verdict(
         "criterion 1",
         ok,

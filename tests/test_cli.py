@@ -131,9 +131,13 @@ def test_construct_rejects_mu_with_zero_denominator(tmp_path, capsys):
         (lambda doc: doc.update(degrees=[1e400]), "inf is not an integer"),
         (lambda doc: doc.update(degrees=[2.5]), "2.5 is not an integer"),
         (lambda doc: doc["coeffs"][0].update(k=[0.5]), "0.5 is not an integer"),
+        # int() would read these as -30 and 4
+        (lambda doc: doc["coeffs"][0].update(num="-3_0"), "'-3_0' is not an integer"),
+        (lambda doc: doc["coeffs"][0].update(den=" 4"), "' 4' is not an integer"),
     ],
     ids=["zero-den", "index-7", "index-minus-1", "degree-0", "duplicate-index", "degrees-not-list",
-         "mu-zero-den", "num-1e400", "degree-1e400", "degree-2.5", "index-0.5"],
+         "mu-zero-den", "num-1e400", "degree-1e400", "degree-2.5", "index-0.5", "num-underscore",
+         "den-space"],
 )
 def test_verify_rejects_malformed_table(tmp_path, capsys, edit, message):
     out = tmp_path / "su4"
@@ -149,14 +153,26 @@ def test_verify_rejects_malformed_table(tmp_path, capsys, edit, message):
     assert message in capsys.readouterr().err
 
 
-def test_verify_rejects_fractional_beta(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: doc.update(beta=0.5), "beta: 0.5 is not an integer"),
+        # json writes these as NaN and Infinity, which it reads back as floats
+        (lambda doc: doc["p"][0].__setitem__(0, float("nan")), "vector p has a non-finite entry"),
+        (lambda doc: doc["a"][1].__setitem__(0, float("inf")), "vector a has a non-finite entry"),
+    ],
+    ids=["beta-0.5", "p-nan", "a-inf"],
+)
+def test_verify_rejects_fractional_beta(tmp_path, capsys, edit, message):
     out = _construct(tmp_path)
     doc = json.loads((out / "quadruple.json").read_text())
+    edit(doc)
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(dict(doc, beta=0.5)))
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
     code = run(["verify", "--coeffs", str(out / "coeffs.json"), "--quadruple", str(bad), "--points", "2"])
     assert code == 2
-    assert "beta: 0.5 is not an integer" in capsys.readouterr().err
+    assert f"cannot parse inputs: {message}" in capsys.readouterr().err
 
 
 def _construct(tmp_path, extra=()):
@@ -225,11 +241,15 @@ def test_reproduce_json(capsys):
     assert doc["fixtures"]["biharmonic_d4"] is True
 
 
-def test_reproduce_corrupted_fixture(monkeypatch, capsys):
-    monkeypatch.setitem(REFERENCE_FIXTURES, "harmonic_d2", (0, 4, 5))
+@pytest.mark.parametrize(
+    "name, corrupted",
+    [("harmonic_d2", (0, 4, 5)), ("biharmonic_d3", (6, 0, -27, -16))],
+    ids=["harmonic", "biharmonic"],
+)
+def test_reproduce_corrupted_fixture(monkeypatch, capsys, name, corrupted):
+    monkeypatch.setitem(REFERENCE_FIXTURES, name, corrupted)
     assert run(["reproduce"]) == 1
-    captured = capsys.readouterr()
-    assert "harmonic_d2" in captured.err
+    assert f"mismatched fixtures: {name}\n" in capsys.readouterr().err
 
 
 def test_morphism_orthogonal(tmp_path):

@@ -6,6 +6,7 @@ they are frozen here and everything is compared in exact arithmetic.
 """
 
 import hashlib
+import itertools
 import json
 from fractions import Fraction
 
@@ -16,7 +17,6 @@ from biforge import cli, construct
 from biforge.construct import (
     TABLE_SCHEMA,
     CoeffTable,
-    biharmonic_coefficients,
     biharmonic_family,
     box_indices,
     build_expression,
@@ -63,7 +63,7 @@ def test_harmonic_tables_match_up_to_scale(d):
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_biharmonic_tables_exact(d):
     expected = BIHARMONIC_TABLES[d]
-    got = biharmonic_coefficients(d, -1, expected[0], 0)
+    got = combine(biharmonic_family((d,), -1), [expected[0], 0])
     assert got.single_degree() == tuple(Fraction(c) for c in expected)
     assert tension_table(tension_table(got, -1), -1).is_zero()
     assert not tension_table(got, -1).is_zero()
@@ -310,6 +310,27 @@ def test_tension_table_unit_column():
     image = tension_table(CoeffTable((1, 1), {(0, 0): 1}), -1)
     assert image.get((0, 1)) == 2 and image.get((1, 0)) == 2
     assert image.get((0, 0)) == 0 and image.get((1, 1)) == 0
+
+
+@pytest.mark.parametrize("mu", [-1, Fraction(-1, 2), Fraction(3, 5)], ids=str)
+@pytest.mark.parametrize("degrees", [(1,), (2, 1), (3, 3, 3), (2, 2, 2, 2)], ids=str)
+def test_tension_rows_vanish_outside_the_box(degrees, mu):
+    # tension_table sums only the rows of the box: on any in-box table the
+    # row at an index with some k_j = d_j + 1 must sum to 0, and the rows of
+    # the box, over mu's denominator, are the tension table
+    mu = Fraction(mu)
+    rng = np.random.default_rng(len(degrees))
+    for _ in range(5):
+        table = CoeffTable(degrees, {
+            idx: Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 10))) for idx in box_indices(degrees)
+        })
+        image = tension_table(table, mu)
+        for idx in itertools.product(*(range(d + 2) for d in degrees)):
+            value = sum(c * table.get(k) for k, c in construct._tension_row(degrees, mu, idx).items())
+            if all(k <= d for k, d in zip(idx, degrees)):
+                assert value == image.get(idx) * mu.denominator
+            else:
+                assert value == 0, idx
 
 
 def test_coeff_table_json_round_trip():

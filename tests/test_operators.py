@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from biforge.algebra import PackedJet, PackedPoint, translate
-from biforge.construct import biharmonic_coefficients, build_expression, column_ratio_family
+from biforge.construct import biharmonic_family, build_expression, column_ratio_family, combine
 from biforge.errors import DomainError, ShapeError
 from biforge.forms import Const, LinearForm, Product, Quotient, RationalExpr, Sum
 from biforge.groups import GroupSpec, basis, sample_point
@@ -177,7 +177,7 @@ def test_tension2_proper_biharmonic_member(ctx_for):
     fam = make_quadruple(U3, [1, 2, -1], [3, 1j, 0.5], [1, 1, 1], [1, 1, 1], beta=0)
     i = fam.proper_indices[0]
     pairs = [(fam.member_quotient(i), fam.member_tension(i))]
-    table = biharmonic_coefficients(2, -1, 4, 0)
+    table = combine(biharmonic_family((2,), -1), [4, 0])
     phi = build_expression(table, pairs)
     ctx = ctx_for(U3)
     points = sample_domain_points([phi, pairs[0][1]], U3, 5, 2900)
@@ -270,7 +270,7 @@ def _member_and_candidate(spec, sp_choice=None):
     fam = _quadruple(spec, sp_choice)
     i = fam.proper_indices[0]
     pairs = [(fam.member_quotient(i), fam.member_tension(i))]
-    table = biharmonic_coefficients(2, Fraction(spec.mu), 4, 0)
+    table = combine(biharmonic_family((2,), Fraction(spec.mu)), [4, 0])
     return pairs[0][0], pairs[0][1], build_expression(table, pairs)
 
 

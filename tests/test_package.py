@@ -1,6 +1,7 @@
 """Package hygiene: every exported name resolves, every demo runs and
-every function the traced benchmark patches exists."""
+every function the benchmark patches or imports exists."""
 
+import ast
 import hashlib
 import importlib
 import importlib.util
@@ -58,3 +59,20 @@ def test_bench_layer_targets_resolve():
             assert callable(getattr(module, attr, None)), base
         for caller in callers:
             importlib.import_module(f"biforge.{caller}")
+
+
+def test_bench_check_imports_resolve():
+    # bench/checks.py imports biforge names inside its check functions; a
+    # removed name would otherwise only show up as a failed benchmark run
+    tree = ast.parse((ROOT / "bench" / "checks.py").read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module.startswith("biforge"):
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                assert hasattr(module, alias.name), f"{node.module}.{alias.name}"
+                imported[alias.asname or alias.name] = getattr(module, alias.name)
+    assert "OperatorContext" in imported and "QuadrupleFamily" in imported
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in imported:
+            assert hasattr(imported[node.value.id], node.attr), f"{node.value.id}.{node.attr}"
