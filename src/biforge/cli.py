@@ -63,10 +63,10 @@ from .report import VerificationReport
 from .verify import (
     DEFAULT_CANDIDATE_TOL,
     DEFAULT_MORPHISM_TOL,
+    IDENTITY_TOL,
     candidate_checks,
     closed_form_tension_checks,
-    eigenfamily_checks,
-    morphism_checks,
+    morphism_campaign_checks,
     quadruple_checks,
     sample_domain_points,
 )
@@ -336,31 +336,28 @@ def cmd_morphism(
     elif k is None:
         k = 1
     spec = GroupSpec.from_code(group, n)
-    rng = np.random.default_rng(seed)
-    checks = []
     if kind == "orthogonal":
         if spec.kind is not GroupKind.UNITARY:
             raise BiforgeError("orthogonal column-ratio families live on the unitary group")
-        ctx = context(spec)
+        rng = np.random.default_rng(seed)
         q = rng.normal(size=spec.n) + 1j * rng.normal(size=spec.n)
         family = column_ratio_family(q, spec, beta=0)
+        morphism = family[0]
         points = sample_domain_points(family, spec, points, seed)
         # eigenvalue 0 and kappa constant 0 are exactly the morphism conditions
-        checks += eigenfamily_checks(family, 0.0, 0.0, ctx, points, tol=tol)
-        checks += morphism_checks(family[0], ctx, points, tol=tol)
+        lam, kap, family_tol = 0.0, 0.0, tol
         subject = f"orthogonal column-ratio family, {len(family)} members"
     else:
         fam = _build_family(spec, seed, 0, choice)
         if fam.n_proper < 2:
             raise BiforgeError("need at least two proper members for a rational morphism")
-        ctx = context(spec)
         family = tension_power_family(fam, k)[:2]
         lam, kap = eigenfamily_constants(spec.mu, k)
         morphism = rational_morphism(family, {(1, 0): 1.0}, {(0, 1): 1.0})
         points = sample_domain_points([morphism, *family], spec, points, seed)
-        checks += eigenfamily_checks(family, lam, kap, ctx, points)
-        checks += morphism_checks(morphism, ctx, points, tol=tol)
+        family_tol = IDENTITY_TOL
         subject = f"rational morphism from the k={k} tension-power family"
+    checks = morphism_campaign_checks(family, morphism, lam, kap, context(spec), points, family_tol, tol)
     return _emit(subject, spec, points, seed, checks, out, as_json)
 
 

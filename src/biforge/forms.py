@@ -512,21 +512,25 @@ class QuadrupleFamily:
         return [*self.numerators, self.denominator, self.exchange_denominator, *self.exchange_numerators]
 
     def to_json(self) -> str:
-        def vec(v):
-            return [[float(x.real), float(x.imag)] for x in np.asarray(v, dtype=complex)]
+        """The family as ``json.dumps(doc, indent=2, sort_keys=True)`` lays
+        out its document, written from a fixed template: with an indent,
+        ``json.dumps`` runs its pure-Python encoder.  Vector entries are
+        finite (``make_quadruple`` refuses others), and ``repr`` writes a
+        finite float as the encoder does."""
 
-        doc = {
-            "group": self.spec.code,
-            "n": self.spec.n,
-            "p": vec(self.row_p),
-            "q": vec(self.row_q),
-            "a": vec(self.col_a),
-            "b": vec(self.col_b),
-            "beta": self.beta,
-            "sp_choice": int(self.sp_choice) if self.sp_choice is not None else None,
-            "so_mode": self.so_mode,
-        }
-        return json.dumps(doc, indent=2, sort_keys=True)
+        def vec(v):
+            v = np.asarray(v, dtype=complex)
+            pairs = ",\n".join(
+                f"    [\n      {re!r},\n      {im!r}\n    ]" for re, im in zip(v.real.tolist(), v.imag.tolist())
+            )
+            return f"[\n{pairs}\n  ]"
+
+        choice = "null" if self.sp_choice is None else int(self.sp_choice)
+        return (
+            f'{{\n  "a": {vec(self.col_a)},\n  "b": {vec(self.col_b)},\n  "beta": {json.dumps(self.beta)},\n'
+            f'  "group": {json.dumps(self.spec.code)},\n  "n": {self.spec.n},\n  "p": {vec(self.row_p)},\n'
+            f'  "q": {vec(self.row_q)},\n  "so_mode": {json.dumps(self.so_mode)},\n  "sp_choice": {choice}\n}}'
+        )
 
     @classmethod
     def from_json(cls, text: str) -> "QuadrupleFamily":

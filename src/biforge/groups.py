@@ -49,6 +49,7 @@ __all__ = [
     "basis",
     "basis_entries",
     "sample_point",
+    "sample_points",
 ]
 
 _SQRT2 = float(np.sqrt(2.0))
@@ -196,26 +197,30 @@ def basis(spec: GroupSpec) -> list[LieBasisElement]:
     return elements
 
 
-def _haar_qr(draw) -> np.ndarray:
-    """Q of g = QR for a Gaussian draw g = draw(), its columns scaled by the
-    phases d/|d| of R's diagonal so that Q is Haar; g is drawn again while
-    some |r_ii| < 1e-8."""
+def _complex_normal(rng: np.random.Generator, n: int) -> np.ndarray:
+    return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+
+
+def _real_normal(rng: np.random.Generator, n: int) -> np.ndarray:
+    return rng.normal(size=(n, n))
+
+
+def _haar_qr(rngs, draw, n: int) -> np.ndarray:
+    """Q of g = QR for one Gaussian draw g = draw(rng, n) per stream, by
+    one QR of the stack, each Q's columns scaled by the phases d/|d| of
+    its R's diagonal so that Q is Haar (Mezzadri, Notices AMS 54(5),
+    2007).  A draw with some |r_ii| < 1e-8 is drawn again from its own
+    stream.  A stacked QR runs the LAPACK routine of a single QR on each
+    matrix, so every Q is bit for bit that of its draw alone."""
+    g = np.array([draw(rng, n) for rng in rngs])
     while True:
-        q, r = np.linalg.qr(draw())
-        d = np.diagonal(r)
-        if np.min(np.abs(d)) >= 1e-8:
-            return q * (d / np.abs(d))
-
-
-def _sample_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    return _haar_qr(lambda: rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-
-
-def _sample_special_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
-    q = _haar_qr(lambda: rng.normal(size=(n, n)))
-    if np.linalg.det(q) < 0:
-        q[:, -1] = -q[:, -1]
-    return q.astype(complex)
+        q, r = np.linalg.qr(g)
+        d = np.diagonal(r, axis1=-2, axis2=-1)
+        singular = np.flatnonzero(np.min(np.abs(d), axis=-1) < 1e-8)
+        if not len(singular):
+            return q * (d / np.abs(d))[:, None, :]
+        for i in singular:
+            g[i] = draw(rngs[i], n)
 
 
 def _quaternionic_partner(v: np.ndarray) -> np.ndarray:
@@ -251,24 +256,39 @@ def _orthonormalize(vectors, partner=None) -> list[np.ndarray] | None:
 
 def _sample_quaternionic(n: int, rng: np.random.Generator) -> np.ndarray:
     while True:
-        z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        w = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        z, w = _complex_normal(rng, n), _complex_normal(rng, n)
         # the first n columns of [z, w; -conj w, conj z]; partners give the rest
         frame = _orthonormalize(np.concatenate([z, -np.conj(w)]).T, _quaternionic_partner)
         if frame is not None:
             return np.column_stack(frame)
 
 
-def sample_point(spec: GroupSpec, seed: int) -> np.ndarray:
-    """Deterministic pseudo-random group element, an (N, N) complex matrix.
+def sample_points(spec: GroupSpec, seeds) -> np.ndarray:
+    """Deterministic pseudo-random group elements, a (P, N, N) complex
+    stack for P >= 1 seeds; entry i depends on seeds[i] alone.
 
-    Built by orthonormalizing a seeded Gaussian matrix (quaternionic
-    Gram-Schmidt for Sp so the block pattern is exact); numerically
-    singular draws are redrawn from the same stream.
+    Each seed's Gaussian matrix comes from its own ``default_rng(seed)``
+    stream, and U(n) and SO(n) orthonormalize the whole stack with one
+    QR (SO(n) then flips the last column where one batched det is
+    negative); numerically singular draws are redrawn from their own
+    stream.  Sp(n) runs its quaternionic Gram-Schmidt, which keeps the
+    block pattern exact, one seed at a time: a Gram-Schmidt batched over
+    the seeds sums its inner products in another order, and its points
+    differed from these by up to 2.2e-15 (200 seeds, n = 2..4).
     """
-    rng = np.random.default_rng(seed)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    n = spec.n
     if spec.kind is GroupKind.UNITARY:
-        return _sample_unitary(spec.n, rng)
+        return _haar_qr(rngs, _complex_normal, n)
     if spec.kind is GroupKind.SPECIAL_ORTHOGONAL:
-        return _sample_special_orthogonal(spec.n, rng)
-    return _sample_quaternionic(spec.n, rng)
+        q = _haar_qr(rngs, _real_normal, n)
+        for i in np.flatnonzero(np.linalg.det(q) < 0):
+            q[i, :, -1] = -q[i, :, -1]
+        return q.astype(complex)
+    return np.array([_sample_quaternionic(n, rng) for rng in rngs])
+
+
+def sample_point(spec: GroupSpec, seed: int) -> np.ndarray:
+    """The (N, N) point of ``seed``: the one entry of
+    ``sample_points(spec, [seed])``."""
+    return sample_points(spec, [seed])[0]

@@ -12,7 +12,10 @@ Each check walks every function it reads once, through
 ``operators.laplacian_jets``, and unpacks the values, tensions and kappa
 pairs that walk returns; a proper candidate's check reads its value,
 tension and bitension from ``operators.bitension_jets`` instead.  How
-jets are packed is left to ``operators``.
+jets are packed is left to ``operators``.  The morphism campaign
+(``morphism_campaign_checks``) walks one forest, the eigenfamily and the
+morphism (the family alone when the morphism is its first member), and
+reads the eigenfamily rows and the morphism rows from that one walk.
 The closed-form member tension is evaluated on the plain stack, so the
 jet side never reads the formula it checks.
 
@@ -42,7 +45,7 @@ import numpy as np
 from .construct import CoeffTable, build_expression, tension_table
 from .errors import SamplingExhausted
 from .forms import QuadrupleFamily, Quotient, RationalExpr, evaluate_all, walk_order
-from .groups import GroupSpec, sample_point
+from .groups import GroupSpec, sample_points
 from .operators import OperatorContext, bitension_jets, laplacian_jets, relative_residual, tension2
 from .report import CheckResult
 
@@ -54,6 +57,7 @@ __all__ = [
     "oracle_equivalence_check",
     "eigenfamily_checks",
     "morphism_checks",
+    "morphism_campaign_checks",
 ]
 
 IDENTITY_TOL = 1e-9
@@ -69,9 +73,12 @@ def sample_domain_points(exprs, spec: GroupSpec, count: int, seed: int) -> np.nd
     stays away from zero.
 
     Seeds seed, seed + 1, ... are drawn in rounds of as many draws as
-    points are still missing, and a draw is kept when every denominator
-    reaches ``DEFAULT_DOMAIN_MARGIN`` (read at call time) times its
-    coefficient scale, so the kept seeds are those of a one-at-a-time
+    points are still missing.  A round is one ``groups.sample_points``
+    stack: one batched QR on U(n) and SO(n), and Sp(n) seed by seed,
+    since its Gram-Schmidt batched over seeds would not round as the
+    per-seed one does.  A draw is kept when every denominator reaches
+    ``DEFAULT_DOMAIN_MARGIN`` (read at call time) times its coefficient
+    scale, so the kept seeds and points are those of a one-at-a-time
     loop.  Each denominator is evaluated once per round on the draws
     still kept, children first: a denominator is only evaluated where
     every quotient inside it has cleared the margin, far above the
@@ -93,7 +100,7 @@ def sample_domain_points(exprs, spec: GroupSpec, count: int, seed: int) -> np.nd
                 f"{len(points)} accepted after {offset} draws"
             )
         draws = min(count - len(points), limit - offset)
-        kept = np.array([sample_point(spec, seed + offset + i) for i in range(draws)])
+        kept = sample_points(spec, range(seed + offset, seed + offset + draws))
         offset += draws
         for den, bound in guards.values():
             kept = kept[np.broadcast_to(np.abs(den.evaluate(kept)) >= bound, len(kept))]
@@ -202,17 +209,13 @@ def oracle_equivalence_check(
 
 
 def eigenfamily_checks(
-    members,
-    eigenvalue: float,
-    kappa_constant: float,
-    ctx: OperatorContext,
-    points,
-    tol: float = IDENTITY_TOL,
+    jets, eigenvalue: float, kappa_constant: float, tol: float = IDENTITY_TOL
 ) -> list[CheckResult]:
-    """Definition of an eigenfamily: common eigenvalue and kappa constant."""
-    values, tau, kappa = laplacian_jets(members, points, ctx)
+    """Definition of an eigenfamily: common eigenvalue and kappa constant,
+    read from the members' ``laplacian_jets`` values, tensions and kappa."""
+    values, tau, kappa = jets
     tau = np.max(relative_residual(tau, eigenvalue * values))
-    left, right = np.triu_indices(len(members))
+    left, right = np.triu_indices(len(values))
     kappa = np.max(relative_residual(kappa[left, right], kappa_constant * values[left] * values[right]))
     return [
         CheckResult.upper("eigenfamily tension", tau, tol),
@@ -220,14 +223,9 @@ def eigenfamily_checks(
     ]
 
 
-def morphism_checks(
-    expr: RationalExpr,
-    ctx: OperatorContext,
-    points,
-    tol: float = DEFAULT_MORPHISM_TOL,
-) -> list[CheckResult]:
-    """Harmonic morphism conditions: tension and kappa(f, f) both vanish."""
-    (value,), (tau,), ((kap,),) = laplacian_jets([expr], points, ctx)
+def morphism_checks(value, tau, kap, tol: float = DEFAULT_MORPHISM_TOL) -> list[CheckResult]:
+    """Harmonic morphism conditions, read from one function's values,
+    tension and kappa(f, f): tension and kappa(f, f) both vanish."""
     value = np.abs(value)
     tau = np.abs(tau) / np.maximum(1.0, value)
     kap = np.abs(kap) / np.maximum(1.0, value**2)
@@ -235,3 +233,25 @@ def morphism_checks(
         CheckResult.upper("tension", np.max(tau), tol),
         CheckResult.upper("horizontal conformality", np.max(kap), tol),
     ]
+
+
+def morphism_campaign_checks(
+    family,
+    morphism: RationalExpr,
+    eigenvalue: float,
+    kappa_constant: float,
+    ctx: OperatorContext,
+    points,
+    family_tol: float,
+    tol: float,
+) -> list[CheckResult]:
+    """The eigenfamily checks of ``family`` (bound ``family_tol``), then the
+    morphism checks of ``morphism`` (bound ``tol``), from one
+    ``laplacian_jets`` walk of the forest [*family, morphism], or of
+    ``family`` alone when the morphism is ``family[0]``."""
+    shared = morphism is family[0]
+    values, tau, kappa = laplacian_jets(family if shared else [*family, morphism], points, ctx)
+    m = len(family)
+    i = 0 if shared else m
+    checks = eigenfamily_checks((values[:m], tau[:m], kappa[:m, :m]), eigenvalue, kappa_constant, family_tol)
+    return checks + morphism_checks(values[i], tau[i], kappa[i, i], tol)

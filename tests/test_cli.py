@@ -11,12 +11,14 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import biforge.verify
 from biforge.cli import REFERENCE_FIXTURES, build_parser, main
 from biforge.construct import CoeffTable
 from biforge.groups import GroupSpec
-from biforge.operators import OperatorContext, context
+from biforge.operators import OperatorContext, context, laplacian_jets
 
 
 def run(argv):
@@ -495,7 +497,9 @@ def test_verify_answers_match_recorded(tmp_path, capsys, table):
 # seed (tables from `construct` at the default seed).  Each report runs in
 # its own process with OPENBLAS_NUM_THREADS=1: the batched Gram product
 # behind kappa in operators.laplacian_jets is bitwise reproducible only on
-# one BLAS thread.
+# one BLAS thread.  A morphism report reads kappa(phi, phi) from the Gram
+# product of its one forest walk (family and morphism together), so its
+# "horizontal conformality" residual is that product's rounding.
 REPORT_DIGESTS = {
     "verify-su4-2,1": (
         ["--group", "su", "--n", "4", "--degrees", "2,1"],
@@ -507,11 +511,11 @@ REPORT_DIGESTS = {
     ),
     "morphism-su3-orthogonal": (
         ["--group", "su", "--n", "3"],
-        "050becfd1de9ea8229364a2cdc301205f9a46409786954bb0facef21dd7e792d",
+        "5016bf9bf7a6f31242351b213da805f2294e03e858b219cf9e58bf9d02e1577d",
     ),
     "morphism-su4-rational": (
         ["--group", "su", "--n", "4", "--kind", "rational"],
-        "3e11e975c71ac4ccc6fc15e87bc4f43324e4b768965256ac3fa420e2b46abd4c",
+        "75eaa9db9a7ec63f8bef68f4c99f84bc4084196dbd69656db113e151ae53f732",
     ),
     # powers up to the cube: f**3 and (tau f)**3 in each variable, and
     # cubes of the member tensions in the morphism's eigenfamily
@@ -521,7 +525,7 @@ REPORT_DIGESTS = {
     ),
     "morphism-su5-rational-k3": (
         ["--group", "su", "--n", "5", "--kind", "rational", "--k", "3"],
-        "f58627aae05793c8cbf0da2042787bef741dded29822d992357f9eb7c937785c",
+        "dd4e361600d31ce30257de294f384fed97662d225b6c816350404be0886b01c3",
     ),
     # so runs draw the isotropic rows u + iv of the quadruple and of the
     # rational morphism's eigenfamily from seeded orthonormal frames
@@ -531,7 +535,7 @@ REPORT_DIGESTS = {
     ),
     "morphism-so8-rational-k2": (
         ["--group", "so", "--n", "8", "--kind", "rational", "--k", "2"],
-        "dbc10c70f222a9e031f87ad921e4d9124c4caa9a1234ca98bc3451e208caaba4",
+        "742a8e56b3d9fa08e4e6bd81097c049a99d761fa9f2c40e650a2d5ac67b2e05a",
     ),
 }
 
@@ -554,6 +558,52 @@ def test_report_bytes_match_recorded_digests(tmp_path, capsys, name):
     )
     assert proc.returncode == 0, proc.stderr
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest, proc.stdout
+
+
+def test_report_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # the benchmark's two morphism campaigns, su(8) with 64 basis
+    # directions and so(8) with 28, at one and at two BLAS threads
+    src = Path(__file__).resolve().parents[1] / "src"
+    for args in (["--group", "su", "--n", "8"], ["--group", "so", "--n", "8", "--kind", "rational", "--k", "2"]):
+        digests = set()
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": str(src)}
+            proc = subprocess.run(
+                [sys.executable, "-m", "biforge.cli", "morphism", *args, "--points", "5", "--json"],
+                cwd=tmp_path, env=env, capture_output=True, text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            digests.add(hashlib.sha256(proc.stdout.encode()).hexdigest())
+        assert len(digests) == 1, args
+
+
+@pytest.mark.parametrize(
+    "args, m, i",
+    [(["--group", "su", "--n", "4"], 3, 0), (["--group", "so", "--n", "8", "--kind", "rational", "--k", "2"], 2, 2)],
+    ids=["su4-orthogonal", "so8-rational-k2"],
+)
+def test_morphism_command_walks_one_forest(monkeypatch, capsys, args, m, i):
+    walks = []
+
+    def recording(exprs, points, ctx):
+        walks.append((list(exprs), points, ctx))
+        return laplacian_jets(exprs, points, ctx)
+
+    monkeypatch.setattr(biforge.verify, "laplacian_jets", recording)
+    assert run(["morphism", *args, "--points", "4", "--json"]) == 0
+    capsys.readouterr()
+    assert len(walks) == 1
+    forest, points, ctx = walks[0]
+    # m family members, the morphism at i: the orthogonal morphism is the
+    # family's first member, so the forest is the family; the rational one
+    # is walked after its two members
+    assert len(forest) == max(m, i + 1)
+    values, tau, kappa = laplacian_jets(forest, points, ctx)
+    family_values, family_tau, family_kappa = laplacian_jets(forest[:m], points, ctx)
+    (value,), (tension,), _ = laplacian_jets([forest[i]], points, ctx)
+    assert np.array_equal(values[:m], family_values) and np.array_equal(tau[:m], family_tau)
+    assert np.array_equal(kappa[:m, :m], family_kappa)
+    assert np.array_equal(values[i], value) and np.array_equal(tau[i], tension)
 
 
 # SHA-256 of stdout plus stderr of the parser's help pages and of two of

@@ -2,11 +2,13 @@
 
 import dataclasses
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
 from biforge.algebra import PackedPoint
+from biforge.cli import _build_family
 from biforge.errors import (
     DimensionMismatch,
     DomainError,
@@ -210,6 +212,42 @@ def test_quadruple_json_matches_recorded_digest(args, sp_choice, digest, proper)
     fam = make_quadruple(*args, sp_choice=sp_choice)
     assert hashlib.sha256(fam.to_json().encode()).hexdigest() == digest
     assert fam.proper == proper
+
+
+def _reference_quadruple_json(fam):
+    """The document through the library encoder, as the template must lay it out."""
+    def vec(v):
+        return [[float(x.real), float(x.imag)] for x in np.asarray(v, dtype=complex)]
+
+    doc = {
+        "group": fam.spec.code, "n": fam.spec.n, "p": vec(fam.row_p), "q": vec(fam.row_q),
+        "a": vec(fam.col_a), "b": vec(fam.col_b), "beta": fam.beta,
+        "sp_choice": None if fam.sp_choice is None else int(fam.sp_choice), "so_mode": fam.so_mode,
+    }
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        # sp_choice and so_mode null; -0.0 real and imaginary parts
+        lambda: make_quadruple(U3, [1, -0.0, 0], [0, 1, complex(2, -0.0)], [1, 1, 1], [-1e-300, 1, 1], beta=1),
+        lambda: make_quadruple(SO4, ISO_P, ISO_Q, [1, 1, 1, 1], [1, 1, 1, 1]),  # so_mode set
+        lambda: make_quadruple(SO4, ROWS_P, ROWS_Q, [1, 1j, 0, 0], [0, 0, 1, 1j]),
+        lambda: make_quadruple(SP2, *SP2_VECTORS, sp_choice=10),  # sp_choice set
+        # seeded draws: full-precision entries on each group
+        lambda: _build_family(GroupSpec.unitary(5), 3, 2, None),
+        lambda: _build_family(GroupSpec.special_orthogonal(8), 3, 0, None),
+        lambda: _build_family(GroupSpec.quaternionic_unitary(3), 3, 1, 11),
+    ],
+    ids=["su3-negative-zero", "so4-iso-rows", "so4-iso-cols", "sp2-choice10", "su5-seeded", "so8-seeded",
+         "sp3-seeded"],
+)
+def test_quadruple_json_matches_reference_encoder(build):
+    fam = build()
+    text = fam.to_json()
+    assert text == _reference_quadruple_json(fam)
+    assert QuadrupleFamily.from_json(text).to_json() == text
 
 
 def test_member_nodes_are_built_once_per_family(points_for):

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+import biforge.groups
 from biforge.algebra import Jet2, translate
 from biforge.errors import ShapeError
 from biforge.forms import LinearForm
-from biforge.groups import GroupSpec, basis, sample_point
+from biforge.groups import GroupSpec, basis, sample_point, sample_points
 
 ALL_SPECS = [
     GroupSpec.unitary(2),
@@ -97,6 +98,79 @@ def test_sampled_points_are_group_elements(spec):
             z, w = m[:n, :n], m[:n, n:]
             lower = np.block([[-np.conj(w), np.conj(z)]])
             assert np.max(np.abs(m[n:, :] - lower)) <= 1e-12
+
+
+def _per_seed_haar(spec, seed, first_draw_singular=False):
+    """One seed's U(n) or SO(n) point by a QR-with-phases loop on its draws
+    alone; with ``first_draw_singular`` the stream's first draw is dropped
+    as the sampler drops a singular one."""
+    rng = np.random.default_rng(seed)
+    n = spec.n
+    while True:
+        g = rng.normal(size=(n, n))
+        if spec.code == "su":
+            g = g + 1j * rng.normal(size=(n, n))
+        if first_draw_singular:
+            first_draw_singular = False
+            continue
+        q, r = np.linalg.qr(g)
+        d = np.diagonal(r)
+        if np.min(np.abs(d)) >= 1e-8:
+            break
+    q = q * (d / np.abs(d))
+    if spec.code == "so" and np.linalg.det(q) < 0:
+        q[:, -1] = -q[:, -1]
+    return q.astype(complex)
+
+
+BATCHED_SPECS = [GroupSpec.unitary(n) for n in (3, 4, 5, 8, 12)] + [
+    GroupSpec.special_orthogonal(n) for n in (4, 5, 8, 12)  # SO(n) needs n >= 4
+]
+
+
+@pytest.mark.parametrize("spec", BATCHED_SPECS, ids=lambda s: f"{s.code}{s.n}")
+def test_batched_points_equal_per_seed_points(spec):
+    # one QR of the stack gives each seed the bits of its own QR
+    seeds = range(300)
+    stack = sample_points(spec, seeds)
+    assert stack.shape == (300, spec.n, spec.n) and stack.dtype == complex
+    assert np.array_equal(stack, np.array([sample_point(spec, seed) for seed in seeds]))
+    assert np.array_equal(stack, np.array([_per_seed_haar(spec, seed) for seed in seeds]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3], ids=lambda n: f"sp{n}")
+def test_quaternionic_points_are_drawn_per_seed(n):
+    spec = GroupSpec.quaternionic_unitary(n)
+    seeds = range(40)
+    stack = sample_points(spec, seeds)
+    assert stack.shape == (40, 2 * n, 2 * n)
+    assert np.array_equal(stack, np.array([sample_point(spec, seed) for seed in seeds]))
+
+
+@pytest.mark.parametrize(
+    "spec, draw",
+    [(GroupSpec.unitary(4), "_complex_normal"), (GroupSpec.special_orthogonal(5), "_real_normal")],
+    ids=["su4", "so5"],
+)
+def test_singular_draw_is_redrawn_from_its_own_stream(monkeypatch, spec, draw):
+    seeds = range(60, 66)
+    before = sample_points(spec, seeds)
+    original = getattr(biforge.groups, draw)
+    streams = []
+
+    def third_draw_singular(rng, n):
+        streams.append(rng)
+        g = original(rng, n)
+        return np.zeros_like(g) if len(streams) == 3 else g
+
+    monkeypatch.setattr(biforge.groups, draw, third_draw_singular)
+    stack = sample_points(spec, seeds)
+    # one draw per seed, then one redraw, from the third seed's stream
+    assert len(streams) == len(seeds) + 1 and streams[-1] is streams[2]
+    assert np.array_equal(stack[2], _per_seed_haar(spec, seeds[2], first_draw_singular=True))
+    assert not np.array_equal(stack[2], before[2])
+    others = [0, 1, 3, 4, 5]
+    assert np.array_equal(stack[others], before[others])
 
 
 def test_translate_diagonal_rotation():

@@ -140,7 +140,7 @@ def test_tension_of_constant_and_kappa_with_constant(ctx_for):
 
 def test_eigen_check_pass_and_fail(ctx_for, points_for):
     def eigen_tension(h, eigenvalue, points, ctx):
-        checks = eigenfamily_checks([h], eigenvalue, 0.0, ctx, points)
+        checks = eigenfamily_checks(laplacian_jets([h], points, ctx), eigenvalue, 0.0)
         return next(c for c in checks if c.name == "eigenfamily tension")
 
     z11 = LinearForm.coordinate(U3, 0, 0)

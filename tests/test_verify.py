@@ -18,7 +18,7 @@ from biforge.construct import (
 )
 from biforge.errors import DomainError
 from biforge.forms import Const, LinearForm, Quotient, Sum, make_quadruple, walk_order
-from biforge.groups import GroupSpec, sample_point
+from biforge.groups import GroupSpec, sample_point, sample_points
 from biforge.operators import OperatorContext, conformality, laplacian_jets, relative_residual, tension, tension2
 from biforge.report import CheckResult
 from biforge.verify import (
@@ -123,11 +123,13 @@ def test_draw_on_an_inner_denominator_zero_is_rejected_alone(monkeypatch):
     seed = 3300
     drawn = []
 
-    def fake_sample_point(spec, s):
-        drawn.append(s)
-        return on_zero if s == seed + 2 else sample_point(spec, s)
+    def fake_sample_points(spec, seeds):
+        drawn.extend(seeds)
+        stack = sample_points(spec, seeds)
+        stack[np.equal(seeds, seed + 2)] = on_zero
+        return stack
 
-    monkeypatch.setattr(biforge.verify, "sample_point", fake_sample_point)
+    monkeypatch.setattr(biforge.verify, "sample_points", fake_sample_points)
     points = sample_domain_points([outer], U3, 4, seed)
     assert drawn == [seed + k for k in range(5)]
     assert np.array_equal(points, np.array([sample_point(U3, seed + k) for k in (0, 1, 3, 4)]))
@@ -204,7 +206,7 @@ def test_checks_match_per_pair_reference(spec, sp_choice, mu_factor):
     points = sample_domain_points([fam.member_quotient(i) for i in range(fam.n_members)], spec, 3, 3600)
     members = list(fam.numerators)
     checks = quadruple_checks(fam, ctx, points)
-    checks += eigenfamily_checks(members, spec.eigenvalue, fam.mu, ctx, points)
+    checks += eigenfamily_checks(laplacian_jets(members, points, ctx), spec.eigenvalue, fam.mu)
     expected = _reference_quadruple_residuals(fam, ctx, points)
     expected |= _reference_eigenfamily_residuals(members, spec.eigenvalue, fam.mu, ctx, points)
     assert [c.name for c in checks] == list(expected)
