@@ -40,7 +40,7 @@ from .forms import (
     QuadrupleFamily,
     RationalExpr,
     classify,
-    columns_pairwise_dependent,
+    dependent_rows,
     isotropic,
     make_quadruple,
     quotient,

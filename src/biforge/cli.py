@@ -221,13 +221,11 @@ def _emit(subject: str, spec: GroupSpec, points, seed: int, checks: list, out: P
     """Write the report of ``checks`` to ``out``, print it, and return the exit code."""
     group = {"group": spec.code, "n": spec.n}
     report = VerificationReport(subject, group, len(points), seed, tuple(checks))
+    text = report.to_json() if out is not None or as_json else None
     if out is not None:
         out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(report.to_json() + "\n")
-    if as_json:
-        print(report.to_json())
-    else:
-        print("\n".join(report.summary_lines()))
+        out.write_text(text + "\n")
+    print(text if as_json else "\n".join(report.summary_lines()))
     return 0 if report.verdict else 1
 
 

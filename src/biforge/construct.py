@@ -76,7 +76,7 @@ from .forms import (
     _check_beta,
     _check_vector,
     _json_int,
-    columns_pairwise_dependent,
+    dependent_rows,
     powers,
 )
 from .groups import GroupKind, GroupSpec
@@ -545,7 +545,7 @@ def rational_morphism(family: list[RationalExpr], num_poly: dict, den_poly: dict
     monomials = sorted(set(num_poly) | set(den_poly))
     u = np.array([complex(num_poly.get(mono, 0)) for mono in monomials])
     v = np.array([complex(den_poly.get(mono, 0)) for mono in monomials])
-    if columns_pairwise_dependent(np.column_stack([u, v])):
+    if dependent_rows(u, v):
         raise DegenerateQuotient("numerator and denominator polynomials are dependent")
 
     pows = [powers(member, max(exp[i] for exp in monomials)) for i, member in enumerate(family)]

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import itertools
 import json
 import operator
 from dataclasses import dataclass
@@ -66,7 +65,7 @@ __all__ = [
     "QuadrupleFamily",
     "make_quadruple",
     "quotient",
-    "columns_pairwise_dependent",
+    "dependent_rows",
     "isotropic",
     "Classification",
     "classify",
@@ -356,8 +355,8 @@ def powers(base, d: int) -> list:
 
 # a denominator below this fraction of its coefficient scale is a pole
 _POLE_REL_TOL = 1e-12
-# float cancellations (2x2 minors, square sums, off-support entries) below
-# this fraction of their scale are structural zeros (``_negligible``):
+# float cancellations (2x2 minors, bilinear pairings) below this fraction
+# of their scale are structural zeros (``dependent_rows``, ``_bilinear_zero``):
 # rounding leaves a few ulps, while a generic nonzero value sits many
 # orders above it
 _ZERO_REL_TOL = 1e-12
@@ -400,42 +399,39 @@ def quotient(num: LinearForm, den: LinearForm) -> Quotient:
 # ---------------------------------------------------------------------------
 # structural predicates
 
-def _negligible(x, scale, exact: bool = False) -> bool:
-    """True iff every entry of ``x`` is a structural zero: exactly 0 for
-    exact (object dtype) input, at most ``_ZERO_REL_TOL * scale`` otherwise."""
-    x = np.abs(np.asarray(x))
-    return bool(np.all(x == 0) if exact else np.all(x <= _ZERO_REL_TOL * scale))
+def dependent_rows(u, v) -> np.ndarray:
+    """Pair by pair, whether u[k] and v[k] are linearly dependent: every
+    2x2 minor u_i v_j - u_j v_i vanishes.
 
-
-def columns_pairwise_dependent(m: np.ndarray) -> bool:
-    """True iff every 2x2 minor across column pairs vanishes (rank <= 1).
-
-    Float input is tested relative to the square of the largest entry
-    magnitude; exact (object dtype) input is tested exactly.
+    ``u`` and ``v`` broadcast over their leading axes, and their last axis
+    holds the entries.  Float input is tested relative to the square of the
+    larger entry magnitude of each pair; exact (object dtype) input is
+    tested exactly.  A pair of zero vectors raises ZeroVector.
     """
-    m = np.asarray(m)
-    if m.size == 0:
-        raise ZeroVector("empty matrix")
-    exact = m.dtype == object
-    if not exact:
-        m = m.astype(complex)
-    scale = np.max(np.abs(m))
-    if scale == 0:
-        raise ZeroVector("zero matrix has no dependence structure")
-    outer = np.multiply.outer
-    return all(
-        _negligible(outer(m[:, a], m[:, b]) - outer(m[:, b], m[:, a]), scale * scale, exact)
-        for a, b in itertools.combinations(range(m.shape[1]), 2)
-    )
+    u, v = np.asarray(u), np.asarray(v)
+    scale = np.maximum(abs(u), abs(v)).max(axis=-1)
+    if not scale.all():
+        raise ZeroVector("a zero pair has no dependence structure")
+    minors = u[..., :, None] * v[..., None, :]
+    largest = abs(minors - minors.swapaxes(-1, -2)).max(axis=(-2, -1))
+    return largest <= (0 if minors.dtype == object else _ZERO_REL_TOL * scale * scale)
+
+
+def _bilinear_zero(x, y) -> bool:
+    """True iff every complex-bilinear pairing (no conjugation) of ``x`` and
+    ``y`` along their broadcast last axis, sum(x * y, -1), is a structural
+    zero: exactly 0 for exact (object dtype) input, at most
+    ``_ZERO_REL_TOL * norm(x) * norm(y)`` (Frobenius norms) otherwise."""
+    x, y = np.asarray(x), np.asarray(y)
+    pairing = abs((x * y).sum(axis=-1))
+    if object in (x.dtype, y.dtype):
+        return bool(np.all(pairing == 0))
+    return bool((pairing <= _ZERO_REL_TOL * np.sqrt((abs(x) ** 2).sum() * (abs(y) ** 2).sum())).all())
 
 
 def isotropic(v) -> bool:
-    """True iff sum(v_k**2) = 0 under the complex-bilinear square sum."""
-    v = np.asarray(v)
-    exact = v.dtype == object
-    if not exact:
-        v = v.astype(complex)
-    return _negligible(np.sum(v * v), np.sum(np.abs(v) ** 2), exact)
+    """True iff (v, v) = sum(v_k**2) = 0 under the complex-bilinear pairing."""
+    return _bilinear_zero(v, v)
 
 
 # ---------------------------------------------------------------------------
@@ -458,8 +454,9 @@ class QuadrupleFamily:
     ``exchange_denominator`` (R) and ``exchange_numerators[i]`` (S_i) are
     the swapped-row forms appearing in kappa(P_i, Q) = mu * R * S_i.
     ``proper[i]`` records whether member i is structurally proper
-    biharmonic (nonzero tension).  Each family object builds its member
-    nodes once, on first use, so ``dataclasses.replace`` gives fresh ones.
+    biharmonic (nonzero tension), by :func:`classify`'s rule.  Each family
+    object builds its member nodes once, on first use, so
+    ``dataclasses.replace`` gives fresh ones.
     """
 
     spec: GroupSpec
@@ -617,12 +614,8 @@ def make_quadruple(
     b = _check_vector("b", b, n)
     _check_beta(beta, n)
 
-    def independent(u, v) -> bool:
-        return not columns_pairwise_dependent(np.column_stack([u, v]))
-
     def isotropic_pair(u, v) -> bool:
-        scale = np.linalg.norm(u) * np.linalg.norm(v)
-        return isotropic(u) and isotropic(v) and _negligible(np.sum(u * v), scale)
+        return isotropic(u) and isotropic(v) and _bilinear_zero(u, v)
 
     so_mode = None
     if spec.kind is GroupKind.SPECIAL_ORTHOGONAL:
@@ -641,36 +634,39 @@ def make_quadruple(
     elif sp_choice is not None:
         raise DimensionMismatch("sp_choice only applies to the quaternionic group")
 
-    rows_independent = independent(p, q)
     if so_mode == "isotropic_columns":
         numerators = [LinearForm.rank_one(spec, p, a)]
         exchange = [LinearForm.rank_one(spec, q, a)]
         den = LinearForm.rank_one(spec, q, b)
         exch_den = LinearForm.rank_one(spec, p, b)
-        proper = [rows_independent and independent(a, b)]
     else:
         # column family (U, Sp, SO with isotropic rows)
         member_offset = n if choice in (SpChoice.W_OVER_Z, SpChoice.W_OVER_W) else 0
         den_offset = n if choice is SpChoice.W_OVER_W else 0
         if abs(b[beta]) == 0:
             raise ZeroVector("denominator weight b[beta] must be nonzero")
-        den_col = den_offset + beta
-        den = LinearForm.column(spec, q, den_col, b[beta])
-        exch_den = LinearForm.column(spec, p, den_col, b[beta])
+        den = LinearForm.column(spec, q, den_offset + beta, b[beta])
+        exch_den = LinearForm.column(spec, p, den_offset + beta, b[beta])
 
         scale_a = float(np.max(np.abs(a)))
-        numerators, exchange, proper = [], [], []
+        numerators, exchange = [], []
         for j in range(n):
             if abs(a[j]) <= _WEIGHT_REL_TOL * scale_a:
                 continue
-            col = member_offset + j
-            numerators.append(LinearForm.column(spec, p, col, a[j]))
-            exchange.append(LinearForm.column(spec, q, col, a[j]))
-            # cross-block members (choice 10) never share the denominator column,
-            # so every column is proper there; same-block members lose column beta.
-            proper.append(rows_independent and col != den_col)
+            numerators.append(LinearForm.column(spec, p, member_offset + j, a[j]))
+            exchange.append(LinearForm.column(spec, q, member_offset + j, a[j]))
         if not numerators:
             raise ZeroVector("no nonzero column weights in a")
+
+    # P_i = p (x) v_i over Q = q (x) w is harmonic in classify's Case I when
+    # p and q are dependent, and in its Case II when v_i and w are: one test
+    # of the row pair, zero-padded to the column width, and every (v_i, w)
+    pairs = np.zeros((2, 1 + len(numerators), spec.ambient_dim), dtype=complex)
+    pairs[:, 0, :n] = p, q
+    pairs[0, 1:] = [form.factors[1][0] for form in numerators]
+    pairs[1, 1:] = den.factors[1][0]
+    rows_dependent, *cols_dependent = dependent_rows(*pairs).tolist()
+    proper = [not (rows_dependent or flag) for flag in cols_dependent]
 
     return QuadrupleFamily(
         spec=spec, mu=spec.mu, numerators=tuple(numerators), exchange_numerators=tuple(exchange),
@@ -686,21 +682,23 @@ def make_quadruple(
 class Classification(enum.Enum):
     """Structural verdict for f = P/Q with rank-one Q = q (x) a."""
 
-    HarmonicCaseI = "harmonic: denominator row vector spans every numerator column"
-    HarmonicCaseII = "harmonic: single shared column"
+    HarmonicCaseI = "harmonic: q spans every numerator column"
+    HarmonicCaseII = "harmonic: a spans every numerator row"
     ProperBiharmonic = "proper biharmonic"
 
 
 def classify(m_p: np.ndarray, q, a, spec: GroupSpec) -> Classification:
     """Classify the quotient of P (coefficients ``m_p``) by Q = q (x) a.
 
-    Case I: q and every column of m_p are pairwise linearly dependent.
-    Case II: a is supported on one index and m_p on that same column.
-    Otherwise the quotient is proper biharmonic.
+    Case I: every column of m_p is a multiple of q.
+    Case II: every row of m_p is a multiple of a (Case I transposed).
+    In either case the quotient is harmonic; otherwise it is proper
+    biharmonic.
 
-    On SO(n) the numeric dichotomy additionally relies on the delta-term
-    cancellations ((q,q) = 0 and m_p^T q = 0 in the bilinear sense); the
-    stated hypothesis (a,a) != 0 is enforced.
+    On SO(n) the dichotomy rests on the delta-term cancellations, which
+    hold under either of two alternatives in the complex-bilinear pairing:
+    (q,q) = 0 and m_p^T q = 0, or (a,a) = 0 and m_p a = 0.  When neither
+    holds, IsotropyViolation is raised.
     """
     m_p = np.asarray(m_p, dtype=complex)
     q = _check_vector("q", q, spec.n)
@@ -711,16 +709,15 @@ def classify(m_p: np.ndarray, q, a, spec: GroupSpec) -> Classification:
         )
     if np.max(np.abs(m_p)) == 0:
         raise ZeroVector("m_p must be nonzero")
-    if spec.kind is GroupKind.SPECIAL_ORTHOGONAL and isotropic(a):
-        raise IsotropyViolation("SO(n) classification requires (a,a) != 0")
-
-    if columns_pairwise_dependent(np.column_stack([q, m_p])):
-        return Classification.HarmonicCaseI
-
-    support = int(np.argmax(np.abs(a)))
-    col_norms = np.linalg.norm(m_p, axis=0)
-    if _negligible(np.delete(a, support), abs(a[support])) and _negligible(
-        np.delete(col_norms, support), max(col_norms[support], 1e-300)
+    if spec.kind is GroupKind.SPECIAL_ORTHOGONAL and not (
+        isotropic(q) and _bilinear_zero(m_p.T, q) or isotropic(a) and _bilinear_zero(m_p, a)
     ):
+        raise IsotropyViolation(
+            "SO(n) classification needs (q,q) = 0 and m_p^T q = 0, or (a,a) = 0 and m_p a = 0"
+        )
+
+    if dependent_rows(m_p.T, q).all():
+        return Classification.HarmonicCaseI
+    if dependent_rows(m_p, a).all():
         return Classification.HarmonicCaseII
     return Classification.ProperBiharmonic

@@ -374,45 +374,81 @@ def _isotropic_vector(rng: np.random.Generator, n: int) -> np.ndarray:
     return u / np.linalg.norm(u) + 1j * v / np.linalg.norm(v)
 
 
+def _cvec(rng: np.random.Generator, size) -> np.ndarray:
+    return rng.normal(size=size) + 1j * rng.normal(size=size)
+
+
+def _orthogonal_to(v: np.ndarray):
+    """The projection x -> x - conj(v) (v,x) / (v,conj(v)) onto the vectors
+    bilinearly orthogonal to v."""
+    pivot = np.conj(v)
+    return lambda x: x - pivot * (np.sum(v * x) / np.sum(v * pivot))
+
+
+def _generic_weights(spec: GroupSpec, rng: np.random.Generator) -> np.ndarray:
+    """Column weights a, on SO(n) with (a,a) kept away from 0."""
+    while True:
+        a = _cvec(rng, spec.ambient_dim)
+        if spec.kind is not GroupKind.SPECIAL_ORTHOGONAL or abs(np.sum(a * a)) > 0.1:
+            return a
+
+
 def _triple(spec: GroupSpec, case: int, rng: np.random.Generator):
     """One seeded (M_P, q, a) triple of the requested classification case.
 
     On SO(n) the delta-term cancellations require q isotropic and every
-    column of M_P bilinearly orthogonal to q; a keeps (a,a) != 0.
+    column of M_P bilinearly orthogonal to q (the rows alternative); a
+    keeps (a,a) != 0.
     """
     n, cols = spec.n, spec.ambient_dim
-    orthogonal = spec.kind is GroupKind.SPECIAL_ORTHOGONAL
-
-    def cvec(size):
-        return rng.normal(size=size) + 1j * rng.normal(size=size)
-
-    if orthogonal:
+    if spec.kind is GroupKind.SPECIAL_ORTHOGONAL:
         q = _isotropic_vector(rng, n)
-        pivot = np.conj(q)
-
-        def admissible(col):
-            return col - pivot * (np.sum(q * col) / np.sum(q * pivot))
-
+        admissible = _orthogonal_to(q)
     else:
-        q = cvec(n)
+        q = _cvec(rng, n)
 
         def admissible(col):
             return col
 
-    while True:
-        a = cvec(cols)
-        if not orthogonal or abs(np.sum(a * a)) > 0.1:
-            break
+    a = _generic_weights(spec, rng)
     if case == 0:  # columns of M_P proportional to q
-        m_p = np.outer(q, cvec(cols))
+        m_p = np.outer(q, _cvec(rng, cols))
     elif case == 1:  # single shared column
         support = int(rng.integers(0, cols))
         a = np.zeros(cols, dtype=complex)
         a[support] = 1.0 + rng.normal()
         m_p = np.zeros((n, cols), dtype=complex)
-        m_p[:, support] = admissible(cvec(n))
+        m_p[:, support] = admissible(_cvec(rng, n))
     else:
-        m_p = np.column_stack([admissible(cvec(n)) for _ in range(cols)])
+        m_p = np.column_stack([admissible(_cvec(rng, n)) for _ in range(cols)])
+    return m_p, q, a
+
+
+def _spread_case_ii_triple(spec: GroupSpec, rng: np.random.Generator):
+    """Case II with a nonzero in every column: M_P = c (x) a.  On SO(n), q
+    is isotropic and c bilinearly orthogonal to q, so M_P^T q = 0."""
+    if spec.kind is GroupKind.SPECIAL_ORTHOGONAL:
+        q = _isotropic_vector(rng, spec.n)
+        c = _orthogonal_to(q)(_cvec(rng, spec.n))
+    else:
+        q, c = _cvec(rng, spec.n), _cvec(rng, spec.n)
+    a = _generic_weights(spec, rng)
+    return np.outer(c, a), q, a
+
+
+def _so_columns_triple(spec: GroupSpec, case: int, rng: np.random.Generator):
+    """An SO(n) triple under the columns alternative: a isotropic, every
+    row of M_P bilinearly orthogonal to a (M_P a = 0), and q generic."""
+    n = spec.n
+    a = _isotropic_vector(rng, n)
+    admissible = _orthogonal_to(a)
+    q = _cvec(rng, n)
+    if case == 0:  # columns of M_P proportional to q
+        m_p = np.outer(q, admissible(_cvec(rng, n)))
+    elif case == 1:  # rows of M_P proportional to a
+        m_p = np.outer(_cvec(rng, n), a)
+    else:
+        m_p = np.array([admissible(_cvec(rng, n)) for _ in range(n)])
     return m_p, q, a
 
 
@@ -423,42 +459,55 @@ def test_criterion_7_classification_consistency():
         GroupSpec.special_orthogonal(4),
         GroupSpec.quaternionic_unitary(2),
     ]
-    checked = 0
+    cases = [
+        Classification.HarmonicCaseI,
+        Classification.HarmonicCaseII,
+        Classification.ProperBiharmonic,
+    ]
+    # (spec, triple, expected verdict, sampling seed)
+    draws = []
     for spec_i, spec in enumerate(specs):
-        ctx = context(spec)
         rng = np.random.default_rng(7000 + spec_i)
         for trial in range(50):
             case = trial % 3
-            m_p, q, a = _triple(spec, case, rng)
-            got = classify(m_p, q, a, spec)
-            expected = [
-                Classification.HarmonicCaseI,
-                Classification.HarmonicCaseII,
-                Classification.ProperBiharmonic,
-            ][case]
-            assert got is expected, (spec.code, trial, got)
-            f = Quotient(
-                LinearForm(spec, m_p),
-                LinearForm(spec, np.outer(q, a)),
-            )
-            points = sample_domain_points([f], spec, 4, 7100 + 50 * spec_i + trial)
-            taus = []
-            for point in points:
+            draws.append((spec, _triple(spec, case, rng), cases[case], 7100 + 50 * spec_i + trial))
+    # Case II spread over every column, on each group
+    for spec_i, spec in enumerate(specs):
+        rng = np.random.default_rng(7300 + spec_i)
+        for trial in range(10):
+            draws.append((spec, _spread_case_ii_triple(spec, rng), cases[1], 7300 + 10 * spec_i + trial))
+    # all three cases on SO(4) under the columns alternative
+    rng = np.random.default_rng(7400)
+    for trial in range(30):
+        case = trial % 3
+        draws.append((specs[1], _so_columns_triple(specs[1], case, rng), cases[case], 7400 + trial))
+    checked = 0
+    for spec, (m_p, q, a), expected, seed in draws:
+        ctx = context(spec)
+        got = classify(m_p, q, a, spec)
+        assert got is expected, (spec.code, seed, got)
+        f = Quotient(
+            LinearForm(spec, m_p),
+            LinearForm(spec, np.outer(q, a)),
+        )
+        points = sample_domain_points([f], spec, 4, seed)
+        taus = []
+        for point in points:
+            value = f.evaluate(point)
+            taus.append(abs(tension(f, point, ctx)) / max(1.0, abs(value)))
+        if got is Classification.ProperBiharmonic:
+            assert max(taus) > 1e-9, (spec.code, seed)
+            for point in points[:2]:
                 value = f.evaluate(point)
-                taus.append(abs(tension(f, point, ctx)) / max(1.0, abs(value)))
-            if got is Classification.ProperBiharmonic:
-                assert max(taus) > 1e-9, (spec.code, trial)
-                for point in points[:2]:
-                    value = f.evaluate(point)
-                    tau = tension(f, point, ctx)
-                    scale = max(1.0, abs(value), abs(tau))
-                    assert abs(tension2(f, point, ctx)) <= 1e-7 * scale, (spec.code, trial)
-            else:
-                assert max(taus) <= 1e-9, (spec.code, trial, max(taus))
-            checked += 1
+                tau = tension(f, point, ctx)
+                scale = max(1.0, abs(value), abs(tau))
+                assert abs(tension2(f, point, ctx)) <= 1e-7 * scale, (spec.code, seed)
+        else:
+            assert max(taus) <= 1e-9, (spec.code, seed, max(taus))
+        checked += 1
     verdict(
         "criterion 7",
-        checked == 150,
+        checked == 210,
         f"structural classification matches tension/bitension behaviour on "
         f"{checked} seeded triples across U(3), SO(4), Sp(2) "
         f"({time.time() - start:.1f}s)",

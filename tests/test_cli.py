@@ -202,6 +202,14 @@ def test_verify_passes_and_is_deterministic(tmp_path, capsys):
     doc = json.loads(report1.read_text())
     assert doc["verdict"] is True
     assert any(c["name"] == "bitension" for c in doc["checks"])
+    # with --out and --json, the file holds the printed report: the JSON
+    # text plus "\n", which print adds to stdout as well
+    report3 = tmp_path / "report3.json"
+    capsys.readouterr()
+    assert run(argv + ["--out", str(report3), "--json"]) == 0
+    printed = capsys.readouterr().out
+    assert printed.endswith("}\n") and json.loads(printed) == doc
+    assert report3.read_text() == printed
 
 
 def test_verify_detects_perturbed_harmonic_table(tmp_path):

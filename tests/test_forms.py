@@ -23,7 +23,7 @@ from biforge.forms import (
     QuadrupleFamily,
     RationalExpr,
     classify,
-    columns_pairwise_dependent,
+    dependent_rows,
     evaluate_all,
     isotropic,
     make_quadruple,
@@ -505,17 +505,56 @@ def test_inverse_square_denominator_tension(ctx_for):
 # predicates and classification
 
 
-def test_columns_pairwise_dependent():
+def _rank_at_most_one(m) -> bool:
+    """Every pair of columns of ``m`` is dependent, tested in one call."""
+    m = np.asarray(m)
+    return bool(dependent_rows(m.T[:, None], m.T).all())
+
+
+def test_dependent_rows():
     q = np.array([1.0, 2.0, -1.0])
-    assert columns_pairwise_dependent(np.outer(q, [3, 1j, 2]))
-    assert not columns_pairwise_dependent(np.eye(2))
+    assert _rank_at_most_one(np.outer(q, [3, 1j, 2]))
+    assert not _rank_at_most_one(np.eye(2))
     rng = np.random.default_rng(3)
     m = rng.normal(size=(3, 1)) @ rng.normal(size=(1, 3)) + rng.normal(
         size=(3, 1)
     ) @ rng.normal(size=(1, 3))
     # rank oracle via singular values
     rank = int(np.sum(np.linalg.svd(m, compute_uv=False) > 1e-10))
-    assert rank == 2 and not columns_pairwise_dependent(m)
+    assert rank == 2 and not _rank_at_most_one(m)
+    # one verdict per pair; a zero vector is dependent on any other
+    u = [[1, 2, 0], [1, 0, 0], [0, 0, 0], [1e-3, 0, 0]]
+    v = [[2, 4, 0], [0, 1, 0], [5, 1, 2], [0, 1e6, 0]]
+    assert dependent_rows(u, v).tolist() == [True, False, True, False]
+    # the scale is per pair: a pair of tiny vectors is judged on its own size
+    assert not dependent_rows(np.array(u) * 1e-100, np.array(v) * 1e-100)[1]
+    with pytest.raises(ZeroVector):
+        dependent_rows([[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]])
+
+
+def _minor_loop_reference(u, v) -> bool:
+    """One pair's minors, one at a time, against the square of the larger
+    entry magnitude of the pair: the loop that dependent_rows batches."""
+    scale = max(np.max(np.abs(u)), np.max(np.abs(v)))
+    return all(
+        abs(u[i] * v[j] - u[j] * v[i]) <= 1e-12 * scale * scale
+        for i in range(len(u))
+        for j in range(len(u))
+    )
+
+
+def test_dependent_rows_matches_the_minor_loop():
+    # dependent pairs perturbed from far below to far above the tolerance,
+    # at several sizes; the batched verdicts equal the loop's pair by pair
+    rng = np.random.default_rng(29)
+    for size in (2, 3, 8):
+        v = rng.normal(size=(120, size)) + 1j * rng.normal(size=(120, size))
+        noise = rng.normal(size=(120, size)) + 1j * rng.normal(size=(120, size))
+        eps = 10.0 ** rng.uniform(-17, -4, size=(120, 1))
+        u = (rng.normal(size=(120, 1)) + 1j) * v + eps * noise
+        got = dependent_rows(u, v).tolist()
+        assert got == [_minor_loop_reference(x, y) for x, y in zip(u, v)]
+        assert any(got) and not all(got)
 
 
 def test_isotropic_examples():
@@ -532,15 +571,15 @@ def test_predicates_exact_mode_bypasses_tolerances():
     m = np.array(
         [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4) + tiny]], dtype=object
     )
-    assert not columns_pairwise_dependent(m)
+    assert not _rank_at_most_one(m)
     m[1, 1] = Fraction(4)
-    assert columns_pairwise_dependent(m)
+    assert _rank_at_most_one(m)
     v = np.array([Fraction(3), Fraction(4), 5j], dtype=object)
     assert isotropic(v)
     v[2] = 5j + tiny
     assert not isotropic(v)
     with pytest.raises(ZeroVector):
-        columns_pairwise_dependent(np.array([[Fraction(0)] * 2] * 2, dtype=object))
+        _rank_at_most_one(np.array([[Fraction(0)] * 2] * 2, dtype=object))
 
 
 def test_classify_structural():
@@ -558,8 +597,70 @@ def test_classify_structural():
     with pytest.raises(ZeroVector):
         classify(np.zeros((3, 3)), q, a, U3)
     with pytest.raises(IsotropyViolation):
-        # the SO hypothesis (a,a) != 0 is enforced
+        # (a,a) = 0 but M_P a != 0, and (q,q) != 0: neither SO alternative holds
         classify(np.ones((4, 4)), np.ones(4), [1, 1j, 0, 0], SO4)
+    # Case II is Case I transposed: every row a multiple of a spread-out a
+    assert classify(np.outer(c, a), q, a, U3) is Classification.HarmonicCaseII
+
+    # SO(5) inputs outside both alternatives of the SO gate
+    rng = np.random.default_rng(11)
+
+    def cvec(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    q, a, c = cvec(5), cvec(5), cvec(5)
+    assert not isotropic(q) and not isotropic(a)
+    # non-isotropic q and M_P^T q != 0, in the Case I, Case II and generic shapes
+    for m_p in (np.outer(q, c), np.outer(c, a), cvec(5, 5)):
+        with pytest.raises(IsotropyViolation):
+            classify(m_p, q, a, SO5)
+    # q isotropic and q^T M_P a = 0, but M_P^T q != 0
+    q_iso = np.array([1.0, 1j, 0.0, 0.0, 0.0])
+    m_p, fix = cvec(5, 5), np.outer(np.conj(q_iso), np.conj(a))
+    m_p -= fix * (q_iso @ m_p @ a) / (q_iso @ fix @ a)
+    assert abs(q_iso @ m_p @ a) < 1e-12 and np.linalg.norm(q_iso @ m_p) > 0.1
+    with pytest.raises(IsotropyViolation):
+        classify(m_p, q_iso, a, SO5)
+
+
+def _so_isotropic_columns_family(spec, rng, beta):
+    # a, b span a totally isotropic plane: (a,a) = (b,b) = (a,b) = 0
+    u1, v1, u2, v2 = np.linalg.qr(rng.normal(size=(spec.n, 4)))[0].T
+    a, b = u1 + 1j * v1, u2 + 1j * v2
+    p = rng.normal(size=spec.n) + 1j * rng.normal(size=spec.n)
+    q = rng.normal(size=spec.n) + 1j * rng.normal(size=spec.n)
+    return [
+        make_quadruple(spec, p, q, a, b, beta=beta),
+        make_quadruple(spec, p, q, a, (2 - 1j) * a, beta=beta),  # a, b dependent
+        make_quadruple(spec, (1 + 2j) * q, q, a, b, beta=beta),  # p, q dependent
+    ]
+
+
+def test_quadruple_flags_follow_classify():
+    # proper[i] is classify's verdict on P_i over Q's rank-one factors
+    rng = np.random.default_rng(25)
+    families = []
+    for beta in (0, 1):
+        for n in (3, 4, 5):
+            families.append(_build_family(GroupSpec.unitary(n), 40 + n, beta, None))
+        for n in (6, 8):
+            spec = GroupSpec.special_orthogonal(n)
+            rows = _build_family(spec, 50 + n, beta, None)
+            assert rows.so_mode == "isotropic_rows"
+            families += [rows, make_quadruple(spec, 3j * rows.row_q, rows.row_q, rows.col_a, rows.col_b, beta=beta)]
+            families += _so_isotropic_columns_family(spec, rng, beta)
+        for n in (2, 3):
+            for choice in (9, 10, 11):
+                families.append(_build_family(GroupSpec.quaternionic_unitary(n), 60 + n, beta, choice))
+    flags = []
+    for fam in families:
+        (q,), (w,) = fam.denominator.factors
+        for i, numerator in enumerate(fam.numerators):
+            verdict = classify(numerator.coeffs, q, w, fam.spec)
+            assert fam.proper[i] == (verdict is Classification.ProperBiharmonic), (fam.spec, fam.so_mode, i)
+            flags.append(fam.proper[i])
+    assert {fam.so_mode for fam in families} == {None, "isotropic_rows", "isotropic_columns"}
+    assert any(flags) and not all(flags)
 
 
 def test_classify_sp_shapes(rng):
