@@ -34,9 +34,9 @@ A ``PackedJet`` holds one ndarray ``c`` of shape (P, K, |B| + 2) for a
 function h moved along every basis direction Z_b of the Lie algebra:
 
 * axis 0 runs over the P points;
-* axis 1 over the orders of an outer parameter t, with the same
-  half-derivative convention (K = 1 without an outer direction, K = 3
-  for the bitension);
+* axis 1 over the outer algebra [1, t_1, ..., t_D, T] of D outer
+  parameters, t_i t_j = 0 for i != j and t_i**2 = T (K = D + 2, or
+  K = 1 without an outer direction; D = 1 is the 3-term t-series);
 * the last axis holds the value, the |B| first coefficients a1_b of the
   jets of s -> h(p exp(sZ_b)), and the sum over b of their second
   coefficients a2_b.
@@ -51,29 +51,27 @@ and a quotient q = f/g solves that rule for q column by column:
     q0 = f0 / g0,   q1b = (f1b - q0 g1b) / g0,
     sum_b q2b = (sum_b f2b - q0 sum_b g2b - sum_b q1b g1b) / g0,
 
-where every product is a truncated t-series product (univariate Taylor
-propagation, Griewank, Utke and Walther, Math. Comp. 2000).  The
-t-convolutions are batched matmuls by lower-triangular Toeplitz
-matrices, dividing by g0 is one such matmul by the Toeplitz matrix of
-the series 1/g0, and the sum over b of f1b g1b is one Gram product.  No
-``np.linalg`` is used, so object arrays of ``Fraction`` work too.
+where every product is one in the outer algebra, the same collapse of
+the outer parameters: sum_i (fg)_ii = f0 sum_i g_ii + g0 sum_i f_ii +
+sum_i f_i g_i.  Its products are batched matmuls by the multiplication
+matrix of one factor, dividing by g0 is one by the matrix of 1/g0, and
+the sum over b of f1b g1b is one Gram product.  No ``np.linalg`` is
+used, so object arrays of ``Fraction`` work too.
 
 A :class:`PackedPoint` is the matrix jet a walk starts from: the points,
-the maps [I, W, W**2/2] that move them along t for each outer direction
-W (their layers X = p [I, W, W**2/2]), and the extended stack
-E = [I, Z_1, ..., Z_|B|, H] with H = sum_b Z_b**2 / 2.  Every E_e has at
-most one nonzero per row and per column, so E is kept as two
+the stack [I, W_1, ..., W_D, sum_i W_i**2/2] that moves them along the
+outer directions W_i (its layers X = p outer[k]), and the extended
+stack E = [I, Z_1, ..., Z_|B|, H] with H = sum_b Z_b**2 / 2.  Every E_e
+has at most one nonzero per row and per column, so E is kept as two
 (|B| + 2, N) arrays, E_e[k, cols[e, k]] = vals[e, k].  A linear form
 f gives the packed jet f(X E_e) at each layer X, because
 p exp(sZ_b) = p + s p Z_b + s**2 p Z_b**2 / 2 + O(s**3); for
 f(X) = u^T X[:n] v that is (u^T X[:n]) (E_e v), with E_e v the gather
-vals[e] * v[cols[e]] and u^T X[:n] = (u^T p[:n]) [I, W, W**2/2], so the
+vals[e] * v[cols[e]] and u^T X[:n] = (u^T p[:n]) outer[k], so the
 layers of the points are never built.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
@@ -198,8 +196,8 @@ def leading_value(x):
 
 
 def jet_reciprocal(y):
-    """Multiplicative inverse modulo s**3 (and t**K for a PackedJet, the
-    quotient of the unit jet).
+    """Multiplicative inverse modulo s**3 (in the outer algebra too for a
+    PackedJet, the quotient of the unit jet).
 
     Requires a nonzero value part, at every point of a PackedJet.
     """
@@ -275,14 +273,14 @@ class PackedJet:
         if not isinstance(other, PackedJet):
             return PackedJet(self.c * other)
         f, g = self.c, other.c
-        out = _toeplitz(f[..., 0]) @ g
+        out = _outer_product_matrix(f[..., 0]) @ g
         # g0 times f's derivative columns, as the product over every column
         # with column 0 zeroed: an in-place add into a column slice would
         # copy both operands first
-        cross = _toeplitz(g[..., 0]) @ f
+        cross = _outer_product_matrix(g[..., 0]) @ f
         cross[..., 0] = 0
         out += cross
-        out[..., -1] += _antidiagonal_sums(f[..., 1:-1] @ g[..., 1:-1].swapaxes(-1, -2))
+        out[..., -1] += _outer_sums(f[..., 1:-1] @ g[..., 1:-1].swapaxes(-1, -2))
         return PackedJet(out)
 
     __rmul__ = __mul__
@@ -300,11 +298,11 @@ class PackedPoint:
     """The matrix jet a packed walk starts from.
 
     ``points`` (P, N, N) are the sampled points.  ``outer`` is None for a
-    walk at the points themselves (K = 1), or (D, K, N, N): for each of D
-    outer directions W the maps [I, W, W**2/2] that move a point p along
-    t to its layers p outer[d, k]; the rows are then the pairs (point,
-    direction), point-major.  ``cols`` and ``vals``, both (|B| + 2, N),
-    are the extended stack E = [I, Z_1, ..., Z_|B|, H] in compact form,
+    walk at the points themselves (K = 1), or the (K, N, N) stack
+    [I, W_1, ..., W_D, sum_i W_i**2/2] that moves a point p along D outer
+    directions to its layers p outer[k], K = D + 2.  ``cols`` and
+    ``vals``, both (|B| + 2, N), are the extended stack
+    E = [I, Z_1, ..., Z_|B|, H] in compact form,
     E_e[k, cols[e, k]] = vals[e, k].
     """
 
@@ -318,18 +316,14 @@ class PackedPoint:
 
     @property
     def shape(self) -> tuple[int, int, int]:
-        """(rows, K, |B| + 2), the shape of a packed jet at this point."""
-        if self.outer is None:
-            return len(self.points), 1, len(self.cols)
-        return len(self.points) * len(self.outer), self.outer.shape[1], len(self.cols)
+        """(P, K, |B| + 2), the shape of a packed jet at this point."""
+        return len(self.points), 1 if self.outer is None else len(self.outer), len(self.cols)
 
     def row_weights(self, u: np.ndarray) -> np.ndarray:
-        """u_t^T X[:n] at every layer X of every row, shape (rows, K, T, N),
-        for row factors ``u`` (T, n): (u_t^T p[:n]) times each outer map."""
+        """u_t^T X[:n] at every layer X of every point, shape (P, K, T, N),
+        for row factors ``u`` (T, n): (u_t^T p[:n]) times each layer map."""
         r = u @ self.points[:, : u.shape[-1]]
-        if self.outer is None:
-            return r[:, None]
-        return (r[:, None, None] @ self.outer).reshape((-1,) + self.outer.shape[1:2] + r.shape[1:])
+        return r[:, None] if self.outer is None else r[:, None] @ self.outer
 
     def images(self, v: np.ndarray) -> np.ndarray:
         """E_e v_t for every e and every column factor, shape (T, |B| + 2, N):
@@ -339,51 +333,55 @@ class PackedPoint:
         return moved
 
 
-@lru_cache(maxsize=None)
-def _series_indices(k: int, dtype: np.dtype):
-    """Constant 0/1 matrices for K-term t-series of ``dtype``: (K, K*K) that
-    maps a series s to its flattened lower-triangular Toeplitz matrix,
-    entry (i, j) = s[i - j], and (K*K, K) that sums a flattened K x K
-    array along its anti-diagonals i + j < K.  In ``dtype``, so no product
-    casts them; int for object series, which keeps Fractions exact."""
-    lags = np.subtract.outer(np.arange(k), np.arange(k)).reshape(-1)
-    order = np.add.outer(np.arange(k), np.arange(k)).reshape(-1)
-    kind = int if dtype == object else dtype
-    toeplitz = (lags == np.arange(k)[:, None]).astype(kind)
-    antidiagonals = (order[:, None] == np.arange(k)).astype(kind)
-    return toeplitz, antidiagonals
-
-
-def _toeplitz(s: np.ndarray) -> np.ndarray:
-    """(..., K) t-series -> (..., K, K) matrices T with T @ g = s * g mod t**K."""
+def _outer_product_matrix(s: np.ndarray) -> np.ndarray:
+    """(..., K) outer-algebra elements -> (..., K, K) matrices M with
+    M @ g = s * g: s0 on the diagonal, s in column 0 and s_1 .. s_D in
+    the last row.  K = 1 is s itself, K = 3 the Toeplitz matrix of a
+    3-term t-series."""
     k = s.shape[-1]
-    return (s @ _series_indices(k, s.dtype)[0]).reshape(s.shape + (k,))
+    if k == 1:
+        return s[..., None]
+    m = np.zeros(s.shape + (k,), dtype=s.dtype)
+    diagonal = np.arange(k)
+    m[..., diagonal, diagonal] = s[..., :1]
+    m[..., 1:, 0] = s[..., 1:]
+    m[..., -1, 1:-1] = s[..., 1:-1]
+    return m
 
 
-def _antidiagonal_sums(g: np.ndarray) -> np.ndarray:
-    """(..., K, K) -> (..., K): entry k sums g[..., i, j] over i + j = k."""
-    k = g.shape[-1]
-    return g.reshape(g.shape[:-2] + (k * k,)) @ _series_indices(k, g.dtype)[1]
+def _outer_sums(g: np.ndarray) -> np.ndarray:
+    """(..., K, K) -> (..., K): the outer-algebra sum of the products
+    x_i y_j that g[..., i, j] holds, by t_i t_j = t_i**2 = the last row
+    for i = j and 0 otherwise."""
+    if g.shape[-1] == 1:
+        return g[..., 0]
+    out = g[..., 0, :] + g[..., :, 0]
+    out[..., 0] = g[..., 0, 0]
+    out[..., -1] += np.diagonal(g, axis1=-2, axis2=-1)[..., 1:-1].sum(axis=-1)
+    return out
 
 
-def _series_reciprocal(s: np.ndarray) -> np.ndarray:
-    """Inverse of the t-series s modulo t**K: (1/s0, -s1/s0**2, (s1**2 - s0 s2)/s0**3, ...)."""
+def _outer_reciprocal(s: np.ndarray) -> np.ndarray:
+    """Inverse of the outer-algebra element s:
+    r0 = 1/s0, r_i = -s_i r0**2, r_last = (r0 sum_i s_i**2 - s_last) r0**2."""
     r = np.empty_like(s)
-    r[..., 0] = 1 / s[..., 0]
-    for k in range(1, s.shape[-1]):
-        r[..., k] = -(s[..., 1 : k + 1] * r[..., k - 1 :: -1]).sum(axis=-1) * r[..., 0]
+    r0 = r[..., 0] = 1 / s[..., 0]
+    if s.shape[-1] > 1:
+        firsts = s[..., 1:-1]
+        r[..., 1:-1] = -firsts * (r0 * r0)[..., None]
+        r[..., -1] = (r0 * (firsts * firsts).sum(axis=-1) - s[..., -1]) * (r0 * r0)
     return r
 
 
 def _packed_quotient(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """q = a / b for (P, K, |B| + 2) packed coefficients, by the quotient
     rule of the module docstring (Griewank and Walther 2008, 13.2):
-    dividing by b0 is one product by R, the Toeplitz matrix of 1/b0."""
+    dividing by b0 is one product by R, the multiplication matrix of 1/b0."""
     if np.any(b[..., 0, 0] == 0):
         raise DegenerateJetDivision("jet division by a jet with zero value part")
-    r = _toeplitz(_series_reciprocal(b[..., 0]))
+    r = _outer_product_matrix(_outer_reciprocal(b[..., 0]))
     q0 = (r @ a[..., :1])[..., 0]
-    q = r @ (a - _toeplitz(q0) @ b)
+    q = r @ (a - _outer_product_matrix(q0) @ b)
     q[..., 0] = q0
-    q[..., -1] -= (r @ _antidiagonal_sums(q[..., 1:-1] @ b[..., 1:-1].swapaxes(-1, -2))[..., None])[..., 0]
+    q[..., -1] -= (r @ _outer_sums(q[..., 1:-1] @ b[..., 1:-1].swapaxes(-1, -2))[..., None])[..., 0]
     return q

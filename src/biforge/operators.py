@@ -19,13 +19,14 @@ along every Z_b and the basis sum of its second derivatives.
 tension and kappa of every pair; the packed column order and the
 half-second-derivative factor stay inside this module.
 ``tension`` and ``conformality`` read one entry of that read-out.
-``bitension_jets`` computes tau(tau(h)) by moving the points along each
-outer direction W with a t-series of three orders and reading the t**2
-coefficient of the basis sum; each walk stacks two directions on the
-point axis, so |B|/2 walks (rounded up) in all.  The value and tau(h)
-come with it, read at t**0 of the first walk; ``tension2`` reads the
-bitension alone.  Derivatives are read off with the
-half-second-derivative convention.
+``bitension_jets`` computes tau(tau(h)) by moving the points along
+outer directions W_i in the collapsed outer algebra (see
+:mod:`biforge.algebra`) and reading the basis sum of second
+coefficients at its last row, the sum over i of the t_i**2
+coefficients; each walk carries four directions, so |B|/4 walks
+(rounded up) in all.  The value and tau(h) come with it, read at the
+first row of the first walk; ``tension2`` reads the bitension alone.
+Derivatives are read off with the half-second-derivative convention.
 
 The context keeps the extended basis in compact form: every element is
 a scaled partial permutation, so a form's packed jet needs one gather
@@ -60,9 +61,9 @@ __all__ = [
 ]
 
 _BRACKET_TOL = 1e-12
-# outer directions stacked on the point axis of one tension2 walk: halves
-# the walks, and the compact basis pays for the larger jets it keeps live
-_DIRECTIONS_PER_WALK = 2
+# outer directions of one tension2 walk: jets of K = 6 rows, as large as
+# two directions of 3-term t-series, in half the walks
+_DIRECTIONS_PER_WALK = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,13 +100,6 @@ class OperatorContext:
         _set_row(cols[-1], vals[-1], rows, columns, tuple(square[r][1] / 2 for r in rows), "H")
         cols.flags.writeable = vals.flags.writeable = False
         return cls(cols, vals)
-
-    def dense(self, e: int) -> np.ndarray:
-        """E_e as an (N, N) matrix."""
-        n = self.cols.shape[1]
-        out = np.zeros((n, n), dtype=complex)
-        out[np.arange(n), self.cols[e]] = self.vals[e]
-        return out
 
 
 @cache
@@ -205,27 +199,24 @@ def bitension_jets(h: RationalExpr, point, ctx: OperatorContext):
     """Values, tensions and bitensions tau(tau(h)) of one expression.
 
     Returns ``(values, tau, tau2)``, each of shape (P,); a single (N, N)
-    matrix drops the point axis.  The layers [p, pW, pW**2/2] move the
-    points along each outer direction W; the t**2 coefficient of the
-    basis sum of second coefficients, times 4, is
-    d^2/dt^2 [tau(h)(p exp(tW))] |_0, and the sum over W is tau(tau(h)).
-    Each walk stacks ``_DIRECTIONS_PER_WALK`` directions on the point
-    axis; their columns are added in basis order.  The value and tau are
-    read at t**0 of the first walk's first direction, where its layer is
-    the point itself, so no separate walk is made for them.
+    matrix drops the point axis.  Each walk moves the points along
+    ``_DIRECTIONS_PER_WALK`` outer directions W_i at once; the last row
+    of the basis sum of second coefficients, times 4, is
+    sum_i d^2/dt^2 [tau(h)(p exp(tW_i))] |_0, and the walks, added in
+    basis order, give tau(tau(h)).  The value and tau are read at the
+    first row of the first walk, where the layer is the point itself.
     """
     stack, single = _batch(point)
     total = np.zeros(len(stack), dtype=complex)
-    directions = range(1, len(ctx.cols) - 1)
-    for first in range(0, len(directions), _DIRECTIONS_PER_WALK):
-        outer = np.stack([_outer_maps(ctx.dense(e)) for e in directions[first : first + _DIRECTIONS_PER_WALK]])
+    stop = len(ctx.cols) - 1
+    for first in range(1, stop, _DIRECTIONS_PER_WALK):
+        outer = _outer_stack(ctx, first, min(first + _DIRECTIONS_PER_WALK, stop))
         walk = PackedPoint(stack, ctx.cols, ctx.vals, outer)
         # the value and Laplacian columns, copied so no walk's jet outlives it
         ends = _coefficients(h.evaluate(walk), walk)[..., [0, -1]]
-        if first == 0:
-            values, tau = ends[:: len(outer), 0, 0].copy(), 2 * ends[:: len(outer), 0, 1]
-        for column in 4 * ends[:, 2, 1].reshape(len(stack), len(outer)).T:
-            total += column
+        if first == 1:
+            values, tau = ends[:, 0, 0].copy(), 2 * ends[:, 0, 1]
+        total += 4 * ends[:, -1, 1]
     out = values, tau, total
     return tuple(x[0] for x in out) if single else out
 
@@ -235,9 +226,19 @@ def tension2(h: RationalExpr, point, ctx: OperatorContext):
     return _result(bitension_jets(h, point, ctx)[2])
 
 
-def _outer_maps(w: np.ndarray) -> np.ndarray:
-    """[I, W, W**2/2]: a point p moves along exp(tW) to p + t pW + t**2 pW**2/2."""
-    return np.stack([np.eye(len(w), dtype=complex), w, 0.5 * (w @ w)])
+def _outer_stack(ctx: OperatorContext, first: int, stop: int) -> np.ndarray:
+    """[I, W_1, ..., W_D, sum_i W_i**2/2] for W_i = E_first .. E_stop-1.
+    W**2 of a scaled partial permutation is again one: row k holds
+    vals[k] * vals[cols[k]] at column cols[cols[k]]."""
+    cols, vals = ctx.cols[first:stop], ctx.vals[first:stop]
+    d, n = cols.shape
+    rows = np.arange(n)
+    outer = np.zeros((d + 2, n, n), dtype=complex)
+    outer[0, rows, rows] = 1
+    outer[np.arange(1, d + 1)[:, None], rows, cols] = vals
+    squares = 0.5 * (vals * np.take_along_axis(vals, cols, axis=1))
+    np.add.at(outer[-1], (np.broadcast_to(rows, cols.shape), np.take_along_axis(cols, cols, axis=1)), squares)
+    return outer
 
 
 def relative_residual(actual, expected):

@@ -34,15 +34,6 @@ class CheckResult:
     def lower(cls, name: str, residual: float, tolerance: float) -> "CheckResult":
         return cls(name, float(residual), float(tolerance), True)
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "max_residual": self.max_residual,
-            "tolerance": self.tolerance,
-            "lower_bound": self.lower_bound,
-            "pass": self.passed,
-        }
-
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -56,18 +47,25 @@ class VerificationReport:
     def verdict(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def to_dict(self) -> dict:
-        return {
-            "subject": self.subject,
-            "group": self.group,
-            "points": self.points,
-            "seed": self.seed,
-            "checks": [c.to_dict() for c in self.checks],
-            "verdict": self.verdict,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        """``json.dumps(doc, indent=2, sort_keys=True)`` of the report's
+        document from a fixed template, as the indented (pure-Python)
+        encoder lays it out; each scalar goes through the C encoder."""
+        dumps = json.dumps
+        checks = ",\n".join(
+            f'    {{\n      "lower_bound": {dumps(c.lower_bound)},\n'
+            f'      "max_residual": {dumps(c.max_residual)},\n'
+            f'      "name": {dumps(c.name)},\n'
+            f'      "pass": {dumps(c.passed)},\n'
+            f'      "tolerance": {dumps(c.tolerance)}\n    }}'
+            for c in self.checks
+        )
+        group = ",\n".join(f"    {dumps(key)}: {dumps(self.group[key])}" for key in sorted(self.group))
+        return (
+            f'{{\n  "checks": {_block(checks, "[]")},\n  "group": {_block(group, "{}")},\n'
+            f'  "points": {dumps(self.points)},\n  "seed": {dumps(self.seed)},\n'
+            f'  "subject": {dumps(self.subject)},\n  "verdict": {dumps(self.verdict)}\n}}'
+        )
 
     def summary_lines(self) -> list[str]:
         lines = [f"subject: {self.subject}   group: {self.group}   points: {self.points}"]
@@ -79,3 +77,8 @@ class VerificationReport:
             )
         lines.append(f"verdict: {'pass' if self.verdict else 'FAIL'}")
         return lines
+
+
+def _block(items: str, empty: str) -> str:
+    """The list or object ``empty`` holding the lines ``items`` at depth 1."""
+    return f"{empty[0]}\n{items}\n  {empty[1]}" if items else empty

@@ -5,7 +5,7 @@ same identities hold to rounding.  Derivatives are checked against
 central finite differences, and the nested-jet mixed coefficient against
 an exact bivariate polynomial expansion written out independently here.
 Packed Laplacian jets are checked exactly against nested Jet2 over
-Fraction, one basis direction at a time.
+Fraction, one outer and one basis direction at a time.
 """
 
 from fractions import Fraction
@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biforge.algebra import Jet2, PackedJet, _toeplitz, jet_reciprocal, leading_value
+from biforge.algebra import Jet2, PackedJet, _outer_product_matrix, jet_reciprocal, leading_value
 from biforge.errors import DegenerateJetDivision
 
 fractions_st = st.fractions(
@@ -210,60 +210,82 @@ def test_mul_jet_by_nested_scalar_zero():
 
 
 def _random_packed(rng, points, orders, directions, nonzero_value=False):
-    """A packed jet over Fraction, plus the per-direction second coefficients
-    whose sum it stores (the split over directions is arbitrary)."""
+    """A packed jet over Fraction with K = ``orders`` outer rows, and the
+    nested Jet2 it stands for at every point, outer direction i and basis
+    direction b: t_i outer, s inner.  The second coefficients in s and the
+    t_i**2 layers are summed in the packed jet; their split over the
+    directions is arbitrary."""
     def fractions(shape):
         nums = rng.integers(-9, 10, size=shape)
         dens = rng.integers(1, 6, size=shape)
         return np.vectorize(Fraction, otypes=[object])(nums, dens)
 
-    value = fractions((points, orders))
+    outer = max(orders - 2, 1)
+    rows = orders if orders == 1 else orders - 1
+    # a (value, first, second) triple for every row but the t**2 row, and
+    # one for every outer direction's share of it
+    value, firsts, seconds = fractions((points, rows)), fractions((points, rows, directions)), fractions((points, rows, directions))
     if nonzero_value:
         value[:, 0] = np.where(value[:, 0] == 0, Fraction(1, 3), value[:, 0])
-    firsts = fractions((points, orders, directions))
-    seconds = fractions((points, orders, directions))
+    shares = [fractions((points, outer)), fractions((points, outer, directions)), fractions((points, outer, directions))]
     c = np.empty((points, orders, directions + 2), dtype=object)
-    c[..., 0] = value
-    c[..., 1:-1] = firsts
-    c[..., -1] = seconds.sum(axis=-1)
-    return PackedJet(c), seconds
+    c[:, :rows, 0], c[:, :rows, 1:-1], c[:, :rows, -1] = value, firsts, seconds.sum(axis=-1)
+    if orders > 1:
+        c[:, -1, 0], c[:, -1, 1:-1], c[:, -1, -1] = shares[0].sum(axis=1), shares[1].sum(axis=1), shares[2].sum(axis=(1, 2))
+
+    def layer(p, row, b):
+        return Jet2(value[p, row], firsts[p, row, b], seconds[p, row, b])
+
+    def nested(p, i, b):
+        if orders == 1:
+            return layer(p, 0, b)
+        return Jet2(layer(p, 0, b), layer(p, 1 + i, b), Jet2(shares[0][p, i], shares[1][p, i, b], shares[2][p, i, b]))
+
+    return PackedJet(c), [[[nested(p, i, b) for b in range(directions)] for i in range(outer)] for p in range(points)]
 
 
-def _direction_jet(c, seconds, point, b):
-    """Nested Jet2 of one point along direction b: outer t, inner s."""
-    layers = [Jet2(c[point, k, 0], c[point, k, 1 + b], seconds[point, k, b]) for k in range(c.shape[1])]
-    return layers[0] if len(layers) == 1 else Jet2(*layers)
+def _map(fn, *trees):
+    # fn applied to the nested jets of every point, outer and basis direction
+    return [[[fn(*jets) for jets in zip(*bs)] for bs in zip(*per_outer)] for per_outer in zip(*trees)]
 
 
-def _assert_packs(packed, per_direction):
-    # per_direction[point][b] is the nested Jet2 of the result along b
+def _assert_row(row, layers):
+    # layers[i][b], the inner Jet2 of outer direction i and basis direction b,
+    # summed over i into one packed row
+    for b in range(len(layers[0])):
+        assert sum(per_b[b].a0 for per_b in layers) == row[0]
+        assert sum(per_b[b].a1 for per_b in layers) == row[1 + b]
+    assert sum(jet.a2 for per_b in layers for jet in per_b) == row[-1]
+
+
+def _assert_packs(packed, nested):
+    # nested[p][i][b], as _random_packed returns; the t**2 row sums the
+    # outer directions, every other row is one outer direction's
     c = packed.c
-    for point, jets in enumerate(per_direction):
-        for k in range(c.shape[1]):
-            layers = [jet if c.shape[1] == 1 else jet.as_tuple()[k] for jet in jets]
-            assert all(layer.a0 == c[point, k, 0] for layer in layers)
-            assert [layer.a1 for layer in layers] == list(c[point, k, 1:-1])
-            assert sum(layer.a2 for layer in layers) == c[point, k, -1]
+    for point, per_outer in enumerate(nested):
+        if c.shape[1] == 1:
+            _assert_row(c[point, 0], per_outer)
+            continue
+        for i, per_b in enumerate(per_outer):
+            _assert_row(c[point, 0], [[jet.a0 for jet in per_b]])
+            _assert_row(c[point, 1 + i], [[jet.a1 for jet in per_b]])
+        _assert_row(c[point, -1], [[jet.a2 for jet in per_b] for per_b in per_outer])
 
 
-@pytest.mark.parametrize("orders", [1, 3])
+@pytest.mark.parametrize("orders", [1, 3, 4, 6])
 def test_packed_product_and_reciprocal_exact_over_fractions(orders):
+    # K = 1 (no outer direction), the 3-term t-series of one outer
+    # direction, and D = 2 and 4 outer directions in the collapsed algebra
     rng = np.random.default_rng(41 + orders)
-    points, directions = 2, 3
-    f, f2 = _random_packed(rng, points, orders, directions)
-    g, g2 = _random_packed(rng, points, orders, directions, nonzero_value=True)
+    f, fs = _random_packed(rng, 2, orders, 3)
+    g, gs = _random_packed(rng, 2, orders, 3, nonzero_value=True)
     assert f.c.dtype == object
-
-    def nested(c, seconds):
-        return [[_direction_jet(c, seconds, p, b) for b in range(directions)] for p in range(points)]
-
-    fs, gs = nested(f.c, f2), nested(g.c, g2)
-    _assert_packs(f * g, [[x * y for x, y in zip(*pair)] for pair in zip(fs, gs)])
-    _assert_packs(jet_reciprocal(g), [[1 / y for y in row] for row in gs])
-    _assert_packs(f / g, [[x / y for x, y in zip(*pair)] for pair in zip(fs, gs)])
-    _assert_packs(Fraction(-5, 7) / g, [[Fraction(-5, 7) / y for y in row] for row in gs])
-    _assert_packs(3 + f * Fraction(1, 2), [[3 + x * Fraction(1, 2) for x in row] for row in fs])
-    assert list(leading_value(g)) == [row[0].a0 if orders == 1 else row[0].a0.a0 for row in gs]
+    _assert_packs(f * g, _map(lambda x, y: x * y, fs, gs))
+    _assert_packs(jet_reciprocal(g), _map(lambda y: 1 / y, gs))
+    _assert_packs(f / g, _map(lambda x, y: x / y, fs, gs))
+    _assert_packs(Fraction(-5, 7) / g, _map(lambda y: Fraction(-5, 7) / y, gs))
+    _assert_packs(3 + f * Fraction(1, 2), _map(lambda x: 3 + x * Fraction(1, 2), fs))
+    assert list(leading_value(g)) == [leading_value(per_outer[0][0]) for per_outer in gs]
 
 
 def test_packed_reciprocal_of_zero_value_raises():
@@ -302,16 +324,37 @@ def _scattered_toeplitz(s):
     return out
 
 
-@pytest.mark.parametrize("orders", [1, 2, 3, 5])
-def test_toeplitz_product_matches_scatter(orders):
-    # the lower-triangular Toeplitz matrices of t-series are one product by
-    # a constant 0/1 matrix: equal to the scatter on complex input, and
-    # exact on Fraction input
+def _written_out_product_matrix(s):
+    # column j is s times the j-th unit of [1, t_1 .. t_D, T], by the
+    # product written out: t_i t_j = 0 for i != j and t_i**2 = T
+    k = s.shape[-1]
+    out = np.zeros(s.shape + (k,), dtype=s.dtype)
+    for index in np.ndindex(s.shape[:-1]):
+        x = s[index]
+        for j in range(k):
+            y = [int(i == j) for i in range(k)]
+            column = [x[0] * y[0]] + [x[0] * y[i] + x[i] * y[0] for i in range(1, k)]
+            column[-1] += sum(x[i] * y[i] for i in range(1, k - 1))
+            out[index + (slice(None), j)] = column
+    return out
+
+
+@pytest.mark.parametrize("orders", [1, 2, 3, 5, 6])
+def test_outer_product_matrix_matches_scatter(orders):
+    # the outer algebra's multiplication matrices: up to K = 3 the
+    # lower-triangular Toeplitz matrices of t-series, and for every K the
+    # written-out products; equal on complex input, exact on Fraction input
     rng = np.random.default_rng(43 + orders)
     s = rng.normal(size=(4, 2, orders)) + 1j * rng.normal(size=(4, 2, orders))
-    t = _toeplitz(s)
-    assert np.array_equal(t, _scattered_toeplitz(s)) and t.tobytes() == _scattered_toeplitz(s).tobytes()
+    m = _outer_product_matrix(s)
+    if orders <= 3:
+        assert m.tobytes() == _scattered_toeplitz(s).tobytes()
+    assert np.array_equal(m, _written_out_product_matrix(s))
     exact = np.array([[Fraction(k + 1, 3 + j) for k in range(orders)] for j in range(2)], dtype=object)
-    product = _toeplitz(exact)
-    assert all(isinstance(x, Fraction) for x in product.ravel())
-    assert np.array_equal(product, _scattered_toeplitz(exact))
+    product = _outer_product_matrix(exact)
+    if orders <= 3:
+        assert np.array_equal(product, _scattered_toeplitz(exact))
+    assert np.array_equal(product, _written_out_product_matrix(exact))
+    # and the product it stands for, exactly: m(x) @ y = m(y) @ x
+    other = exact[::-1] + Fraction(1, 7)
+    assert np.array_equal((product @ other[..., None])[..., 0], (_outer_product_matrix(other) @ exact[..., None])[..., 0])

@@ -511,11 +511,11 @@ def test_verify_answers_match_recorded(tmp_path, capsys, table):
 REPORT_DIGESTS = {
     "verify-su4-2,1": (
         ["--group", "su", "--n", "4", "--degrees", "2,1"],
-        "bd6dbdc0cf20dc8d179386fadfc432036547a552bcac4ab241451f59da38b1dc",
+        "54a2564faddc4b52008dc89a9384d4e257c8a02c33947ff33fcf2d55d7896c09",
     ),
     "verify-sp2-choice10-2": (
         ["--group", "sp", "--n", "2", "--degrees", "2", "--choice", "10"],
-        "84d66835027f687c4382c991bc63154d01be31bec14acbc583c42f9c66930c8d",
+        "4ab992b7173633dab83e6f94ed9c21a2e2297c98118bfa59a973fdd73fc37d51",
     ),
     "morphism-su3-orthogonal": (
         ["--group", "su", "--n", "3"],
@@ -529,7 +529,7 @@ REPORT_DIGESTS = {
     # cubes of the member tensions in the morphism's eigenfamily
     "verify-su4-3,3,3": (
         ["--group", "su", "--n", "4", "--degrees", "3,3,3"],
-        "739e18d546f8e6ef9feec0e3c6ea8006aea9fc994edd30d490a06b3d5c249500",
+        "d5bbd3084fadc91c777d8e13994749b96322328f99e7f2249e95b409a8b71104",
     ),
     "morphism-su5-rational-k3": (
         ["--group", "su", "--n", "5", "--kind", "rational", "--k", "3"],
@@ -539,7 +539,7 @@ REPORT_DIGESTS = {
     # rational morphism's eigenfamily from seeded orthonormal frames
     "verify-so8-2": (
         ["--group", "so", "--n", "8", "--degrees", "2"],
-        "a036b8662612e66bf0a8a3c5b0cb7dbb945f1500745790b8394a1bdf79c39490",
+        "ebb8a254dacebfa505e26c2a9f8b418a26931da43671989a7571949780890680",
     ),
     "morphism-so8-rational-k2": (
         ["--group", "so", "--n", "8", "--kind", "rational", "--k", "2"],
@@ -568,21 +568,29 @@ def test_report_bytes_match_recorded_digests(tmp_path, capsys, name):
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest, proc.stdout
 
 
-def test_report_bytes_do_not_depend_on_blas_threads(tmp_path):
+def test_report_bytes_do_not_depend_on_blas_threads(tmp_path, capsys):
     # the benchmark's two morphism campaigns, su(8) with 64 basis
-    # directions and so(8) with 28, at one and at two BLAS threads
+    # directions and so(8) with 28, and a verify of su(4) 2,1, whose
+    # bitension walks four outer directions at a time, at one and at two
+    # BLAS threads
+    assert run(["construct", "--group", "su", "--n", "4", "--degrees", "2,1", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
     src = Path(__file__).resolve().parents[1] / "src"
-    for args in (["--group", "su", "--n", "8"], ["--group", "so", "--n", "8", "--kind", "rational", "--k", "2"]):
+    for argv in (
+        ["morphism", "--group", "su", "--n", "8"],
+        ["morphism", "--group", "so", "--n", "8", "--kind", "rational", "--k", "2"],
+        ["verify", "--coeffs", "coeffs.json", "--quadruple", "quadruple.json"],
+    ):
         digests = set()
         for threads in ("1", "2"):
             env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": str(src)}
             proc = subprocess.run(
-                [sys.executable, "-m", "biforge.cli", "morphism", *args, "--points", "5", "--json"],
+                [sys.executable, "-m", "biforge.cli", *argv, "--points", "5", "--json"],
                 cwd=tmp_path, env=env, capture_output=True, text=True,
             )
             assert proc.returncode == 0, proc.stderr
             digests.add(hashlib.sha256(proc.stdout.encode()).hexdigest())
-        assert len(digests) == 1, args
+        assert len(digests) == 1, argv
 
 
 @pytest.mark.parametrize(

@@ -23,6 +23,7 @@ from biforge.operators import (
     conformality,
     context,
     _coefficients,
+    _outer_stack,
     laplacian_jets,
     relative_residual,
     tension,
@@ -370,17 +371,21 @@ def _assert_matches_reference(value, reference):
 @pytest.mark.parametrize("spec, sp_choice", REFERENCE_FAMILIES, ids=REFERENCE_IDS)
 def test_packed_leaves_match_dense_reference(ctx_for, spec, sp_choice, rng):
     # every form of a quadruple family, each rank one, and a general form
-    # (split into its rows) on points moved along one outer direction
+    # (split into its rows) on points moved along outer directions
     ctx = ctx_for(spec)
     extended = dense_extended_from_basis(spec)
     fam = _quadruple(spec, sp_choice)
     stack = np.array([sample_point(spec, 3600 + i) for i in range(3)])
-    w = extended[len(extended) // 2]
-    moved = stack @ w
+    # one outer direction, and two in the collapsed outer algebra, whose
+    # last layer is the sum of the halved squares
+    w, w2 = extended[len(extended) // 2], extended[1]
+    half_squares = 0.5 * (w @ w), 0.5 * (w @ w + w2 @ w2)
     walks = [
         (PackedPoint(stack, ctx.cols, ctx.vals), stack[:, None]),
-        (PackedPoint(stack, ctx.cols, ctx.vals, np.stack([np.eye(len(w)), w, 0.5 * (w @ w)])[None]),
-         np.stack([stack, moved, 0.5 * (moved @ w)], axis=1)),
+        (PackedPoint(stack, ctx.cols, ctx.vals, np.stack([np.eye(len(w)), w, half_squares[0]])),
+         np.stack([stack, stack @ w, stack @ half_squares[0]], axis=1)),
+        (PackedPoint(stack, ctx.cols, ctx.vals, np.stack([np.eye(len(w)), w, w2, half_squares[1]])),
+         np.stack([stack, stack @ w, stack @ w2, stack @ half_squares[1]], axis=1)),
     ]
     for walk, layers in walks:
         for form in [*fam.all_forms(), random_form(spec, rng)]:
@@ -389,7 +394,7 @@ def test_packed_leaves_match_dense_reference(ctx_for, spec, sp_choice, rng):
 
 @pytest.mark.parametrize("spec, sp_choice", REFERENCE_FAMILIES, ids=REFERENCE_IDS)
 def test_tension2_matches_dense_reference(ctx_for, dense_leaves, rng, spec, sp_choice):
-    # two outer directions per walk on the compact basis, against one per
+    # four outer directions per walk on the compact basis, against one per
     # walk on the dense stack; a member quotient is biharmonic, so its
     # square (rank-one forms) and a quotient of general forms are used
     ctx = ctx_for(spec)
@@ -401,8 +406,9 @@ def test_tension2_matches_dense_reference(ctx_for, dense_leaves, rng, spec, sp_c
         _assert_matches_reference(tension2(h, stack, ctx), dense_tension2(h, stack, extended))
 
 
-def test_tension2_walks_two_directions_at_a_time(ctx_for, dense_leaves, monkeypatch):
-    # su(3) has |B| = 9 directions: four walks of two and a last one of one
+def test_tension2_walks_four_directions_at_a_time(ctx_for, dense_leaves, monkeypatch):
+    # su(3) has |B| = 9 directions: two walks of four (K = 6) and a last one
+    # of one (K = 3)
     fam = _quadruple(U3)
     h = fam.member_quotient(fam.proper_indices[0]) ** 2
     stack = sample_domain_points([h], U3, 3, 3800)
@@ -411,8 +417,27 @@ def test_tension2_walks_two_directions_at_a_time(ctx_for, dense_leaves, monkeypa
     evaluate = RationalExpr.evaluate
     monkeypatch.setattr(RationalExpr, "evaluate", lambda self, point: walks.append(point) or evaluate(self, point))
     value = tension2(h, stack, ctx_for(U3))
-    assert [walk.shape[:2] for walk in walks] == [(6, 3)] * 4 + [(3, 3)]
+    assert [walk.shape[:2] for walk in walks] == [(3, 6), (3, 6), (3, 3)]
     _assert_matches_reference(value, reference)
+
+
+@pytest.mark.parametrize(
+    "spec", [U3, GroupSpec.special_orthogonal(5), SP2], ids=["su3", "so5", "sp2"]
+)
+def test_outer_stack_squares_match_dense_products(spec):
+    # W**2 / 2 from the compact (cols, vals) of each basis element equals the
+    # dense product, and the stack is [I, W, W**2 / 2]
+    ctx = OperatorContext.for_spec(spec)
+    extended = dense_extended(ctx)
+    for e in range(1, len(extended) - 1):
+        w = extended[e]
+        assert np.array_equal(_outer_stack(ctx, e, e + 1), np.stack([np.eye(len(w)), w, 0.5 * (w @ w)]))
+    # each walk's stack of up to four directions sums their halved squares last
+    for first in range(1, len(extended) - 1, 4):
+        directions = extended[first : min(first + 4, len(extended) - 1)]
+        stack = _outer_stack(ctx, first, first + len(directions))
+        assert np.array_equal(stack[1:-1], directions)
+        assert np.array_equal(stack[-1], sum(0.5 * (w @ w) for w in directions))
 
 
 def test_single_point_and_stack_contract(ctx_for):

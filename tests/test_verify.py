@@ -2,6 +2,7 @@
 and the relation bookkeeping of the checks that read one packed walk."""
 
 import dataclasses
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +21,7 @@ from biforge.errors import DomainError
 from biforge.forms import Const, LinearForm, Quotient, Sum, make_quadruple, walk_order
 from biforge.groups import GroupSpec, sample_point, sample_points
 from biforge.operators import OperatorContext, conformality, laplacian_jets, relative_residual, tension, tension2
-from biforge.report import CheckResult
+from biforge.report import CheckResult, VerificationReport
 from biforge.verify import (
     DEFAULT_DOMAIN_MARGIN,
     candidate_checks,
@@ -245,8 +246,39 @@ def test_check_result_passed_follows_its_numbers():
     assert CheckResult("x", float("nan"), 0.5).passed is False
 
 
+def _report_document(report):
+    # the report's JSON document, field by field
+    checks = [
+        {"name": c.name, "max_residual": c.max_residual, "tolerance": c.tolerance,
+         "lower_bound": c.lower_bound, "pass": c.passed}
+        for c in report.checks
+    ]
+    return {"subject": report.subject, "group": report.group, "points": report.points, "seed": report.seed,
+            "checks": checks, "verdict": report.verdict}
+
+
+def test_report_json_matches_the_indented_encoder():
+    # the template writer against json.dumps(indent=2, sort_keys=True), on
+    # non-finite, signed-zero, subnormal-scale and None fields, an empty
+    # group and no checks
+    checks = (
+        CheckResult.upper("bitension", float("nan"), 1e-7),
+        CheckResult.upper("tension \"quoted\" \u00b5", float("inf"), -0.0),
+        CheckResult.lower("tension nonvanishing", float("-inf"), 1e-300),
+        CheckResult("kappa(P,Q)", 2.4974934826208626e-13, 1e-9, lower_bound=None),
+        CheckResult.upper("eigenfunctions", 0.0, 1e300),
+    )
+    reports = [
+        VerificationReport("biharmonic candidate, degrees (2, 1)", {"group": "su", "n": 4}, 20, 3, checks),
+        VerificationReport("harmonic morphism", {}, 0, -1, ()),
+        VerificationReport("x", {"n": 2, "group": "sp", "choice": None}, 5, 0, checks[3:]),
+    ]
+    for report in reports:
+        assert report.to_json() == json.dumps(_report_document(report), indent=2, sort_keys=True)
+
+
 def test_proper_candidate_checks_walk_only_the_bitension(monkeypatch):
-    # su(4) has |B| = 16 directions: eight walks of two, and phi and tau(phi)
+    # su(4) has |B| = 16 directions: four walks of four, and phi and tau(phi)
     # are read from the first of them, with no K = 1 walk of their own
     spec = GroupSpec.unitary(4)
     fam = _family(spec, 59)
@@ -258,7 +290,7 @@ def test_proper_candidate_checks_walk_only_the_bitension(monkeypatch):
     packed_point = biforge.operators.PackedPoint
     monkeypatch.setattr(biforge.operators, "PackedPoint", lambda *a: walks.append(packed_point(*a)) or walks[-1])
     bitension, witness = candidate_checks(phi, ctx, points, proper=True)
-    assert [walk.shape[:2] for walk in walks] == [(6, 3)] * 8
+    assert [walk.shape[:2] for walk in walks] == [(3, 6)] * 4
     monkeypatch.undo()
     (value,), (tau,), _ = laplacian_jets([phi], points, ctx)
     scale = np.maximum.reduce([np.ones(len(points)), np.abs(value), np.abs(tau)])
