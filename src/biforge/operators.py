@@ -61,8 +61,8 @@ __all__ = [
 ]
 
 _BRACKET_TOL = 1e-12
-# outer directions of one tension2 walk: jets of K = 6 rows, as large as
-# two directions of 3-term t-series, in half the walks
+# outer directions of one bitension walk (K = 6 outer rows): each one
+# more widens every jet the walk keeps live
 _DIRECTIONS_PER_WALK = 4
 
 
