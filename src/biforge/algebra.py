@@ -320,15 +320,17 @@ class PackedPoint:
         return len(self.points), 1 if self.outer is None else len(self.outer), len(self.cols)
 
     def row_weights(self, u: np.ndarray) -> np.ndarray:
-        """u_t^T X[:n] at every layer X of every point, shape (P, K, T, N),
-        for row factors ``u`` (T, n): (u_t^T p[:n]) times each layer map."""
-        r = u @ self.points[:, : u.shape[-1]]
-        return r[:, None] if self.outer is None else r[:, None] @ self.outer
+        """u^T X[:n] at every layer X of every point, shape (P, K, 1, N),
+        for a row factor ``u`` (n,): (u^T p[:n]) times each layer map.  The
+        axis of length 1 keeps every matmul's operands 2-D, as the BLAS
+        call shapes fix the rounding."""
+        r = (u[None] @ self.points[:, : u.size])[:, None]
+        return r if self.outer is None else r @ self.outer
 
     def images(self, v: np.ndarray) -> np.ndarray:
-        """E_e v_t for every e and every column factor, shape (T, |B| + 2, N):
-        one gather, vals[e] * v_t[cols[e]]."""
-        moved = v[:, self.cols]
+        """E_e v for every e, shape (|B| + 2, N), for a column factor ``v``
+        (N,): one gather, vals[e] * v[cols[e]]."""
+        moved = v[self.cols]
         moved *= self.vals
         return moved
 

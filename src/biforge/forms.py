@@ -1,11 +1,13 @@
 """Building-block functions on the groups and the expressions made of them.
 
-A :class:`LinearForm` is a first-order polynomial in the matrix
-coefficients of the standard representation.  Its coefficient array has
-shape (n, ambient_dim): on U(n)/SO(n) that is the whole n-by-n matrix;
-on Sp(n) the first n columns weight the z-block coefficients and the
-last n columns the w-block, matching the ambient 2n-by-2n layout where
-the z-block is the top-left n-by-n corner and the w-block the top-right.
+A :class:`LinearForm` is a rank-one first-order polynomial in the matrix
+coefficients of the standard representation, f(X) = u^T X[:n] v, as the
+paper builds every function (P_j = sum_k p_k a_j z_kj, Q = q (x) b).  Its
+coefficient array u v^T has shape (n, ambient_dim): on U(n)/SO(n) that is
+the whole n-by-n matrix; on Sp(n) the first n columns weight the z-block
+coefficients and the last n columns the w-block, matching the ambient
+2n-by-2n layout where the z-block is the top-left n-by-n corner and the
+w-block the top-right.
 
 :class:`RationalExpr` trees combine forms and complex constants through
 sums, products and quotients; an integer power is a chain of shared
@@ -207,37 +209,37 @@ class Const(RationalExpr):
         return f"Const({self.value})"
 
 
-def _check_form_shape(spec: GroupSpec, shape: tuple) -> None:
-    expected = (spec.n, spec.ambient_dim)
-    if shape != expected:
-        raise DimensionMismatch(f"coefficient array must have shape {expected}, got {shape}")
+def _unit(size: int, index: int) -> np.ndarray:
+    e = np.zeros(size, dtype=complex)
+    e[index] = 1
+    return e
 
 
 class LinearForm(RationalExpr):
-    """Linear combination of matrix-coefficient functions: a tree leaf.
+    """Rank-one linear combination of matrix-coefficient functions: a tree
+    leaf f(X) = u^T X[:n] v, with ``u`` of shape (n,) and ``v`` of shape
+    (ambient_dim,), so its coefficient array is C = u v^T.
 
-    The coefficient array C is kept only as rank-one factors: ``factors``
-    (u, v) of shapes (T, n) and (T, ambient_dim) with C = sum_t u_t v_t^T.
-    A general C is split into its nonzero rows, u_t = e_i and v_t = C[i];
-    ``rank_one`` and the constructors built on it keep their one term.
-    The norm of C is kept for ``coeff_scale``; ``coeffs`` rebuilds C on
-    demand.  Walks key nodes by id, so forms compare by identity.
+    ``coeffs`` rebuilds C on demand; the scale ``coeff_scale`` is
+    ||u|| ||v||, the norm of C up to rounding.  Walks key nodes by id, so
+    forms compare by identity.
     """
 
-    __slots__ = ("spec", "factors", "_scale")
+    __slots__ = ("spec", "u", "v", "_scale")
 
-    def __init__(self, spec: GroupSpec, coeffs):
-        coeffs = np.ascontiguousarray(coeffs, dtype=complex)
-        _check_form_shape(spec, coeffs.shape)
-        rows = np.flatnonzero(coeffs.any(axis=1))
-        self.spec, self.factors = spec, (np.eye(len(coeffs), dtype=complex)[rows], coeffs[rows])
-        self._scale = float(np.linalg.norm(coeffs))
+    def __init__(self, spec: GroupSpec, u, v):
+        u, v = np.asarray(u, dtype=complex), np.asarray(v, dtype=complex)
+        if u.shape != (spec.n,) or v.shape != (spec.ambient_dim,):
+            raise DimensionMismatch(
+                f"factors must have shapes ({spec.n},) and ({spec.ambient_dim},), got {u.shape} and {v.shape}"
+            )
+        self.spec, self.u, self.v = spec, u, v
+        self._scale = float(np.linalg.norm(u) * np.linalg.norm(v))
 
     @property
     def coeffs(self) -> np.ndarray:
-        """The (n, ambient_dim) array C = sum_t u_t v_t^T."""
-        u, v = self.factors
-        return (u[:, :, None] * v[:, None, :]).sum(axis=0)
+        """The (n, ambient_dim) array C = u v^T."""
+        return np.multiply.outer(self.u, self.v)
 
     @classmethod
     def coordinate(cls, spec: GroupSpec, row: int, col: int) -> "LinearForm":
@@ -246,37 +248,27 @@ class LinearForm(RationalExpr):
         On Sp(n), columns 0..n-1 address the z-block and n..2n-1 the
         w-block.
         """
-        return cls.rank_one(spec, np.eye(1, spec.n, row)[0], np.eye(1, spec.ambient_dim, col)[0])
+        return cls(spec, _unit(spec.n, row), _unit(spec.ambient_dim, col))
 
     @classmethod
     def column(cls, spec: GroupSpec, rows: np.ndarray, col: int, weight: complex = 1.0) -> "LinearForm":
-        return cls.rank_one(spec, np.asarray(rows, dtype=complex) * weight, np.eye(1, spec.ambient_dim, col)[0])
-
-    @classmethod
-    def rank_one(cls, spec: GroupSpec, rows: np.ndarray, cols: np.ndarray) -> "LinearForm":
-        u, v = np.asarray(rows, dtype=complex), np.asarray(cols, dtype=complex)
-        coeffs = np.multiply.outer(u, v)
-        _check_form_shape(spec, coeffs.shape)
-        form = cls.__new__(cls)
-        form.spec, form.factors = spec, (u[None], v[None])  # one term, not the row split
-        form._scale = float(np.linalg.norm(coeffs))
-        return form
+        """sum_k weight * rows[k] * m_k,col over column ``col``."""
+        return cls(spec, np.asarray(rows, dtype=complex) * weight, _unit(spec.ambient_dim, col))
 
     def coeff_scale(self) -> float:
         return self._scale
 
     def is_zero(self) -> bool:
-        return not self.coeffs.any()
+        return not (self.u.any() and self.v.any())
 
     def evaluate(self, point):
-        """Sum of coefficients times matrix entries; a leaf needs no walk.
+        """u^T X[:n] v; a leaf needs no walk.
 
         A matrix gives a complex and a (P, N, N) stack a (P,) array; a
         Jet2 of matrices recurses layerwise into a Jet2.  A PackedPoint
-        gives the PackedJet of f(X E_e) = sum_t (u_t^T X[:n]) (E_e v_t)
-        over its layers X and its compact extended stack E: the point's
-        row weights u_t^T X[:n] times the gathered E_e v_t, one product.
-        A matrix or a stack is the case E = [I].
+        gives the PackedJet of f(X E_e) = (u^T X[:n]) (E_e v) over its
+        layers X and its compact extended stack E: the point's row
+        weights u^T X[:n] times the gathered E_e v, one product.
         """
         if isinstance(point, Jet2):
             return Jet2(
@@ -284,16 +276,11 @@ class LinearForm(RationalExpr):
                 self.evaluate(point.a1),
                 self.evaluate(point.a2),
             )
-        u, v = self.factors
         if isinstance(point, PackedPoint):
-            weights, moved = point.row_weights(u), point.images(v)
-        else:
-            point = np.asarray(point)
-            weights, moved = u @ point[..., : self.spec.n, :], v[:, None]
-        # weights (..., T, N) against moved (T, E, N), summed over t and k
-        values = weights.reshape(-1, v.size) @ moved.swapaxes(0, 1).reshape(moved.shape[1], -1).T
-        if isinstance(point, PackedPoint):
-            return PackedJet(values.reshape(point.shape))
+            weights = point.row_weights(self.u)
+            return PackedJet((weights.reshape(-1, self.v.size) @ point.images(self.v).T).reshape(point.shape))
+        point = np.asarray(point)
+        values = (self.u[None] @ point[..., : self.spec.n, :]).reshape(-1, self.v.size) @ self.v[:, None]
         return complex(values[0, 0]) if point.ndim == 2 else values[:, 0]
 
     def _compute(self, point, walk):
@@ -635,10 +622,10 @@ def make_quadruple(
         raise DimensionMismatch("sp_choice only applies to the quaternionic group")
 
     if so_mode == "isotropic_columns":
-        numerators = [LinearForm.rank_one(spec, p, a)]
-        exchange = [LinearForm.rank_one(spec, q, a)]
-        den = LinearForm.rank_one(spec, q, b)
-        exch_den = LinearForm.rank_one(spec, p, b)
+        numerators = [LinearForm(spec, p, a)]
+        exchange = [LinearForm(spec, q, a)]
+        den = LinearForm(spec, q, b)
+        exch_den = LinearForm(spec, p, b)
     else:
         # column family (U, Sp, SO with isotropic rows)
         member_offset = n if choice in (SpChoice.W_OVER_Z, SpChoice.W_OVER_W) else 0
@@ -655,16 +642,14 @@ def make_quadruple(
                 continue
             numerators.append(LinearForm.column(spec, p, member_offset + j, a[j]))
             exchange.append(LinearForm.column(spec, q, member_offset + j, a[j]))
-        if not numerators:
-            raise ZeroVector("no nonzero column weights in a")
 
     # P_i = p (x) v_i over Q = q (x) w is harmonic in classify's Case I when
     # p and q are dependent, and in its Case II when v_i and w are: one test
     # of the row pair, zero-padded to the column width, and every (v_i, w)
     pairs = np.zeros((2, 1 + len(numerators), spec.ambient_dim), dtype=complex)
     pairs[:, 0, :n] = p, q
-    pairs[0, 1:] = [form.factors[1][0] for form in numerators]
-    pairs[1, 1:] = den.factors[1][0]
+    pairs[0, 1:] = [form.v for form in numerators]
+    pairs[1, 1:] = den.v
     rows_dependent, *cols_dependent = dependent_rows(*pairs).tolist()
     proper = [not (rows_dependent or flag) for flag in cols_dependent]
 

@@ -164,8 +164,9 @@ def laplacian_jets(exprs, point, ctx: OperatorContext):
     (E, E, P) for E expressions; a single (N, N) matrix drops the point
     axis.  The expressions are one forest to ``evaluate_all``, so a node
     they share is evaluated once.  tau is twice the basis sum of second
-    coefficients; kappa is one Gram product of the first-order columns,
-    sum_b d_ib d_jb over the basis, made exactly symmetric as
+    coefficients; kappa is one Gram product of the first-order columns of
+    the distinct expressions, so listing one twice changes no entry's
+    rounding: sum_b d_ib d_jb over the basis, made exactly symmetric as
     (G + G^T) / 2.  The transposed operand is a copy: for ``d @ d.T`` of
     one buffer numpy runs a symmetric rank-k update, whose fixed operand
     roles would make kappa(h1, h2) and kappa(h2, h1) differ in the last
@@ -174,11 +175,13 @@ def laplacian_jets(exprs, point, ctx: OperatorContext):
     """
     stack, single = _batch(point)
     walk = PackedPoint(stack, ctx.cols, ctx.vals)
-    jets = np.stack([_coefficients(value, walk)[:, 0] for value in evaluate_all(exprs, walk)])
+    roots = list({id(e): e for e in exprs}.values())
+    rows = [roots.index(e) for e in exprs]
+    jets = np.stack([_coefficients(value, walk)[:, 0] for value in evaluate_all(roots, walk)])
     d = np.moveaxis(jets[..., 1:-1], 0, -2)
     gram = d @ np.ascontiguousarray(d.swapaxes(-1, -2))
-    kappa = np.moveaxis((gram + gram.swapaxes(-1, -2)) / 2, 0, -1)
-    out = jets[..., 0], 2 * jets[..., -1], kappa
+    kappa = np.moveaxis((gram + gram.swapaxes(-1, -2)) / 2, 0, -1)[np.ix_(rows, rows)]
+    out = jets[rows, ..., 0], 2 * jets[rows, ..., -1], kappa
     return tuple(x[..., 0] for x in out) if single else out
 
 

@@ -14,8 +14,8 @@ pairs that walk returns; a proper candidate's check reads its value,
 tension and bitension from ``operators.bitension_jets`` instead.  How
 jets are packed is left to ``operators``.  The morphism campaign
 (``morphism_campaign_checks``) walks one forest, the eigenfamily and the
-morphism (the family alone when the morphism is its first member), and
-reads the eigenfamily rows and the morphism rows from that one walk.
+morphism, and reads the eigenfamily rows and the morphism rows from that
+one walk.
 The closed-form member tension is evaluated on the plain stack, so the
 jet side never reads the formula it checks.
 
@@ -247,11 +247,9 @@ def morphism_campaign_checks(
 ) -> list[CheckResult]:
     """The eigenfamily checks of ``family`` (bound ``family_tol``), then the
     morphism checks of ``morphism`` (bound ``tol``), from one
-    ``laplacian_jets`` walk of the forest [*family, morphism], or of
-    ``family`` alone when the morphism is ``family[0]``."""
-    shared = morphism is family[0]
-    values, tau, kappa = laplacian_jets(family if shared else [*family, morphism], points, ctx)
+    ``laplacian_jets`` walk of the forest [*family, morphism]; a morphism
+    that is also a family member is evaluated once."""
+    values, tau, kappa = laplacian_jets([*family, morphism], points, ctx)
     m = len(family)
-    i = 0 if shared else m
     checks = eigenfamily_checks((values[:m], tau[:m], kappa[:m, :m]), eigenvalue, kappa_constant, family_tol)
-    return checks + morphism_checks(values[i], tau[i], kappa[i, i], tol)
+    return checks + morphism_checks(values[m], tau[m], kappa[m, m], tol)

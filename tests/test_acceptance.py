@@ -43,6 +43,7 @@ from biforge.verify import (
     oracle_equivalence_check,
     sample_domain_points,
 )
+from form_helpers import dense_form
 
 HARMONIC_TABLES = {2: (0, 4, 3), 3: (0, 6, 12, 5), 4: (0, 32, 120, 120, 35)}
 BIHARMONIC_TABLES = {
@@ -487,8 +488,8 @@ def test_criterion_7_classification_consistency():
         got = classify(m_p, q, a, spec)
         assert got is expected, (spec.code, seed, got)
         f = Quotient(
-            LinearForm(spec, m_p),
-            LinearForm(spec, np.outer(q, a)),
+            dense_form(spec, m_p),
+            LinearForm(spec, q, a),
         )
         points = sample_domain_points([f], spec, 4, seed)
         taus = []

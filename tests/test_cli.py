@@ -284,6 +284,23 @@ def test_morphism_rational(tmp_path):
     assert doc["verdict"] is True
 
 
+def test_morphism_rational_defaults_to_k1(tmp_path):
+    # without --k the rational morphism is built from the member tensions
+    # themselves, k = 1
+    report = tmp_path / "rational.json"
+    code = run(["morphism", "--group", "su", "--n", "3", "--kind", "rational", "--points", "4", "--out", str(report)])
+    assert code == 0
+    doc = json.loads(report.read_text())
+    assert "k=1" in doc["subject"] and doc["verdict"] is True
+
+
+def test_morphism_rational_needs_two_proper_members(capsys):
+    # su(2) has one column besides the denominator's, so one proper member
+    code = run(["morphism", "--group", "su", "--n", "2", "--kind", "rational", "--points", "2"])
+    assert code == 2
+    assert "need at least two proper members" in capsys.readouterr().err
+
+
 def test_morphism_orthogonal_wrong_group(capsys):
     code = run(["morphism", "--group", "so", "--n", "4", "--kind", "orthogonal"])
     assert code == 2
@@ -387,6 +404,17 @@ def test_verify_legacy_table_without_metadata(tmp_path, capsys):
     assert run(["verify", "--coeffs", str(out / "coeffs.json"), "--out", str(current), *argv]) == 0
     assert run(["verify", "--coeffs", str(legacy), "--out", str(old), *argv]) == 0
     assert current.read_bytes() == old.read_bytes()
+
+
+def test_verify_legacy_table_with_too_many_variables(tmp_path, capsys):
+    # a legacy table names no group, so only its variable count can be
+    # checked against the family: su(3) has two proper members
+    out = _construct(tmp_path)
+    legacy = tmp_path / "legacy.json"
+    legacy.write_text(json.dumps({"degrees": [1, 1, 1], "coeffs": [{"k": [0, 0, 0], "num": "1", "den": "1"}]}))
+    code = run(["verify", "--coeffs", str(legacy), "--quadruple", str(out / "quadruple.json"), "--points", "2"])
+    assert code == 2
+    assert "table has 3 variables but the family has 2 proper members" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -595,7 +623,7 @@ def test_report_bytes_do_not_depend_on_blas_threads(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "args, m, i",
-    [(["--group", "su", "--n", "4"], 3, 0), (["--group", "so", "--n", "8", "--kind", "rational", "--k", "2"], 2, 2)],
+    [(["--group", "su", "--n", "4"], 3, 3), (["--group", "so", "--n", "8", "--kind", "rational", "--k", "2"], 2, 2)],
     ids=["su4-orthogonal", "so8-rational-k2"],
 )
 def test_morphism_command_walks_one_forest(monkeypatch, capsys, args, m, i):
@@ -610,9 +638,9 @@ def test_morphism_command_walks_one_forest(monkeypatch, capsys, args, m, i):
     capsys.readouterr()
     assert len(walks) == 1
     forest, points, ctx = walks[0]
-    # m family members, the morphism at i: the orthogonal morphism is the
-    # family's first member, so the forest is the family; the rational one
-    # is walked after its two members
+    # m family members, then the morphism at i = m: the orthogonal morphism
+    # is the family's first member, listed twice and evaluated once; the
+    # rational one is walked after its two members
     assert len(forest) == max(m, i + 1)
     values, tau, kappa = laplacian_jets(forest, points, ctx)
     family_values, family_tau, family_kappa = laplacian_jets(forest[:m], points, ctx)

@@ -451,6 +451,17 @@ def test_eigenfamily_constants_and_members(ctx_for):
                     assert relative_residual(actual, kap * values[i] * values[j]) <= 1e-9
 
 
+def test_tension_power_family_validation():
+    fam = make_quadruple(U3, [1, 2, -1], [3, 1j, 0.5], [1, 1, 1], [1, 1, 1], beta=0)
+    with pytest.raises(DimensionMismatch, match="positive integer"):
+        tension_power_family(fam, 0)
+    # sp(1) rows are 1-vectors, always dependent, so no member is proper
+    harmonic = make_quadruple(GroupSpec.quaternionic_unitary(1), [1], [2j], [1], [1], sp_choice=9)
+    assert harmonic.n_members == 1 and harmonic.n_proper == 0
+    with pytest.raises(ZeroVector, match="no proper members"):
+        tension_power_family(harmonic, 1)
+
+
 def test_eigenfamily_sp_constant(ctx_for):
     fam = make_quadruple(SP2, [1, 2], [1j, 1], [1, 1], [1, 0.5], sp_choice=10)
     members = tension_power_family(fam, 1)
@@ -532,6 +543,10 @@ def test_rational_morphism_validation():
     for exp in [(1.5, 0.5), (True, False)]:
         with pytest.raises(DimensionMismatch, match=rf"exponent tuple \({exp[0]}, {exp[1]}\)"):
             rational_morphism(members, {exp: 1.0}, {exp[::-1]: 1.0})
+    with pytest.raises(DimensionMismatch, match="homogeneous"):
+        rational_morphism(members, {(1, 0): 1.0, (2, 0): 1.0}, {(0, 1): 1.0})
+    with pytest.raises(ZeroVector, match="empty polynomial"):
+        rational_morphism(members, {}, {(0, 1): 1.0})
     with pytest.raises(ZeroVector):
         rational_morphism([], {}, {})
     with pytest.raises(ZeroVector):
@@ -548,6 +563,8 @@ def test_family_kinds_and_combo_validation():
     assert len(bih[1:]) == 2
     for t in bih[1:]:
         assert tension_table(t, -1).is_zero()
+    with pytest.raises(ZeroVector, match="mu must be nonzero"):
+        harmonic_family((1, 1), 0)
 
 
 def test_construct_solves_only_the_table_it_writes(tmp_path, monkeypatch):

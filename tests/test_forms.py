@@ -33,6 +33,7 @@ from biforge.forms import (
 from biforge.groups import GroupSpec, sample_point
 from biforge.operators import conformality, relative_residual, tension
 from biforge.verify import quadruple_checks, sample_domain_points
+from form_helpers import dense_form
 
 U2 = GroupSpec.unitary(2)
 U3 = GroupSpec.unitary(3)
@@ -214,6 +215,15 @@ def test_quadruple_json_matches_recorded_digest(args, sp_choice, digest, proper)
     assert fam.proper == proper
 
 
+def test_column_with_rounding_weight_gives_no_member():
+    # a column weight at most _WEIGHT_REL_TOL times the largest |a_j| is a
+    # zero up to rounding: column 2 is skipped, column 0 shares the
+    # denominator's column and is harmonic
+    fam = make_quadruple(GroupSpec.unitary(4), ROWS_P, ROWS_Q, [1, 2, 2e-15, 3], [1, 1, 1, 1], beta=0)
+    assert fam.n_members == 3 and fam.proper == (False, True, True)
+    assert [int(np.flatnonzero(form.v)[0]) for form in fam.numerators] == [0, 1, 3]
+
+
 def _reference_quadruple_json(fam):
     """The document through the library encoder, as the template must lay it out."""
     def vec(v):
@@ -288,12 +298,12 @@ def test_quotient_domain_error():
 
 def test_quotient_rejects_only_an_all_zero_denominator():
     # a tiny but nonzero denominator form is a valid rational function
-    tiny = LinearForm(U3, 1e-15 * coord(U3, 1, 0).coeffs)
+    tiny = LinearForm(U3, [0, 1e-15, 0], [1, 0, 0])
     f = quotient(coord(U3, 0, 0), tiny)
     m = sample_point(U3, 1)
     assert f.evaluate(m) == pytest.approx(m[0, 0] / (1e-15 * m[1, 0]), rel=1e-12)
     with pytest.raises(ZeroVector):
-        quotient(coord(U3, 0, 0), LinearForm(U3, np.zeros((3, 3))))
+        quotient(coord(U3, 0, 0), LinearForm(U3, np.zeros(3), np.zeros(3)))
 
 
 def test_quotient_matches_direct_entry_division(points_for):
@@ -364,19 +374,20 @@ def test_member_identities_unitary(ctx_for):
 
 def test_forms_keep_only_their_factors():
     # a form stores its factors (u, v), not the dense (n, N) array, and
-    # ``coeffs`` rebuilds C exactly for rank-one and row-split forms alike
+    # ``coeffs`` rebuilds C exactly; a general C is a sum of per-row forms
     u, v = np.array([1, 2j, -1]), np.array([0.5, 0, 3])
-    form = LinearForm.rank_one(U3, u, v)
+    form = LinearForm(U3, u, v)
     assert not hasattr(form, "__dict__")
-    assert [a.shape for a in form.factors] == [(1, 3), (1, 3)]
+    assert [a.shape for a in (form.u, form.v)] == [(3,), (3,)]
     assert np.array_equal(form.coeffs, np.multiply.outer(u, v))
-    assert form.coeff_scale() == np.linalg.norm(np.multiply.outer(u, v))
+    assert form.coeff_scale() == np.linalg.norm(u) * np.linalg.norm(v)
     c = np.array([[1, 0, 2j], [0, 0, 0], [3, -1, 0]])
-    dense = LinearForm(U3, c)
-    assert [a.shape for a in dense.factors] == [(2, 3), (2, 3)]
-    assert np.array_equal(dense.coeffs, c) and dense.coeff_scale() == np.linalg.norm(c)
-    for bad in (lambda: LinearForm(U3, c[:2]), lambda: LinearForm.rank_one(U3, u[:2], v)):
-        with pytest.raises(DimensionMismatch, match=r"must have shape \(3, 3\)"):
+    dense = dense_form(U3, c)
+    assert [(t.u.shape, t.v.shape) for t in dense.terms] == [((3,), (3,))] * 2
+    assert np.array_equal(sum(t.coeffs for t in dense.terms), c)
+    assert dense.coeff_scale() == max(np.linalg.norm(row) for row in c)
+    for bad in (lambda: LinearForm(U3, u[:2], v), lambda: LinearForm(U3, u, v[:2])):
+        with pytest.raises(DimensionMismatch, match=r"must have shapes \(3,\) and \(3,\)"):
             bad()
 
 
@@ -596,6 +607,8 @@ def test_classify_structural():
     assert classify(m_gen, q, a, U3) is Classification.ProperBiharmonic
     with pytest.raises(ZeroVector):
         classify(np.zeros((3, 3)), q, a, U3)
+    with pytest.raises(DimensionMismatch, match=r"m_p must have shape \(3, 3\)"):
+        classify(np.ones((3, 2)), q, a, U3)
     with pytest.raises(IsotropyViolation):
         # (a,a) = 0 but M_P a != 0, and (q,q) != 0: neither SO alternative holds
         classify(np.ones((4, 4)), np.ones(4), [1, 1j, 0, 0], SO4)
@@ -654,7 +667,7 @@ def test_quadruple_flags_follow_classify():
                 families.append(_build_family(GroupSpec.quaternionic_unitary(n), 60 + n, beta, choice))
     flags = []
     for fam in families:
-        (q,), (w,) = fam.denominator.factors
+        q, w = fam.denominator.u, fam.denominator.v
         for i, numerator in enumerate(fam.numerators):
             verdict = classify(numerator.coeffs, q, w, fam.spec)
             assert fam.proper[i] == (verdict is Classification.ProperBiharmonic), (fam.spec, fam.so_mode, i)

@@ -31,6 +31,7 @@ from biforge.operators import (
 )
 from biforge.verify import eigenfamily_checks, quadruple_checks, sample_domain_points
 from biforge.forms import make_quadruple
+from form_helpers import dense_form
 
 U2 = GroupSpec.unitary(2)
 U3 = GroupSpec.unitary(3)
@@ -40,7 +41,7 @@ SP2 = GroupSpec.quaternionic_unitary(2)
 
 def random_form(spec, rng):
     shape = (spec.n, spec.ambient_dim)
-    return LinearForm(spec, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    return dense_form(spec, rng.normal(size=shape) + 1j * rng.normal(size=shape))
 
 
 def random_exprs(spec, rng):
@@ -214,6 +215,16 @@ def test_two_nonzeros_in_one_row_are_refused(monkeypatch, rows, cols):
         OperatorContext.for_spec(U2)
 
 
+def test_square_with_two_nonzeros_in_one_row_is_refused(monkeypatch):
+    # a 3-cycle squares to the other 3-cycle and a diagonal element to a
+    # diagonal one, so sum Z**2 holds two nonzeros in row 0 and H has no
+    # compact form, though each element alone has one
+    elements = [("cycle", (0, 1, 2), (1, 2, 0), (1, 1, 1)), ("diag", (0,), (0,), (1j,))]
+    monkeypatch.setattr("biforge.operators.basis_entries", lambda spec: iter(elements))
+    with pytest.raises(ShapeError, match=r"H = sum Z\*\*2 / 2 has two nonzeros in one row at diag"):
+        OperatorContext.for_spec(U3)
+
+
 def test_shared_context_is_read_only():
     # context(spec) hands one context to every caller in the process, so
     # none of them may write into it
@@ -369,9 +380,9 @@ def _assert_matches_reference(value, reference):
 
 
 @pytest.mark.parametrize("spec, sp_choice", REFERENCE_FAMILIES, ids=REFERENCE_IDS)
-def test_packed_leaves_match_dense_reference(ctx_for, spec, sp_choice, rng):
+def test_packed_leaves_match_dense_reference(ctx_for, dense_leaves, spec, sp_choice, rng):
     # every form of a quadruple family, each rank one, and a general form
-    # (split into its rows) on points moved along outer directions
+    # (a sum of per-row forms) on points moved along outer directions
     ctx = ctx_for(spec)
     extended = dense_extended_from_basis(spec)
     fam = _quadruple(spec, sp_choice)
@@ -389,7 +400,7 @@ def test_packed_leaves_match_dense_reference(ctx_for, spec, sp_choice, rng):
     ]
     for walk, layers in walks:
         for form in [*fam.all_forms(), random_form(spec, rng)]:
-            _assert_matches_reference(form.evaluate(walk).c, dense_leaf(form, DensePoint(layers, extended)).c)
+            _assert_matches_reference(form.evaluate(walk).c, form.evaluate(DensePoint(layers, extended)).c)
 
 
 @pytest.mark.parametrize("spec, sp_choice", REFERENCE_FAMILIES, ids=REFERENCE_IDS)
