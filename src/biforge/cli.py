@@ -19,8 +19,8 @@ failure (reports are still written), 2 invalid configuration or input.
 Random vectors are drawn from a seeded complex Gaussian; for SO(n) the
 row vectors are built as u + i*v with |u| = |v|, u orthogonal to v (and
 the two rows mutually orthogonal), so the isotropy conditions hold
-exactly up to rounding.  Same configuration, seed and BLAS thread count
-give byte-identical output files, whatever ran before in the process.
+exactly up to rounding.  Same configuration and seed give byte-identical
+output files, whatever ran before in the process.
 
 The parser and each group's operator context are built once per process
 and shared by every later ``main`` call; only the inputs change between

@@ -164,24 +164,16 @@ def laplacian_jets(exprs, point, ctx: OperatorContext):
     (E, E, P) for E expressions; a single (N, N) matrix drops the point
     axis.  The expressions are one forest to ``evaluate_all``, so a node
     they share is evaluated once.  tau is twice the basis sum of second
-    coefficients; kappa is one Gram product of the first-order columns of
-    the distinct expressions, so listing one twice changes no entry's
-    rounding: sum_b d_ib d_jb over the basis, made exactly symmetric as
-    (G + G^T) / 2.  The transposed operand is a copy: for ``d @ d.T`` of
-    one buffer numpy runs a symmetric rank-k update, whose fixed operand
-    roles would make kappa(h1, h2) and kappa(h2, h1) differ in the last
-    bit (a complex multiply is not bit-symmetric); a general product
-    computes every entry the same way.
+    coefficients; kappa is sum_b d_ib d_jb over the first-order columns,
+    one einsum contraction outside BLAS.  It sums every entry over b in
+    one fixed order, so an entry's rounding depends on neither the other
+    expressions nor the thread count, and kappa is exactly symmetric.
     """
     stack, single = _batch(point)
     walk = PackedPoint(stack, ctx.cols, ctx.vals)
-    roots = list({id(e): e for e in exprs}.values())
-    rows = [roots.index(e) for e in exprs]
-    jets = np.stack([_coefficients(value, walk)[:, 0] for value in evaluate_all(roots, walk)])
-    d = np.moveaxis(jets[..., 1:-1], 0, -2)
-    gram = d @ np.ascontiguousarray(d.swapaxes(-1, -2))
-    kappa = np.moveaxis((gram + gram.swapaxes(-1, -2)) / 2, 0, -1)[np.ix_(rows, rows)]
-    out = jets[rows, ..., 0], 2 * jets[rows, ..., -1], kappa
+    jets = np.stack([_coefficients(value, walk)[:, 0] for value in evaluate_all(exprs, walk)])
+    d = jets[..., 1:-1]
+    out = jets[..., 0], 2 * jets[..., -1], np.einsum("ipb,jpb->ijp", d, d)
     return tuple(x[..., 0] for x in out) if single else out
 
 

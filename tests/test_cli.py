@@ -531,47 +531,47 @@ def test_verify_answers_match_recorded(tmp_path, capsys, table):
 
 # SHA-256 of the `--json` report of each run at --points 4 and the default
 # seed (tables from `construct` at the default seed).  Each report runs in
-# its own process with OPENBLAS_NUM_THREADS=1: the batched Gram product
-# behind kappa in operators.laplacian_jets is bitwise reproducible only on
-# one BLAS thread.  A morphism report reads kappa(phi, phi) from the Gram
-# product of its one forest walk (family and morphism together), so its
-# "horizontal conformality" residual is that product's rounding.
+# its own process with OPENBLAS_NUM_THREADS=1, the thread count they were
+# recorded at; the test after this one compares reports at one and two
+# threads.  Every kappa check, and a morphism report's "horizontal
+# conformality", reads the rounding of the einsum contraction behind kappa
+# in operators.laplacian_jets.
 REPORT_DIGESTS = {
     "verify-su4-2,1": (
         ["--group", "su", "--n", "4", "--degrees", "2,1"],
-        "54a2564faddc4b52008dc89a9384d4e257c8a02c33947ff33fcf2d55d7896c09",
+        "7c8f31b965c99e4b2cc5b2b81cd827c62a27b7632e26a1fa3ad8debdaaae562a",
     ),
     "verify-sp2-choice10-2": (
         ["--group", "sp", "--n", "2", "--degrees", "2", "--choice", "10"],
-        "4ab992b7173633dab83e6f94ed9c21a2e2297c98118bfa59a973fdd73fc37d51",
+        "9247a1dbea9bfafeb6b7c8552ded9eb2fada7085e88e11e1f0397215a36a9f12",
     ),
     "morphism-su3-orthogonal": (
         ["--group", "su", "--n", "3"],
-        "5016bf9bf7a6f31242351b213da805f2294e03e858b219cf9e58bf9d02e1577d",
+        "8db8a579a058ad13aa42c52f5d93c1eb9bca2b957b860be4ccf7464c4c2becd7",
     ),
     "morphism-su4-rational": (
         ["--group", "su", "--n", "4", "--kind", "rational"],
-        "75eaa9db9a7ec63f8bef68f4c99f84bc4084196dbd69656db113e151ae53f732",
+        "09b4efdccb02c7a9e86c0217b4806400432e14a15710d22cf5b7d9cfc001e22b",
     ),
     # powers up to the cube: f**3 and (tau f)**3 in each variable, and
     # cubes of the member tensions in the morphism's eigenfamily
     "verify-su4-3,3,3": (
         ["--group", "su", "--n", "4", "--degrees", "3,3,3"],
-        "d5bbd3084fadc91c777d8e13994749b96322328f99e7f2249e95b409a8b71104",
+        "5c62b1a860bca89063678c94d444eabe92e0c1e7b61a411f1cd39f9f39196674",
     ),
     "morphism-su5-rational-k3": (
         ["--group", "su", "--n", "5", "--kind", "rational", "--k", "3"],
-        "dd4e361600d31ce30257de294f384fed97662d225b6c816350404be0886b01c3",
+        "63fadb1cf7c50d68d66229693b184e910d4cdc61e68b2cc0720402f59ea67b58",
     ),
     # so runs draw the isotropic rows u + iv of the quadruple and of the
     # rational morphism's eigenfamily from seeded orthonormal frames
     "verify-so8-2": (
         ["--group", "so", "--n", "8", "--degrees", "2"],
-        "ebb8a254dacebfa505e26c2a9f8b418a26931da43671989a7571949780890680",
+        "180876e88007a98efbb6bc5aca81e6d2351f057c532103b3f18a49df11dd8c85",
     ),
     "morphism-so8-rational-k2": (
         ["--group", "so", "--n", "8", "--kind", "rational", "--k", "2"],
-        "742a8e56b3d9fa08e4e6bd81097c049a99d761fa9f2c40e650a2d5ac67b2e05a",
+        "0d91f73634d7226b46b7b4a9abf91a1fd2c314ea1cfeddc8f95d75ae4f6050f9",
     ),
 }
 
@@ -598,16 +598,20 @@ def test_report_bytes_match_recorded_digests(tmp_path, capsys, name):
 
 def test_report_bytes_do_not_depend_on_blas_threads(tmp_path, capsys):
     # the benchmark's two morphism campaigns, su(8) with 64 basis
-    # directions and so(8) with 28, and a verify of su(4) 2,1, whose
-    # bitension walks four outer directions at a time, at one and at two
-    # BLAS threads
+    # directions and so(8) with 28, a verify of su(4) 2,1, whose
+    # bitension walks four outer directions at a time, and one of su(14)
+    # degree 2, whose kappa sums 196 basis terms, at one and at two BLAS
+    # threads
     assert run(["construct", "--group", "su", "--n", "4", "--degrees", "2,1", "--out", str(tmp_path)]) == 0
+    assert run(["construct", "--group", "su", "--n", "14", "--degrees", "2", "--seed", "7",
+                "--out", str(tmp_path / "su14")]) == 0
     capsys.readouterr()
     src = Path(__file__).resolve().parents[1] / "src"
     for argv in (
         ["morphism", "--group", "su", "--n", "8"],
         ["morphism", "--group", "so", "--n", "8", "--kind", "rational", "--k", "2"],
         ["verify", "--coeffs", "coeffs.json", "--quadruple", "quadruple.json"],
+        ["verify", "--coeffs", "su14/coeffs.json", "--quadruple", "su14/quadruple.json"],
     ):
         digests = set()
         for threads in ("1", "2"):

@@ -147,6 +147,13 @@ def test_quaternionic_points_are_drawn_per_seed(n):
     assert np.array_equal(stack, np.array([sample_point(spec, seed) for seed in seeds]))
 
 
+@pytest.mark.parametrize("partner", [None, biforge.groups._quaternionic_partner], ids=["plain", "partner"])
+def test_orthonormalize_refuses_a_dependent_set(partner):
+    z = np.array([1.0, 2j, -0.5, 1 + 1j])
+    assert len(biforge.groups._orthonormalize([z], partner)) == (1 if partner is None else 2)
+    assert biforge.groups._orthonormalize([z, 3j * z], partner) is None
+
+
 @pytest.mark.parametrize(
     "spec, draw",
     [(GroupSpec.unitary(4), "_complex_normal"), (GroupSpec.special_orthogonal(5), "_real_normal")],

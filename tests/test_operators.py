@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from biforge.algebra import PackedJet, PackedPoint, translate
-from biforge.construct import biharmonic_family, build_expression, column_ratio_family, combine
+from biforge.construct import biharmonic_family, build_expression, column_ratio_family, combine, tension_power_family
 from biforge.errors import DomainError, ShapeError
 from biforge.forms import Const, LinearForm, Product, Quotient, RationalExpr, Sum
 from biforge.groups import GroupSpec, basis, sample_point
@@ -548,6 +548,34 @@ def test_laplacian_jets_match_per_expression_operators(ctx_for, spec, sp_choice)
             _assert_sum_matches(tau[a, k], [2 * jet.a2 for jet in along])
             for b in range(a, len(exprs)):
                 _assert_sum_matches(kappa[a, b, k], [x.a1 * y.a1 for x, y in zip(along, moved[b])])
+
+
+def _su4_orthogonal_family():
+    # the column-ratio family of `morphism --group su --n 4 --seed 1`
+    spec = GroupSpec.unitary(4)
+    rng = np.random.default_rng(1)
+    return spec, column_ratio_family(rng.normal(size=4) + 1j * rng.normal(size=4), spec, beta=0)
+
+
+def _so8_tension_power_family():
+    spec = GroupSpec.special_orthogonal(8)
+    return spec, tension_power_family(_quadruple(spec), 1)
+
+
+@pytest.mark.parametrize("family_of", [_su4_orthogonal_family, _so8_tension_power_family], ids=["su4", "so8"])
+def test_family_kappa_does_not_depend_on_the_rest_of_the_forest(ctx_for, family_of):
+    # another expression in the walk, or a member listed twice, leaves every
+    # kappa entry of the family bit for bit, and kappa is exactly symmetric
+    spec, family = family_of()
+    ctx = ctx_for(spec)
+    m = len(family)
+    points = sample_domain_points(family, spec, 5, 1)
+    kappa = laplacian_jets(family, points, ctx)[2]
+    assert np.array_equal(kappa, kappa.swapaxes(0, 1))
+    for forest in ([*family, Product((family[0], family[1]))], [*family, family[0]]):
+        wider = laplacian_jets(forest, points, ctx)[2]
+        assert np.array_equal(wider, wider.swapaxes(0, 1))
+        assert np.array_equal(wider[:m, :m], kappa)
 
 
 def test_constant_root_has_zero_derivative_columns(ctx_for):
