@@ -13,7 +13,7 @@ from biforge.construct import (
     biharmonic_family,
     build_expression,
     combine,
-    harmonic_coefficients,
+    harmonic_family,
     proper_biharmonic_table,
 )
 from biforge.operators import OperatorContext, tension, tension2
@@ -25,7 +25,7 @@ fam = make_quadruple(spec, p=[1, 2, -1], q=[3, 1j, 0.5], a=[1, 1, 1], b=[1, 1, 1
 print(f"family members: {fam.n_members}, proper: {fam.n_proper} (column {fam.beta} is harmonic)")
 
 for d in (2, 3, 4):
-    h = harmonic_coefficients(d, -1)
+    h = harmonic_family((d,), -1)[0]
     b = proper_biharmonic_table((d,), -1)
     print(f"d={d}:  harmonic {h.single_degree()}   proper biharmonic {b.single_degree()}")
 

@@ -16,7 +16,6 @@ from .construct import (
     column_ratio_family,
     combine,
     eigenfamily_constants,
-    harmonic_coefficients,
     harmonic_family,
     proper_biharmonic_table,
     rational_morphism,
@@ -45,7 +44,7 @@ from .forms import (
     make_quadruple,
     quotient,
 )
-from .groups import GroupKind, GroupSpec, LieBasisElement, basis, sample_point
+from .groups import GroupKind, GroupSpec, sample_point
 from .operators import OperatorContext, conformality, tension, tension2
 from .report import CheckResult, VerificationReport
 

@@ -109,32 +109,21 @@ class Jet2:
     def __add__(self, other):
         if isinstance(other, Jet2):
             return Jet2(self.a0 + other.a0, self.a1 + other.a1, self.a2 + other.a2)
-        if isinstance(other, np.ndarray):
-            return NotImplemented
         return Jet2(self.a0 + other, self.a1, self.a2)
 
     def __radd__(self, other):
-        if isinstance(other, np.ndarray):
-            return NotImplemented
         return Jet2(other + self.a0, self.a1, self.a2)
 
     def __sub__(self, other):
         if isinstance(other, Jet2):
             return Jet2(self.a0 - other.a0, self.a1 - other.a1, self.a2 - other.a2)
-        if isinstance(other, np.ndarray):
-            return NotImplemented
         return Jet2(self.a0 - other, self.a1, self.a2)
 
     def __rsub__(self, other):
-        if isinstance(other, np.ndarray):
-            return NotImplemented
         return Jet2(other - self.a0, -self.a1, -self.a2)
 
     def __neg__(self):
         return Jet2(-self.a0, -self.a1, -self.a2)
-
-    def __pos__(self):
-        return self
 
     def __mul__(self, other):
         if isinstance(other, Jet2):
@@ -143,25 +132,17 @@ class Jet2:
                 self.a0 * other.a1 + self.a1 * other.a0,
                 self.a0 * other.a2 + self.a1 * other.a1 + self.a2 * other.a0,
             )
-        if isinstance(other, np.ndarray):
-            return NotImplemented
         return Jet2(self.a0 * other, self.a1 * other, self.a2 * other)
 
     def __rmul__(self, other):
-        if isinstance(other, np.ndarray):
-            return NotImplemented
         return Jet2(other * self.a0, other * self.a1, other * self.a2)
 
     def __truediv__(self, other):
         if isinstance(other, Jet2):
             return self * jet_reciprocal(other)
-        if isinstance(other, np.ndarray):
-            return NotImplemented
         return Jet2(self.a0 / other, self.a1 / other, self.a2 / other)
 
     def __rtruediv__(self, other):
-        if isinstance(other, np.ndarray):
-            return NotImplemented
         return jet_reciprocal(self) * other
 
     def __pow__(self, exponent: int):
@@ -286,9 +267,7 @@ class PackedJet:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, PackedJet):
-            return PackedJet(_packed_quotient(self.c, other.c))
-        return PackedJet(self.c / other)
+        return PackedJet(_packed_quotient(self.c, other.c))
 
     def __rtruediv__(self, other):
         return jet_reciprocal(self) * other

@@ -85,7 +85,6 @@ __all__ = [
     "CoeffTable",
     "box_indices",
     "combine",
-    "harmonic_coefficients",
     "harmonic_family",
     "proper_biharmonic_table",
     "biharmonic_family",
@@ -426,20 +425,6 @@ def biharmonic_family(degrees, mu) -> tuple[CoeffTable, ...]:
                            - (d^2-(k-2)^2)(d^2-(k-1)^2) c_{k-2}.
     """
     return (proper_biharmonic_table(degrees, mu), *harmonic_family(degrees, mu))
-
-
-def harmonic_coefficients(d: int, mu) -> CoeffTable:
-    """One-variable harmonic table: c_0 = 0, c_1 = 1 and
-
-        -2*mu*k*(k+1)*c_{k+1} = (d**2 - k**2) * c_k,   k = 1..d-1.
-    """
-    (d,), mu = _validate_problem((d,), mu)
-    coeffs = {(1,): Fraction(1)}
-    value = Fraction(1)
-    for k in range(1, d):
-        value = value * Fraction(d * d - k * k) / (-2 * mu * Fraction(k * (k + 1)))
-        coeffs[(k + 1,)] = value
-    return CoeffTable((d,), coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -160,14 +160,8 @@ class RationalExpr:
     def __add__(self, other):
         return Sum((self, _as_expr(other)))
 
-    def __radd__(self, other):
-        return Sum((_as_expr(other), self))
-
     def __sub__(self, other):
         return Sum((self, Product((Const(-1.0), _as_expr(other)))))
-
-    def __rsub__(self, other):
-        return Sum((_as_expr(other), Product((Const(-1.0), self))))
 
     def __mul__(self, other):
         return Product((self, _as_expr(other)))
@@ -184,9 +178,6 @@ class RationalExpr:
         if k < 0:
             raise ValueError("negative exponents are expressed through Quotient")
         return powers(self, k)[-1] if k else Const(1.0)
-
-    def __neg__(self):
-        return Product((Const(-1.0), self))
 
 
 def _as_expr(x) -> RationalExpr:

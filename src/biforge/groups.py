@@ -7,7 +7,8 @@ matrix-coefficient functions, and the conformality constant mu of the
 quadruple product rules.
 
 The module provides the orthonormal Lie-algebra bases (in a fixed,
-documented order) and deterministic point sampling.
+documented order), each element given by its nonzero entries, and
+deterministic point sampling.
 
 Basis ordering
 --------------
@@ -45,8 +46,6 @@ from .errors import ShapeError
 __all__ = [
     "GroupKind",
     "GroupSpec",
-    "LieBasisElement",
-    "basis",
     "basis_entries",
     "sample_point",
     "sample_points",
@@ -131,22 +130,14 @@ class GroupSpec:
         return -1.0 if self.kind is GroupKind.UNITARY else -0.5
 
 
-@dataclass(frozen=True)
-class LieBasisElement:
-    """One orthonormal basis element of the Lie algebra, as an ambient matrix."""
-
-    matrix: np.ndarray
-    label: str
-
-
-def _orthogonal_basis(n: int):
+def _orthogonal_entries(n: int):
     h = 1 / _SQRT2
     for r, s in combinations(range(n), 2):
         yield f"Y{r + 1}{s + 1}", (r, s), (s, r), (h, -h)
 
 
-def _unitary_basis(n: int):
-    yield from _orthogonal_basis(n)
+def _unitary_entries(n: int):
+    yield from _orthogonal_entries(n)
     h = 1 / _SQRT2
     for r, s in combinations(range(n), 2):
         yield f"iX{r + 1}{s + 1}", (r, s), (s, r), (1j * h, 1j * h)
@@ -154,7 +145,7 @@ def _unitary_basis(n: int):
         yield f"iD{r + 1}", (r,), (r,), (1j,)
 
 
-def _quaternionic_basis(n: int):
+def _quaternionic_entries(n: int):
     # the blocks over sqrt(2) have entries 1/2 (from X_rs and Y_rs) and
     # 1/sqrt(2) (from D_r); rows and columns n.. are the second block
     h, q = 1 / _SQRT2, 0.5
@@ -173,28 +164,15 @@ def _quaternionic_basis(n: int):
 
 
 def basis_entries(spec: GroupSpec):
-    """The elements of :func:`basis` in the same order, one at a time, by
-    their nonzero entries: (label, rows, cols, values), the element
-    holding values[i] at (rows[i], cols[i])."""
+    """The orthonormal Lie-algebra basis in the documented order, one
+    element at a time, by its nonzero entries: (label, rows, cols,
+    values), the ambient matrix holding values[i] at (rows[i], cols[i]);
+    ``spec.dimension`` elements in all."""
     if spec.kind is GroupKind.UNITARY:
-        return _unitary_basis(spec.n)
+        return _unitary_entries(spec.n)
     if spec.kind is GroupKind.SPECIAL_ORTHOGONAL:
-        return _orthogonal_basis(spec.n)
-    return _quaternionic_basis(spec.n)
-
-
-def basis(spec: GroupSpec) -> list[LieBasisElement]:
-    """Orthonormal Lie-algebra basis in the documented deterministic order.
-
-    Cardinality: ``spec.dimension``, i.e. n**2 for u(n), n(n-1)/2 for
-    so(n), n(2n+1) for sp(n).
-    """
-    elements = []
-    for label, rows, cols, values in basis_entries(spec):
-        m = np.zeros((spec.ambient_dim, spec.ambient_dim), dtype=complex)
-        m[rows, cols] = values
-        elements.append(LieBasisElement(m, label))
-    return elements
+        return _orthogonal_entries(spec.n)
+    return _quaternionic_entries(spec.n)
 
 
 def _complex_normal(rng: np.random.Generator, n: int) -> np.ndarray:

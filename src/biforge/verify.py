@@ -32,8 +32,6 @@ Every bound is a module constant with its reason below; the CLI's
   order one somewhere; a harmonic one stays at rounding.
 * ``DEFAULT_MORPHISM_TOL`` = 1e-8 (``morphism --tol``): second-order
   residuals of powers of quotients, about 1e-13 in practice.
-* ``ROUTE_TOL`` = 1e-8: two fourth-order routes to the bitension differ
-  by rounding, up to about 1e-10.
 * ``DEFAULT_DOMAIN_MARGIN`` = 0.02: points keep every denominator at this
   fraction of its coefficient scale, so no nearby pole inflates a residual.
 """
@@ -42,11 +40,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .construct import CoeffTable, build_expression, tension_table
 from .errors import SamplingExhausted
 from .forms import QuadrupleFamily, Quotient, RationalExpr, evaluate_all, walk_order
 from .groups import GroupSpec, sample_points
-from .operators import OperatorContext, bitension_jets, laplacian_jets, relative_residual, tension2
+from .operators import OperatorContext, bitension_jets, laplacian_jets, relative_residual
 from .report import CheckResult
 
 __all__ = [
@@ -54,7 +51,6 @@ __all__ = [
     "quadruple_checks",
     "closed_form_tension_checks",
     "candidate_checks",
-    "oracle_equivalence_check",
     "eigenfamily_checks",
     "morphism_checks",
     "morphism_campaign_checks",
@@ -64,7 +60,6 @@ IDENTITY_TOL = 1e-9
 DEFAULT_CANDIDATE_TOL = 1e-7
 TENSION_WITNESS_MIN = 1e-3
 DEFAULT_MORPHISM_TOL = 1e-8
-ROUTE_TOL = 1e-8
 DEFAULT_DOMAIN_MARGIN = 0.02
 
 
@@ -180,32 +175,6 @@ def candidate_checks(
         CheckResult.upper("bitension", np.max(np.abs(tau_two) / scale), tol),
         CheckResult.lower("tension nonvanishing", np.max(tau_ratio), TENSION_WITNESS_MIN),
     ]
-
-
-def oracle_equivalence_check(
-    table: CoeffTable,
-    mu,
-    pairs,
-    phi: RationalExpr,
-    ctx: OperatorContext,
-    points,
-) -> CheckResult:
-    """Jet bitension (``tension2``) against the symbolic route.
-
-    The symbolic route expands tau(phi) coefficientwise through the
-    product rules (an exact rational computation) and applies the jet
-    tension once; both routes must agree pointwise.  Both values are near
-    zero for biharmonic candidates, so the difference is measured against
-    the local magnitude of the function and its tension (the quantities
-    actually being differentiated), as in the other residual checks.
-    """
-    tau_sym = build_expression(tension_table(table, mu), pairs)
-    direct = tension2(phi, points, ctx)
-    values, (_, via_expansion), _ = laplacian_jets([phi, tau_sym], points, ctx)
-    scale = np.maximum.reduce([np.ones(len(points)), *np.abs(values), np.abs(via_expansion)])
-    return CheckResult.upper(
-        "bitension route equivalence", np.max(np.abs(direct - via_expansion) / scale), ROUTE_TOL
-    )
 
 
 def eigenfamily_checks(

@@ -46,6 +46,10 @@ def test_division_long_division_oracle():
 def test_pow_examples():
     assert (Jet2(1, 1, 0) ** 2).as_tuple() == (1, 2, 1)
     assert (Jet2(3.5, -2.0, 1.0) ** 0).as_tuple() == (1, 0, 0)
+    # 1/(2+s) = 1/2 - s/4 + s^2/8
+    assert (Jet2(2, 1, 0) ** -1).as_tuple() == (0.5, -0.25, 0.125)
+    with pytest.raises(TypeError, match="integers"):
+        Jet2(1, 1, 0) ** 1.5
 
 
 def test_division_by_zero_leading_value():
@@ -199,6 +203,8 @@ def test_scalar_mixing():
     assert (x + 1).a0 == 3.0
     assert (1 - x).as_tuple() == (-1, -1, -0.5)
     assert (1 / x).a0 == 0.5
+    assert (x / 2).as_tuple() == (1, 0.5, 0.25)
+    assert x != 1
 
 
 def test_mul_jet_by_nested_scalar_zero():

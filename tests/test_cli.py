@@ -253,13 +253,24 @@ def test_reproduce_json(capsys):
 
 @pytest.mark.parametrize(
     "name, corrupted",
-    [("harmonic_d2", (0, 4, 5)), ("biharmonic_d3", (6, 0, -27, -16))],
-    ids=["harmonic", "biharmonic"],
+    [
+        ("harmonic_d2", (0, 4, 5)),
+        ("biharmonic_d3", (6, 0, -27, -16)),
+        # the last row with -7 for -6
+        ("harmonic_relations_21", (*REFERENCE_FIXTURES["harmonic_relations_21"][:3], (0, 5, 5, 0, 0, -7))),
+    ],
+    ids=["harmonic", "biharmonic", "relations"],
 )
 def test_reproduce_corrupted_fixture(monkeypatch, capsys, name, corrupted):
     monkeypatch.setitem(REFERENCE_FIXTURES, name, corrupted)
     assert run(["reproduce"]) == 1
     assert f"mismatched fixtures: {name}\n" in capsys.readouterr().err
+
+
+def test_reproduce_unknown_fixture_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setitem(REFERENCE_FIXTURES, "no_such_fixture", ())
+    assert run(["reproduce"]) == 2
+    assert "error: unknown fixture no_such_fixture" in capsys.readouterr().err
 
 
 def test_morphism_orthogonal(tmp_path):

@@ -23,7 +23,6 @@ from biforge.construct import (
     column_ratio_family,
     combine,
     eigenfamily_constants,
-    harmonic_coefficients,
     harmonic_family,
     rational_morphism,
     tension_power_family,
@@ -36,6 +35,7 @@ from biforge.forms import Const, Product, make_quadruple, walk_order
 from biforge.groups import GroupSpec
 from biforge.operators import conformality, relative_residual, tension
 from biforge.verify import sample_domain_points
+from reference import harmonic_coefficients
 
 U2 = GroupSpec.unitary(2)
 U3 = GroupSpec.unitary(3)
@@ -304,6 +304,29 @@ def test_tension_table_of_biharmonic_is_harmonic_direction():
     assert image.proportional_to(table_from_tuple(HARMONIC_TABLES[2]))
     # applying the map twice annihilates any biharmonic table
     assert tension_table(image, -1).is_zero()
+
+
+@pytest.mark.parametrize(
+    "left, right, expected",
+    [
+        (CoeffTable((2,), {(1,): 2, (2,): 3}), CoeffTable((2,), {(1,): -4, (2,): -6}), True),
+        (CoeffTable((2,), {(1,): 1}), CoeffTable((1, 1), {(1, 0): 1}), False),
+        (CoeffTable((2,), {}), CoeffTable((2,), {}), True),
+        (CoeffTable((2,), {}), CoeffTable((2,), {(1,): 1}), False),
+        (CoeffTable((2,), {(1,): 1}), CoeffTable((2,), {(2,): 1}), False),
+    ],
+    ids=["scaled", "other-box", "both-zero", "one-zero", "other-support"],
+)
+def test_proportional_to(left, right, expected):
+    assert left.proportional_to(right) is expected
+    assert right.proportional_to(left) is expected
+
+
+def test_coeff_table_against_non_tables_and_two_variables():
+    table = CoeffTable((1, 1), {(1, 0): 1})
+    assert table != (1, 0)
+    with pytest.raises(DimensionMismatch, match="one-variable"):
+        table.single_degree()
 
 
 def test_tension_table_unit_column():

@@ -7,7 +7,8 @@ import biforge.groups
 from biforge.algebra import Jet2, translate
 from biforge.errors import ShapeError
 from biforge.forms import LinearForm
-from biforge.groups import GroupSpec, basis, sample_point, sample_points
+from biforge.groups import GroupSpec, sample_point, sample_points
+from reference import basis
 
 ALL_SPECS = [
     GroupSpec.unitary(2),

@@ -17,7 +17,7 @@ from biforge.algebra import PackedJet, PackedPoint, translate
 from biforge.construct import biharmonic_family, build_expression, column_ratio_family, combine, tension_power_family
 from biforge.errors import DomainError, ShapeError
 from biforge.forms import Const, LinearForm, Product, Quotient, RationalExpr, Sum
-from biforge.groups import GroupSpec, basis, sample_point
+from biforge.groups import GroupSpec, sample_point
 from biforge.operators import (
     OperatorContext,
     conformality,
@@ -32,6 +32,7 @@ from biforge.operators import (
 from biforge.verify import eigenfamily_checks, quadruple_checks, sample_domain_points
 from biforge.forms import make_quadruple
 from form_helpers import dense_form
+from reference import basis
 
 U2 = GroupSpec.unitary(2)
 U3 = GroupSpec.unitary(3)

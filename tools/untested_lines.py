@@ -1,14 +1,15 @@
-"""List the executable lines of ``src/biforge`` that no Tier-1 test runs.
+"""List the executable lines of ``src/biforge`` that no Tier-1 test or demo runs.
 
 Usage, from the repository root:
 
     python tools/untested_lines.py [PYTEST_ARGS...]
 
 The script runs pytest in this process (by default on ``tests/``, with
-``-q -p no:cacheprovider``) under a ``sys.settrace`` line tracer that
-records only frames of ``src/biforge``, then prints every executable line
-that never ran as ``path:line: source`` and a count per file.  It needs
-only the standard library and pytest.  An executable line is one that a
+``-q -p no:cacheprovider``), then every ``demos/*.py`` as ``__main__``
+with its stdout captured, all under one ``sys.settrace`` line tracer that
+records only frames of ``src/biforge``.  It then prints every executable
+line that never ran as ``path:line: source`` and a count per file.  It
+needs only the standard library and pytest.  An executable line is one that a
 compiled code object of the file maps an instruction to, so ``def`` and
 ``class`` statements count (they run at import) and docstrings do not.
 
@@ -20,12 +21,16 @@ tracer; the lines are listed anyway and the pytest exit code is reported.
 
 from __future__ import annotations
 
+import contextlib
+import io
+import runpy
 import sys
 import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "biforge"
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def executable_lines(path: Path) -> set[int]:
@@ -39,7 +44,8 @@ def executable_lines(path: Path) -> set[int]:
 
 
 def traced_run(pytest_args: list[str]) -> tuple[int, dict[str, set[int]]]:
-    """pytest's exit code, and the lines of each package file that ran."""
+    """pytest's exit code, and the lines of each package file that ran in
+    the tests or the demos."""
     import pytest
 
     prefix = str(PACKAGE) + "/"
@@ -60,6 +66,9 @@ def traced_run(pytest_args: list[str]) -> tuple[int, dict[str, set[int]]]:
     sys.settrace(global_trace)
     try:
         code = pytest.main(pytest_args)
+        for demo in DEMOS:
+            with contextlib.redirect_stdout(io.StringIO()):
+                runpy.run_path(str(demo), run_name="__main__")
     finally:
         sys.settrace(None)
     return int(code), seen
@@ -78,7 +87,7 @@ def main(argv: list[str]) -> int:
         if missing:
             print(f"  {len(missing)} untested lines in {path.relative_to(ROOT)}")
         total += len(missing)
-    print(f"{total} executable lines of src/biforge ran in no test")
+    print(f"{total} executable lines of src/biforge ran in no test or demo")
     if code != 0:
         print(
             f"note: pytest exited with code {code} under the tracer (memory tests that use "
