@@ -19,6 +19,7 @@ import numpy as np
 
 from biforge import GroupSpec, sample_point, translate
 from biforge.forms import LinearForm
+from biforge.groups import basis_entries
 from biforge.operators import OperatorContext, conformality, tension
 
 for spec in (GroupSpec.unitary(3), GroupSpec.special_orthogonal(4), GroupSpec.quaternionic_unitary(2)):
@@ -33,8 +34,11 @@ print("\nsampled U(3) point, unitarity residual:", np.max(np.abs(m @ m.conj().T 
 
 z11 = LinearForm.coordinate(spec, 0, 0)
 z22 = LinearForm.coordinate(spec, 1, 1)
-jet = z11.evaluate(translate(m, np.diag([1j, 0, 0])))
-print("2-jet of entry (0,0) along iD1: "
+label, rows, cols, values = next(e for e in basis_entries(spec) if e[0] == "iD1")
+elem = np.zeros((spec.ambient_dim, spec.ambient_dim), dtype=complex)
+elem[rows, cols] = values
+jet = z11.evaluate(translate(m, elem))
+print(f"2-jet of entry (0,0) along {label}: "
       f"value={jet.a0:.4f}, d/ds={jet.a1:.4f}, d2/ds2={2 * jet.a2:.4f}")
 
 print("\ntension(z11) =", tension(z11, m, ctx))

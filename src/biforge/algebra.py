@@ -267,7 +267,9 @@ class PackedJet:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return PackedJet(_packed_quotient(self.c, other.c))
+        if isinstance(other, PackedJet):
+            return PackedJet(_packed_quotient(self.c, other.c))
+        return PackedJet(self.c / other)
 
     def __rtruediv__(self, other):
         return jet_reciprocal(self) * other

@@ -593,6 +593,19 @@ def test_constant_root_has_zero_derivative_columns(ctx_for):
     assert not np.any(kappa[0])
 
 
+def test_quotient_by_a_constant_scales_every_jet(ctx_for):
+    # x / 2 is a Quotient with a Const denominator: the packed walks divide
+    # each coefficient by the number and agree with 0.5 * x
+    ctx = ctx_for(U3)
+    x = LinearForm.coordinate(U3, 0, 1)
+    points = np.array([sample_point(U3, 3400 + k) for k in range(3)])
+    halved, scaled = x / 2, Const(0.5) * x
+    for got, want in zip(laplacian_jets([halved], points, ctx), laplacian_jets([scaled], points, ctx)):
+        assert np.all(relative_residual(got, want) <= 1e-15)
+    assert np.all(relative_residual(tension2(halved, points, ctx), tension2(scaled, points, ctx)) <= 1e-15)
+    assert np.all(relative_residual(tension(halved, points, ctx), U3.eigenvalue / 2 * x.evaluate(points)) <= 1e-12)
+
+
 def test_laplacian_jets_of_one_matrix_drop_the_point_axis(ctx_for):
     spec = GroupSpec.special_orthogonal(6)
     ctx = ctx_for(spec)

@@ -17,6 +17,7 @@ Lines that run only in a subprocess a test starts are not seen.  Tests
 that measure memory with ``tracemalloc`` see the tracer's own allocations,
 so ``test_context_build_peak_stays_near_what_it_keeps`` fails under the
 tracer; the lines are listed anyway and the pytest exit code is reported.
+A demo that raises is named in a note, and the other demos still run.
 """
 
 from __future__ import annotations
@@ -43,9 +44,9 @@ def executable_lines(path: Path) -> set[int]:
     return lines
 
 
-def traced_run(pytest_args: list[str]) -> tuple[int, dict[str, set[int]]]:
-    """pytest's exit code, and the lines of each package file that ran in
-    the tests or the demos."""
+def traced_run(pytest_args: list[str]) -> tuple[int, list[str], dict[str, set[int]]]:
+    """pytest's exit code, a note for each demo that raised, and the lines
+    of each package file that ran in the tests or the demos."""
     import pytest
 
     prefix = str(PACKAGE) + "/"
@@ -63,20 +64,24 @@ def traced_run(pytest_args: list[str]) -> tuple[int, dict[str, set[int]]]:
         seen.setdefault(filename, set()).add(frame.f_lineno)
         return local
 
+    failed = []
     sys.settrace(global_trace)
     try:
         code = pytest.main(pytest_args)
         for demo in DEMOS:
-            with contextlib.redirect_stdout(io.StringIO()):
-                runpy.run_path(str(demo), run_name="__main__")
+            try:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    runpy.run_path(str(demo), run_name="__main__")
+            except Exception as exc:
+                failed.append(f"{demo.relative_to(ROOT)} raised {type(exc).__name__}: {exc}")
     finally:
         sys.settrace(None)
-    return int(code), seen
+    return int(code), failed, seen
 
 
 def main(argv: list[str]) -> int:
     args = argv or [str(ROOT / "tests")]
-    code, seen = traced_run(["-q", "-p", "no:cacheprovider", *args])
+    code, failed, seen = traced_run(["-q", "-p", "no:cacheprovider", *args])
     total = 0
     print()
     for path in sorted(PACKAGE.glob("*.py")):
@@ -93,6 +98,8 @@ def main(argv: list[str]) -> int:
             f"note: pytest exited with code {code} under the tracer (memory tests that use "
             "tracemalloc see the tracer's allocations); the lines above are listed anyway"
         )
+    for note in failed:
+        print(f"note: {note}; the lines above count what it ran before it raised")
     return 0 if code in (0, 1) else code
 
 
