@@ -40,16 +40,20 @@ or sigma, so each system is one recurrence in sigma (D = sum(d)):
                        solves 2*mu*(sigma - 1)*gamma_sigma = -(D + sigma - 1)*gamma_{sigma-1}.
 
 ``harmonic_family`` and ``proper_biharmonic_table`` give the solutions in
-closed form.  No table is trusted to that algebra: writing mu = a/b in
+closed form: the beta numerators over their common denominator, indexed
+by sigma, times the per-axis binomials and the weight, as one array
+expression.  No table is trusted to that algebra: writing mu = a/b in
 lowest terms, every equation is kept multiplied by b, so its
 coefficients are Python ints.  One map applies these integer rows on
-the box: ``tension_table`` takes them as the tension of a table, and the
-row check takes them to accept a solution.  Each returned table must hold
-its pinned values and satisfy every equation on the box in integer sums
-over its common denominator (the proper table: its tension table is
-nonzero and satisfies the harmonic equations).  Tables are exact
-Fractions; the numerical operators only enter when a table is assembled
-into an evaluable expression.
+the box, to an object array of Python ints shaped like it (``_box_map``:
+the diagonal term plus one shifted slice per axis): ``tension_table``
+takes it as the tension of a table, and the row check takes it to accept
+a solution.  Each returned table must hold its pinned values and satisfy
+every equation on the box in integer sums over its common denominator
+(the proper table: its tension table is nonzero and satisfies the
+harmonic equations).  Tables are exact Fractions; the numerical
+operators only enter when a table is assembled into an evaluable
+expression.
 """
 
 from __future__ import annotations
@@ -60,7 +64,6 @@ import json
 import math
 import numbers
 from fractions import Fraction
-from operator import itemgetter
 
 import numpy as np
 
@@ -263,43 +266,45 @@ def combine(tables, weights) -> CoeffTable:
 # the defining linear systems
 
 
-def _tension_row(degrees, mu: Fraction, idx) -> dict:
-    """The tension coefficient at idx as an integer linear map of the table,
-    scaled by the denominator b of mu = a/b:
+def _box_map(degrees, mu: Fraction):
+    """The b-scaled tension rows of the box, with mu = a/b, as one map on
+    object arrays of Python ints shaped like the box:
 
-        2*a*(sigma^2 - sigma)*c_k
-            + b * sum_j (d_j + 1 - k_j) * (sum_i (d_i + k_i) - 1) * c_{k - e_j}.
+        (T c)_k = 2*a*(sigma^2 - sigma)*c_k
+                  + b*(D + sigma - 1) * sum_j (d_j + 1 - k_j) * c_{k - e_j},
+
+    sigma = sum(k), D = sum(d) and c_{k - e_j} = 0 where k_j = 0: one
+    slice per axis shifts c by e_j.
     """
-    sigma = sum(idx)
-    row = {idx: 2 * mu.numerator * (sigma * sigma - sigma)} if sigma > 1 else {}
-    total = mu.denominator * (sum(degrees) + sigma - 1)
-    for j, k in enumerate(idx):
-        if k >= 1:
-            row[idx[:j] + (k - 1,) + idx[j + 1 :]] = (degrees[j] + 1 - k) * total
-    return row
+    ks = np.indices([d + 1 for d in degrees])
+    sigma = ks.sum(axis=0)
+    diagonal = (sigma * sigma - sigma).astype(object) * (2 * mu.numerator)
+    total = (sum(degrees) + sigma - 1).astype(object) * mu.denominator
+    full = (slice(None),) * len(degrees)
+    lower = []
+    for j, (d, k) in enumerate(zip(degrees, ks)):
+        upper, below = full[:j] + (slice(1, None),), full[:j] + (slice(None, -1),)
+        lower.append((upper, (total * (d + 1 - k))[upper], below))
+
+    def apply(c: np.ndarray) -> np.ndarray:
+        out = diagonal * c
+        for upper, weight, below in lower:
+            out[upper] += weight * c[below]
+        return out
+
+    return apply
 
 
-def _box_rows(degrees, mu: Fraction) -> list:
-    """(idx, ``_tension_row`` at idx) for every index of the box, in box order."""
-    return [(idx, _tension_row(degrees, mu, idx)) for idx in box_indices(degrees)]
-
-
-def _row_sums(rows, values: dict) -> dict:
-    """{idx: sum_k row[k] * values[k]} for the rows whose sum is nonzero, in
-    row order, with indices missing from values read as 0."""
-    sums = {}
-    for idx, row in rows:
-        value = sum(c * values.get(k, 0) for k, c in row.items())
-        if value:
-            sums[idx] = value
-    return sums
-
-
-def _over_common_denominator(values: dict) -> tuple[dict, int]:
-    """Integer numerators of rational values over their least common denominator."""
+def _over_common_denominator(degrees, values: dict) -> tuple[np.ndarray, int]:
+    """Integer numerators of rational values keyed by box index over their
+    least common denominator, as an object array shaped like the box, 0
+    at the indices missing from ``values``."""
     # reduce, not lcm(*...): a star call would build one argument tuple per unknown
     den = functools.reduce(math.lcm, (v.denominator for v in values.values()), 1)
-    return {k: v.numerator * (den // v.denominator) for k, v in values.items()}, den
+    out = np.zeros([d + 1 for d in degrees], dtype=object)
+    for idx, v in values.items():
+        out[idx] = v.numerator * (den // v.denominator)
+    return out, den
 
 
 def tension_table(table: CoeffTable, mu) -> CoeffTable:
@@ -311,10 +316,11 @@ def tension_table(table: CoeffTable, mu) -> CoeffTable:
     coefficient.
     """
     mu = _frac(mu)
-    values, den = _over_common_denominator(table.coeffs)
+    values, den = _over_common_denominator(table.degrees, table.coeffs)
     den *= mu.denominator
-    sums = _row_sums(_box_rows(table.degrees, mu), values)
-    return CoeffTable._trusted(table.degrees, {idx: Fraction(v, den) for idx, v in sums.items()})
+    sums = _box_map(table.degrees, mu)(values)
+    coeffs = {idx: Fraction(v, den) for idx, v in zip(box_indices(table.degrees), sums.flat) if v}
+    return CoeffTable._trusted(table.degrees, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -324,33 +330,36 @@ def tension_table(table: CoeffTable, mu) -> CoeffTable:
 def _checked_table(degrees, mu: Fraction, coeffs: dict, pins: dict, proper: bool) -> CoeffTable:
     """The table of ``coeffs`` once the integer rows accept it.
 
-    Every pinned index must hold its value.  With T the b-scaled rows of
-    ``_tension_row`` on the box, a harmonic table needs T c = 0 and the
-    proper table a nonzero g = T c with T g = 0, each sum taken in
-    integers over the table's common denominator; otherwise
-    InconsistentSystem.
+    Every pinned index must hold its value.  With T the b-scaled map
+    ``_box_map``, a harmonic table needs T c = 0 and the proper table a
+    nonzero g = T c with T g = 0, each taken in integers over the table's
+    common denominator; otherwise InconsistentSystem, naming the first
+    index in box order where the image is nonzero.
     """
     for idx, value in pins.items():
         if coeffs.get(idx, 0) != value:
             raise InconsistentSystem(f"index {idx} holds {coeffs.get(idx, 0)}, pinned to {value}")
-    rows = _box_rows(degrees, mu)
-    values, _ = _over_common_denominator(coeffs)
-    image = _row_sums(rows, values)
+    tension = _box_map(degrees, mu)
+    image = tension(_over_common_denominator(degrees, coeffs)[0])
     if proper:
-        if not image:
+        if not image.any():
             raise InconsistentSystem("proper direction came out harmonic")
-        image = _row_sums(rows, image)
-    if image:
-        raise InconsistentSystem(f"table leaves a residual at index {next(iter(image))}")
+        image = tension(image)
+    if image.any():
+        raise InconsistentSystem(f"table leaves a residual at index {tuple(np.argwhere(image)[0].tolist())}")
     return CoeffTable._trusted(degrees, coeffs)
 
 
-def _closed_form(degrees, betas, weight) -> dict:
-    """c_k = betas[sigma] * weight(k) * prod_j C(d_j, k_j) on the box, sigma = sum(k)."""
-    binomials = itertools.product(*([math.comb(d, k) for k in range(d + 1)] for d in degrees))
-    return {
-        idx: betas[sum(idx)] * (weight(idx) * math.prod(c)) for idx, c in zip(box_indices(degrees), binomials)
-    }
+def _closed_form(degrees, numerators, den: int, axis: int | None) -> dict:
+    """c_k = numerators[sigma] / den * w_k * prod_j C(d_j, k_j) on the box,
+    sigma = sum(k), with w_k = k_axis, or 1 when axis is None: one array
+    expression of integers, then one Fraction per nonzero entry."""
+    ks = np.indices([d + 1 for d in degrees])
+    binomials = functools.reduce(
+        np.multiply.outer, (np.array([math.comb(d, k) for k in range(d + 1)], dtype=object) for d in degrees)
+    )
+    values = np.array(numerators, dtype=object)[ks.sum(axis=0)] * binomials * (1 if axis is None else ks[axis])
+    return {idx: Fraction(v, den) for idx, v in zip(box_indices(degrees), values.flat) if v}
 
 
 def _unit_indices(m: int) -> list[tuple[int, ...]]:
@@ -381,17 +390,20 @@ def harmonic_family(degrees, mu) -> tuple[CoeffTable, ...]:
 
         c_k = (k_i / d_i) * C(D + sigma - 1, sigma) / D * x**(sigma - 1) * prod_j C(d_j, k_j),
 
-    with D = sum(d), sigma = sum(k) and x = -1/(2*mu).  Each table passes
+    with D = sum(d), sigma = sum(k) and x = -1/(2*mu) = -b/(2*a) for
+    mu = a/b: numerators over (2*a)**(D - 1) * D * d_i.  Each table passes
     the exact row and pin check.
     """
     degrees, mu = _validate_problem(degrees, mu)
-    m, total, x = len(degrees), sum(degrees), -1 / (2 * mu)
+    m, total, x_num, x_den = len(degrees), sum(degrees), -mu.denominator, 2 * mu.numerator
     zero, units = (0,) * m, _unit_indices(m)
+    # sigma = 0 has weight k_i = 0
+    numerators = [0] + [math.comb(total + s - 1, s) * x_num ** (s - 1) * x_den ** (total - s)
+                        for s in range(1, total + 1)]
     tables = []
     for i, (d_i, e_i) in enumerate(zip(degrees, units)):
-        betas = [math.comb(total + s - 1, s) * x ** (s - 1) / (total * d_i) for s in range(total + 1)]
         pins = {zero: 0, **{u: int(u == e_i) for u in units}}
-        coeffs = _closed_form(degrees, betas, itemgetter(i))
+        coeffs = _closed_form(degrees, numerators, x_den ** (total - 1) * total * d_i, i)
         tables.append(_checked_table(degrees, mu, coeffs, pins, proper=False))
     return tuple(tables)
 
@@ -402,15 +414,17 @@ def proper_biharmonic_table(degrees, mu) -> CoeffTable:
 
         c_k = (1 - sigma) * C(D + sigma - 1, sigma) * x**sigma * prod_j C(d_j, k_j),
 
-    with D, sigma and x as in ``harmonic_family``.  Its tension table is
-    the harmonic basis weighted by d_j * D.  The table passes the exact
-    row and pin check; a zero tension would mean a harmonic table.
+    with D, sigma and x as in ``harmonic_family``: numerators over
+    (2*a)**D.  Its tension table is the harmonic basis weighted by
+    d_j * D.  The table passes the exact row and pin check; a zero tension
+    would mean a harmonic table.
     """
     degrees, mu = _validate_problem(degrees, mu)
-    m, total, x = len(degrees), sum(degrees), -1 / (2 * mu)
-    betas = [(1 - s) * math.comb(total + s - 1, s) * x**s for s in range(total + 1)]
+    m, total, x_num, x_den = len(degrees), sum(degrees), -mu.denominator, 2 * mu.numerator
+    numerators = [(1 - s) * math.comb(total + s - 1, s) * x_num**s * x_den ** (total - s) for s in range(total + 1)]
     pins = {(0,) * m: 1, **{u: 0 for u in _unit_indices(m)}}
-    return _checked_table(degrees, mu, _closed_form(degrees, betas, lambda idx: 1), pins, proper=True)
+    coeffs = _closed_form(degrees, numerators, x_den**total, None)
+    return _checked_table(degrees, mu, coeffs, pins, proper=True)
 
 
 def biharmonic_family(degrees, mu) -> tuple[CoeffTable, ...]:

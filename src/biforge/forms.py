@@ -212,8 +212,10 @@ class LinearForm(RationalExpr):
     (ambient_dim,), so its coefficient array is C = u v^T.
 
     ``coeffs`` rebuilds C on demand; the scale ``coeff_scale`` is
-    ||u|| ||v||, the norm of C up to rounding.  Walks key nodes by id, so
-    forms compare by identity.
+    ||u|| ||v||, the norm of C up to rounding, computed on its first call
+    and kept.  A Quotient reads its denominator's scale when it is built,
+    so a family build that makes no quotient computes none.  Walks key
+    nodes by id, so forms compare by identity.
     """
 
     __slots__ = ("spec", "u", "v", "_scale")
@@ -225,7 +227,6 @@ class LinearForm(RationalExpr):
                 f"factors must have shapes ({spec.n},) and ({spec.ambient_dim},), got {u.shape} and {v.shape}"
             )
         self.spec, self.u, self.v = spec, u, v
-        self._scale = float(np.linalg.norm(u) * np.linalg.norm(v))
 
     @property
     def coeffs(self) -> np.ndarray:
@@ -247,6 +248,8 @@ class LinearForm(RationalExpr):
         return cls(spec, np.asarray(rows, dtype=complex) * weight, _unit(spec.ambient_dim, col))
 
     def coeff_scale(self) -> float:
+        if not hasattr(self, "_scale"):
+            self._scale = float(np.linalg.norm(self.u) * np.linalg.norm(self.v))
         return self._scale
 
     def is_zero(self) -> bool:

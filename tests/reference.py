@@ -1,6 +1,8 @@
 """Independent references that only tests read: the Lie-algebra basis as
-dense matrices, and the one-variable harmonic table from its first-order
-recurrence rather than from the closed form ``construct`` solves with."""
+dense matrices, the one-variable harmonic table from its first-order
+recurrence rather than from the closed form ``construct`` solves with,
+and the tension row at one multi-index, against which ``construct``'s
+whole-box map is checked."""
 
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,3 +44,20 @@ def harmonic_coefficients(d: int, mu) -> CoeffTable:
         value = value * Fraction(d * d - k * k) / (-2 * mu * Fraction(k * (k + 1)))
         coeffs[(k + 1,)] = value
     return CoeffTable((d,), coeffs)
+
+
+def tension_row(degrees, mu, idx) -> dict:
+    """The tension coefficient at idx as an integer linear map of the table,
+    scaled by the denominator b of mu = a/b:
+
+        2*a*(sigma^2 - sigma)*c_k
+            + b * sum_j (d_j + 1 - k_j) * (sum_i (d_i + k_i) - 1) * c_{k - e_j}.
+    """
+    mu = Fraction(mu)
+    sigma = sum(idx)
+    row = {idx: 2 * mu.numerator * (sigma * sigma - sigma)} if sigma > 1 else {}
+    total = mu.denominator * (sum(degrees) + sigma - 1)
+    for j, k in enumerate(idx):
+        if k >= 1:
+            row[idx[:j] + (k - 1,) + idx[j + 1 :]] = (degrees[j] + 1 - k) * total
+    return row

@@ -8,6 +8,8 @@ they are frozen here and everything is compared in exact arithmetic.
 import hashlib
 import itertools
 import json
+import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -35,7 +37,7 @@ from biforge.forms import Const, Product, make_quadruple, walk_order
 from biforge.groups import GroupSpec
 from biforge.operators import conformality, relative_residual, tension
 from biforge.verify import sample_domain_points
-from reference import harmonic_coefficients
+from reference import harmonic_coefficients, tension_row
 
 U2 = GroupSpec.unitary(2)
 U3 = GroupSpec.unitary(3)
@@ -262,22 +264,57 @@ def test_family_tables_match_recorded_digests(degrees, mu):
     assert hashlib.sha256(text.encode()).hexdigest() == TABLE_DIGESTS[degrees, mu]
 
 
-@pytest.mark.parametrize("off", list(box_indices((2, 1))), ids=str)
-def test_graded_solver_checks_integer_rows_exactly(off):
-    # mu = -1/2 scales the integer rows by 2 while the tables have thirds
-    # and ninths; one entry off by one must fail the check with its pins
-    # and, pins dropped, on the rows alone
-    degrees, mu = (2, 1), Fraction(-1, 2)
+def reference_refusal(degrees, mu, coeffs, proper):
+    """The row check's message on a table, from the per-index reference rows
+    applied to its Fractions; None if the rows accept it."""
+
+    def image(values):
+        sums = {idx: sum(c * values.get(k, 0) for k, c in tension_row(degrees, mu, idx).items())
+                for idx in box_indices(degrees)}
+        return {idx: v for idx, v in sums.items() if v}
+
+    residual = image(coeffs)
+    if proper:
+        if not residual:
+            return "proper direction came out harmonic"
+        residual = image(residual)
+    return f"table leaves a residual at index {next(iter(residual))}" if residual else None
+
+
+# (2, 1) at mu = -1/2 at every index, and su(n)'s exact-solve boxes at its
+# mu = -1 at a few: the zero index, the last unit index, the middle and
+# the top corner
+ROW_CHECK_CASES = [((2, 1), Fraction(-1, 2), off) for off in box_indices((2, 1))] + [
+    (degrees, Fraction(-1), off)
+    for degrees in [(6, 6), (3, 3, 3), (2, 2, 2, 2)]
+    for off in [(0,) * len(degrees), (0,) * (len(degrees) - 1) + (1,), tuple(d // 2 for d in degrees), degrees]
+]
+
+
+@pytest.mark.parametrize(
+    "degrees, mu, off", ROW_CHECK_CASES,
+    ids=[str(off) if degrees == (2, 1) else f"{degrees}-{off}" for degrees, _, off in ROW_CHECK_CASES],
+)
+def test_graded_solver_checks_integer_rows_exactly(degrees, mu, off):
+    # mu = -1/2 scales the integer rows by 2 while the (2, 1) tables have
+    # thirds and ninths; one entry off by one must fail the check with its
+    # pins and, pins dropped, on the rows alone, with the message the
+    # reference rows give: the first index in box order left nonzero
+    m = len(degrees)
     proper, *harm = biharmonic_family(degrees, mu)
-    cases = [(proper, unit_pins(2, 1), True), *((t, unit_pins(2, 0, i), False) for i, t in enumerate(harm))]
+    cases = [(proper, unit_pins(m, 1), True), *((t, unit_pins(m, 0, i), False) for i, t in enumerate(harm))]
     assert any(v.denominator > 1 for table, _, _ in cases for _, v in table.items())
     for table, pins, proper_kind in cases:
         coeffs = {idx: table.get(idx) for idx in box_indices(degrees)}
         assert _checked_table(degrees, mu, coeffs, pins, proper_kind) == table
         coeffs[off] += 1
-        for check_pins in (pins, {}):
-            with pytest.raises(InconsistentSystem):
-                _checked_table(degrees, mu, coeffs, check_pins, proper_kind)
+        expected = reference_refusal(degrees, mu, coeffs, proper_kind)
+        assert expected is not None
+        with pytest.raises(InconsistentSystem, match="pinned" if off in pins else re.escape(expected)):
+            _checked_table(degrees, mu, coeffs, pins, proper_kind)
+        with pytest.raises(InconsistentSystem) as info:
+            _checked_table(degrees, mu, coeffs, {}, proper_kind)
+        assert str(info.value) == expected
 
 
 @pytest.mark.parametrize("degrees", [(12, 12), (2, 2, 2, 2, 2)], ids=str)
@@ -335,21 +372,35 @@ def test_tension_table_unit_column():
     assert image.get((0, 0)) == 0 and image.get((1, 1)) == 0
 
 
-@pytest.mark.parametrize("mu", [-1, Fraction(-1, 2), Fraction(3, 5)], ids=str)
-@pytest.mark.parametrize("degrees", [(1,), (2, 1), (3, 3, 3), (2, 2, 2, 2)], ids=str)
+TENSION_ROW_CASES = [
+    *itertools.product([(1,), (2, 1), (3, 3, 3), (2, 2, 2, 2)], [-1, Fraction(-1, 2), Fraction(3, 5)]),
+    # su(3)'s box at a mu whose proper table has numerators past 2**63
+    ((12, 12), Fraction(3, 5)),
+]
+
+
+@pytest.mark.parametrize("degrees, mu", TENSION_ROW_CASES, ids=[f"{d}-{mu}" for d, mu in TENSION_ROW_CASES])
 def test_tension_rows_vanish_outside_the_box(degrees, mu):
     # tension_table sums only the rows of the box: on any in-box table the
     # row at an index with some k_j = d_j + 1 must sum to 0, and the rows of
     # the box, over mu's denominator, are the tension table
     mu = Fraction(mu)
     rng = np.random.default_rng(len(degrees))
-    for _ in range(5):
-        table = CoeffTable(degrees, {
+    tables = [
+        CoeffTable(degrees, {
             idx: Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 10))) for idx in box_indices(degrees)
         })
+        for _ in range(5)
+    ]
+    if degrees == (12, 12):
+        proper = proper_biharmonic_table(degrees, mu)
+        den = math.lcm(*(v.denominator for _, v in proper.items()))
+        assert max(abs(v.numerator) * (den // v.denominator) for _, v in proper.items()) > 2**63
+        tables.append(proper)
+    for table in tables:
         image = tension_table(table, mu)
         for idx in itertools.product(*(range(d + 2) for d in degrees)):
-            value = sum(c * table.get(k) for k, c in construct._tension_row(degrees, mu, idx).items())
+            value = sum(c * table.get(k) for k, c in tension_row(degrees, mu, idx).items())
             if all(k <= d for k, d in zip(idx, degrees)):
                 assert value == image.get(idx) * mu.denominator
             else:
@@ -607,3 +658,25 @@ def test_construct_solves_only_the_table_it_writes(tmp_path, monkeypatch):
     text = (tmp_path / "coeffs.json").read_text()
     assert text == expected.to_json(GroupSpec.unitary(5), mu) + "\n"
     assert CoeffTable.from_json(text) == expected
+
+
+def test_construct_family_computes_no_form_scale(tmp_path, monkeypatch):
+    # construct writes the family's vectors and reads no coefficient scale,
+    # so its 2n + 2 forms compute none; a Quotient computes its denominator's
+    built = []
+
+    def build_family(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    build = cli._build_family
+    monkeypatch.setattr(cli, "_build_family", build_family)
+    argv = ["construct", "--group", "su", "--n", "5", "--degrees", "2,2,2,2", "--seed", "1",
+            "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    (fam,) = built
+    forms, den = fam.all_forms(), fam.denominator
+    assert len(forms) == 2 * 5 + 2
+    assert not any(hasattr(form, "_scale") for form in forms)
+    assert fam.member_quotient(0).den_scale == np.linalg.norm(den.u) * np.linalg.norm(den.v)
+    assert [hasattr(form, "_scale") for form in forms] == [form is den for form in forms]
