@@ -51,9 +51,11 @@ takes it as the tension of a table, and the row check takes it to accept
 a solution.  Each returned table must hold its pinned values and satisfy
 every equation on the box in integer sums over its common denominator
 (the proper table: its tension table is nonzero and satisfies the
-harmonic equations).  Tables are exact Fractions; the numerical
-operators only enter when a table is assembled into an evaluable
-expression.
+harmonic equations).  A table is that integer array itself: Python-int
+numerators shaped like the box over one positive common denominator, in
+lowest terms, so the solvers, the row check, ``tension_table`` and
+``to_json`` make no Fraction per entry.  The numerical operators only
+enter when a table is assembled into an evaluable expression.
 """
 
 from __future__ import annotations
@@ -115,90 +117,102 @@ def box_indices(degrees: tuple[int, ...]):
 
 
 def _json_ints(values, indent: int) -> str:
-    """A list of ints as ``json.dumps(..., indent=2)`` lays it out at ``indent``."""
-    if not values:
-        return "[]"
+    """A nonempty list as ``json.dumps(..., indent=2)`` lays out ints at ``indent``."""
     pad = " " * indent
     return "[\n" + ",\n".join(f"{pad}  {v}" for v in values) + f"\n{pad}]"
+
+
+def _box_array(degrees: tuple[int, ...], entries) -> tuple[np.ndarray, int]:
+    """(nums, den) of (index, num, den) entries: one object array shaped like
+    the box, 0 where no entry is, over one positive common denominator."""
+    nums, den = np.zeros([d + 1 for d in degrees], dtype=object), 1
+    for idx, num, d in entries:
+        if len(idx) != len(degrees) or not all(0 <= k <= top for k, top in zip(idx, degrees)):
+            raise DimensionMismatch(f"index {idx} lies outside the degree box {degrees}")
+        if den % d:
+            scale = abs(d) // math.gcd(den, d)
+            nums *= scale
+            den *= scale
+        nums[idx] = num * (den // d)
+    return nums, den
 
 
 class CoeffTable:
     """Exact multi-index coefficients of one multi-homogeneous candidate.
 
-    Every given index must lie in the box 0 <= k_i <= d_i; indices not
-    given are zero, and zero entries are not stored.
+    c_k = nums[k] / den on the box 0 <= k_i <= d_i: ``nums`` is an object
+    array of Python ints shaped like the box over one positive common
+    denominator, in lowest terms (gcd(den, *nums) == 1: the zero table has
+    den == 1, and equal tables have equal arrays).  The constructor takes
+    positive degrees and a dict from in-box index to rational value.
     """
 
-    __slots__ = ("degrees", "coeffs")
+    __slots__ = ("degrees", "nums", "den")
 
     def __init__(self, degrees, coeffs: dict):
-        self.degrees = tuple(int(d) for d in degrees)
-        clean = {}
-        for idx, value in coeffs.items():
-            idx = tuple(int(k) for k in idx)
-            if len(idx) != len(self.degrees) or not all(0 <= k <= d for k, d in zip(idx, self.degrees)):
-                raise DimensionMismatch(f"index {idx} lies outside the degree box {self.degrees}")
-            value = _frac(value)
-            if value != 0:
-                clean[idx] = value
-        self.coeffs = clean
+        degrees = _validate_degrees(degrees)
+        entries = ((tuple(map(int, idx)), *_frac(v).as_integer_ratio()) for idx, v in coeffs.items())
+        self._set(degrees, *_box_array(degrees, entries))
+
+    def _set(self, degrees: tuple[int, ...], nums: np.ndarray, den: int) -> "CoeffTable":
+        """Hold nums / den in lowest terms over a positive denominator."""
+        g = math.gcd(den, *nums.flat) * (1 if den > 0 else -1)  # |den| for the zero table
+        self.degrees, self.nums, self.den = degrees, nums if g == 1 else nums // g, den // g
+        return self
 
     @classmethod
-    def _trusted(cls, degrees: tuple[int, ...], coeffs: dict) -> "CoeffTable":
-        """A solver's in-box Fraction table, kept as given but for its zeros."""
-        table = cls.__new__(cls)
-        table.degrees = degrees
-        table.coeffs = {k: v for k, v in coeffs.items() if v}
-        return table
+    def _of(cls, degrees: tuple[int, ...], nums: np.ndarray, den: int) -> "CoeffTable":
+        """The table nums / den on a validated box."""
+        return cls.__new__(cls)._set(degrees, nums, den)
 
     def get(self, idx) -> Fraction:
-        return self.coeffs.get(tuple(idx), Fraction(0))
+        """c at ``idx``; 0 outside the box."""
+        idx = tuple(idx)
+        if len(idx) == len(self.degrees) and all(0 <= k <= d for k, d in zip(idx, self.degrees)):
+            return Fraction(self.nums[idx], self.den)
+        return Fraction(0)
 
     def items(self):
-        return sorted(self.coeffs.items())
+        """(index, Fraction) of the nonzero entries, in box order."""
+        return [(idx, Fraction(v, self.den)) for idx, v in zip(box_indices(self.degrees), self.nums.flat) if v]
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums.any()
 
     def __eq__(self, other):
         if not isinstance(other, CoeffTable):
             return NotImplemented
-        return self.degrees == other.degrees and self.coeffs == other.coeffs
+        return self.degrees == other.degrees and self.den == other.den and np.array_equal(self.nums, other.nums)
 
     __hash__ = None
 
     def proportional_to(self, other: "CoeffTable") -> bool:
-        """True iff the tables agree up to one overall rational scale."""
-        if self.degrees != other.degrees:
-            return False
-        if self.is_zero() or other.is_zero():
-            return self.is_zero() and other.is_zero()
-        if set(self.coeffs) != set(other.coeffs):
-            return False
-        idx = next(iter(sorted(self.coeffs)))
-        ratio = other.coeffs[idx] / self.coeffs[idx]
-        return all(other.coeffs[k] == v * ratio for k, v in self.coeffs.items())
+        """True iff the tables agree up to one nonzero rational scale, or are
+        both zero: cross-multiplied at the first nonzero entry of ``self``."""
+        if self.degrees != other.degrees or self.is_zero() or other.is_zero():
+            return self.degrees == other.degrees and self.is_zero() and other.is_zero()
+        i = np.flatnonzero(self.nums)[0]
+        return bool((self.nums * other.nums.flat[i] == other.nums * self.nums.flat[i]).all())
 
     def single_degree(self) -> tuple[Fraction, ...]:
         """The (c_0, ..., c_d) tuple for one-variable tables."""
         if len(self.degrees) != 1:
             raise DimensionMismatch("single_degree applies to one-variable tables")
-        d = self.degrees[0]
-        return tuple(self.get((k,)) for k in range(d + 1))
+        return tuple(Fraction(v, self.den) for v in self.nums)
 
     def to_json(self, spec: GroupSpec | None = None, mu=None) -> str:
         """Serialize the table; given the group and mu it was solved for,
         also record them and the schema version.
 
         The text is ``json.dumps(doc, indent=2, sort_keys=True)`` of the
-        document, written from one template per entry: with an indent,
-        ``json.dumps`` runs its pure-Python encoder.
+        document, each nonzero entry in lowest terms, written from one
+        template for the table: with an indent, ``json.dumps`` runs its
+        pure-Python encoder.
         """
-        entries = ",\n".join(
-            f'    {{\n      "den": "{v.denominator}",\n      "k": {_json_ints(k, 6)},\n'
-            f'      "num": "{v.numerator}"\n    }}'
-            for k, v in self.items()
-        )
+        den, k = self.den, _json_ints(["%s"] * len(self.degrees), 6)
+        entry = f'    {{\n      "den": "%s",\n      "k": {k},\n      "num": "%s"\n    }}'
+        entries = ",\n".join(entry % (den // (g := math.gcd(v, den)), *idx, v // g)
+                             for idx, v in zip(box_indices(self.degrees), self.nums.flat) if v)
         lines = [f'  "coeffs": [\n{entries}\n  ]' if entries else '  "coeffs": []',
                  f'  "degrees": {_json_ints(self.degrees, 2)}']
         if spec is not None:
@@ -222,16 +236,18 @@ class CoeffTable:
         if doc.get("schema", TABLE_SCHEMA) != TABLE_SCHEMA:
             raise ValueError(f"unsupported coefficient table schema {doc['schema']!r}")
         degrees = _validate_degrees([_json_int(d, "degrees") for d in doc["degrees"]])
-        coeffs = {}
-        for entry in doc["coeffs"]:
+        seen = set()
+
+        def fields(entry):
             where = f"coefficient entry {entry}"
             idx = tuple(_json_int(k, where) for k in entry["k"])
             num, den = (_json_int(entry[key], where, digits=True) for key in ("num", "den"))
-            if idx in coeffs or den == 0:
-                problem = "repeats index" if idx in coeffs else "has denominator 0"
-                raise ValueError(f"coefficient entry {entry} {problem}")
-            coeffs[idx] = Fraction(num, den)
-        table = cls(degrees, coeffs)
+            if idx in seen or den == 0:
+                raise ValueError(f"{where} {'repeats index' if idx in seen else 'has denominator 0'}")
+            seen.add(idx)
+            return idx, num, den
+
+        table = cls._of(degrees, *_box_array(degrees, map(fields, doc["coeffs"])))
         if spec is not None:
             expected = {"group": spec.code, "n": spec.n, "mu": _frac(spec.mu)}
             recorded = {key: doc[key] for key in expected if key in doc}
@@ -244,7 +260,7 @@ class CoeffTable:
         return table
 
     def __repr__(self):
-        return f"CoeffTable(degrees={self.degrees}, nnz={len(self.coeffs)})"
+        return f"CoeffTable(degrees={self.degrees}, nnz={np.count_nonzero(self.nums)}, den={self.den})"
 
 
 def combine(tables, weights) -> CoeffTable:
@@ -255,11 +271,10 @@ def combine(tables, weights) -> CoeffTable:
     boxes = {t.degrees for t in tables}
     if len(boxes) != 1:
         raise DimensionMismatch(f"tables must share one degree box, got {sorted(boxes)}")
-    out: dict = {}
-    for w, t in zip(weights, tables):
-        for k, v in t.coeffs.items():
-            out[k] = out.get(k, 0) + w * v
-    return CoeffTable(boxes.pop(), out)
+    dens = [w.denominator * t.den for w, t in zip(weights, tables)]
+    den = math.lcm(*dens)
+    nums = sum(t.nums * (w.numerator * (den // d)) for w, t, d in zip(weights, tables, dens))
+    return CoeffTable._of(boxes.pop(), nums, den)
 
 
 # ---------------------------------------------------------------------------
@@ -295,20 +310,9 @@ def _box_map(degrees, mu: Fraction):
     return apply
 
 
-def _over_common_denominator(degrees, values: dict) -> tuple[np.ndarray, int]:
-    """Integer numerators of rational values keyed by box index over their
-    least common denominator, as an object array shaped like the box, 0
-    at the indices missing from ``values``."""
-    # reduce, not lcm(*...): a star call would build one argument tuple per unknown
-    den = functools.reduce(math.lcm, (v.denominator for v in values.values()), 1)
-    out = np.zeros([d + 1 for d in degrees], dtype=object)
-    for idx, v in values.items():
-        out[idx] = v.numerator * (den // v.denominator)
-    return out, den
-
-
 def tension_table(table: CoeffTable, mu) -> CoeffTable:
-    """Coefficients of tau(F) in the same monomial basis as F.
+    """Coefficients of tau(F) in the same monomial basis as F: the b-scaled
+    map on the numerators, over den * b.
 
     tau maps the box into itself: the row at an index with k_j = d_j + 1
     reads only c at indices with that k_j, outside the box, or c_{k - e_j}
@@ -316,50 +320,46 @@ def tension_table(table: CoeffTable, mu) -> CoeffTable:
     coefficient.
     """
     mu = _frac(mu)
-    values, den = _over_common_denominator(table.degrees, table.coeffs)
-    den *= mu.denominator
-    sums = _box_map(table.degrees, mu)(values)
-    coeffs = {idx: Fraction(v, den) for idx, v in zip(box_indices(table.degrees), sums.flat) if v}
-    return CoeffTable._trusted(table.degrees, coeffs)
+    return CoeffTable._of(table.degrees, _box_map(table.degrees, mu)(table.nums), table.den * mu.denominator)
 
 
 # ---------------------------------------------------------------------------
 # exact solving
 
 
-def _checked_table(degrees, mu: Fraction, coeffs: dict, pins: dict, proper: bool) -> CoeffTable:
-    """The table of ``coeffs`` once the integer rows accept it.
+def _checked_table(table: CoeffTable, mu: Fraction, pins: dict, proper: bool) -> CoeffTable:
+    """``table`` once the integer rows accept it.
 
     Every pinned index must hold its value.  With T the b-scaled map
-    ``_box_map``, a harmonic table needs T c = 0 and the proper table a
-    nonzero g = T c with T g = 0, each taken in integers over the table's
-    common denominator; otherwise InconsistentSystem, naming the first
-    index in box order where the image is nonzero.
+    ``_box_map`` on the numerator array, a harmonic table needs T c = 0 and
+    the proper table a nonzero g = T c with T g = 0; otherwise
+    InconsistentSystem, naming the first index in box order where the
+    image is nonzero.
     """
     for idx, value in pins.items():
-        if coeffs.get(idx, 0) != value:
-            raise InconsistentSystem(f"index {idx} holds {coeffs.get(idx, 0)}, pinned to {value}")
-    tension = _box_map(degrees, mu)
-    image = tension(_over_common_denominator(degrees, coeffs)[0])
+        if table.nums[idx] != value * table.den:
+            raise InconsistentSystem(f"index {idx} holds {table.get(idx)}, pinned to {value}")
+    tension = _box_map(table.degrees, mu)
+    image = tension(table.nums)
     if proper:
         if not image.any():
             raise InconsistentSystem("proper direction came out harmonic")
         image = tension(image)
     if image.any():
         raise InconsistentSystem(f"table leaves a residual at index {tuple(np.argwhere(image)[0].tolist())}")
-    return CoeffTable._trusted(degrees, coeffs)
+    return table
 
 
-def _closed_form(degrees, numerators, den: int, axis: int | None) -> dict:
+def _closed_form(degrees, numerators, den: int, axis: int | None) -> CoeffTable:
     """c_k = numerators[sigma] / den * w_k * prod_j C(d_j, k_j) on the box,
-    sigma = sum(k), with w_k = k_axis, or 1 when axis is None: one array
-    expression of integers, then one Fraction per nonzero entry."""
+    sigma = sum(k), with w_k = k_axis, or 1 when axis is None: the table's
+    numerator array is one array expression of integers."""
     ks = np.indices([d + 1 for d in degrees])
     binomials = functools.reduce(
         np.multiply.outer, (np.array([math.comb(d, k) for k in range(d + 1)], dtype=object) for d in degrees)
     )
     values = np.array(numerators, dtype=object)[ks.sum(axis=0)] * binomials * (1 if axis is None else ks[axis])
-    return {idx: Fraction(v, den) for idx, v in zip(box_indices(degrees), values.flat) if v}
+    return CoeffTable._of(degrees, values, den)
 
 
 def _unit_indices(m: int) -> list[tuple[int, ...]]:
@@ -403,8 +403,8 @@ def harmonic_family(degrees, mu) -> tuple[CoeffTable, ...]:
     tables = []
     for i, (d_i, e_i) in enumerate(zip(degrees, units)):
         pins = {zero: 0, **{u: int(u == e_i) for u in units}}
-        coeffs = _closed_form(degrees, numerators, x_den ** (total - 1) * total * d_i, i)
-        tables.append(_checked_table(degrees, mu, coeffs, pins, proper=False))
+        table = _closed_form(degrees, numerators, x_den ** (total - 1) * total * d_i, i)
+        tables.append(_checked_table(table, mu, pins, proper=False))
     return tuple(tables)
 
 
@@ -423,8 +423,7 @@ def proper_biharmonic_table(degrees, mu) -> CoeffTable:
     m, total, x_num, x_den = len(degrees), sum(degrees), -mu.denominator, 2 * mu.numerator
     numerators = [(1 - s) * math.comb(total + s - 1, s) * x_num**s * x_den ** (total - s) for s in range(total + 1)]
     pins = {(0,) * m: 1, **{u: 0 for u in _unit_indices(m)}}
-    coeffs = _closed_form(degrees, numerators, x_den**total, None)
-    return _checked_table(degrees, mu, coeffs, pins, proper=True)
+    return _checked_table(_closed_form(degrees, numerators, x_den**total, None), mu, pins, proper=True)
 
 
 def biharmonic_family(degrees, mu) -> tuple[CoeffTable, ...]:
@@ -471,9 +470,8 @@ def build_expression(table: CoeffTable, pairs) -> RationalExpr:
         return Const(0.0)
     degrees = table.degrees
     pows = [chain for (f, tf), d in zip(pairs, degrees) for chain in (powers(f, d), powers(tf, d))]
-    terms = [
-        (tuple(e for k, d in zip(idx, degrees) for e in (d - k, k)), coeff) for idx, coeff in table.items()
-    ]
+    terms = [(tuple(e for k, d in zip(idx, degrees) for e in (d - k, k)), v / table.den)
+             for idx, v in zip(box_indices(degrees), table.nums.flat) if v]
     return _polynomial(pows, terms)
 
 

@@ -212,18 +212,18 @@ def test_graded_solver_rejects_inconsistent_systems():
     # kind: a zero tension table is no proper table
     degrees, mu = (2, 1), Fraction(-1, 2)
     proper, *harm = biharmonic_family(degrees, mu)
-    assert _checked_table(degrees, mu, dict(proper.coeffs), unit_pins(2, 1), proper=True) == proper
-    assert _checked_table(degrees, mu, dict(harm[1].coeffs), unit_pins(2, 0, 1), proper=False) == harm[1]
+    assert _checked_table(proper, mu, unit_pins(2, 1), proper=True) == proper
+    assert _checked_table(harm[1], mu, unit_pins(2, 0, 1), proper=False) == harm[1]
     for table in (harm[0], CoeffTable(degrees, {})):
         with pytest.raises(InconsistentSystem, match="came out harmonic"):
-            _checked_table(degrees, mu, dict(table.coeffs), {}, proper=True)
+            _checked_table(table, mu, {}, proper=True)
     with pytest.raises(InconsistentSystem, match="pinned"):
-        _checked_table(degrees, mu, dict(proper.coeffs), unit_pins(2, 2), proper=True)
+        _checked_table(proper, mu, unit_pins(2, 2), proper=True)
     with pytest.raises(InconsistentSystem, match="pinned"):
-        _checked_table(degrees, mu, dict(harm[0].coeffs), unit_pins(2, 0, 1), proper=False)
+        _checked_table(harm[0], mu, unit_pins(2, 0, 1), proper=False)
     # and the proper table is no harmonic one
     with pytest.raises(InconsistentSystem, match="residual"):
-        _checked_table(degrees, mu, dict(proper.coeffs), {}, proper=False)
+        _checked_table(proper, mu, {}, proper=False)
 
 
 # SHA-256 of the to_json() texts of every biharmonic then harmonic basis
@@ -306,14 +306,15 @@ def test_graded_solver_checks_integer_rows_exactly(degrees, mu, off):
     assert any(v.denominator > 1 for table, _, _ in cases for _, v in table.items())
     for table, pins, proper_kind in cases:
         coeffs = {idx: table.get(idx) for idx in box_indices(degrees)}
-        assert _checked_table(degrees, mu, coeffs, pins, proper_kind) == table
+        assert _checked_table(CoeffTable(degrees, coeffs), mu, pins, proper_kind) == table
         coeffs[off] += 1
+        bad = CoeffTable(degrees, coeffs)
         expected = reference_refusal(degrees, mu, coeffs, proper_kind)
         assert expected is not None
         with pytest.raises(InconsistentSystem, match="pinned" if off in pins else re.escape(expected)):
-            _checked_table(degrees, mu, coeffs, pins, proper_kind)
+            _checked_table(bad, mu, pins, proper_kind)
         with pytest.raises(InconsistentSystem) as info:
-            _checked_table(degrees, mu, coeffs, {}, proper_kind)
+            _checked_table(bad, mu, {}, proper_kind)
         assert str(info.value) == expected
 
 
@@ -323,10 +324,10 @@ def test_large_boxes_pass_the_row_check(degrees):
     mu = Fraction(GroupSpec.unitary(3).mu)
     m = len(degrees)
     proper = proper_biharmonic_table(degrees, mu)
-    assert len(proper.coeffs) > 100
-    assert _checked_table(degrees, mu, dict(proper.coeffs), unit_pins(m, 1), proper=True) == proper
+    assert np.count_nonzero(proper.nums) > 100
+    assert _checked_table(proper, mu, unit_pins(m, 1), proper=True) == proper
     for i, table in enumerate(harmonic_family(degrees, mu)):
-        assert _checked_table(degrees, mu, dict(table.coeffs), unit_pins(m, 0, i), proper=False) == table
+        assert _checked_table(table, mu, unit_pins(m, 0, i), proper=False) == table
 
 
 def test_tension_table_of_harmonic_is_zero():
@@ -466,6 +467,40 @@ def test_coeff_table_rejects_index_outside_box(idx):
     # a stored out-of-box entry would read as zero to tension_table
     with pytest.raises(DimensionMismatch, match="outside the degree box"):
         CoeffTable((2,), {idx: 1})
+
+
+def test_coeff_table_is_kept_in_lowest_terms_over_a_positive_denominator():
+    # one form per rational table, however it was reached: equality, the
+    # json text and proportionality read the numerator array and its den
+    degrees, mu = (2, 1), Fraction(-1)
+    family = biharmonic_family(degrees, mu)
+    solved = family[0]
+    # mu < 0 makes the closed form's denominator (2*a)**D negative
+    assert solved.den > 0 and math.gcd(solved.den, *solved.nums.flat) == 1
+    assert repr(solved) == "CoeffTable(degrees=(2, 1), nnz=4, den=2)"
+    doc = json.loads(solved.to_json())
+    assert all(int(entry["den"]) > 0 for entry in doc["coeffs"])
+    # unreduced entries over negative denominators, as a hand-written file may hold them
+    for i, entry in enumerate(doc["coeffs"]):
+        entry.update(num=str(-(i + 2) * int(entry["num"])), den=str(-(i + 2) * int(entry["den"])))
+    assert CoeffTable.from_json(json.dumps(doc)) == solved
+    assert CoeffTable(degrees, dict(solved.items())) == solved
+    # scaled up then down: the sum is put back in lowest terms
+    assert combine([CoeffTable(degrees, {k: 6 * v for k, v in solved.items()})], [Fraction(1, 6)]) == solved
+
+    for zero in (CoeffTable(degrees, {}), CoeffTable(degrees, {(1, 0): 0}), tension_table(family[1], mu)):
+        assert zero.den == 1 and zero.is_zero()
+    with pytest.raises(DimensionMismatch, match="positive integers"):
+        CoeffTable((), {})
+
+    scaled = combine([solved], [Fraction(7, 3)])
+    assert scaled.den != solved.den
+    assert scaled.proportional_to(solved) and solved.proportional_to(scaled)
+    assert not solved.proportional_to(family[1])
+
+    weights = [Fraction(1, 2), Fraction(-2, 3), 5]
+    expected = {idx: sum(w * t.get(idx) for w, t in zip(weights, family)) for idx in box_indices(degrees)}
+    assert combine(family, weights) == CoeffTable(degrees, expected)
 
 
 def test_build_expression_validation_and_zero():
