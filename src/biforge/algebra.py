@@ -324,12 +324,14 @@ def _outer_product_matrix(s: np.ndarray) -> np.ndarray:
     k = s.shape[-1]
     if k == 1:
         return s[..., None]
-    m = np.zeros(s.shape + (k,), dtype=s.dtype)
-    diagonal = np.arange(k)
-    m[..., diagonal, diagonal] = s[..., :1]
-    m[..., 1:, 0] = s[..., 1:]
-    m[..., -1, 1:-1] = s[..., 1:-1]
-    return m
+    # entry (i, j) at i*k + j of a flat zero array, so each part is one
+    # basic slice: the diagonal every k + 1, column 0 every k from row 1,
+    # and the last row's middle in one run
+    m = np.zeros(s.shape[:-1] + (k * k,), dtype=s.dtype)
+    m[..., :: k + 1] = s[..., :1]
+    m[..., k::k] = s[..., 1:]
+    m[..., k * k - k + 1 : k * k - 1] = s[..., 1:-1]
+    return m.reshape(s.shape + (k,))
 
 
 def _outer_sums(g: np.ndarray) -> np.ndarray:
@@ -340,7 +342,9 @@ def _outer_sums(g: np.ndarray) -> np.ndarray:
         return g[..., 0]
     out = g[..., 0, :] + g[..., :, 0]
     out[..., 0] = g[..., 0, 0]
-    out[..., -1] += np.diagonal(g, axis1=-2, axis2=-1)[..., 1:-1].sum(axis=-1)
+    k = g.shape[-1]
+    # the diagonal's middle, (i, i) for 0 < i < k - 1, every k + 1 entries
+    out[..., -1] += g.reshape(g.shape[:-2] + (k * k,))[..., k + 1 : k * k - 1 : k + 1].sum(axis=-1)
     return out
 
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biforge.algebra import Jet2, PackedJet, _outer_product_matrix, jet_reciprocal, leading_value
+from biforge.algebra import Jet2, PackedJet, _outer_product_matrix, _outer_sums, jet_reciprocal, leading_value
 from biforge.errors import DegenerateJetDivision
 
 fractions_st = st.fractions(
@@ -345,6 +345,20 @@ def _written_out_product_matrix(s):
     return out
 
 
+def _written_out_outer_sums(g):
+    # the sum of the products g[i, j] of the units i and j of
+    # [1, t_1 .. t_D, T]: 1 times a unit is that unit, t_i t_i = T, and
+    # every other product of two units is 0
+    k = g.shape[-1]
+    out = np.zeros(g.shape[:-1], dtype=g.dtype)
+    for index in np.ndindex(g.shape[:-2]):
+        for i, j in np.ndindex(k, k):
+            unit = j if i == 0 else i if j == 0 else k - 1 if i == j < k - 1 else None
+            if unit is not None:
+                out[index + (unit,)] += g[index + (i, j)]
+    return out
+
+
 @pytest.mark.parametrize("orders", [1, 2, 3, 5, 6])
 def test_outer_product_matrix_matches_scatter(orders):
     # the outer algebra's multiplication matrices: up to K = 3 the
@@ -364,3 +378,26 @@ def test_outer_product_matrix_matches_scatter(orders):
     # and the product it stands for, exactly: m(x) @ y = m(y) @ x
     other = exact[::-1] + Fraction(1, 7)
     assert np.array_equal((product @ other[..., None])[..., 0], (_outer_product_matrix(other) @ exact[..., None])[..., 0])
+
+
+@pytest.mark.parametrize("orders", [1, 3, 6, 12])
+def test_outer_kernels_match_written_out_definitions(orders):
+    # the product matrix and the outer sums against their definitions
+    # written out, on complex128 and on Fraction inputs; the complex sums
+    # are of Gaussian integers, exact in any order, so the two agree bit
+    # for bit, and a transposed view is read as its values
+    rng = np.random.default_rng(71 + orders)
+    s = rng.normal(size=(2, 3, orders)) + 1j * rng.normal(size=(2, 3, orders))
+    assert np.array_equal(_outer_product_matrix(s), _written_out_product_matrix(s))
+    g = (rng.integers(-50, 50, size=(2, 3, orders, orders)) + 1j * rng.integers(-50, 50, size=(2, 3, orders, orders)))
+    for matrix in (g, g.swapaxes(-1, -2)):
+        assert np.array_equal(_outer_sums(matrix), _written_out_outer_sums(matrix))
+    exact = np.array([[Fraction(k - 2 * j + 1, k + j + 2) for k in range(orders)] for j in range(3)], dtype=object)
+    assert np.array_equal(_outer_product_matrix(exact), _written_out_product_matrix(exact))
+    pairs = np.array(
+        [[[Fraction(i - j + b, 1 + i + 2 * j + b) for j in range(orders)] for i in range(orders)] for b in range(2)],
+        dtype=object,
+    )
+    sums = _outer_sums(pairs)
+    assert sums.dtype == object
+    assert np.array_equal(sums, _written_out_outer_sums(pairs))
