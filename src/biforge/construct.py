@@ -239,11 +239,15 @@ class CoeffTable:
         seen = set()
 
         def fields(entry):
-            where = f"coefficient entry {entry}"
-            idx = tuple(_json_int(k, where) for k in entry["k"])
-            num, den = (_json_int(entry[key], where, digits=True) for key in ("num", "den"))
+            # the entry is named only in a refusal: _json_int's message
+            # follows an empty ``where`` here, and the name goes in front
+            try:
+                idx = tuple(_json_int(k, "") for k in entry["k"])
+                num, den = (_json_int(entry[key], "", digits=True) for key in ("num", "den"))
+            except ValueError as error:
+                raise ValueError(f"coefficient entry {entry}{error}") from None
             if idx in seen or den == 0:
-                raise ValueError(f"{where} {'repeats index' if idx in seen else 'has denominator 0'}")
+                raise ValueError(f"coefficient entry {entry} {'repeats index' if idx in seen else 'has denominator 0'}")
             seen.add(idx)
             return idx, num, den
 
