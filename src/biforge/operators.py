@@ -23,8 +23,10 @@ half-second-derivative factor stay inside this module.
 outer directions W_i in the collapsed outer algebra (see
 :mod:`biforge.algebra`) and reading the basis sum of second
 coefficients at its last row, the sum over i of the t_i**2
-coefficients; each walk carries four directions, so |B|/4 walks
-(rounded up) in all.  The value and tau(h) come with it, read at the
+coefficients.  Each walk carries as many directions as fit a fixed
+width of jet entries per point, and never fewer than four: one walk on
+su(3), two on su(4), and |B|/4 walks (rounded up) on algebras of
+dimension 31 or more.  The value and tau(h) come with it, read at the
 first row of the first walk; ``tension2`` reads the bitension alone.
 Derivatives are read off with the half-second-derivative convention.
 
@@ -61,8 +63,13 @@ __all__ = [
 ]
 
 _BRACKET_TOL = 1e-12
-# outer directions of one bitension walk (K = 6 outer rows): each one
-# more widens every jet the walk keeps live
+# complex entries per point of a bitension walk's jets, (D + 2)(|B| + 2)
+# for D outer directions: four directions on a 36-dimensional algebra
+# (sp(4), su(6)).  Narrower algebras pack more directions into that
+# width, wider ones keep four (K = 6 outer rows): a walk is never wider
+# than max(228, 6 (|B| + 2)) per point, and every jet it keeps live is
+# that wide
+_WALK_WIDTH = 228
 _DIRECTIONS_PER_WALK = 4
 
 
@@ -194,9 +201,11 @@ def bitension_jets(h: RationalExpr, point, ctx: OperatorContext):
     """Values, tensions and bitensions tau(tau(h)) of one expression.
 
     Returns ``(values, tau, tau2)``, each of shape (P,); a single (N, N)
-    matrix drops the point axis.  Each walk moves the points along
-    ``_DIRECTIONS_PER_WALK`` outer directions W_i at once; the last row
-    of the basis sum of second coefficients, times 4, is
+    matrix drops the point axis.  Each walk moves the points along D
+    outer directions W_i at once, as many as keep (D + 2)(|B| + 2) within
+    ``_WALK_WIDTH`` but at least ``_DIRECTIONS_PER_WALK``, a count read
+    from the group alone, so no point's result depends on its batch; the
+    last row of the basis sum of second coefficients, times 4, is
     sum_i d^2/dt^2 [tau(h)(p exp(tW_i))] |_0, and the walks, added in
     basis order, give tau(tau(h)).  The value and tau are read at the
     first row of the first walk, where the layer is the point itself.
@@ -204,8 +213,9 @@ def bitension_jets(h: RationalExpr, point, ctx: OperatorContext):
     stack, single = _batch(point)
     total = np.zeros(len(stack), dtype=complex)
     stop = len(ctx.cols) - 1
-    for first in range(1, stop, _DIRECTIONS_PER_WALK):
-        outer = _outer_stack(ctx, first, min(first + _DIRECTIONS_PER_WALK, stop))
+    step = max(_DIRECTIONS_PER_WALK, _WALK_WIDTH // len(ctx.cols) - 2)
+    for first in range(1, stop, step):
+        outer = _outer_stack(ctx, first, min(first + step, stop))
         walk = PackedPoint(stack, ctx.cols, ctx.vals, outer)
         # the value and Laplacian columns, copied so no walk's jet outlives it
         ends = _coefficients(h.evaluate(walk), walk)[..., [0, -1]]

@@ -550,11 +550,11 @@ def test_verify_answers_match_recorded(tmp_path, capsys, table):
 REPORT_DIGESTS = {
     "verify-su4-2,1": (
         ["--group", "su", "--n", "4", "--degrees", "2,1"],
-        "7c8f31b965c99e4b2cc5b2b81cd827c62a27b7632e26a1fa3ad8debdaaae562a",
+        "da03fdff616dfd3c592457e5bc196d03c2162824a3bda846f5516c8c419454e9",
     ),
     "verify-sp2-choice10-2": (
         ["--group", "sp", "--n", "2", "--degrees", "2", "--choice", "10"],
-        "9247a1dbea9bfafeb6b7c8552ded9eb2fada7085e88e11e1f0397215a36a9f12",
+        "066974068c7f21a9cb4636f87daf1b9a123f5deb02494b81dd00164801e4e50a",
     ),
     "morphism-su3-orthogonal": (
         ["--group", "su", "--n", "3"],
@@ -568,7 +568,7 @@ REPORT_DIGESTS = {
     # cubes of the member tensions in the morphism's eigenfamily
     "verify-su4-3,3,3": (
         ["--group", "su", "--n", "4", "--degrees", "3,3,3"],
-        "5c62b1a860bca89063678c94d444eabe92e0c1e7b61a411f1cd39f9f39196674",
+        "8f3d33d315626fc662109183020149f97433e1a52d95857a87c5ede05d0f8638",
     ),
     "morphism-su5-rational-k3": (
         ["--group", "su", "--n", "5", "--kind", "rational", "--k", "3"],
@@ -578,7 +578,7 @@ REPORT_DIGESTS = {
     # rational morphism's eigenfamily from seeded orthonormal frames
     "verify-so8-2": (
         ["--group", "so", "--n", "8", "--degrees", "2"],
-        "180876e88007a98efbb6bc5aca81e6d2351f057c532103b3f18a49df11dd8c85",
+        "f18e8558a0bce9dcbe784a558df31825ec5218c307e46719bdd5088a798c7f08",
     ),
     "morphism-so8-rational-k2": (
         ["--group", "so", "--n", "8", "--kind", "rational", "--k", "2"],
@@ -610,7 +610,7 @@ def test_report_bytes_match_recorded_digests(tmp_path, capsys, name):
 def test_report_bytes_do_not_depend_on_blas_threads(tmp_path, capsys):
     # the benchmark's two morphism campaigns, su(8) with 64 basis
     # directions and so(8) with 28, a verify of su(4) 2,1, whose
-    # bitension walks four outer directions at a time, and one of su(14)
+    # bitension walks ten outer directions and then six, and one of su(14)
     # degree 2, whose kappa sums 196 basis terms, at one and at two BLAS
     # threads
     assert run(["construct", "--group", "su", "--n", "4", "--degrees", "2,1", "--out", str(tmp_path)]) == 0

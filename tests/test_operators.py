@@ -18,8 +18,10 @@ from biforge.construct import biharmonic_family, build_expression, column_ratio_
 from biforge.errors import DomainError, ShapeError
 from biforge.forms import Const, LinearForm, Product, Quotient, RationalExpr, Sum
 from biforge.groups import GroupSpec, sample_point
+from biforge import operators
 from biforge.operators import (
     OperatorContext,
+    bitension_jets,
     conformality,
     context,
     _coefficients,
@@ -406,8 +408,8 @@ def test_packed_leaves_match_dense_reference(ctx_for, dense_leaves, spec, sp_cho
 
 @pytest.mark.parametrize("spec, sp_choice", REFERENCE_FAMILIES, ids=REFERENCE_IDS)
 def test_tension2_matches_dense_reference(ctx_for, dense_leaves, rng, spec, sp_choice):
-    # four outer directions per walk on the compact basis, against one per
-    # walk on the dense stack; a member quotient is biharmonic, so its
+    # walks packed with outer directions on the compact basis, against one
+    # per walk on the dense stack; a member quotient is biharmonic, so its
     # square (rank-one forms) and a quotient of general forms are used
     ctx = ctx_for(spec)
     extended = dense_extended_from_basis(spec)
@@ -418,19 +420,53 @@ def test_tension2_matches_dense_reference(ctx_for, dense_leaves, rng, spec, sp_c
         _assert_matches_reference(tension2(h, stack, ctx), dense_tension2(h, stack, extended))
 
 
-def test_tension2_walks_four_directions_at_a_time(ctx_for, dense_leaves, monkeypatch):
-    # su(3) has |B| = 9 directions: two walks of four (K = 6) and a last one
-    # of one (K = 3)
-    fam = _quadruple(U3)
+@pytest.mark.parametrize(
+    "spec, sp_choice, shapes",
+    [(U3, None, [(3, 11)]), (GroupSpec.quaternionic_unitary(4), 10, [(3, 6)] * 9)],
+    ids=["su3", "sp4"],
+)
+def test_tension2_walks_fit_the_algebra(ctx_for, dense_leaves, monkeypatch, spec, sp_choice, shapes):
+    # su(3) has |B| = 9 directions, 11 jet columns: all nine fit one walk
+    # (K = 11); sp(4) has |B| = 36, and four directions (K = 6) already
+    # fill the 228 entries per point, so it keeps the floor of four
+    fam = _quadruple(spec, sp_choice)
     h = fam.member_quotient(fam.proper_indices[0]) ** 2
-    stack = sample_domain_points([h], U3, 3, 3800)
-    reference = dense_tension2(h, stack, dense_extended_from_basis(U3))
+    stack = sample_domain_points([h], spec, 3, 3800)
+    reference = dense_tension2(h, stack, dense_extended_from_basis(spec))
     walks = []
     evaluate = RationalExpr.evaluate
     monkeypatch.setattr(RationalExpr, "evaluate", lambda self, point: walks.append(point) or evaluate(self, point))
-    value = tension2(h, stack, ctx_for(U3))
-    assert [walk.shape[:2] for walk in walks] == [(3, 6), (3, 6), (3, 3)]
+    value = tension2(h, stack, ctx_for(spec))
+    assert [walk.shape[:2] for walk in walks] == shapes
     _assert_matches_reference(value, reference)
+
+
+WALK_SPECS = [
+    *(GroupSpec.unitary(n) for n in range(2, 9)),
+    *(GroupSpec.special_orthogonal(n) for n in range(4, 11)),
+    *(GroupSpec.quaternionic_unitary(n) for n in range(1, 6)),
+]
+
+
+@pytest.mark.parametrize("spec", WALK_SPECS, ids=lambda s: f"{s.code}{s.n}")
+def test_bitension_walks_cover_the_basis_within_the_walk_width(monkeypatch, spec):
+    # a walk's jets hold K (|B| + 2) complex entries per point: at most
+    # the width of four directions or 228, whichever is more.  Every walk
+    # but the last carries at least four directions and as many as that
+    # bound allows, and the walks take every direction once, in order
+    ctx = OperatorContext.for_spec(spec)
+    columns = len(ctx.cols)
+    walks = []
+    packed_point = operators.PackedPoint
+    monkeypatch.setattr(operators, "PackedPoint", lambda *a: walks.append(packed_point(*a)) or walks[-1])
+    bitension_jets(Const(1.0), np.eye(spec.ambient_dim, dtype=complex)[None], ctx)
+    bound = max(6 * columns, 228)
+    directions = [len(walk.outer) - 2 for walk in walks]
+    assert [walk.shape for walk in walks] == [(1, d + 2, columns) for d in directions]
+    assert all((d + 2) * columns <= bound for d in directions)
+    assert all(d >= 4 and (d + 3) * columns > bound for d in directions[:-1])
+    assert 0 < directions[-1] <= directions[0]
+    assert np.array_equal(np.concatenate([walk.outer[1:-1] for walk in walks]), dense_extended(ctx)[1:-1])
 
 
 @pytest.mark.parametrize(
@@ -444,7 +480,8 @@ def test_outer_stack_squares_match_dense_products(spec):
     for e in range(1, len(extended) - 1):
         w = extended[e]
         assert np.array_equal(_outer_stack(ctx, e, e + 1), np.stack([np.eye(len(w)), w, 0.5 * (w @ w)]))
-    # each walk's stack of up to four directions sums their halved squares last
+    # a stack of several directions, four at a time here, sums their
+    # halved squares last
     for first in range(1, len(extended) - 1, 4):
         directions = extended[first : min(first + 4, len(extended) - 1)]
         stack = _outer_stack(ctx, first, first + len(directions))

@@ -21,8 +21,8 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 # SHA-256 of the stdout of the demos that print exact tables, run on one
 # BLAS thread so the printed residuals are reproducible
 DEMO_STDOUT_SHA256 = {
-    "02_biharmonic_one_variable": "9314ec0161a9950efec2c2d0775057b89e755d0ad6a8d918b8ca4a82c45000b1",
-    "03_two_variable_families": "92b56a09ee501988fce354a62ca321835f0eacfef56de67357c8552a8bb6c1c5",
+    "02_biharmonic_one_variable": "d18e4a15f7dc296d579dcc2c69b44e46731f0c0456ace739c2b87c28d116bc92",
+    "03_two_variable_families": "1744de47152b8f459d85cc2339fd44d0e9fa20545a2e09a887f5e0131e500926",
 }
 
 

@@ -278,8 +278,9 @@ def test_report_json_matches_the_indented_encoder():
 
 
 def test_proper_candidate_checks_walk_only_the_bitension(monkeypatch):
-    # su(4) has |B| = 16 directions: four walks of four, and phi and tau(phi)
-    # are read from the first of them, with no K = 1 walk of their own
+    # su(4) has |B| = 16 directions, 18 jet columns: a walk of ten (K = 12)
+    # and one of the last six (K = 8), and phi and tau(phi) are read from
+    # the first of them, with no K = 1 walk of their own
     spec = GroupSpec.unitary(4)
     fam = _family(spec, 59)
     pairs = [(fam.member_quotient(i), fam.member_tension(i)) for i in fam.proper_indices[:2]]
@@ -290,7 +291,7 @@ def test_proper_candidate_checks_walk_only_the_bitension(monkeypatch):
     packed_point = biforge.operators.PackedPoint
     monkeypatch.setattr(biforge.operators, "PackedPoint", lambda *a: walks.append(packed_point(*a)) or walks[-1])
     bitension, witness = candidate_checks(phi, ctx, points, proper=True)
-    assert [walk.shape[:2] for walk in walks] == [(3, 6)] * 4
+    assert [walk.shape[:2] for walk in walks] == [(3, 12), (3, 8)]
     monkeypatch.undo()
     (value,), (tau,), _ = laplacian_jets([phi], points, ctx)
     scale = np.maximum.reduce([np.ones(len(points)), np.abs(value), np.abs(tau)])
