@@ -64,11 +64,9 @@ __all__ = [
 
 _BRACKET_TOL = 1e-12
 # complex entries per point of a bitension walk's jets, (D + 2)(|B| + 2)
-# for D outer directions: four directions on a 36-dimensional algebra
-# (sp(4), su(6)).  Narrower algebras pack more directions into that
-# width, wider ones keep four (K = 6 outer rows): a walk is never wider
-# than max(228, 6 (|B| + 2)) per point, and every jet it keeps live is
-# that wide
+# for D outer directions: four on a 36-dimensional algebra.  Narrower
+# algebras pack more directions into it, wider ones keep four (K = 6
+# outer rows); every jet a walk keeps live is that wide
 _WALK_WIDTH = 228
 _DIRECTIONS_PER_WALK = 4
 
