@@ -338,11 +338,11 @@ def _outer_sums(g: np.ndarray) -> np.ndarray:
     """(..., K, K) -> (..., K): the outer-algebra sum of the products
     x_i y_j that g[..., i, j] holds, by t_i t_j = t_i**2 = the last row
     for i = j and 0 otherwise."""
-    if g.shape[-1] == 1:
+    k = g.shape[-1]
+    if k == 1:
         return g[..., 0]
     out = g[..., 0, :] + g[..., :, 0]
     out[..., 0] = g[..., 0, 0]
-    k = g.shape[-1]
     # the diagonal's middle, (i, i) for 0 < i < k - 1, every k + 1 entries
     out[..., -1] += g.reshape(g.shape[:-2] + (k * k,))[..., k + 1 : k * k - 1 : k + 1].sum(axis=-1)
     return out
