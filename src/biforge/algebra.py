@@ -364,7 +364,7 @@ def _packed_quotient(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """q = a / b for (P, K, |B| + 2) packed coefficients, by the quotient
     rule of the module docstring (Griewank and Walther 2008, 13.2):
     dividing by b0 is one product by R, the multiplication matrix of 1/b0."""
-    if np.any(b[..., 0, 0] == 0):
+    if not b[..., 0, 0].all():
         raise DegenerateJetDivision("jet division by a jet with zero value part")
     r = _outer_product_matrix(_outer_reciprocal(b[..., 0]))
     q0 = (r @ a[..., :1])[..., 0]

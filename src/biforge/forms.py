@@ -358,7 +358,7 @@ class Quotient(RationalExpr):
 
     def _compute(self, point, walk):
         den = self.denominator._eval(point, walk)
-        if np.any(np.abs(leading_value(den)) < _POLE_REL_TOL * self.den_scale):
+        if (np.abs(leading_value(den)) < _POLE_REL_TOL * self.den_scale).any():
             raise DomainError("evaluation point lies on (or too near) a denominator zero")
         num = self.numerator._eval(point, walk)
         return num / den

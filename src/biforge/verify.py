@@ -106,8 +106,9 @@ def sample_domain_points(exprs, spec: GroupSpec, count: int, seed: int) -> np.nd
 def quadruple_checks(fam: QuadrupleFamily, ctx: OperatorContext, points) -> list[CheckResult]:
     """Eigenfunction residuals and the ten conformality product rules.
 
-    All forms are walked once; each rule is a set of index lookups into
-    their kappa matrix and their values.
+    All forms are walked once; the rules are one set of index arrays into
+    their kappa matrix and their values, checked in one pass, and each
+    rule's worst residual is a max over its run of entries.
     """
     values, tau, kappa = laplacian_jets(fam.all_forms(), points, ctx)
     eigen = np.max(relative_residual(tau, fam.spec.eigenvalue * values))
@@ -115,27 +116,29 @@ def quadruple_checks(fam: QuadrupleFamily, ctx: OperatorContext, points) -> list
 
     # indices in all_forms() order: P_0 .. P_{m-1}, Q, R, S_0 .. S_{m-1}
     m = fam.n_members
-    members = range(m)
-    q, r = m, m + 1
-    s = [m + 2 + i for i in members]
+    q, r, s = m, m + 1, m + 2
+    j = np.arange(m)
+    upper = np.triu_indices(m)  # (i, j) with i <= j
+    pairs = np.divmod(np.arange(m * m), m)  # every (i, j)
     # (left, right, fa, fb): kappa(left, right) = mu * fa * fb
     relations = {
-        "kappa(P,P)": [(i, j, i, j) for i in members for j in members if i <= j],
-        "kappa(S,S)": [(s[i], s[j], s[i], s[j]) for i in members for j in members if i <= j],
-        "kappa(Q,Q)": [(q, q, q, q)],
-        "kappa(R,R)": [(r, r, r, r)],
-        "kappa(Q,R)": [(q, r, q, r)],
-        "kappa(Q,S)": [(q, s[j], q, s[j]) for j in members],
-        "kappa(P,R)": [(j, r, j, r) for j in members],
-        "kappa(P_i,S_j)=mu*P_j*S_i": [(i, s[j], j, s[i]) for i in members for j in members],
-        "kappa(P,Q)=mu*R*S": [(j, q, r, s[j]) for j in members],
-        "kappa(R,S)=mu*P*Q": [(r, s[j], j, q) for j in members],
+        "kappa(P,P)": (*upper, *upper),
+        "kappa(S,S)": (s + upper[0], s + upper[1], s + upper[0], s + upper[1]),
+        "kappa(Q,Q)": (q, q, q, q),
+        "kappa(R,R)": (r, r, r, r),
+        "kappa(Q,R)": (q, r, q, r),
+        "kappa(Q,S)": (q, s + j, q, s + j),
+        "kappa(P,R)": (j, r, j, r),
+        "kappa(P_i,S_j)=mu*P_j*S_i": (pairs[0], s + pairs[1], pairs[1], s + pairs[0]),
+        "kappa(P,Q)=mu*R*S": (j, q, r, s + j),
+        "kappa(R,S)=mu*P*Q": (r, s + j, j, q),
     }
-    for name, rows in relations.items():
-        left, right, fa, fb = np.array(rows).T
-        worst = np.max(relative_residual(kappa[left, right], fam.mu * values[fa] * values[fb]))
-        checks.append(CheckResult.upper(name, worst, IDENTITY_TOL))
-    return checks
+    rules = [np.broadcast_arrays(*np.atleast_1d(*rule)) for rule in relations.values()]
+    left, right, fa, fb = map(np.concatenate, zip(*rules))
+    starts = np.cumsum([0] + [len(rule[0]) for rule in rules[:-1]])
+    worst = relative_residual(kappa[left, right], fam.mu * values[fa] * values[fb]).max(-1)
+    worst = np.maximum.reduceat(worst, starts)
+    return checks + [CheckResult.upper(name, x, IDENTITY_TOL) for name, x in zip(relations, worst)]
 
 
 def closed_form_tension_checks(fam: QuadrupleFamily, ctx: OperatorContext, points) -> list[CheckResult]:
