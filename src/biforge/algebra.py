@@ -59,16 +59,18 @@ the sum over b of f1b g1b is one Gram product.  No ``np.linalg`` is
 used, so object arrays of ``Fraction`` work too.
 
 A :class:`PackedPoint` is the matrix jet a walk starts from: the points,
-the stack [I, W_1, ..., W_D, sum_i W_i**2/2] that moves them along the
-outer directions W_i (its layers X = p outer[k]), and the extended
+the stack O = [I, W_1, ..., W_D, sum_i W_i**2/2] that moves them along
+the outer directions W_i (its layers X = p O_k), and the extended
 stack E = [I, Z_1, ..., Z_|B|, H] with H = sum_b Z_b**2 / 2.  Every E_e
 has at most one nonzero per row and per column, so E is kept as two
-(|B| + 2, N) arrays, E_e[k, cols[e, k]] = vals[e, k].  A linear form
-f gives the packed jet f(X E_e) at each layer X, because
+(|B| + 2, N) arrays, E_e[k, cols[e, k]] = vals[e, k].  So is every
+O_k, by its columns: O_k[index[k, c], c] = weights[k, c].  A linear
+form f gives the packed jet f(X E_e) at each layer X, because
 p exp(sZ_b) = p + s p Z_b + s**2 p Z_b**2 / 2 + O(s**3); for
 f(X) = u^T X[:n] v that is (u^T X[:n]) (E_e v), with E_e v the gather
-vals[e] * v[cols[e]] and u^T X[:n] = (u^T p[:n]) outer[k], so the
-layers of the points are never built.
+vals[e] * v[cols[e]] and u^T X[:n] = (u^T p[:n]) O_k the gather
+r[index[k]] * weights[k] of r = u^T p[:n], so neither the layers of the
+points nor a dense O or E is ever built.
 """
 
 from __future__ import annotations
@@ -279,12 +281,14 @@ class PackedPoint:
     """The matrix jet a packed walk starts from.
 
     ``points`` (P, N, N) are the sampled points.  ``outer`` is None for a
-    walk at the points themselves (K = 1), or the (K, N, N) stack
-    [I, W_1, ..., W_D, sum_i W_i**2/2] that moves a point p along D outer
-    directions to its layers p outer[k], K = D + 2.  ``cols`` and
-    ``vals``, both (|B| + 2, N), are the extended stack
-    E = [I, Z_1, ..., Z_|B|, H] in compact form,
-    E_e[k, cols[e, k]] = vals[e, k].
+    walk at the points themselves (K = 1), or the stack
+    O = [I, W_1, ..., W_D, sum_i W_i**2/2] that moves a point p along D
+    outer directions to its layers p O_k, K = D + 2, in compact form: a
+    pair ``(index, weights)`` of (K, N) arrays with one nonzero per
+    column, O_k[index[k, c], c] = weights[k, c], so r O_k is the gather
+    r[index[k]] * weights[k], as E_e v is below.  ``cols`` and ``vals``,
+    both (|B| + 2, N), are the extended stack E = [I, Z_1, ..., Z_|B|, H]
+    in compact form, E_e[k, cols[e, k]] = vals[e, k].
     """
 
     __slots__ = ("points", "cols", "vals", "outer")
@@ -298,15 +302,20 @@ class PackedPoint:
     @property
     def shape(self) -> tuple[int, int, int]:
         """(P, K, |B| + 2), the shape of a packed jet at this point."""
-        return len(self.points), 1 if self.outer is None else len(self.outer), len(self.cols)
+        return len(self.points), 1 if self.outer is None else len(self.outer[0]), len(self.cols)
 
     def row_weights(self, u: np.ndarray) -> np.ndarray:
         """u^T X[:n] at every layer X of every point, shape (P, K, 1, N),
-        for a row factor ``u`` (n,): (u^T p[:n]) times each layer map.  The
-        axis of length 1 keeps every matmul's operands 2-D, as the BLAS
+        for a row factor ``u`` (n,): r = u^T p[:n] gathered by each outer
+        layer.  A layer's one nonzero per column is purely real or purely
+        imaginary, so the gather rounds as the product r O_k would.  The
+        axis of length 1 keeps the leaf's matmul operands 2-D, as the BLAS
         call shapes fix the rounding."""
         r = (u[None] @ self.points[:, : u.size])[:, None]
-        return r if self.outer is None else r @ self.outer
+        if self.outer is None:
+            return r
+        index, weights = self.outer
+        return (r[:, 0, 0, index] * weights)[:, :, None]
 
     def images(self, v: np.ndarray) -> np.ndarray:
         """E_e v for every e, shape (|B| + 2, N), for a column factor ``v``

@@ -33,7 +33,10 @@ Derivatives are read off with the half-second-derivative convention.
 The context keeps the extended basis in compact form: every element is
 a scaled partial permutation, so a form's packed jet needs one gather
 per leaf (``E_e v``) rather than a product with a dense (|B| + 2, N, N)
-stack, and [Z, Z*] = 0 is a comparison of row and column moduli.
+stack, and [Z, Z*] = 0 is a comparison of row and column moduli.  Every
+element's pattern is also an involution (Z[k, c] != 0 only with
+Z[c, k] != 0), which the context checks, so a walk's outer layers are
+compact too, a gather like ``E_e v``, and W**2 is diagonal.
 
 Points come as a (P, N, N) stack, as sampled, and give a (P,) array; a
 single (N, N) matrix is a batch of one and gives a complex.
@@ -97,9 +100,18 @@ class OperatorContext:
         vals = np.zeros((spec.dimension + 2, n), dtype=complex)
         vals[0] = 1
         square = {}  # row -> (column, value) of sum_b Z_b**2
+        # every pattern must be an involution, cols[cols[k]] == k, so that an
+        # outer direction's column c holds its one nonzero in row cols[c] and
+        # its square is diagonal (``_outer_stack``); the first element that
+        # is not is refused once H is built, so a broken H is named first
+        not_involutive = None
         for b, (label, rows, columns, values) in enumerate(basis_entries(spec), 1):
             _set_row(cols[b], vals[b], rows, columns, values, label)
             _check_normal_and_square(square, rows, columns, values, label)
+            if not_involutive is None and (cols[b][cols[b]] != cols[0]).any():
+                not_involutive = label
+        if not_involutive is not None:
+            raise ShapeError(f"basis element {not_involutive} is not an involutive pattern")
         rows = tuple(square)
         columns = tuple(square[r][0] for r in rows)
         _set_row(cols[-1], vals[-1], rows, columns, tuple(square[r][1] / 2 for r in rows), "H")
@@ -229,19 +241,19 @@ def tension2(h: RationalExpr, point, ctx: OperatorContext):
     return _result(bitension_jets(h, point, ctx)[2])
 
 
-def _outer_stack(ctx: OperatorContext, first: int, stop: int) -> np.ndarray:
-    """[I, W_1, ..., W_D, sum_i W_i**2/2] for W_i = E_first .. E_stop-1.
-    W**2 of a scaled partial permutation is again one: row k holds
-    vals[k] * vals[cols[k]] at column cols[cols[k]]."""
+def _outer_stack(ctx: OperatorContext, first: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """[I, W_1, ..., W_D, sum_i W_i**2/2] for W_i = E_first .. E_stop-1, as
+    (index, weights), both (D + 2, N): column c of layer k holds its one
+    nonzero weights[k, c] in row index[k, c].  Each W_i's pattern is an
+    involution, so its column c holds vals[cols[c]] in row cols[c], and
+    W_i**2 is diagonal, vals[k] * vals[cols[k]] at (k, k)."""
     cols, vals = ctx.cols[first:stop], ctx.vals[first:stop]
-    d, n = cols.shape
-    rows = np.arange(n)
-    outer = np.zeros((d + 2, n, n), dtype=complex)
-    outer[0, rows, rows] = 1
-    outer[np.arange(1, d + 1)[:, None], rows, cols] = vals
-    squares = 0.5 * (vals * np.take_along_axis(vals, cols, axis=1))
-    np.add.at(outer[-1], (np.broadcast_to(rows, cols.shape), np.take_along_axis(cols, cols, axis=1)), squares)
-    return outer
+    partners = vals[np.arange(len(cols))[:, None], cols]
+    # I and the diagonal take the pattern of E_0 = I; the squares are
+    # added over i in basis order, and halving the sum is exact
+    index = np.concatenate([ctx.cols[:1], cols, ctx.cols[:1]])
+    weights = np.concatenate([ctx.vals[:1], partners, 0.5 * (vals * partners).sum(axis=0, keepdims=True)])
+    return index, weights
 
 
 def relative_residual(actual, expected):

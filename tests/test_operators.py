@@ -40,6 +40,12 @@ U2 = GroupSpec.unitary(2)
 U3 = GroupSpec.unitary(3)
 SO4 = GroupSpec.special_orthogonal(4)
 SP2 = GroupSpec.quaternionic_unitary(2)
+# every supported algebra of each family up to rank 8, 10 and 5
+WALK_SPECS = [
+    *(GroupSpec.unitary(n) for n in range(2, 9)),
+    *(GroupSpec.special_orthogonal(n) for n in range(4, 11)),
+    *(GroupSpec.quaternionic_unitary(n) for n in range(1, 6)),
+]
 
 
 def random_form(spec, rng):
@@ -228,6 +234,24 @@ def test_square_with_two_nonzeros_in_one_row_is_refused(monkeypatch):
         OperatorContext.for_spec(U3)
 
 
+def test_element_without_involutive_pattern_is_refused(monkeypatch):
+    # a 3-cycle is normal and its square, the other 3-cycle, has one
+    # nonzero per row, but its column c holds its nonzero in row c - 1, not
+    # in row cols[c] = c + 1, so an outer layer of it has no gather form
+    elements = [("cycle", (0, 1, 2), (1, 2, 0), (1, 1, 1))]
+    monkeypatch.setattr("biforge.operators.basis_entries", lambda spec: iter(elements))
+    with pytest.raises(ShapeError, match="basis element cycle is not an involutive pattern"):
+        OperatorContext.for_spec(U3)
+
+
+@pytest.mark.parametrize("spec", WALK_SPECS, ids=lambda s: f"{s.code}{s.n}")
+def test_standard_bases_have_involutive_patterns(spec):
+    # the context refuses any other basis, so every supported one passes:
+    # each element's pattern, and H's, is its own inverse
+    cols = OperatorContext.for_spec(spec).cols
+    assert np.array_equal(np.take_along_axis(cols, cols, axis=1), np.broadcast_to(np.arange(spec.ambient_dim), cols.shape))
+
+
 def test_shared_context_is_read_only():
     # context(spec) hands one context to every caller in the process, so
     # none of them may write into it
@@ -244,6 +268,16 @@ def dense_extended(ctx):
     count, n = ctx.cols.shape
     dense = np.zeros((count, n, n), dtype=complex)
     dense[np.arange(count)[:, None], np.arange(n), ctx.cols] = ctx.vals
+    return dense
+
+
+def dense_layers(outer):
+    """The (K, N, N) stack that a walk's compact layers (index, weights)
+    stand for: layer k holds weights[k, c] at (index[k, c], c)."""
+    index, weights = outer
+    count, n = index.shape
+    dense = np.zeros((count, n, n), dtype=complex)
+    dense[np.arange(count)[:, None], index, np.arange(n)] = weights
     return dense
 
 
@@ -391,15 +425,17 @@ def test_packed_leaves_match_dense_reference(ctx_for, dense_leaves, spec, sp_cho
     fam = _quadruple(spec, sp_choice)
     stack = np.array([sample_point(spec, 3600 + i) for i in range(3)])
     # one outer direction, and two in the collapsed outer algebra, whose
-    # last layer is the sum of the halved squares
-    w, w2 = extended[len(extended) // 2], extended[1]
-    half_squares = 0.5 * (w @ w), 0.5 * (w @ w + w2 @ w2)
+    # last layer is the sum of the halved squares, as the walks build them;
+    # the reference moves the points by the dense products
+    middle = len(extended) // 2
+    w, w2 = extended[middle], extended[1:3]
+    half_squares = 0.5 * (w @ w), sum(0.5 * (x @ x) for x in w2)
     walks = [
         (PackedPoint(stack, ctx.cols, ctx.vals), stack[:, None]),
-        (PackedPoint(stack, ctx.cols, ctx.vals, np.stack([np.eye(len(w)), w, half_squares[0]])),
+        (PackedPoint(stack, ctx.cols, ctx.vals, _outer_stack(ctx, middle, middle + 1)),
          np.stack([stack, stack @ w, stack @ half_squares[0]], axis=1)),
-        (PackedPoint(stack, ctx.cols, ctx.vals, np.stack([np.eye(len(w)), w, w2, half_squares[1]])),
-         np.stack([stack, stack @ w, stack @ w2, stack @ half_squares[1]], axis=1)),
+        (PackedPoint(stack, ctx.cols, ctx.vals, _outer_stack(ctx, 1, 3)),
+         np.stack([stack, stack @ w2[0], stack @ w2[1], stack @ half_squares[1]], axis=1)),
     ]
     for walk, layers in walks:
         for form in [*fam.all_forms(), random_form(spec, rng)]:
@@ -441,13 +477,6 @@ def test_tension2_walks_fit_the_algebra(ctx_for, dense_leaves, monkeypatch, spec
     _assert_matches_reference(value, reference)
 
 
-WALK_SPECS = [
-    *(GroupSpec.unitary(n) for n in range(2, 9)),
-    *(GroupSpec.special_orthogonal(n) for n in range(4, 11)),
-    *(GroupSpec.quaternionic_unitary(n) for n in range(1, 6)),
-]
-
-
 @pytest.mark.parametrize("spec", WALK_SPECS, ids=lambda s: f"{s.code}{s.n}")
 def test_bitension_walks_cover_the_basis_within_the_walk_width(monkeypatch, spec):
     # a walk's jets hold K (|B| + 2) complex entries per point: at most
@@ -461,32 +490,51 @@ def test_bitension_walks_cover_the_basis_within_the_walk_width(monkeypatch, spec
     monkeypatch.setattr(operators, "PackedPoint", lambda *a: walks.append(packed_point(*a)) or walks[-1])
     bitension_jets(Const(1.0), np.eye(spec.ambient_dim, dtype=complex)[None], ctx)
     bound = max(6 * columns, 228)
-    directions = [len(walk.outer) - 2 for walk in walks]
+    directions = [len(walk.outer[0]) - 2 for walk in walks]
     assert [walk.shape for walk in walks] == [(1, d + 2, columns) for d in directions]
     assert all((d + 2) * columns <= bound for d in directions)
     assert all(d >= 4 and (d + 3) * columns > bound for d in directions[:-1])
     assert 0 < directions[-1] <= directions[0]
-    assert np.array_equal(np.concatenate([walk.outer[1:-1] for walk in walks]), dense_extended(ctx)[1:-1])
+    layers = np.concatenate([dense_layers(walk.outer)[1:-1] for walk in walks])
+    assert np.array_equal(layers, dense_extended(ctx)[1:-1])
 
 
 @pytest.mark.parametrize(
     "spec", [U3, GroupSpec.special_orthogonal(5), SP2], ids=["su3", "so5", "sp2"]
 )
 def test_outer_stack_squares_match_dense_products(spec):
-    # W**2 / 2 from the compact (cols, vals) of each basis element equals the
-    # dense product, and the stack is [I, W, W**2 / 2]
+    # the compact layers (index, weights) of each basis element stand for
+    # the dense [I, W, W**2 / 2], W**2 the dense product
     ctx = OperatorContext.for_spec(spec)
     extended = dense_extended(ctx)
     for e in range(1, len(extended) - 1):
         w = extended[e]
-        assert np.array_equal(_outer_stack(ctx, e, e + 1), np.stack([np.eye(len(w)), w, 0.5 * (w @ w)]))
+        assert np.array_equal(dense_layers(_outer_stack(ctx, e, e + 1)), np.stack([np.eye(len(w)), w, 0.5 * (w @ w)]))
     # a stack of several directions, four at a time here, sums their
     # halved squares last
     for first in range(1, len(extended) - 1, 4):
         directions = extended[first : min(first + 4, len(extended) - 1)]
-        stack = _outer_stack(ctx, first, first + len(directions))
+        stack = dense_layers(_outer_stack(ctx, first, first + len(directions)))
         assert np.array_equal(stack[1:-1], directions)
         assert np.array_equal(stack[-1], sum(0.5 * (w @ w) for w in directions))
+
+
+@pytest.mark.parametrize(
+    "spec", [U3, GroupSpec.special_orthogonal(5), SP2], ids=["su3", "so5", "sp2"]
+)
+def test_row_weights_gather_equals_product_with_dense_layers(spec, rng):
+    # u^T p[:n] times each layer, gathered from the compact layers, is bit
+    # for bit its product with the dense layer: each column has one
+    # nonzero, purely real or purely imaginary, so both round it once
+    ctx = OperatorContext.for_spec(spec)
+    stack = np.array([sample_point(spec, 3650 + i) for i in range(3)])
+    u = rng.normal(size=spec.n) + 1j * rng.normal(size=spec.n)
+    r = (u[None] @ stack[:, : spec.n])[:, None]
+    for first in range(1, len(ctx.cols) - 1, 3):
+        outer = _outer_stack(ctx, first, min(first + 3, len(ctx.cols) - 1))
+        weights = PackedPoint(stack, ctx.cols, ctx.vals, outer).row_weights(u)
+        assert weights.shape == (len(stack), len(outer[0]), 1, spec.ambient_dim)
+        assert np.array_equal(weights, r @ dense_layers(outer))
 
 
 def test_single_point_and_stack_contract(ctx_for):
