@@ -24,10 +24,11 @@ outer directions W_i in the collapsed outer algebra (see
 :mod:`biforge.algebra`) and reading the basis sum of second
 coefficients at its last row, the sum over i of the t_i**2
 coefficients.  Each walk carries as many directions as fit a fixed
-width of jet entries per point, and never fewer than four: one walk on
-su(3), two on su(4), and |B|/4 walks (rounded up) on algebras of
-dimension 31 or more.  The value and tau(h) come with it, read at the
-first row of the first walk; ``tension2`` reads the bitension alone.
+width of jet entries per point, 240, and never fewer than four: one
+walk on su(3), two on su(4), six directions a walk on so(8), and |B|/4
+walks (rounded up) on algebras of dimension 33 or more.  The value and
+tau(h) come with it, read at the first row of the first walk;
+``tension2`` reads the bitension alone.
 Derivatives are read off with the half-second-derivative convention.
 
 The context keeps the extended basis in compact form: every element is
@@ -67,10 +68,11 @@ __all__ = [
 
 _BRACKET_TOL = 1e-12
 # complex entries per point of a bitension walk's jets, (D + 2)(|B| + 2)
-# for D outer directions: four on a 36-dimensional algebra.  Narrower
-# algebras pack more directions into it, wider ones keep four (K = 6
-# outer rows); every jet a walk keeps live is that wide
-_WALK_WIDTH = 228
+# for D outer directions: six on so(8), 28-dimensional, and four still fit
+# a 36-dimensional algebra.  Narrower algebras pack more directions into
+# it, wider ones keep four (K = 6 outer rows), so every jet a walk keeps
+# live holds at most max(240, 6(|B| + 2)) entries per point
+_WALK_WIDTH = 240
 _DIRECTIONS_PER_WALK = 4
 
 
@@ -102,8 +104,8 @@ class OperatorContext:
         square = {}  # row -> (column, value) of sum_b Z_b**2
         # every pattern must be an involution, cols[cols[k]] == k, so that an
         # outer direction's column c holds its one nonzero in row cols[c] and
-        # its square is diagonal (``_outer_stack``); the first element that
-        # is not is refused once H is built, so a broken H is named first
+        # its square is diagonal (``_outer_stack``); the first that is not is
+        # refused after the loop, so an element that breaks H is named first
         not_involutive = None
         for b, (label, rows, columns, values) in enumerate(basis_entries(spec), 1):
             _set_row(cols[b], vals[b], rows, columns, values, label)

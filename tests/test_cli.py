@@ -550,7 +550,7 @@ def test_verify_answers_match_recorded(tmp_path, capsys, table):
 REPORT_DIGESTS = {
     "verify-su4-2,1": (
         ["--group", "su", "--n", "4", "--degrees", "2,1"],
-        "da03fdff616dfd3c592457e5bc196d03c2162824a3bda846f5516c8c419454e9",
+        "522a628220e79ee32ec0b976f802c17fe61a5f38c41a37aa17a3b49821a14e0e",
     ),
     "verify-sp2-choice10-2": (
         ["--group", "sp", "--n", "2", "--degrees", "2", "--choice", "10"],
@@ -568,7 +568,7 @@ REPORT_DIGESTS = {
     # cubes of the member tensions in the morphism's eigenfamily
     "verify-su4-3,3,3": (
         ["--group", "su", "--n", "4", "--degrees", "3,3,3"],
-        "8f3d33d315626fc662109183020149f97433e1a52d95857a87c5ede05d0f8638",
+        "9d8cbd4fc29476fc151f871b622b6eaa5706dae7cd482745b3d5072e4e7d9d14",
     ),
     "morphism-su5-rational-k3": (
         ["--group", "su", "--n", "5", "--kind", "rational", "--k", "3"],
@@ -578,7 +578,7 @@ REPORT_DIGESTS = {
     # rational morphism's eigenfamily from seeded orthonormal frames
     "verify-so8-2": (
         ["--group", "so", "--n", "8", "--degrees", "2"],
-        "f18e8558a0bce9dcbe784a558df31825ec5218c307e46719bdd5088a798c7f08",
+        "181571de001e753235d058bfdea6aa66601320c4113a4ebee4a52218a48dfd87",
     ),
     "morphism-so8-rational-k2": (
         ["--group", "so", "--n", "8", "--kind", "rational", "--k", "2"],
@@ -610,7 +610,7 @@ def test_report_bytes_match_recorded_digests(tmp_path, capsys, name):
 def test_report_bytes_do_not_depend_on_blas_threads(tmp_path, capsys):
     # the benchmark's two morphism campaigns, su(8) with 64 basis
     # directions and so(8) with 28, a verify of su(4) 2,1, whose
-    # bitension walks ten outer directions and then six, and one of su(14)
+    # bitension walks eleven outer directions and then five, and one of su(14)
     # degree 2, whose kappa sums 196 basis terms, at one and at two BLAS
     # threads
     assert run(["construct", "--group", "su", "--n", "4", "--degrees", "2,1", "--out", str(tmp_path)]) == 0

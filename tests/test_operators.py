@@ -463,8 +463,9 @@ def test_tension2_matches_dense_reference(ctx_for, dense_leaves, rng, spec, sp_c
 )
 def test_tension2_walks_fit_the_algebra(ctx_for, dense_leaves, monkeypatch, spec, sp_choice, shapes):
     # su(3) has |B| = 9 directions, 11 jet columns: all nine fit one walk
-    # (K = 11); sp(4) has |B| = 36, and four directions (K = 6) already
-    # fill the 228 entries per point, so it keeps the floor of four
+    # (K = 11); sp(4) has |B| = 36, and four directions (K = 6, 228
+    # entries per point) fit the width of 240 where five would not, the
+    # floor of four
     fam = _quadruple(spec, sp_choice)
     h = fam.member_quotient(fam.proper_indices[0]) ** 2
     stack = sample_domain_points([h], spec, 3, 3800)
@@ -480,7 +481,7 @@ def test_tension2_walks_fit_the_algebra(ctx_for, dense_leaves, monkeypatch, spec
 @pytest.mark.parametrize("spec", WALK_SPECS, ids=lambda s: f"{s.code}{s.n}")
 def test_bitension_walks_cover_the_basis_within_the_walk_width(monkeypatch, spec):
     # a walk's jets hold K (|B| + 2) complex entries per point: at most
-    # the width of four directions or 228, whichever is more.  Every walk
+    # the width of four directions or 240, whichever is more.  Every walk
     # but the last carries at least four directions and as many as that
     # bound allows, and the walks take every direction once, in order
     ctx = OperatorContext.for_spec(spec)
@@ -489,7 +490,7 @@ def test_bitension_walks_cover_the_basis_within_the_walk_width(monkeypatch, spec
     packed_point = operators.PackedPoint
     monkeypatch.setattr(operators, "PackedPoint", lambda *a: walks.append(packed_point(*a)) or walks[-1])
     bitension_jets(Const(1.0), np.eye(spec.ambient_dim, dtype=complex)[None], ctx)
-    bound = max(6 * columns, 228)
+    bound = max(6 * columns, 240)
     directions = [len(walk.outer[0]) - 2 for walk in walks]
     assert [walk.shape for walk in walks] == [(1, d + 2, columns) for d in directions]
     assert all((d + 2) * columns <= bound for d in directions)
