@@ -117,25 +117,28 @@ def quadruple_checks(fam: QuadrupleFamily, ctx: OperatorContext, points) -> list
     # indices in all_forms() order: P_0 .. P_{m-1}, Q, R, S_0 .. S_{m-1}
     m = fam.n_members
     q, r, s = m, m + 1, m + 2
-    j = np.arange(m)
-    upper = np.triu_indices(m)  # (i, j) with i <= j
-    pairs = np.divmod(np.arange(m * m), m)  # every (i, j)
-    # (left, right, fa, fb): kappa(left, right) = mu * fa * fb
+    k = np.arange(m)
+    qs, rs = np.full(m, q), np.full(m, r)
+    i, j = np.divmod(np.arange(m * m), m)  # every (i, j)
+    upper = i <= j
+    iu, ju = i[upper], j[upper]
+    # (left, right, fa, fb), four index arrays of one length:
+    # kappa(left, right) = mu * fa * fb
     relations = {
-        "kappa(P,P)": (*upper, *upper),
-        "kappa(S,S)": (s + upper[0], s + upper[1], s + upper[0], s + upper[1]),
-        "kappa(Q,Q)": (q, q, q, q),
-        "kappa(R,R)": (r, r, r, r),
-        "kappa(Q,R)": (q, r, q, r),
-        "kappa(Q,S)": (q, s + j, q, s + j),
-        "kappa(P,R)": (j, r, j, r),
-        "kappa(P_i,S_j)=mu*P_j*S_i": (pairs[0], s + pairs[1], pairs[1], s + pairs[0]),
-        "kappa(P,Q)=mu*R*S": (j, q, r, s + j),
-        "kappa(R,S)=mu*P*Q": (r, s + j, j, q),
+        "kappa(P,P)": (iu, ju, iu, ju),
+        "kappa(S,S)": (s + iu, s + ju, s + iu, s + ju),
+        "kappa(Q,Q)": ([q], [q], [q], [q]),
+        "kappa(R,R)": ([r], [r], [r], [r]),
+        "kappa(Q,R)": ([q], [r], [q], [r]),
+        "kappa(Q,S)": (qs, s + k, qs, s + k),
+        "kappa(P,R)": (k, rs, k, rs),
+        "kappa(P_i,S_j)=mu*P_j*S_i": (i, s + j, j, s + i),
+        "kappa(P,Q)=mu*R*S": (k, qs, rs, s + k),
+        "kappa(R,S)=mu*P*Q": (rs, s + k, k, qs),
     }
-    rules = [np.broadcast_arrays(*np.atleast_1d(*rule)) for rule in relations.values()]
-    left, right, fa, fb = map(np.concatenate, zip(*rules))
-    starts = np.cumsum([0] + [len(rule[0]) for rule in rules[:-1]])
+    rules = [np.array(rule) for rule in relations.values()]
+    left, right, fa, fb = np.concatenate(rules, axis=1)
+    starts = np.cumsum([0] + [rule.shape[1] for rule in rules[:-1]])
     worst = relative_residual(kappa[left, right], fam.mu * values[fa] * values[fb]).max(-1)
     worst = np.maximum.reduceat(worst, starts)
     return checks + [CheckResult.upper(name, x, IDENTITY_TOL) for name, x in zip(relations, worst)]
