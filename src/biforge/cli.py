@@ -20,7 +20,9 @@ Random vectors are drawn from a seeded complex Gaussian; for SO(n) the
 row vectors are built as u + i*v with |u| = |v|, u orthogonal to v (and
 the two rows mutually orthogonal), so the isotropy conditions hold
 exactly up to rounding.  Same configuration and seed give byte-identical
-output files, whatever ran before in the process.
+output files, whatever ran before in the process.  ``construct`` and every
+``--out`` overwrite an existing file in place: the same file, symlinks
+followed, mode and hard links kept; not atomic.
 
 The parser and each group's operator context are built once per process
 and shared by every later ``main`` call; only the inputs change between
@@ -33,7 +35,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import locale
 import math
+import os
 import sys
 from fractions import Fraction
 from functools import cache
@@ -157,6 +161,14 @@ def _build_family(spec: GroupSpec, seed: int, beta: int, choice: int | None) -> 
     return make_quadruple(spec, p, q, a, b, beta=beta, sp_choice=choice)
 
 
+def _write_text(path: Path, text: str) -> None:
+    """Write ``text`` as ``open(path, "w")`` would, but truncate only to the length
+    written, never to zero first: ext4 flushes such a file when it is closed."""
+    data = text.encode(locale.getpreferredencoding(False))  # open's default encoding
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as file:
+        file.truncate(file.write(data))
+
+
 def cmd_construct(
     *, group: str, n: int, seed: int, degrees: tuple[int, ...], choice: int | None,
     beta: int, mu: Fraction | None, out: Path,
@@ -175,8 +187,8 @@ def cmd_construct(
     out.mkdir(parents=True, exist_ok=True)
     coeffs_path = out / "coeffs.json"
     quad_path = out / "quadruple.json"
-    coeffs_path.write_text(table.to_json(fam.spec, mu) + "\n")
-    quad_path.write_text(fam.to_json() + "\n")
+    _write_text(coeffs_path, table.to_json(fam.spec, mu) + "\n")
+    _write_text(quad_path, fam.to_json() + "\n")
     print(f"wrote {coeffs_path} and {quad_path}")
     print(f"group={group} n={n} degrees={degrees} proper members available: {fam.n_proper}")
     return 0
@@ -224,7 +236,7 @@ def _emit(subject: str, spec: GroupSpec, points, seed: int, checks: list, out: P
     text = report.to_json() if out is not None or as_json else None
     if out is not None:
         out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text + "\n")
+        _write_text(out, text + "\n")
     print(text if as_json else "\n".join(report.summary_lines()))
     return 0 if report.verdict else 1
 

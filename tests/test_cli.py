@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 from collections import Counter
@@ -210,6 +211,48 @@ def test_verify_passes_and_is_deterministic(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert printed.endswith("}\n") and json.loads(printed) == doc
     assert report3.read_text() == printed
+
+
+def test_outputs_are_overwritten_in_place(tmp_path, capsys):
+    argv = ["construct", "--group", "su", "--n", "3", "--degrees", "2", "--seed", "11"]
+    fresh, out = _construct(tmp_path), tmp_path / "out"
+    out.mkdir()
+    coeffs, quad = out / "coeffs.json", out / "quadruple.json"
+    coeffs.write_text("x" * 3 * len((fresh / "coeffs.json").read_text()))
+    coeffs.chmod(0o640)
+    inode = coeffs.stat().st_ino
+    target = tmp_path / "elsewhere.json"
+    target.write_text("x" * 3 * len((fresh / "quadruple.json").read_text()))
+    quad.symlink_to(target)
+    assert run(argv + ["--out", str(out)]) == 0
+    for name in ("coeffs.json", "quadruple.json"):
+        assert (out / name).read_bytes() == (fresh / name).read_bytes()
+    assert coeffs.stat().st_ino == inode and stat.S_IMODE(coeffs.stat().st_mode) == 0o640
+    assert quad.is_symlink() and target.read_bytes() == (fresh / "quadruple.json").read_bytes()
+
+    report = tmp_path / "report.json"
+    report.write_text("x" * 100_000)
+    capsys.readouterr()
+    assert run(["verify", "--coeffs", str(coeffs), "--quadruple", str(quad), "--points", "4",
+                "--seed", "5", "--json", "--out", str(report)]) == 0
+    printed = capsys.readouterr().out
+    assert printed.endswith("}\n") and report.read_bytes() == printed.encode()
+
+
+def test_output_that_is_a_directory_is_refused_as_open_refuses_it(tmp_path, capsys):
+    inputs = _construct(tmp_path)
+    out = tmp_path / "out"
+    (out / "coeffs.json").mkdir(parents=True)
+    report = tmp_path / "report"
+    report.mkdir()
+    capsys.readouterr()
+    for argv, path in (
+        (["construct", "--group", "su", "--n", "3", "--out", str(out)], out / "coeffs.json"),
+        (["verify", "--coeffs", str(inputs / "coeffs.json"), "--quadruple",
+          str(inputs / "quadruple.json"), "--points", "2", "--out", str(report)], report),
+    ):
+        assert run(argv) == 2
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: {str(path)!r}\n"
 
 
 def test_verify_detects_perturbed_harmonic_table(tmp_path):
