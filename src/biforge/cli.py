@@ -35,9 +35,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import locale
 import math
 import os
+import stat
 import sys
 from fractions import Fraction
 from functools import cache
@@ -162,11 +162,12 @@ def _build_family(spec: GroupSpec, seed: int, beta: int, choice: int | None) -> 
 
 
 def _write_text(path: Path, text: str) -> None:
-    """Write ``text`` as ``open(path, "w")`` would, but truncate only to the length
-    written, never to zero first: ext4 flushes such a file when it is closed."""
-    data = text.encode(locale.getpreferredencoding(False))  # open's default encoding
+    """Write ``text`` as ``open(path, "w")`` would, but cut a regular file only to the
+    length written, never to zero first: ext4 flushes such a file when it is closed."""
     with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as file:
-        file.truncate(file.write(data))
+        size = file.write(text.encode())
+        if stat.S_ISREG(os.fstat(file.fileno()).st_mode):  # a device or pipe has no length
+            file.truncate(size)
 
 
 def cmd_construct(

@@ -238,6 +238,16 @@ def test_outputs_are_overwritten_in_place(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert printed.endswith("}\n") and report.read_bytes() == printed.encode()
 
+    # a device or a pipe has no length to cut, and is written as open(path, "w") writes it
+    read_end, write_end = os.pipe()
+    for device in (os.devnull, f"/dev/fd/{write_end}"):
+        assert run(["verify", "--coeffs", str(coeffs), "--quadruple", str(quad), "--points", "4",
+                    "--seed", "5", "--json", "--out", device]) == 0
+        assert capsys.readouterr() == (printed, "")
+    os.close(write_end)
+    with os.fdopen(read_end, "rb") as pipe:
+        assert pipe.read() == printed.encode()
+
 
 def test_output_that_is_a_directory_is_refused_as_open_refuses_it(tmp_path, capsys):
     inputs = _construct(tmp_path)
