@@ -24,7 +24,8 @@ output files, whatever ran before in the process.  ``construct`` and every
 ``--out`` overwrite an existing file in place: the same file, symlinks
 followed, mode and hard links kept; not atomic.
 
-The parser and each group's operator context are built once per process
+The parser, each group's operator context, each degree box's plan and
+index keys and each (degrees, mu)'s row map are built once per process
 and shared by every later ``main`` call; only the inputs change between
 calls.  That saves time only where one process calls ``main`` more than
 once, as the benchmark's campaigns and the test suite do; a one-shot

@@ -56,6 +56,14 @@ numerators shaped like the box over one positive common denominator, in
 lowest terms, so the solvers, the row check, ``tension_table`` and
 ``to_json`` make no Fraction per entry.  The numerical operators only
 enter when a table is assembled into an evaluable expression.
+
+What depends only on the box and mu is built once per process and
+shared, read-only: one plan per degree box (``_box_plan``: the
+multi-indices, sigma and the binomial product), which the closed forms
+and the map read; one map per (degrees, mu); and the box's
+multi-indices as ``to_json`` lays them out.  So the m + 1 tables of one
+``biharmonic_family`` call share one map.  Nothing keyed by a table's
+values is kept.
 """
 
 from __future__ import annotations
@@ -120,6 +128,13 @@ def _json_ints(values, indent: int) -> str:
     """A nonempty list as ``json.dumps(..., indent=2)`` lays out ints at ``indent``."""
     pad = " " * indent
     return "[\n" + ",\n".join(f"{pad}  {v}" for v in values) + f"\n{pad}]"
+
+
+@functools.cache
+def _index_keys(degrees: tuple[int, ...]) -> tuple[str, ...]:
+    """Each multi-index of the box in box order, laid out as the "k" of a
+    ``to_json`` entry; built once per box in the process."""
+    return tuple(_json_ints(idx, 6) for idx in box_indices(degrees))
 
 
 def _box_array(degrees: tuple[int, ...], entries) -> tuple[np.ndarray, int]:
@@ -206,13 +221,13 @@ class CoeffTable:
 
         The text is ``json.dumps(doc, indent=2, sort_keys=True)`` of the
         document, each nonzero entry in lowest terms, written from one
-        template for the table: with an indent, ``json.dumps`` runs its
-        pure-Python encoder.
+        entry template and the box's index keys: with an indent,
+        ``json.dumps`` runs its pure-Python encoder.
         """
-        den, k = self.den, _json_ints(["%s"] * len(self.degrees), 6)
-        entry = f'    {{\n      "den": "%s",\n      "k": {k},\n      "num": "%s"\n    }}'
-        entries = ",\n".join(entry % (den // (g := math.gcd(v, den)), *idx, v // g)
-                             for idx, v in zip(box_indices(self.degrees), self.nums.flat) if v)
+        den = self.den
+        entry = '    {\n      "den": "%s",\n      "k": %s,\n      "num": "%s"\n    }'
+        entries = ",\n".join(entry % (den // (g := math.gcd(v, den)), k, v // g)
+                             for k, v in zip(_index_keys(self.degrees), self.nums.flat) if v)
         lines = [f'  "coeffs": [\n{entries}\n  ]' if entries else '  "coeffs": []',
                  f'  "degrees": {_json_ints(self.degrees, 2)}']
         if spec is not None:
@@ -285,7 +300,26 @@ def combine(tables, weights) -> CoeffTable:
 # the defining linear systems
 
 
-def _box_map(degrees, mu: Fraction):
+@functools.cache
+def _box_plan(degrees: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ks, sigma, binomials) of the box: the multi-indices as ``np.indices``
+    lays them out, sigma = sum(k) and prod_j C(d_j, k_j) as Python ints.
+
+    Built once per box in the process and shared, so every array is
+    read-only; tables only read them into new arrays.
+    """
+    ks = np.indices([d + 1 for d in degrees])
+    sigma = ks.sum(axis=0)
+    binomials = functools.reduce(
+        np.multiply.outer, (np.array([math.comb(d, k) for k in range(d + 1)], dtype=object) for d in degrees)
+    )
+    for array in (ks, sigma, binomials):
+        array.flags.writeable = False
+    return ks, sigma, binomials
+
+
+@functools.cache
+def _box_map(degrees: tuple[int, ...], mu: Fraction):
     """The b-scaled tension rows of the box, with mu = a/b, as one map on
     object arrays of Python ints shaped like the box:
 
@@ -293,10 +327,10 @@ def _box_map(degrees, mu: Fraction):
                   + b*(D + sigma - 1) * sum_j (d_j + 1 - k_j) * c_{k - e_j},
 
     sigma = sum(k), D = sum(d) and c_{k - e_j} = 0 where k_j = 0: one
-    slice per axis shifts c by e_j.
+    slice per axis shifts c by e_j.  Built once per (degrees, mu) in the
+    process; the map writes only the array it returns.
     """
-    ks = np.indices([d + 1 for d in degrees])
-    sigma = ks.sum(axis=0)
+    ks, sigma, _ = _box_plan(degrees)
     diagonal = (sigma * sigma - sigma).astype(object) * (2 * mu.numerator)
     total = (sum(degrees) + sigma - 1).astype(object) * mu.denominator
     full = (slice(None),) * len(degrees)
@@ -358,11 +392,8 @@ def _closed_form(degrees, numerators, den: int, axis: int | None) -> CoeffTable:
     """c_k = numerators[sigma] / den * w_k * prod_j C(d_j, k_j) on the box,
     sigma = sum(k), with w_k = k_axis, or 1 when axis is None: the table's
     numerator array is one array expression of integers."""
-    ks = np.indices([d + 1 for d in degrees])
-    binomials = functools.reduce(
-        np.multiply.outer, (np.array([math.comb(d, k) for k in range(d + 1)], dtype=object) for d in degrees)
-    )
-    values = np.array(numerators, dtype=object)[ks.sum(axis=0)] * binomials * (1 if axis is None else ks[axis])
+    ks, sigma, binomials = _box_plan(degrees)
+    values = np.array(numerators, dtype=object)[sigma] * binomials * (1 if axis is None else ks[axis])
     return CoeffTable._of(degrees, values, den)
 
 

@@ -431,33 +431,59 @@ class SpChoice(enum.IntEnum):
 class QuadrupleFamily:
     """Eigenfunction quadruples (P_i, Q, R, S_i) with constant-mu products.
 
+    The family holds its generating vectors and what ``make_quadruple``
+    decided from them: ``columns``, the ambient column of each member, and
+    ``den_column``, that of Q and R (None under isotropic columns, where
+    the one member's forms are p (x) a, q (x) a, q (x) b and p (x) b).
+    ``proper[i]`` records whether member i is structurally proper
+    biharmonic (nonzero tension), by :func:`classify`'s rule.
+
     ``numerators[i] / denominator`` are the rational family members;
     ``exchange_denominator`` (R) and ``exchange_numerators[i]`` (S_i) are
     the swapped-row forms appearing in kappa(P_i, Q) = mu * R * S_i.
-    ``proper[i]`` records whether member i is structurally proper
-    biharmonic (nonzero tension), by :func:`classify`'s rule.  Each family
-    object builds its member nodes once, on first use, so
+    Each family object builds these forms and its member nodes once, on
+    first use, so writing a family builds no form and
     ``dataclasses.replace`` gives fresh ones.
     """
 
     spec: GroupSpec
     mu: float
-    numerators: tuple[LinearForm, ...]
-    exchange_numerators: tuple[LinearForm, ...]
-    denominator: LinearForm
-    exchange_denominator: LinearForm
     proper: tuple[bool, ...]
     row_p: np.ndarray
     row_q: np.ndarray
     col_a: np.ndarray
     col_b: np.ndarray
     beta: int
+    columns: tuple[int, ...] | None
+    den_column: int | None
     sp_choice: SpChoice | None = None
     so_mode: str | None = None
 
+    def _forms(self, row: np.ndarray, weights: np.ndarray, columns) -> tuple[LinearForm, ...]:
+        """The form of ``row`` over each of ``columns``, column j or n + j
+        weighted by ``weights[j]``; over a None column, row (x) weights."""
+        return tuple(LinearForm(self.spec, row, weights) if col is None
+                     else LinearForm.column(self.spec, row, col, weights[col % self.spec.n]) for col in columns)
+
+    @functools.cached_property
+    def numerators(self) -> tuple[LinearForm, ...]:
+        return self._forms(self.row_p, self.col_a, self.columns)
+
+    @functools.cached_property
+    def exchange_numerators(self) -> tuple[LinearForm, ...]:
+        return self._forms(self.row_q, self.col_a, self.columns)
+
+    @functools.cached_property
+    def denominator(self) -> LinearForm:
+        return self._forms(self.row_q, self.col_b, (self.den_column,))[0]
+
+    @functools.cached_property
+    def exchange_denominator(self) -> LinearForm:
+        return self._forms(self.row_p, self.col_b, (self.den_column,))[0]
+
     @property
     def n_members(self) -> int:
-        return len(self.numerators)
+        return len(self.proper)
 
     @property
     def n_proper(self) -> int:
@@ -587,6 +613,11 @@ def make_quadruple(
     On SO(n) the conformality product rules acquire delta corrections;
     one of the two isotropy alternatives must hold exactly so the
     corrections cancel, otherwise IsotropyViolation is raised.
+
+    Every input check and the proper flags are computed here, the flags
+    from the v rows of the forms (unit rows of the columns, or a and b
+    under isotropic columns); the family builds the forms themselves only
+    when they are first read.
     """
     n = spec.n
     p = _check_vector("p", p, n)
@@ -616,41 +647,33 @@ def make_quadruple(
         raise DimensionMismatch("sp_choice only applies to the quaternionic group")
 
     if so_mode == "isotropic_columns":
-        numerators = [LinearForm(spec, p, a)]
-        exchange = [LinearForm(spec, q, a)]
-        den = LinearForm(spec, q, b)
-        exch_den = LinearForm(spec, p, b)
+        columns, den_column = (None,), None
+        member_v, den_v = a[None], b
     else:
         # column family (U, Sp, SO with isotropic rows)
         member_offset = n if choice in (SpChoice.W_OVER_Z, SpChoice.W_OVER_W) else 0
         den_offset = n if choice is SpChoice.W_OVER_W else 0
         if abs(b[beta]) == 0:
             raise ZeroVector("denominator weight b[beta] must be nonzero")
-        den = LinearForm.column(spec, q, den_offset + beta, b[beta])
-        exch_den = LinearForm.column(spec, p, den_offset + beta, b[beta])
-
         scale_a = float(np.max(np.abs(a)))
-        numerators, exchange = [], []
-        for j in range(n):
-            if abs(a[j]) <= _WEIGHT_REL_TOL * scale_a:
-                continue
-            numerators.append(LinearForm.column(spec, p, member_offset + j, a[j]))
-            exchange.append(LinearForm.column(spec, q, member_offset + j, a[j]))
+        columns = tuple(member_offset + j for j in range(n) if abs(a[j]) > _WEIGHT_REL_TOL * scale_a)
+        den_column = den_offset + beta
+        member_v = [_unit(spec.ambient_dim, col) for col in columns]
+        den_v = _unit(spec.ambient_dim, den_column)
 
     # P_i = p (x) v_i over Q = q (x) w is harmonic in classify's Case I when
     # p and q are dependent, and in its Case II when v_i and w are: one test
     # of the row pair, zero-padded to the column width, and every (v_i, w)
-    pairs = np.zeros((2, 1 + len(numerators), spec.ambient_dim), dtype=complex)
+    pairs = np.zeros((2, 1 + len(member_v), spec.ambient_dim), dtype=complex)
     pairs[:, 0, :n] = p, q
-    pairs[0, 1:] = [form.v for form in numerators]
-    pairs[1, 1:] = den.v
+    pairs[0, 1:] = member_v
+    pairs[1, 1:] = den_v
     rows_dependent, *cols_dependent = dependent_rows(*pairs).tolist()
     proper = [not (rows_dependent or flag) for flag in cols_dependent]
 
     return QuadrupleFamily(
-        spec=spec, mu=spec.mu, numerators=tuple(numerators), exchange_numerators=tuple(exchange),
-        denominator=den, exchange_denominator=exch_den, proper=tuple(proper),
-        row_p=p, row_q=q, col_a=a, col_b=b, beta=beta, sp_choice=choice, so_mode=so_mode,
+        spec=spec, mu=spec.mu, proper=tuple(proper), row_p=p, row_q=q, col_a=a, col_b=b, beta=beta,
+        columns=columns, den_column=den_column, sp_choice=choice, so_mode=so_mode,
     )
 
 

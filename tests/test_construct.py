@@ -226,6 +226,54 @@ def test_graded_solver_rejects_inconsistent_systems():
         _checked_table(proper, mu, {}, proper=False)
 
 
+def test_box_plan_and_map_are_built_once():
+    # one plan per box and one map per (degrees, mu) serve every table:
+    # the five tables of a four-variable family build each once
+    construct._box_plan.cache_clear()
+    construct._box_map.cache_clear()
+    degrees = (2, 2, 2, 2)
+    tables = biharmonic_family(degrees, -1)
+    assert len(tables) == 5
+    plan, tension = construct._box_plan.cache_info(), construct._box_map.cache_info()
+    assert (plan.misses, tension.misses, tension.hits) == (1, 1, 4)
+    assert biharmonic_family(degrees, Fraction(-1)) == tables
+    assert tension_table(tables[0], -1.0) == tension_table(tables[0], -1)
+    assert (construct._box_plan.cache_info().misses, construct._box_map.cache_info().misses) == (1, 1)
+    # another mu on the box reuses the plan and builds its own map
+    biharmonic_family(degrees, Fraction(-1, 2))
+    assert (construct._box_plan.cache_info().misses, construct._box_map.cache_info().misses) == (1, 2)
+    # and every table of the box writes its entries from one set of index keys
+    construct._index_keys.cache_clear()
+    texts = [t.to_json() for t in (*tables, *tables)]
+    assert texts[:5] == texts[5:]
+    assert construct._index_keys.cache_info()[:2] == (9, 1)
+
+
+@pytest.mark.parametrize("degrees", [(6, 6), (3, 3, 3), (2, 2, 2, 2)], ids=str)
+def test_box_plan_is_read_only_and_owns_no_table(degrees):
+    plan = construct._box_plan(degrees)
+    for array in plan:
+        with pytest.raises(ValueError, match="read-only"):
+            array.flat[0] = 7
+    tables = biharmonic_family(degrees, -1)
+    images = [tension_table(t, mu) for t in tables for mu in (-1, Fraction(-1), -1.0)]
+    assert not any(np.shares_memory(t.nums, array) for t in (*tables, *images) for array in plan)
+    for i, t in enumerate(tables):
+        assert images[3 * i] == images[3 * i + 1] == images[3 * i + 2]
+    # the tables are unchanged by what was read from the shared plan
+    assert biharmonic_family(degrees, -1) == tables
+
+
+def test_refusals_hold_with_a_warm_plan():
+    # the refusal cases run again on the plan and map the first run built
+    test_graded_solver_rejects_inconsistent_systems()
+    before = construct._box_plan.cache_info(), construct._box_map.cache_info()
+    test_graded_solver_rejects_inconsistent_systems()
+    after = construct._box_plan.cache_info(), construct._box_map.cache_info()
+    assert [info.misses for info in after] == [info.misses for info in before]
+    assert all(a.hits > b.hits for a, b in zip(after, before))
+
+
 # SHA-256 of the to_json() texts of every biharmonic then harmonic basis
 # table, joined by newlines, recorded from the solver that ran on rows of
 # Fractions; the integer-row solver must reproduce these tables exactly

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from biforge import cli
 from biforge.algebra import PackedPoint
 from biforge.cli import _build_family
 from biforge.errors import (
@@ -16,6 +17,7 @@ from biforge.errors import (
     ZeroVector,
 )
 from biforge.forms import (
+    _WEIGHT_REL_TOL,
     Classification,
     Const,
     LinearForm,
@@ -275,6 +277,100 @@ def test_member_nodes_are_built_once_per_family(points_for):
         assert doubled.member_tension(i) is not fam.member_tension(i)
         expected = 2 * fam.member_tension(i).evaluate(point)
         assert abs(doubled.member_tension(i).evaluate(point) - expected) <= 1e-12 * abs(expected)
+    # with forms of its own, and its tensions share its own Q**2 node
+    assert not {id(form) for form in doubled.all_forms()} & {id(form) for form in fam.all_forms()}
+    assert len({id(doubled.member_tension(i).denominator) for i in range(fam.n_members)}) == 1
+
+
+@pytest.fixture
+def built_forms(monkeypatch):
+    """Every LinearForm built while the test runs, in order."""
+    built, init = [], LinearForm.__init__
+
+    def counting_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(LinearForm, "__init__", counting_init)
+    return built
+
+
+@pytest.mark.parametrize("group, n, degrees", [("su", 4, "3,3,3"), ("so", 8, "2,2"), ("sp", 3, "2,2")])
+def test_construct_builds_no_form(tmp_path, built_forms, group, n, degrees):
+    # construct writes vectors and a table; verify builds the 2n + 2 forms
+    argv = ["construct", "--group", group, "--n", str(n), "--degrees", degrees, "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    assert built_forms == []
+    fam = QuadrupleFamily.from_json((tmp_path / "quadruple.json").read_text())
+    assert (fam.n_members, fam.n_proper) == (n, n - 1) and built_forms == []
+    argv = ["verify", "--coeffs", str(tmp_path / "coeffs.json"), "--quadruple", str(tmp_path / "quadruple.json"),
+            "--points", "1"]
+    assert cli.main(argv) == 0
+    assert len(built_forms) == 2 * n + 2
+
+
+def _eager_forms(fam):
+    """(P, S, Q, R, proper) by the rule make_quadruple once ran eagerly on
+    the family's vectors: ``LinearForm.column`` over each kept column, or
+    the four rank-one forms under isotropic columns, and the proper flags
+    from the forms' own v rows."""
+    spec, p, q, a, b, beta = fam.spec, fam.row_p, fam.row_q, fam.col_a, fam.col_b, fam.beta
+    if fam.so_mode == "isotropic_columns":
+        nums, exchange = [LinearForm(spec, p, a)], [LinearForm(spec, q, a)]
+        den, exch_den = LinearForm(spec, q, b), LinearForm(spec, p, b)
+    else:
+        member_offset = spec.n if fam.sp_choice in (10, 11) else 0
+        den_offset = spec.n if fam.sp_choice == 11 else 0
+        den = LinearForm.column(spec, q, den_offset + beta, b[beta])
+        exch_den = LinearForm.column(spec, p, den_offset + beta, b[beta])
+        kept = [j for j in range(spec.n) if abs(a[j]) > _WEIGHT_REL_TOL * np.max(np.abs(a))]
+        nums = [LinearForm.column(spec, p, member_offset + j, a[j]) for j in kept]
+        exchange = [LinearForm.column(spec, q, member_offset + j, a[j]) for j in kept]
+    pairs = np.zeros((2, 1 + len(nums), spec.ambient_dim), dtype=complex)
+    pairs[:, 0, : spec.n] = p, q
+    pairs[0, 1:] = [form.v for form in nums]
+    pairs[1, 1:] = den.v
+    rows_dependent, *cols_dependent = dependent_rows(*pairs).tolist()
+    return nums, exchange, den, exch_den, tuple(not (rows_dependent or flag) for flag in cols_dependent)
+
+
+def _families_of_every_kind():
+    so6 = GroupSpec.special_orthogonal(6)
+    sp3 = GroupSpec.quaternionic_unitary(3)
+    return [
+        _build_family(GroupSpec.unitary(4), 17, 2, None),
+        _build_family(GroupSpec.special_orthogonal(8), 17, 1, None),
+        *_so_isotropic_columns_family(so6, np.random.default_rng(17), 0),
+        *(_build_family(sp3, 17, 1, choice) for choice in (9, 10, 11)),
+        # zero column weights: a rounding zero, and an exact zero on the w-block
+        make_quadruple(GroupSpec.unitary(4), ROWS_P, ROWS_Q, [1, 2, 2e-15, 3], [1, 1, 1, 1], beta=2),
+        make_quadruple(SP2, *SP2_VECTORS[:2], [0, 1j], [1, 0.5], beta=1, sp_choice=10),
+    ]
+
+
+def test_derived_forms_match_the_eager_rule(built_forms):
+    families = _families_of_every_kind()
+    assert {fam.so_mode for fam in families} == {None, "isotropic_rows", "isotropic_columns"}
+    assert {fam.sp_choice for fam in families} == {None, 9, 10, 11}
+    assert any(fam.n_members < fam.spec.n for fam in families if fam.so_mode != "isotropic_columns")
+    assert built_forms == []
+    for fam in families:
+        nums, exchange, den, exch_den, proper = _eager_forms(fam)
+        assert fam.proper == proper
+        for f, g in zip(fam.all_forms(), [*nums, den, exch_den, *exchange], strict=True):
+            assert np.array_equal(f.u, g.u) and np.array_equal(f.v, g.v)
+
+
+def test_member_counts_read_no_form(built_forms):
+    for fam in _families_of_every_kind():
+        assert (fam.n_members, fam.n_proper, fam.proper_indices) == (
+            len(fam.proper), sum(fam.proper), tuple(i for i, flag in enumerate(fam.proper) if flag))
+        assert fam.to_json()
+        assert built_forms == []
+        assert len(fam.numerators) == fam.n_members
+        assert fam.all_forms() == fam.all_forms()
+        assert len(built_forms) == 2 * fam.n_members + 2
+        built_forms.clear()
 
 
 # ---------------------------------------------------------------------------
