@@ -232,7 +232,11 @@ def cmd_verify(
 
 def _emit(subject: str, spec: GroupSpec, points, seed: int, checks: list, out: Path | None,
           as_json: bool) -> int:
-    """Write the report of ``checks`` to ``out``, print it, and return the exit code."""
+    """Write the report of ``checks`` to ``out``, print it, and return the exit code;
+    refuse, writing nothing, when a residual is not finite: no bound decides it."""
+    bad = [c.name for c in checks if not math.isfinite(c.max_residual)]
+    if bad:
+        raise BiforgeError(f"residual of {', '.join(bad)} is not finite: the values overflow float64")
     group = {"group": spec.code, "n": spec.n}
     report = VerificationReport(subject, group, len(points), seed, tuple(checks))
     text = report.to_json() if out is not None or as_json else None

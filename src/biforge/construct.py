@@ -505,8 +505,11 @@ def build_expression(table: CoeffTable, pairs) -> RationalExpr:
         return Const(0.0)
     degrees = table.degrees
     pows = [chain for (f, tf), d in zip(pairs, degrees) for chain in (powers(f, d), powers(tf, d))]
-    terms = [(tuple(e for k, d in zip(idx, degrees) for e in (d - k, k)), v / table.den)
-             for idx, v in zip(box_indices(degrees), table.nums.flat) if v]
+    try:
+        terms = [(tuple(e for k, d in zip(idx, degrees) for e in (d - k, k)), v / table.den)
+                 for idx, v in zip(box_indices(degrees), table.nums.flat) if v]
+    except OverflowError:
+        raise BiforgeError(f"a coefficient of the degrees {degrees} table exceeds float64's range") from None
     return _polynomial(pows, terms)
 
 

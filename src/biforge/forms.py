@@ -47,6 +47,7 @@ import numpy as np
 
 from .algebra import Jet2, PackedJet, PackedPoint, leading_value
 from .errors import (
+    BiforgeError,
     DimensionMismatch,
     DomainError,
     IsotropyViolation,
@@ -104,7 +105,9 @@ def evaluate_all(roots, point) -> list:
     """The value of every root at ``point``, from one walk over the forest.
 
     A value is kept only while its reads say it will be read again, so
-    a node shared inside or across roots is computed once.
+    a node shared inside or across roots is computed once.  The walk
+    recurses once per level, and a forest deeper than the recursion
+    limit allows is refused with a ``BiforgeError``.
     """
     return _walk(roots, point, _repeated_reads(roots))
 
@@ -115,7 +118,10 @@ def _repeated_reads(roots) -> dict:
 
 def _walk(roots, point, repeated: dict) -> list:
     walk = ({}, dict(repeated))
-    return [root._eval(point, walk) for root in roots]
+    try:
+        return [root._eval(point, walk) for root in roots]
+    except RecursionError:
+        raise BiforgeError("the expression tree is too deep to walk within the recursion limit") from None
 
 
 class RationalExpr:

@@ -24,9 +24,12 @@ Basis ordering
   [iD_r, 0; 0, -iD_r]/sqrt(2).
 
 Every basis element Z satisfies [Z, Z*] = 0, so the Levi-Civita
-correction term of the tension field vanishes; this is asserted, not
-assumed, when an operator context is built, and a basis violating it is
-refused.
+correction term of the tension field vanishes.  Each element is a scaled
+partial permutation whose pattern is an involution (an entry at (r, s)
+comes with one at (s, r); a diagonal entry is its own pair), and the two
+entries of each pair have equal moduli, exactly in floating point.  The
+operator context checks all of it, not assuming it, when it is built,
+and refuses a basis that breaks it.
 
 Sampling is deterministic in the seed and satisfies the group-membership
 invariants, but makes no Haar-exactness claim: verification is pointwise

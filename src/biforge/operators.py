@@ -7,8 +7,8 @@ On a compact matrix group with the left-invariant Re-trace metric,
 
 the sums running over an orthonormal Lie-algebra basis.  The tension
 formula has no first-order term because every basis element Z is a
-normal matrix, [Z, Z*] = 0; this is asserted (to 1e-12) when a context
-is built rather than assumed, and a basis that violates it is refused.
+normal matrix, [Z, Z*] = 0; this is checked exactly when a context is
+built rather than assumed, and a basis that violates it is refused.
 
 Every operator evaluates h on packed Laplacian jets (see
 :mod:`biforge.algebra`): all points and all basis directions in one
@@ -32,12 +32,17 @@ tau(h) come with it, read at the first row of the first walk;
 Derivatives are read off with the half-second-derivative convention.
 
 The context keeps the extended basis in compact form: every element is
-a scaled partial permutation, so a form's packed jet needs one gather
-per leaf (``E_e v``) rather than a product with a dense (|B| + 2, N, N)
-stack, and [Z, Z*] = 0 is a comparison of row and column moduli.  Every
-element's pattern is also an involution (Z[k, c] != 0 only with
-Z[c, k] != 0), which the context checks, so a walk's outer layers are
-compact too, a gather like ``E_e v``, and W**2 is diagonal.
+a scaled partial permutation, Z[k, cols[k]] = vals[k], so a form's packed
+jet needs one gather per leaf (``E_e v``) rather than a product with a
+dense (|B| + 2, N, N) stack.  Every element's pattern is also an
+involution, cols[cols[k]] = k, which the context checks.  Then one gather,
+the partners vals[cols], gives everything else: column c holds
+partners[c] in row cols[c]; Z Z* and Z* Z are diagonal with |vals[k]|**2
+and |partners[k]|**2 at (k, k), so [Z, Z*] = 0 is the exact comparison
+|vals| == |partners|; and Z**2 is diagonal with vals[k] * partners[k] at
+(k, k).  The context adds those squares over the whole basis for H, and
+a walk over its outer directions W_i (``_outer_stack``), both in basis
+order; a walk's outer layers are gathers like ``E_e v`` too.
 
 Points come as a (P, N, N) stack, as sampled, and give a (P,) array; a
 single (N, N) matrix is a batch of one and gives a complex.
@@ -66,7 +71,6 @@ __all__ = [
     "relative_residual",
 ]
 
-_BRACKET_TOL = 1e-12
 # complex entries per point of a bitension walk's jets, (D + 2)(|B| + 2)
 # for D outer directions: six on so(8), 28-dimensional, and four still fit
 # a 36-dimensional algebra.  Narrower algebras pack more directions into
@@ -79,7 +83,12 @@ _DIRECTIONS_PER_WALK = 4
 @dataclass(frozen=True, eq=False)
 class OperatorContext:
     """A group's extended basis E = [I, Z_1, ..., Z_|B|, H], shared across
-    evaluations, with H = sum_b Z_b**2 / 2 computed from the basis itself.
+    evaluations, with H = sum_b Z_b**2 / 2 computed from the basis itself,
+    never from the group's eigenvalue, and diagonal.
+
+    ``for_spec`` reads ``groups.basis_entries`` once, in basis order, and
+    refuses the first element that is not a scaled partial permutation,
+    whose pattern is not an involution, or that is not normal, by name.
 
     A context is immutable, its arrays read-only, so ``context(spec)``
     shares one per group with every caller in the process;
@@ -101,22 +110,18 @@ class OperatorContext:
         cols[:] = np.arange(n)
         vals = np.zeros((spec.dimension + 2, n), dtype=complex)
         vals[0] = 1
-        square = {}  # row -> (column, value) of sum_b Z_b**2
-        # every pattern must be an involution, cols[cols[k]] == k, so that an
-        # outer direction's column c holds its one nonzero in row cols[c] and
-        # its square is diagonal (``_outer_stack``); the first that is not is
-        # refused after the loop, so an element that breaks H is named first
-        not_involutive = None
         for b, (label, rows, columns, values) in enumerate(basis_entries(spec), 1):
-            _set_row(cols[b], vals[b], rows, columns, values, label)
-            _check_normal_and_square(square, rows, columns, values, label)
-            if not_involutive is None and (cols[b][cols[b]] != cols[0]).any():
-                not_involutive = label
-        if not_involutive is not None:
-            raise ShapeError(f"basis element {not_involutive} is not an involutive pattern")
-        rows = tuple(square)
-        columns = tuple(square[r][0] for r in rows)
-        _set_row(cols[-1], vals[-1], rows, columns, tuple(square[r][1] / 2 for r in rows), "H")
+            if len(set(rows)) < len(rows) or len(set(columns)) < len(columns):
+                raise ShapeError(f"basis element {label} has two nonzeros in one row or column")
+            for r, c, x in zip(rows, columns, values):
+                cols[b, r], vals[b, r] = c, x
+            if (cols[b][cols[b]] != cols[0]).any():
+                raise ShapeError(f"basis element {label} is not an involutive pattern")
+            partners = vals[b][cols[b]]
+            if (np.abs(vals[b]) != np.abs(partners)).any():
+                raise ShapeError(f"basis element {label} is not normal: [Z, Z*] != 0")
+            vals[-1] += vals[b] * partners
+        vals[-1] /= 2
         cols.flags.writeable = vals.flags.writeable = False
         return cls(cols, vals)
 
@@ -126,34 +131,6 @@ def context(spec: GroupSpec) -> OperatorContext:
     """The context of ``spec``, built by ``OperatorContext.for_spec`` on the
     first call and shared by every later one."""
     return OperatorContext.for_spec(spec)
-
-
-def _set_row(cols, vals, rows, columns, values, label: str) -> None:
-    """Write the element holding values[i] at (rows[i], columns[i]) into
-    one row of the compact basis; refuse two nonzeros in one row or
-    column."""
-    if any(rows.count(r) > 1 for r in rows) or any(columns.count(c) > 1 for c in columns):
-        raise ShapeError(f"basis element {label} has two nonzeros in one row or column")
-    for r, c, x in zip(rows, columns, values):
-        cols[r], vals[r] = c, x
-
-
-def _check_normal_and_square(square: dict, rows, columns, values, label: str) -> None:
-    """Refuse an element with [Z, Z*] != 0, and add Z**2 into ``square``."""
-    for c, x in zip(columns, values):
-        # [Z, Z*] is diagonal with |row k|**2 - |column k|**2 at (k, k).
-        # Column c holds only x and row c only x2; once every column in
-        # use passes, those columns are the nonzero rows, so every k does
-        x2 = values[rows.index(c)] if c in rows else 0
-        if abs(abs(x2) ** 2 - abs(x) ** 2) > _BRACKET_TOL:
-            raise ShapeError(f"basis element {label} is not normal: [Z, Z*] != 0")
-    for r, c, x in zip(rows, columns, values):
-        if c in rows:  # Z**2 holds x * Z[c, c2] at (r, c2)
-            i = rows.index(c)
-            column, total = square.get(r, (columns[i], 0))
-            if column != columns[i]:
-                raise ShapeError(f"H = sum Z**2 / 2 has two nonzeros in one row at {label}")
-            square[r] = (column, total + x * values[i])
 
 
 def _batch(point) -> tuple[np.ndarray, bool]:
@@ -246,9 +223,8 @@ def tension2(h: RationalExpr, point, ctx: OperatorContext):
 def _outer_stack(ctx: OperatorContext, first: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
     """[I, W_1, ..., W_D, sum_i W_i**2/2] for W_i = E_first .. E_stop-1, as
     (index, weights), both (D + 2, N): column c of layer k holds its one
-    nonzero weights[k, c] in row index[k, c].  Each W_i's pattern is an
-    involution, so its column c holds vals[cols[c]] in row cols[c], and
-    W_i**2 is diagonal, vals[k] * vals[cols[k]] at (k, k)."""
+    nonzero weights[k, c] in row index[k, c]: the partners of W_i, and the
+    diagonal of the squares (module docstring)."""
     cols, vals = ctx.cols[first:stop], ctx.vals[first:stop]
     partners = vals[np.arange(len(cols))[:, None], cols]
     # I and the diagonal take the pattern of E_0 = I; the squares are

@@ -400,6 +400,45 @@ def test_verify_rejects_zero_points(tmp_path, capsys):
     assert "--points must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "degrees, message",
+    [
+        ("500", "the expression tree is too deep to walk within the recursion limit"),
+        ("600", "a coefficient of the degrees (600,) table exceeds float64's range"),
+    ],
+)
+def test_verify_beyond_the_walk_or_float64_exits_2(tmp_path, capsys, degrees, message):
+    # construct solves both tables exactly, but degree 500 nests its power
+    # chains deeper than the recursion limit lets a walk go, and degree 600
+    # has a coefficient that no float holds: refused, with no report
+    out = tmp_path / "artifacts"
+    assert run(["construct", "--group", "su", "--n", "3", "--seed", "1", "--degrees", degrees, "--out", str(out)]) == 0
+    report = tmp_path / "report.json"
+    capsys.readouterr()
+    code = run(["verify", "--coeffs", str(out / "coeffs.json"), "--quadruple", str(out / "quadruple.json"),
+                "--points", "2", "--out", str(report)])
+    assert (code, capsys.readouterr().err) == (2, f"error: {message}\n")
+    assert not report.exists()
+
+
+@pytest.mark.parametrize(
+    "k, message",
+    [
+        ("150", "residual of eigenfamily kappa is not finite: the values overflow float64"),
+        ("500", "the expression tree is too deep to walk within the recursion limit"),
+    ],
+)
+def test_morphism_beyond_float64_or_the_walk_exits_2(tmp_path, capsys, k, message):
+    # at k = 150 the family's k-th powers overflow float64 and the kappa
+    # residual is nan, which no bound decides; at k = 500 the power chain
+    # is deeper than the recursion limit lets a walk go (k = 120 passes)
+    report = tmp_path / "report.json"
+    code = run(["morphism", "--group", "su", "--n", "3", "--kind", "rational", "--points", "2", "--k", k,
+                "--out", str(report)])
+    assert (code, capsys.readouterr().err) == (2, f"error: {message}\n")
+    assert not report.exists()
+
+
 def test_morphism_exhausted_sampler_exits_2(monkeypatch, capsys):
     # a domain margin that no finite denominator meets rejects every draw
     monkeypatch.setattr("biforge.verify.DEFAULT_DOMAIN_MARGIN", math.inf)

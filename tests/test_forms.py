@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from biforge import cli
 from biforge.algebra import PackedPoint
 from biforge.cli import _build_family
 from biforge.errors import (
+    BiforgeError,
     DimensionMismatch,
     DomainError,
     IsotropyViolation,
@@ -29,6 +31,7 @@ from biforge.forms import (
     evaluate_all,
     isotropic,
     make_quadruple,
+    powers,
     quotient,
     walk_order,
 )
@@ -546,6 +549,26 @@ def test_forest_walk_matches_separate_walks(ctx_for, monkeypatch):
             value, reference = getattr(value, "c", value), getattr(reference, "c", reference)
             assert value.shape == reference.shape and np.array_equal(value, reference)
     assert len(calls) == 2 * 4  # P, Q, R and S once per point type
+
+
+def test_walk_deeper_than_the_recursion_limit_is_refused(monkeypatch):
+    # a walk recurses once per level of the tree and the interpreter's limit
+    # is left as it is, so a chain deeper than the limit is refused with a
+    # BiforgeError rather than a RecursionError, whichever node overflows
+    message = "the expression tree is too deep to walk within the recursion limit"
+
+    def overflow(self, point, walk):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Const, "_compute", overflow)
+        with pytest.raises(BiforgeError, match=message):
+            Const(1.0).evaluate(np.eye(2))
+    limit = sys.getrecursionlimit()
+    with pytest.raises(BiforgeError, match=message):
+        evaluate_all([Const(2.0), powers(Const(1.0), limit)[-1]], np.eye(2))
+    assert sys.getrecursionlimit() == limit
+    assert evaluate_all([powers(Const(1.0), 50)[-1]], np.eye(2)) == [1]
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ exercised on random expressions over general (not rank-one) linear
 forms, on all three groups.
 """
 
+import hashlib
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -224,16 +225,6 @@ def test_two_nonzeros_in_one_row_are_refused(monkeypatch, rows, cols):
         OperatorContext.for_spec(U2)
 
 
-def test_square_with_two_nonzeros_in_one_row_is_refused(monkeypatch):
-    # a 3-cycle squares to the other 3-cycle and a diagonal element to a
-    # diagonal one, so sum Z**2 holds two nonzeros in row 0 and H has no
-    # compact form, though each element alone has one
-    elements = [("cycle", (0, 1, 2), (1, 2, 0), (1, 1, 1)), ("diag", (0,), (0,), (1j,))]
-    monkeypatch.setattr("biforge.operators.basis_entries", lambda spec: iter(elements))
-    with pytest.raises(ShapeError, match=r"H = sum Z\*\*2 / 2 has two nonzeros in one row at diag"):
-        OperatorContext.for_spec(U3)
-
-
 def test_element_without_involutive_pattern_is_refused(monkeypatch):
     # a 3-cycle is normal and its square, the other 3-cycle, has one
     # nonzero per row, but its column c holds its nonzero in row c - 1, not
@@ -244,12 +235,52 @@ def test_element_without_involutive_pattern_is_refused(monkeypatch):
         OperatorContext.for_spec(U3)
 
 
+def test_involutive_element_with_unequal_moduli_is_refused(monkeypatch):
+    # the pattern is an involution, but row 0 holds 1 and column 0 holds 2,
+    # so [Z, Z*] = diag(1 - 4, 4 - 1) != 0 and the tension would need a
+    # first-order term; a normal element before it does not hide it
+    elements = [("iD1", (0,), (0,), (1j,)), ("skew", (0, 1), (1, 0), (1.0, 2.0))]
+    monkeypatch.setattr("biforge.operators.basis_entries", lambda spec: iter(elements))
+    with pytest.raises(ShapeError, match=r"basis element skew is not normal: \[Z, Z\*\] != 0"):
+        OperatorContext.for_spec(U2)
+
+
+def test_refusals_name_the_first_failing_element(monkeypatch):
+    # each refusal fires at the first element, in basis order, that breaks
+    # its rule, so a later element that breaks an earlier rule is not named
+    cycle = ("cycle", (0, 1, 2), (1, 2, 0), (1, 1, 1))
+    skew = ("skew", (0, 1), (1, 0), (1.0, 2.0))
+    two = ("two", (0, 0), (0, 1), (1j, 1j))
+    cases = [([skew, cycle], "skew"), ([cycle, skew], "cycle"), ([skew, two], "skew"), ([two, cycle], "two")]
+    for elements, name in cases:
+        monkeypatch.setattr("biforge.operators.basis_entries", lambda spec: iter(elements))
+        with pytest.raises(ShapeError, match=f"basis element {name} "):
+            OperatorContext.for_spec(U3)
+
+
 @pytest.mark.parametrize("spec", WALK_SPECS, ids=lambda s: f"{s.code}{s.n}")
 def test_standard_bases_have_involutive_patterns(spec):
     # the context refuses any other basis, so every supported one passes:
     # each element's pattern, and H's, is its own inverse
     cols = OperatorContext.for_spec(spec).cols
     assert np.array_equal(np.take_along_axis(cols, cols, axis=1), np.broadcast_to(np.arange(spec.ambient_dim), cols.shape))
+
+
+def test_context_bytes_are_pinned():
+    # the compact basis and H, byte for byte, on every algebra up to su(16),
+    # so(14) and sp(8): a change in how the context is built may not move
+    # a single bit of what the walks read
+    specs = [
+        *(GroupSpec.unitary(n) for n in range(2, 17)),
+        *(GroupSpec.special_orthogonal(n) for n in range(4, 15)),
+        *(GroupSpec.quaternionic_unitary(n) for n in range(1, 9)),
+    ]
+    digest = hashlib.sha256()
+    for spec in specs:
+        ctx = OperatorContext.for_spec(spec)
+        digest.update(ctx.cols.tobytes())
+        digest.update(ctx.vals.tobytes())
+    assert digest.hexdigest() == "627ef1d4d8ea5094739939df086825f42a686ad221ed1694561adc2efae52309"
 
 
 def test_shared_context_is_read_only():

@@ -13,10 +13,12 @@ needs only the standard library and pytest.  An executable line is one that a
 compiled code object of the file maps an instruction to, so ``def`` and
 ``class`` statements count (they run at import) and docstrings do not.
 
-Lines that run only in a subprocess a test starts are not seen.  Tests
-that measure memory with ``tracemalloc`` see the tracer's own allocations,
-so ``test_context_build_peak_stays_near_what_it_keeps`` fails under the
-tracer; the lines are listed anyway and the pytest exit code is reported.
+Lines that run only in a subprocess a test starts are not seen, nor
+those that run in a test after it overflows the stack (each test sets the
+tracer again).  Tests that measure memory with ``tracemalloc`` see the
+tracer's own allocations, so ``test_context_build_peak_stays_near_what_it_keeps``
+can fail under the tracer; the lines are listed anyway and the pytest exit
+code is reported.
 A demo that raises is named in a note, and the other demos still run.
 """
 
@@ -64,10 +66,18 @@ def traced_run(pytest_args: list[str]) -> tuple[int, list[str], dict[str, set[in
         seen.setdefault(filename, set()).add(frame.f_lineno)
         return local
 
+    class Rearm:
+        # CPython unsets a tracer that raises, and a test that overflows the
+        # stack makes the tracer's own call raise RecursionError; what runs
+        # after it in that test is not seen, and each test sets it again
+        def pytest_runtest_setup(self):
+            sys.settrace(global_trace)
+
     failed = []
     sys.settrace(global_trace)
     try:
-        code = pytest.main(pytest_args)
+        code = pytest.main(pytest_args, plugins=[Rearm()])
+        sys.settrace(global_trace)
         for demo in DEMOS:
             try:
                 with contextlib.redirect_stdout(io.StringIO()):
