@@ -2,8 +2,8 @@
 
 Three scalar families are used throughout the package:
 
-* exact rationals (:class:`fractions.Fraction`), the coefficient type of
-  every linear-system solve in :mod:`biforge.construct`;
+* exact rationals (:class:`fractions.Fraction`): mu and the entries a
+  :mod:`biforge.construct` table reads out;
 * degree-2 truncated Taylor jets (:class:`Jet2`), the generic
   differentiation primitive: one direction at a time, over any
   coefficient ring, nestable; a point moved along one direction

@@ -441,7 +441,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = vars(build_parser().parse_args(argv))
-        return args.pop("run")(**args)
+        # a value that overflows float64 is refused by _emit, naming its check
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.pop("run")(**args)
     except (BiforgeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

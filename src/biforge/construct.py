@@ -53,7 +53,7 @@ every equation on the box in integer sums over its common denominator
 (the proper table: its tension table is nonzero and satisfies the
 harmonic equations).  A table is that integer array itself: Python-int
 numerators shaped like the box over one positive common denominator, in
-lowest terms, so the solvers, the row check, ``tension_table`` and
+lowest terms, so the closed forms, the row check, ``tension_table`` and
 ``to_json`` make no Fraction per entry.  The numerical operators only
 enter when a table is assembled into an evaluable expression.
 

@@ -38,8 +38,8 @@ class SamplingExhausted(BiforgeError, RuntimeError):
 
 
 class InconsistentSystem(BiforgeError, ArithmeticError):
-    """Exact elimination found a contradiction or an unexpected solution
-    space; raised defensively, should not occur for valid inputs."""
+    """A closed-form coefficient table breaks a pin or its exact row check;
+    raised defensively, should not occur for valid inputs."""
 
 
 class DegenerateQuotient(BiforgeError, ValueError):

@@ -79,6 +79,7 @@ __all__ = [
 # expression trees
 
 _MISSING = object()
+_TOO_DEEP = "the expression tree is too deep to walk within the recursion limit"
 
 
 def walk_order(roots) -> tuple[list, dict]:
@@ -121,7 +122,7 @@ def _walk(roots, point, repeated: dict) -> list:
     try:
         return [root._eval(point, walk) for root in roots]
     except RecursionError:
-        raise BiforgeError("the expression tree is too deep to walk within the recursion limit") from None
+        raise BiforgeError(_TOO_DEEP) from None
 
 
 class RationalExpr:
@@ -360,7 +361,10 @@ class Quotient(RationalExpr):
     def __init__(self, numerator, denominator):
         self.numerator = _as_expr(numerator)
         self.denominator = _as_expr(denominator)
-        self.den_scale = max(self.denominator.coeff_scale(), 1e-300)
+        try:
+            self.den_scale = max(self.denominator.coeff_scale(), 1e-300)
+        except RecursionError:
+            raise BiforgeError(_TOO_DEEP) from None
 
     def _compute(self, point, walk):
         den = self.denominator._eval(point, walk)
@@ -620,10 +624,10 @@ def make_quadruple(
     one of the two isotropy alternatives must hold exactly so the
     corrections cancel, otherwise IsotropyViolation is raised.
 
-    Every input check and the proper flags are computed here, the flags
-    from the v rows of the forms (unit rows of the columns, or a and b
-    under isotropic columns); the family builds the forms themselves only
-    when they are first read.
+    Every input check and the proper flags are computed here: member i is
+    harmonic when p and q are dependent (classify's Case I) or when its
+    column is the denominator's, a and b under isotropic columns (Case II);
+    the family builds the forms themselves only when they are first read.
     """
     n = spec.n
     p = _check_vector("p", p, n)
@@ -654,7 +658,7 @@ def make_quadruple(
 
     if so_mode == "isotropic_columns":
         columns, den_column = (None,), None
-        member_v, den_v = a[None], b
+        cols_dependent = [dependent_rows(a, b)]
     else:
         # column family (U, Sp, SO with isotropic rows)
         member_offset = n if choice in (SpChoice.W_OVER_Z, SpChoice.W_OVER_W) else 0
@@ -664,17 +668,9 @@ def make_quadruple(
         scale_a = float(np.max(np.abs(a)))
         columns = tuple(member_offset + j for j in range(n) if abs(a[j]) > _WEIGHT_REL_TOL * scale_a)
         den_column = den_offset + beta
-        member_v = [_unit(spec.ambient_dim, col) for col in columns]
-        den_v = _unit(spec.ambient_dim, den_column)
+        cols_dependent = [col == den_column for col in columns]
 
-    # P_i = p (x) v_i over Q = q (x) w is harmonic in classify's Case I when
-    # p and q are dependent, and in its Case II when v_i and w are: one test
-    # of the row pair, zero-padded to the column width, and every (v_i, w)
-    pairs = np.zeros((2, 1 + len(member_v), spec.ambient_dim), dtype=complex)
-    pairs[:, 0, :n] = p, q
-    pairs[0, 1:] = member_v
-    pairs[1, 1:] = den_v
-    rows_dependent, *cols_dependent = dependent_rows(*pairs).tolist()
+    rows_dependent = dependent_rows(p, q)
     proper = [not (rows_dependent or flag) for flag in cols_dependent]
 
     return QuadrupleFamily(

@@ -426,12 +426,14 @@ def test_verify_beyond_the_walk_or_float64_exits_2(tmp_path, capsys, degrees, me
     [
         ("150", "residual of eigenfamily kappa is not finite: the values overflow float64"),
         ("500", "the expression tree is too deep to walk within the recursion limit"),
+        ("1000", "the expression tree is too deep to walk within the recursion limit"),
     ],
 )
 def test_morphism_beyond_float64_or_the_walk_exits_2(tmp_path, capsys, k, message):
     # at k = 150 the family's k-th powers overflow float64 and the kappa
     # residual is nan, which no bound decides; at k = 500 the power chain
-    # is deeper than the recursion limit lets a walk go (k = 120 passes)
+    # is deeper than the recursion limit lets a walk go (k = 120 passes),
+    # and at k = 1000 deeper than reading the quotient's scale can go
     report = tmp_path / "report.json"
     code = run(["morphism", "--group", "su", "--n", "3", "--kind", "rational", "--points", "2", "--k", k,
                 "--out", str(report)])

@@ -348,6 +348,8 @@ def _families_of_every_kind():
         # zero column weights: a rounding zero, and an exact zero on the w-block
         make_quadruple(GroupSpec.unitary(4), ROWS_P, ROWS_Q, [1, 2, 2e-15, 3], [1, 1, 1, 1], beta=2),
         make_quadruple(SP2, *SP2_VECTORS[:2], [0, 1j], [1, 0.5], beta=1, sp_choice=10),
+        # q a multiple of p: every member is harmonic in Case I
+        make_quadruple(GroupSpec.unitary(4), ROWS_P, np.multiply(ROWS_P, 2 - 1j), [1, 2, 3, 4], [1, 1, 1, 1]),
     ]
 
 
@@ -569,6 +571,23 @@ def test_walk_deeper_than_the_recursion_limit_is_refused(monkeypatch):
         evaluate_all([Const(2.0), powers(Const(1.0), limit)[-1]], np.eye(2))
     assert sys.getrecursionlimit() == limit
     assert evaluate_all([powers(Const(1.0), 50)[-1]], np.eye(2)) == [1]
+
+
+def test_quotient_over_a_denominator_deeper_than_the_recursion_limit_is_refused(monkeypatch):
+    # a quotient reads its denominator's scale when it is built, recursing
+    # once per level as a walk does, and refuses a chain too deep for it
+    message = "the expression tree is too deep to walk within the recursion limit"
+
+    def overflow(self):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Const, "coeff_scale", overflow)
+        with pytest.raises(BiforgeError, match=message):
+            Quotient(Const(1.0), Const(2.0))
+    with pytest.raises(BiforgeError, match=message):
+        Quotient(Const(1.0), powers(Const(2.0), sys.getrecursionlimit())[-1])
+    assert Quotient(Const(1.0), powers(Const(2.0), 50)[-1]).den_scale == 2.0**50
 
 
 @pytest.mark.parametrize(
