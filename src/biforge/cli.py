@@ -124,21 +124,16 @@ def _parse_seed(text: str) -> int:
     return seed
 
 
-def _parse_mu(text: str) -> Fraction:
-    try:
-        mu = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        mu = 0
-    if mu == 0:
-        raise BiforgeError(f"--mu must be a nonzero fraction, got {text!r}")
-    return mu
-
-
 def _orthonormal_rows(rng: np.random.Generator, n: int, count: int) -> list[np.ndarray]:
     while True:
         rows = _orthonormalize(rng.normal(size=(count, n)))
         if rows is not None:
             return rows
+
+
+# floor on each drawn weight |a_j|, |b_j|, keeping every member and the denominator
+# clear of a zero weight; a complex Gaussian entry falls below it 0.5% of the time
+_MIN_SEED_WEIGHT = 0.1
 
 
 def _seeded_vectors(spec: GroupSpec, rng: np.random.Generator):
@@ -153,7 +148,7 @@ def _seeded_vectors(spec: GroupSpec, rng: np.random.Generator):
     while True:
         a = rng.normal(size=n) + 1j * rng.normal(size=n)
         b = rng.normal(size=n) + 1j * rng.normal(size=n)
-        if np.min(np.abs(a)) > 0.1 and np.min(np.abs(b)) > 0.1:
+        if np.min(np.abs(a)) > _MIN_SEED_WEIGHT and np.min(np.abs(b)) > _MIN_SEED_WEIGHT:
             return p, q, a, b
 
 
@@ -173,7 +168,7 @@ def _write_text(path: Path, text: str) -> None:
 
 def cmd_construct(
     *, group: str, n: int, seed: int, degrees: tuple[int, ...], choice: int | None,
-    beta: int, mu: Fraction | None, out: Path,
+    beta: int, out: Path,
 ) -> int:
     spec = GroupSpec.from_code(group, n)
     fam = _build_family(spec, seed, beta, choice)
@@ -184,7 +179,7 @@ def cmd_construct(
             f"need {m} proper members but the family has {fam.n_proper}; "
             f"use a larger n{' or --choice 10' if other_choice else ''}"
         )
-    mu = Fraction(spec.mu) if mu is None else mu
+    mu = Fraction(spec.mu)
     table = proper_biharmonic_table(degrees, mu)
     out.mkdir(parents=True, exist_ok=True)
     coeffs_path = out / "coeffs.json"
@@ -353,8 +348,6 @@ def cmd_morphism(
         k = 1
     spec = GroupSpec.from_code(group, n)
     if kind == "orthogonal":
-        if spec.kind is not GroupKind.UNITARY:
-            raise BiforgeError("orthogonal column-ratio families live on the unitary group")
         rng = np.random.default_rng(seed)
         q = rng.normal(size=spec.n) + 1j * rng.normal(size=spec.n)
         family = column_ratio_family(q, spec, beta=0)
@@ -411,7 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_con.add_argument("--degrees", type=_parse_degrees, default="1")
     p_con.add_argument("--choice", type=int, choices=[9, 10, 11], default=None)
     p_con.add_argument("--beta", type=int, default=0)
-    p_con.add_argument("--mu", type=_parse_mu, default=None, help="override, e.g. --mu=-1/2")
     p_con.add_argument("--out", type=Path, default=Path("out"))
 
     p_ver = sub.add_parser("verify", help="verify construct outputs numerically")

@@ -484,7 +484,7 @@ def _polynomial(pows, terms) -> RationalExpr:
     terms, in the order given; a zero exponent skips its power chain."""
     out = []
     for exps, coeff in terms:
-        factors = [Const(complex(coeff)), *(chain[e - 1] for chain, e in zip(pows, exps) if e)]
+        factors = [Const(coeff), *(chain[e - 1] for chain, e in zip(pows, exps) if e)]
         out.append(Product(factors) if len(factors) > 1 else factors[0])
     return Sum(out) if len(out) > 1 else out[0]
 

@@ -188,7 +188,7 @@ class RationalExpr:
 
 
 def _as_expr(x) -> RationalExpr:
-    return x if isinstance(x, RationalExpr) else Const(complex(x))
+    return x if isinstance(x, RationalExpr) else Const(x)
 
 
 class Const(RationalExpr):

@@ -55,6 +55,9 @@ __all__ = [
 ]
 
 _SQRT2 = float(np.sqrt(2.0))
+# below this, a QR diagonal entry or Gram-Schmidt remainder of a Gaussian
+# draw is mostly rounding error, so the draw is made again
+_SINGULAR_DRAW_TOL = 1e-8
 
 
 class GroupKind(enum.Enum):
@@ -121,11 +124,8 @@ class GroupSpec:
     @property
     def eigenvalue(self) -> float:
         """Laplace eigenvalue of the matrix-coefficient functions."""
-        if self.kind is GroupKind.UNITARY:
-            return -float(self.n)
-        if self.kind is GroupKind.SPECIAL_ORTHOGONAL:
-            return -(self.n - 1) / 2.0
-        return -(2 * self.n + 1) / 2.0
+        # sum_b Z_b^2 = lambda I over the orthonormal basis, and its trace is -|B|
+        return -self.dimension / self.ambient_dim
 
     @property
     def mu(self) -> float:
@@ -190,14 +190,14 @@ def _haar_qr(rngs, draw, n: int) -> np.ndarray:
     """Q of g = QR for one Gaussian draw g = draw(rng, n) per stream, by
     one QR of the stack, each Q's columns scaled by the phases d/|d| of
     its R's diagonal so that Q is Haar (Mezzadri, Notices AMS 54(5),
-    2007).  A draw with some |r_ii| < 1e-8 is drawn again from its own
-    stream.  A stacked QR runs the LAPACK routine of a single QR on each
-    matrix, so every Q is bit for bit that of its draw alone."""
+    2007).  A draw with some |r_ii| < _SINGULAR_DRAW_TOL is drawn again
+    from its own stream.  A stacked QR runs the LAPACK routine of a single
+    QR on each matrix, so every Q is bit for bit that of its draw alone."""
     g = np.array([draw(rng, n) for rng in rngs])
     while True:
         q, r = np.linalg.qr(g)
         d = np.diagonal(r, axis1=-2, axis2=-1)
-        singular = np.flatnonzero(np.min(np.abs(d), axis=-1) < 1e-8)
+        singular = np.flatnonzero(np.min(np.abs(d), axis=-1) < _SINGULAR_DRAW_TOL)
         if not len(singular):
             return q * (d / np.abs(d))[:, None, :]
         for i in singular:
@@ -215,7 +215,7 @@ def _quaternionic_partner(v: np.ndarray) -> np.ndarray:
 
 def _orthonormalize(vectors, partner=None) -> list[np.ndarray] | None:
     """Modified Gram-Schmidt over ``vectors`` in order; None when one of
-    them keeps a norm below 1e-8 against the frame before it.
+    them keeps a norm below _SINGULAR_DRAW_TOL against the frame before it.
 
     With ``partner``, each new vector's partner(v) joins the frame too.
     The frame lists the new vectors, then their partners.
@@ -226,7 +226,7 @@ def _orthonormalize(vectors, partner=None) -> list[np.ndarray] | None:
         for u in left + right:
             v -= u * np.vdot(u, v)
         norm = np.linalg.norm(v)
-        if norm < 1e-8:
+        if norm < _SINGULAR_DRAW_TOL:
             return None
         v /= norm
         left.append(v)

@@ -17,7 +17,7 @@ import pytest
 
 import biforge.verify
 from biforge.cli import REFERENCE_FIXTURES, build_parser, main
-from biforge.construct import CoeffTable
+from biforge.construct import CoeffTable, proper_biharmonic_table
 from biforge.groups import GroupSpec
 from biforge.operators import OperatorContext, context, laplacian_jets
 
@@ -111,12 +111,26 @@ def test_construct_bad_degrees(tmp_path, capsys):
     assert not (tmp_path / "coeffs.json").exists()
 
 
-def test_construct_rejects_mu_with_zero_denominator(tmp_path, capsys):
-    for mu in ("1/0", "0", "x"):
-        code = run(["construct", "--group", "su", "--n", "3", f"--mu={mu}", "--out", str(tmp_path)])
-        assert code == 2
-        assert "--mu must be a nonzero fraction" in capsys.readouterr().err
-    assert not (tmp_path / "coeffs.json").exists()
+def test_construct_takes_mu_from_the_group(tmp_path, capsys):
+    # mu is fixed by the group, so construct has no option to set it
+    with pytest.raises(SystemExit) as exc:
+        run(["construct", "--group", "su", "--n", "3", "--mu=-1/2", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --mu=-1/2" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_construct_beta_picks_the_denominator_column(tmp_path, capsys):
+    out = _construct(tmp_path, ["--beta", "2"])
+    assert json.loads((out / "quadruple.json").read_text())["beta"] == 2
+    code = run(["verify", "--coeffs", str(out / "coeffs.json"), "--quadruple",
+                str(out / "quadruple.json"), "--points", "4"])
+    assert code == 0
+    capsys.readouterr()
+    bad = tmp_path / "bad"
+    code = run(["construct", "--group", "su", "--n", "3", "--beta", "3", "--out", str(bad)])
+    assert (code, capsys.readouterr().err) == (2, "error: beta must be in [0, 3), got 3\n")
+    assert not bad.exists()
 
 
 @pytest.mark.parametrize(
@@ -365,10 +379,13 @@ def test_morphism_rational_needs_two_proper_members(capsys):
     assert "need at least two proper members" in capsys.readouterr().err
 
 
-def test_morphism_orthogonal_wrong_group(capsys):
-    code = run(["morphism", "--group", "so", "--n", "4", "--kind", "orthogonal"])
-    assert code == 2
-    assert "unitary" in capsys.readouterr().err
+def test_morphism_orthogonal_wrong_group(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    for group in ("so", "sp"):
+        code = run(["morphism", "--group", group, "--n", "4", "--kind", "orthogonal", "--out", str(report)])
+        assert code == 2
+        assert "unitary" in capsys.readouterr().err
+    assert not report.exists()
 
 
 def test_construct_rejects_check_flags(tmp_path, capsys):
@@ -468,25 +485,17 @@ def test_morphism_rational_nested_denominator_samples(tmp_path, argv):
 
 
 def test_construct_records_family_in_table(tmp_path):
-    out = _construct(tmp_path, ["--mu=-1/2"])
+    out = _construct(tmp_path)
     doc = json.loads((out / "coeffs.json").read_text())
-    assert (doc["schema"], doc["group"], doc["n"], doc["mu"]) == (1, "su", 3, "-1/2")
-    assert CoeffTable.from_json((out / "coeffs.json").read_text()).single_degree() == (1, 0, -3)
-
-
-def test_construct_mu_help_example_parses(tmp_path, capsys):
-    # the help's example is a form argparse reads for a negative fraction;
-    # a bare "-1/2" after "--mu" would be taken for an option
-    with pytest.raises(SystemExit) as done:
-        run(["construct", "--help"])
-    assert done.value.code == 0
-    example = capsys.readouterr().out.split("override, e.g. ")[1].split()[0]
-    out = _construct(tmp_path, [example])
-    assert json.loads((out / "coeffs.json").read_text())["mu"] == "-1/2"
+    assert (doc["schema"], doc["group"], doc["n"], doc["mu"]) == (1, "su", 3, "-1")
+    assert CoeffTable.from_json((out / "coeffs.json").read_text()).single_degree() == (1, 0, Fraction(-3, 4))
 
 
 def test_verify_rejects_table_of_another_mu(tmp_path, capsys):
-    out = _construct(tmp_path, ["--mu=-1/2"])
+    # a table solved for so's and sp's mu, beside an su(3) quadruple
+    out = _construct(tmp_path)
+    mu = Fraction(-1, 2)
+    (out / "coeffs.json").write_text(proper_biharmonic_table((2,), mu).to_json(GroupSpec.unitary(3), mu))
     code = run(["verify", "--coeffs", str(out / "coeffs.json"), "--quadruple",
                 str(out / "quadruple.json"), "--points", "4"])
     assert code == 2
@@ -764,7 +773,7 @@ def test_morphism_command_walks_one_forest(monkeypatch, capsys, args, m, i):
 CLI_SURFACE_DIGESTS = {
     "help": (["--help"], "47c6904aaa54aed7e34679303c44e3abda2f07ec80d220ce9067dea09d11d457"),
     "help-construct": (["construct", "--help"],
-                       "403ccb113d08225f693e1a02077dcd762df4ff3d3bd1e28d8520db869c22cf3d"),
+                       "4570197ff578e95b90ecaeedb7d5c0a99d6991eb43060c4b89bd065d0922ba2c"),
     "help-verify": (["verify", "--help"],
                     "3868e2d0c07751bb52650e44cc1be1af338cf3e9244f8eb0911e8971458caba8"),
     "help-reproduce": (["reproduce", "--help"],
