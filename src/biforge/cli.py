@@ -153,6 +153,8 @@ def _seeded_vectors(spec: GroupSpec, rng: np.random.Generator):
 
 
 def _build_family(spec: GroupSpec, seed: int, beta: int, choice: int | None) -> QuadrupleFamily:
+    if choice is not None and spec.kind is not GroupKind.QUATERNIONIC_UNITARY:
+        raise BiforgeError("--choice applies only to --group sp")
     p, q, a, b = _seeded_vectors(spec, np.random.default_rng(seed))
     return make_quadruple(spec, p, q, a, b, beta=beta, sp_choice=choice)
 
@@ -193,10 +195,14 @@ def cmd_construct(
 
 def _read_inputs(coeffs_file: Path, quadruple_file: Path) -> tuple[CoeffTable, QuadrupleFamily]:
     """Parse verify's inputs; reject a table recorded for another group, n or mu."""
+    path = quadruple_file  # the file a missing key is reported in
     try:
-        fam = QuadrupleFamily.from_json(quadruple_file.read_text())
-        table = CoeffTable.from_json(coeffs_file.read_text(), fam.spec)
-    except (OSError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        fam = QuadrupleFamily.from_json(path.read_text())
+        path = coeffs_file
+        table = CoeffTable.from_json(path.read_text(), fam.spec)
+    except KeyError as exc:
+        raise BiforgeError(f"cannot parse inputs: {path} has no key {exc.args[0]!r}") from exc
+    except (OSError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise BiforgeError(f"cannot parse inputs: {exc}") from exc
     return table, fam
 

@@ -89,6 +89,7 @@ from .forms import (
     _check_beta,
     _check_vector,
     _json_int,
+    _json_object,
     dependent_rows,
     powers,
 )
@@ -247,7 +248,7 @@ class CoeffTable:
         each index must lie in the box once, over a nonzero denominator;
         otherwise ValueError (DimensionMismatch for the box) names the entry.
         """
-        doc = json.loads(text)
+        doc = _json_object(text, "a coefficient table")
         if doc.get("schema", TABLE_SCHEMA) != TABLE_SCHEMA:
             raise ValueError(f"unsupported coefficient table schema {doc['schema']!r}")
         degrees = _validate_degrees([_json_int(d, "degrees") for d in doc["degrees"]])

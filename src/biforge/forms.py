@@ -450,7 +450,9 @@ class QuadrupleFamily:
 
     ``numerators[i] / denominator`` are the rational family members;
     ``exchange_denominator`` (R) and ``exchange_numerators[i]`` (S_i) are
-    the swapped-row forms appearing in kappa(P_i, Q) = mu * R * S_i.
+    the swapped-row forms.  Every pair of the forms obeys one exchange
+    rule, kappa(u (x) v, u' (x) v') = mu (u (x) v') (u' (x) v), which for
+    P_i and Q reads kappa(P_i, Q) = mu * R * S_i.
     Each family object builds these forms and its member nodes once, on
     first use, so writing a family builds no form and
     ``dataclasses.replace`` gives fresh ones.
@@ -523,6 +525,8 @@ class QuadrupleFamily:
         return self._tensions[i]
 
     def all_forms(self) -> list[LinearForm]:
+        """P_0 .. P_{m-1}, Q, R, S_0 .. S_{m-1}: ``verify`` labels the forms'
+        rows and columns by this order."""
         return [*self.numerators, self.denominator, self.exchange_denominator, *self.exchange_numerators]
 
     def to_json(self) -> str:
@@ -548,7 +552,7 @@ class QuadrupleFamily:
 
     @classmethod
     def from_json(cls, text: str) -> "QuadrupleFamily":
-        doc = json.loads(text)
+        doc = _json_object(text, "a quadruple")
 
         def vec(pairs):
             return np.array([complex(re, im) for re, im in pairs])
@@ -564,6 +568,15 @@ class QuadrupleFamily:
             beta=_json_int(doc["beta"], "beta"),
             sp_choice=None if choice is None else _json_int(choice, "sp_choice"),
         )
+
+
+def _json_object(text: str, what: str) -> dict:
+    """``text`` parsed as a JSON document whose top level is an object;
+    another top level raises ValueError saying ``what`` must be one."""
+    doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    return doc
 
 
 def _json_int(value, where: str, digits: bool = False) -> int:

@@ -104,44 +104,40 @@ def sample_domain_points(exprs, spec: GroupSpec, count: int, seed: int) -> np.nd
 
 
 def quadruple_checks(fam: QuadrupleFamily, ctx: OperatorContext, points) -> list[CheckResult]:
-    """Eigenfunction residuals and the ten conformality product rules.
+    """Eigenfunction residuals and the conformality product rule.
 
-    All forms are walked once; the rules are one set of index arrays into
-    their kappa matrix and their values, checked in one pass, and each
-    rule's worst residual is a max over its run of entries.
+    Every form is a rank-one u (x) v, and every pair of them obeys one
+    exchange rule, kappa(u (x) v, u' (x) v') = mu (u (x) v') (u' (x) v).
+    All forms are walked once and labelled by row (p or q) and column
+    (member i, or the denominator's); each pair's expected product is read
+    from those labels, its two factors in form order, and the pairs are
+    reported in ten lines by the kinds (P, Q, R or S) of the pair.
     """
     values, tau, kappa = laplacian_jets(fam.all_forms(), points, ctx)
     eigen = np.max(relative_residual(tau, fam.spec.eigenvalue * values))
     checks = [CheckResult.upper("eigenfunctions", eigen, IDENTITY_TOL)]
 
-    # indices in all_forms() order: P_0 .. P_{m-1}, Q, R, S_0 .. S_{m-1}
+    # all_forms() order P_0 .. P_{m-1}, Q, R, S_0 .. S_{m-1}: kinds 0 .. 3
     m = fam.n_members
-    q, r, s = m, m + 1, m + 2
-    k = np.arange(m)
-    qs, rs = np.full(m, q), np.full(m, r)
-    i, j = np.divmod(np.arange(m * m), m)  # every (i, j)
-    upper = i <= j
-    iu, ju = i[upper], j[upper]
-    # (left, right, fa, fb), four index arrays of one length:
-    # kappa(left, right) = mu * fa * fb
-    relations = {
-        "kappa(P,P)": (iu, ju, iu, ju),
-        "kappa(S,S)": (s + iu, s + ju, s + iu, s + ju),
-        "kappa(Q,Q)": ([q], [q], [q], [q]),
-        "kappa(R,R)": ([r], [r], [r], [r]),
-        "kappa(Q,R)": ([q], [r], [q], [r]),
-        "kappa(Q,S)": (qs, s + k, qs, s + k),
-        "kappa(P,R)": (k, rs, k, rs),
-        "kappa(P_i,S_j)=mu*P_j*S_i": (i, s + j, j, s + i),
-        "kappa(P,Q)=mu*R*S": (k, qs, rs, s + k),
-        "kappa(R,S)=mu*P*Q": (rs, s + k, k, qs),
+    kind = np.repeat(np.arange(4), [m, 1, 1, m])
+    row = kind % 2  # p for P and R, q for Q and S
+    col = np.r_[np.arange(m), m, m, np.arange(m)]
+    form = np.empty((2, m + 1), dtype=int)
+    form[row, col] = np.arange(len(kind))
+    x, y = np.triu_indices(len(kind))
+    # kappa(x, y) = mu (row x, column y) (row y, column x), factors in form order
+    fa, fb = np.sort([form[row[x], col[y]], form[row[y], col[x]]], axis=0)
+    residual = relative_residual(kappa[x, y], fam.mu * values[fa] * values[fb]).max(-1)
+    lines = {
+        (0, 0): "kappa(P,P)", (3, 3): "kappa(S,S)", (1, 1): "kappa(Q,Q)", (2, 2): "kappa(R,R)",
+        (1, 2): "kappa(Q,R)", (1, 3): "kappa(Q,S)", (0, 2): "kappa(P,R)",
+        (0, 3): "kappa(P_i,S_j)=mu*P_j*S_i", (0, 1): "kappa(P,Q)=mu*R*S", (2, 3): "kappa(R,S)=mu*P*Q",
     }
-    rules = [np.array(rule) for rule in relations.values()]
-    left, right, fa, fb = np.concatenate(rules, axis=1)
-    starts = np.cumsum([0] + [rule.shape[1] for rule in rules[:-1]])
-    worst = relative_residual(kappa[left, right], fam.mu * values[fa] * values[fb]).max(-1)
-    worst = np.maximum.reduceat(worst, starts)
-    return checks + [CheckResult.upper(name, x, IDENTITY_TOL) for name, x in zip(relations, worst)]
+    line = np.zeros((4, 4), dtype=int)
+    line[tuple(zip(*lines))] = np.arange(len(lines))
+    worst = np.zeros(len(lines))
+    np.maximum.at(worst, line[kind[x], kind[y]], residual)
+    return checks + [CheckResult.upper(name, w, IDENTITY_TOL) for name, w in zip(lines.values(), worst)]
 
 
 def closed_form_tension_checks(fam: QuadrupleFamily, ctx: OperatorContext, points) -> list[CheckResult]:

@@ -192,6 +192,54 @@ def test_verify_rejects_fractional_beta(tmp_path, capsys, edit, message):
     assert f"cannot parse inputs: {message}" in capsys.readouterr().err
 
 
+def _verify_with_bad_input(tmp_path, capsys, which, edit):
+    """Exit code, stdout and stderr of verify with ``which`` of the two files rewritten by ``edit``."""
+    out = _construct(tmp_path)
+    files = {"coeffs": out / "coeffs.json", "quadruple": out / "quadruple.json"}
+    bad = tmp_path / "bad.json"
+    bad.write_text(edit(files[which].read_text()))
+    files[which] = bad
+    report = tmp_path / "report.json"
+    capsys.readouterr()
+    code = run(["verify", "--coeffs", str(files["coeffs"]), "--quadruple", str(files["quadruple"]),
+                "--points", "2", "--out", str(report)])
+    assert not report.exists()
+    return code, *capsys.readouterr()
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "3", '"x"', "null"], ids=["list", "number", "string", "null"])
+@pytest.mark.parametrize(
+    "which, document", [("coeffs", "a coefficient table"), ("quadruple", "a quadruple")], ids=["coeffs", "quadruple"]
+)
+def test_verify_refuses_a_top_level_that_is_not_an_object(tmp_path, capsys, which, document, text):
+    message = f"error: cannot parse inputs: {document} must be a JSON object\n"
+    assert _verify_with_bad_input(tmp_path, capsys, which, lambda _: text) == (2, "", message)
+
+
+@pytest.mark.parametrize("which, key", [("coeffs", "degrees"), ("quadruple", "beta")])
+def test_verify_names_the_file_and_the_missing_key(tmp_path, capsys, which, key):
+    def drop(text):
+        doc = json.loads(text)
+        del doc[key]
+        return json.dumps(doc)
+
+    message = f"error: cannot parse inputs: {tmp_path / 'bad.json'} has no key '{key}'\n"
+    assert _verify_with_bad_input(tmp_path, capsys, which, drop) == (2, "", message)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["construct", "--group", "su", "--n", "3", "--choice", "10"],
+     ["morphism", "--group", "so", "--n", "8", "--kind", "rational", "--choice", "9"]],
+    ids=["construct-su", "morphism-so"],
+)
+def test_choice_outside_sp_is_refused_by_its_flag(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert run([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: --choice applies only to --group sp\n")
+    assert not out.exists()
+
+
 def _construct(tmp_path, extra=()):
     out = tmp_path / "artifacts"
     assert (

@@ -24,6 +24,7 @@ from biforge.operators import OperatorContext, conformality, laplacian_jets, rel
 from biforge.report import CheckResult, VerificationReport
 from biforge.verify import (
     DEFAULT_DOMAIN_MARGIN,
+    IDENTITY_TOL,
     candidate_checks,
     closed_form_tension_checks,
     eigenfamily_checks,
@@ -200,7 +201,7 @@ def _reference_eigenfamily_residuals(members, eigenvalue, kappa_constant, ctx, p
 def test_checks_match_per_pair_reference(spec, sp_choice, mu_factor):
     # every residual read from the one-walk kappa matrix equals the named
     # per-pair reference; with mu doubled every kappa relation fails, so a
-    # wrong index in the relation table cannot pass unnoticed
+    # wrong row or column label cannot pass unnoticed
     fam = _family(spec, 47, sp_choice)
     fam = dataclasses.replace(fam, mu=mu_factor * fam.mu)
     ctx = OperatorContext.for_spec(spec)
@@ -215,6 +216,51 @@ def test_checks_match_per_pair_reference(spec, sp_choice, mu_factor):
         assert abs(check.max_residual - expected[check.name]) <= 1e-12 * max(1.0, expected[check.name])
         is_kappa = "kappa" in check.name
         assert check.passed == (mu_factor == 1 or not is_kappa), check.name
+
+
+def _so4_isotropic_columns_family(seed):
+    # a, b span a totally isotropic plane: (a,a) = (b,b) = (a,b) = 0
+    spec = GroupSpec.special_orthogonal(4)
+    rng = np.random.default_rng(seed)
+    u1, v1, u2, v2 = np.linalg.qr(rng.normal(size=(4, 4)))[0].T
+    p, q = (rng.normal(size=4) + 1j * rng.normal(size=4) for _ in range(2))
+    return make_quadruple(spec, p, q, u1 + 1j * v1, u2 + 1j * v2)
+
+
+RULE_FAMILIES = {
+    "su4": lambda: _family(GroupSpec.unitary(4), 61),
+    "so8-isotropic-rows": lambda: _family(GroupSpec.special_orthogonal(8), 62),
+    "so4-isotropic-columns": lambda: _so4_isotropic_columns_family(63),
+    **{f"sp4-choice{c}": lambda c=c: _family(GroupSpec.quaternionic_unitary(4), 64, c) for c in (9, 10, 11)},
+}
+PQ, RS, PS = "kappa(P,Q)=mu*R*S", "kappa(R,S)=mu*P*Q", "kappa(P_i,S_j)=mu*P_j*S_i"
+
+
+def _scaled(form):
+    return LinearForm(form.spec, 1.001 * form.u, form.v)
+
+
+@pytest.mark.parametrize("scaled", ["S", "P_0"])
+@pytest.mark.parametrize("name", list(RULE_FAMILIES))
+def test_a_scaled_form_fails_exactly_the_rules_not_homogeneous_in_it(name, scaled):
+    # scaling a form scales both sides of kappa(x, y) = mu (row x, column y)
+    # (row y, column x) alike unless it stands on one side only: S_i in
+    # kappa(P_i, Q) = mu R S_i and kappa(R, S_i) = mu P_i Q, and P_0 there
+    # and in kappa(P_0, S_j) = mu P_j S_0 for j != 0
+    fam = RULE_FAMILIES[name]()
+    ctx = OperatorContext.for_spec(fam.spec)
+    points = sample_domain_points([fam.member_quotient(i) for i in range(fam.n_members)], fam.spec, 4, 4000)
+    assert all(check.passed for check in quadruple_checks(fam, ctx, points))
+    if scaled == "S":
+        vars(fam)["exchange_numerators"] = tuple(map(_scaled, fam.exchange_numerators))
+        broken = {PQ, RS}
+    else:
+        vars(fam)["numerators"] = (_scaled(fam.numerators[0]), *fam.numerators[1:])
+        broken = {PQ, RS, PS} if fam.n_members >= 2 else {PQ, RS}
+    checks = quadruple_checks(fam, ctx, points)
+    assert len(checks) == 11
+    assert {check.name for check in checks if not check.passed} == broken
+    assert all(check.max_residual >= 100 * IDENTITY_TOL for check in checks if check.name in broken)
 
 
 def test_closed_form_tension_checks_evaluate_each_form_once_per_side(monkeypatch):
